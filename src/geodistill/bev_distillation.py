@@ -82,15 +82,6 @@ class TargetKeypointFeatures:
             raise ContractError("student/teacher keypoint features must be matching (N, C)")
 
 
-@dataclass
-class GramPair:
-    """Channel-channel (C, C) and keypoint-keypoint (N, N) Grams of one
-    feature block."""
-
-    inter_channel: np.ndarray
-    inter_keypoint: np.ndarray
-
-
 def sample_keypoints(box: Box3D, grid: BevGrid, g: int = 6, enlarge: float = 1.25) -> KeypointSet:
     """Place a g x g cell-center lattice in the enlarged box footprint.
 
@@ -219,13 +210,6 @@ def inter_keypoint_gram(f, normalization: str = "none") -> np.ndarray:
     if normalization == "count":
         gram /= f.shape[1]
     return gram
-
-
-def gram_pair(f, normalization: str = "none") -> GramPair:
-    return GramPair(
-        inter_channel=inter_channel_gram(f, normalization),
-        inter_keypoint=inter_keypoint_gram(f, normalization),
-    )
 
 
 def _check_norm(normalization: str):

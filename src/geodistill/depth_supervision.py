@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SkippedTargetError
 from .geometry import ForegroundDepthSet
-from .numerics import LossResult, as_tensor, check_finite
+from .numerics import LossResult, as_tensor, check_finite, softmax_rows
 
 BCE_CLAMP = 1e-7
 
@@ -97,9 +97,8 @@ class CategoricalDepthMap:
     @property
     def probs(self) -> np.ndarray:
         if self._probs is None:
-            z = self.logits - np.max(self.logits, axis=0, keepdims=True)
-            e = np.exp(z)
-            self._probs = e / np.sum(e, axis=0, keepdims=True)
+            _, h, w = self.logits.shape
+            self._probs = rows_to_map(softmax_rows(logit_rows(self.logits)), h, w)
         return self._probs
 
 
@@ -119,14 +118,24 @@ class ReferenceSelection:
             raise ConfigError(f"unknown reference strategy {self.strategy!r}")
 
 
-def _softmax_block(logit_block: np.ndarray) -> np.ndarray:
-    z = logit_block - np.max(logit_block, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def logit_rows(logits: np.ndarray) -> np.ndarray:
+    """(H*W, D) row view of a (D, H, W) map; row y * W + x is pixel (x, y)."""
+    return np.moveaxis(logits, 0, -1).reshape(-1, logits.shape[0])
 
 
-def _expected_depth(prob_block: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    return np.sum(prob_block * centers, axis=-1)
+def rows_to_map(rows: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Inverse of logit_rows: (H*W, D) rows back to a (D, H, W) map."""
+    return np.moveaxis(rows.reshape(h, w, -1), -1, 0)
+
+
+def pixel_rows(fds: ForegroundDepthSet, width: int) -> np.ndarray:
+    """Flat row index y * W + x of every pixel of a foreground set."""
+    return fds.pixels[:, 1] * width + fds.pixels[:, 0]
+
+
+def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Expected bin center of every probability row."""
+    return np.sum(probs * centers, axis=-1)
 
 
 def continuous_depth(probs, bins: DepthBins) -> float:
@@ -137,7 +146,7 @@ def continuous_depth(probs, bins: DepthBins) -> float:
     total = float(np.sum(probs))
     if abs(total - 1.0) > 1e-9:
         raise ContractError(f"probs sum to {total!r}, expected 1 within 1e-9")
-    return float(_expected_depth(probs, bins.centers))
+    return float(expected_depths(probs, bins.centers))
 
 
 def continuous_depth_map(depthmap: CategoricalDepthMap, bins: DepthBins) -> np.ndarray:
@@ -145,8 +154,7 @@ def continuous_depth_map(depthmap: CategoricalDepthMap, bins: DepthBins) -> np.n
     d, h, w = depthmap.logits.shape
     if d != bins.count:
         raise ContractError("depth map bin count disagrees with bins")
-    flat = depthmap.probs.reshape(d, h * w).T
-    return _expected_depth(flat, bins.centers).reshape(h, w)
+    return expected_depths(logit_rows(depthmap.probs), bins.centers).reshape(h, w)
 
 
 def select_reference(
@@ -229,39 +237,166 @@ def relative_depths(
     return pred_depth - pred_depth[idx], fds.gt_depth - fds.gt_depth[idx]
 
 
-def _anchored_residual_core(
-    d: np.ndarray, gt: np.ndarray, ref: int, reduction: str
-) -> Tuple[float, np.ndarray]:
-    """Loss and d-gradient of the anchored squared-residual objective.
 
-    The reference index is a constant of the backward pass; d[ref]
-    still receives gradient through every residual it appears in.
+
+def assign_depth_bins(gt_values, bins: DepthBins) -> np.ndarray:
+    """Indices of the nearest bin center; exact midpoints go to the lower bin."""
+    gt_values = as_tensor(gt_values)
+    midpoints = (bins.centers[:-1] + bins.centers[1:]) / 2.0
+    return np.searchsorted(midpoints, gt_values, side="left")
+
+
+# ---------------------------------------------------------------------------
+# Packed engine: both losses on gathered (N, D) logit rows
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class PackedView:
+    """One camera's supervised rows; the trainer builds it once per scene.
+
+    ``rows`` holds the flat pixel index of each valid pixel, ``gt_bins``
+    its ground-truth bin, and ``targets`` pairs every non-skipped
+    foreground set with the positions of its pixels within ``rows``.
     """
+
+    rows: np.ndarray
+    gt_bins: np.ndarray
+    targets: List[Tuple[ForegroundDepthSet, np.ndarray]]
+
+
+def pack_view(
+    gt, valid, bins: DepthBins, targets: Sequence[ForegroundDepthSet] = ()
+) -> PackedView:
+    """Gather plan of one camera: valid rows, their bins, and each
+    target's rows; every target pixel must be valid."""
+    valid = np.asarray(valid, dtype=bool)
+    rows = np.nonzero(valid.reshape(-1))[0]
+    gt_valid = as_tensor(gt).reshape(-1)[rows]
+    if np.any(gt_valid <= 0):
+        raise ContractError("gt depth must be positive on valid pixels")
+    return PackedView(
+        rows=rows,
+        gt_bins=assign_depth_bins(gt_valid, bins),
+        targets=_target_positions(rows, targets, valid.shape),
+    )
+
+
+def _target_positions(
+    rows: np.ndarray, targets: Sequence[ForegroundDepthSet], shape: Tuple[int, int]
+) -> List[Tuple[ForegroundDepthSet, np.ndarray]]:
+    """Each non-skipped target with the positions of its pixels in ``rows``."""
+    lookup = np.full(shape[0] * shape[1], -1, dtype=np.int64)
+    lookup[rows] = np.arange(rows.size)
+    packed = []
+    for fds in targets:
+        if fds.skipped:
+            continue
+        pos = lookup[pixel_rows(fds, shape[1])]
+        if np.any(pos < 0):
+            raise ContractError("foreground pixel outside the valid mask")
+        packed.append((fds, pos))
+    return packed
+
+
+def bce_rows(probs: np.ndarray, gt_bins: np.ndarray) -> Tuple[float, np.ndarray]:
+    """Summed one-hot BCE of softmax rows against their gt bins, plus its
+    gradient w.r.t. the underlying logits.
+
+    Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
+    entries pass no gradient, matching the piecewise-constant clip.
+    """
+    hit = (np.arange(probs.shape[0]), gt_bins)
+    clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    at_gt = clamped[hit]
+    terms = -np.log1p(-clamped)
+    terms[hit] = -np.log(at_gt)
+    grad_p = 1.0 / (1.0 - clamped)
+    grad_p[hit] = -1.0 / at_gt
+    grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
+    inner = np.sum(grad_p * probs, axis=1, keepdims=True)
+    return float(np.sum(terms)), probs * (grad_p - inner)
+
+
+def relative_residual(
+    d: np.ndarray, gt: np.ndarray, ref: Optional[int], reduction: str
+) -> Tuple[float, np.ndarray]:
+    """Loss and d-gradient of one target's squared relative residuals.
+
+    With a reference index, depths are anchored at that pixel; the index
+    is a constant of the backward pass, while d[ref] still receives
+    gradient through every residual it appears in.  With ``ref`` None,
+    residuals run over all ordered pixel pairs (p, q), p != q.
+    """
+    if ref is None:
+        e_mat = (d[:, None] - d[None, :]) - (gt[:, None] - gt[None, :])
+        denom = float(d.size * (d.size - 1)) if reduction == "mean" else 1.0
+        return float(np.sum(e_mat * e_mat)) / denom, 4.0 * np.sum(e_mat, axis=1) / denom
     e = (d - d[ref]) - (gt - gt[ref])
     denom = float(e.size) if reduction == "mean" else 1.0
-    value = float(np.sum(e * e)) / denom
     grad_d = 2.0 * e / denom
     grad_d[ref] -= 2.0 * float(np.sum(e)) / denom
-    return value, grad_d
+    return float(np.sum(e * e)) / denom, grad_d
 
 
-def _pairwise_residual_core(
-    d: np.ndarray, gt: np.ndarray, reduction: str
-) -> Tuple[float, np.ndarray]:
-    """Loss and d-gradient over all ordered pixel pairs (p, q), p != q."""
-    e_mat = (d[:, None] - d[None, :]) - (gt[:, None] - gt[None, :])
-    n = d.size
-    denom = float(n * (n - 1)) if reduction == "mean" else 1.0
-    value = float(np.sum(e_mat * e_mat)) / denom
-    grad_d = 4.0 * np.sum(e_mat, axis=1) / denom
-    return value, grad_d
+def relative_depth_rows(
+    probs: np.ndarray,
+    targets: Sequence[Tuple[ForegroundDepthSet, np.ndarray]],
+    centers: np.ndarray,
+    sel: ReferenceSelection,
+    reduction: str,
+    grad_rows: np.ndarray,
+    scale: float = 1.0,
+) -> float:
+    """Relative-depth loss summed over targets, in target order.
+
+    ``probs`` are softmax rows and each target carries the positions of
+    its pixels among them.  Each target's reference is selected on the
+    current prediction, then ``scale`` times the logit gradient is added
+    into ``grad_rows``; overlapping targets accumulate in target order.
+    """
+    total = 0.0
+    for fds, pos in targets:
+        p = probs[pos]
+        depths = expected_depths(p, centers)
+        ref = None
+        if sel.strategy != "one_to_one":
+            ref = select_reference(fds, depths, sel, conf=np.max(p, axis=1))
+        value, grad_d = relative_residual(depths, fds.gt_depth, ref, reduction)
+        # chain through the softmax expectation d = sum_k p_k c_k; a
+        # target's pixels are distinct, so += accumulates like np.add.at
+        grad_rows[pos] += scale * (p * (grad_d[:, None] * (centers - depths[:, None])))
+        total += value
+    return total
 
 
-def _depth_grad_to_logits(
-    grad_d: np.ndarray, probs: np.ndarray, depths: np.ndarray, centers: np.ndarray
-) -> np.ndarray:
-    """Chain a per-pixel depth gradient through softmax expectation."""
-    return probs * (grad_d[:, None] * (centers[None, :] - depths[:, None]))
+# ---------------------------------------------------------------------------
+# Dense (D, H, W) wrappers
+# ---------------------------------------------------------------------------
+
+
+def absolute_depth_loss(
+    depthmap: CategoricalDepthMap,
+    gt,
+    valid,
+    bins: DepthBins,
+) -> LossResult:
+    """Dense per-pixel BCE between the categorical map and binned ground
+    truth, averaged over valid pixels; gradient w.r.t. the logits."""
+    if bins.count != depthmap.num_bins:
+        raise ContractError("depth map bin count disagrees with bins")
+    d, h, w = depthmap.logits.shape
+    if np.shape(gt) != (h, w) or np.shape(valid) != (h, w):
+        raise ContractError("gt and valid must both be (H, W)")
+    view = pack_view(gt, valid, bins)
+    if view.rows.size == 0:
+        return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
+    probs = softmax_rows(logit_rows(depthmap.logits)[view.rows])
+    value, grad_block = bce_rows(probs, view.gt_bins)
+    n = float(view.rows.size)
+    grad_hw = np.zeros((h * w, d))
+    grad_hw[view.rows] = grad_block / n
+    return LossResult(value / n, rows_to_map(grad_hw, h, w), components={"valid_pixels": n})
 
 
 def inner_depth_loss(
@@ -278,101 +413,28 @@ def inner_depth_loss(
     ordered pairs for the pairwise strategy) and squared residuals are
     reduced per ``loss_reduction``, then summed over targets.  The
     gradient is with respect to the full logits tensor; overlapping
-    targets accumulate.
+    targets accumulate.  Softmax runs on the target pixels only.
     """
     if loss_reduction not in LOSS_REDUCTIONS:
         raise ConfigError(f"unknown loss reduction {loss_reduction!r}")
     if bins.count != depthmap.num_bins:
         raise ContractError("depth map bin count disagrees with bins")
     d, h, w = depthmap.logits.shape
-    grad_hw = np.zeros((h * w, d))
-    total = 0.0
-    used = 0
-    centers = bins.centers
-    logits_hw = np.moveaxis(depthmap.logits, 0, -1).reshape(h * w, d)
-    for fds in targets:
-        if fds.skipped:
-            continue
-        flat = fds.pixels[:, 1] * w + fds.pixels[:, 0]
-        block = logits_hw[flat]
-        probs = _softmax_block(block)
-        depths = _expected_depth(probs, centers)
-        if sel.strategy == "one_to_one":
-            value, grad_d = _pairwise_residual_core(depths, fds.gt_depth, loss_reduction)
-        else:
-            conf = np.max(probs, axis=1)
-            ref = select_reference(fds, depths, sel, conf=conf)
-            value, grad_d = _anchored_residual_core(depths, fds.gt_depth, ref, loss_reduction)
-        np.add.at(grad_hw, flat, _depth_grad_to_logits(grad_d, probs, depths, centers))
-        total += value
-        used += 1
-    grad = np.moveaxis(grad_hw.reshape(h, w, d), -1, 0)
-    if used == 0:
+    used = [fds for fds in targets if not fds.skipped]
+    if not used:
         return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
-    return LossResult(total, grad, components={"targets_used": float(used)})
-
-
-def assign_depth_bins(gt_values, bins: DepthBins) -> np.ndarray:
-    """Indices of the nearest bin center; exact midpoints go to the lower bin."""
-    gt_values = as_tensor(gt_values)
-    midpoints = (bins.centers[:-1] + bins.centers[1:]) / 2.0
-    return np.searchsorted(midpoints, gt_values, side="left")
-
-
-def _bce_block(
-    logit_block: np.ndarray, bin_idx: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Summed one-hot BCE of gathered pixels plus its logit gradient."""
-    return _bce_from_probs(_softmax_block(logit_block), bin_idx)
-
-
-def _bce_from_probs(
-    probs: np.ndarray, bin_idx: np.ndarray
-) -> Tuple[float, np.ndarray]:
-    """Summed one-hot BCE from softmax probabilities; gradient is w.r.t.
-    the underlying logits.
-
-    Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
-    entries pass no gradient, matching the piecewise-constant clip.
-    """
-    n, d = probs.shape
-    clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    target = np.zeros((n, d))
-    target[np.arange(n), bin_idx] = 1.0
-    value = float(np.sum(-(target * np.log(clamped) + (1.0 - target) * np.log1p(-clamped))))
-    grad_p = (-target / clamped + (1.0 - target) / (1.0 - clamped))
-    grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
-    inner = np.sum(grad_p * probs, axis=1, keepdims=True)
-    grad_block = probs * (grad_p - inner)
-    return value, grad_block
-
-
-def absolute_depth_loss(
-    depthmap: CategoricalDepthMap,
-    gt,
-    valid,
-    bins: DepthBins,
-) -> LossResult:
-    """Dense per-pixel BCE between the categorical map and binned ground
-    truth, averaged over valid pixels; gradient w.r.t. the logits."""
-    if bins.count != depthmap.num_bins:
-        raise ContractError("depth map bin count disagrees with bins")
-    d, h, w = depthmap.logits.shape
-    gt = as_tensor(gt)
-    valid = np.asarray(valid, dtype=bool)
-    if gt.shape != (h, w) or valid.shape != (h, w):
-        raise ContractError("gt and valid must both be (H, W)")
-    flat = np.nonzero(valid.reshape(-1))[0]
-    if flat.size == 0:
-        return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
-    gt_flat = gt.reshape(-1)[flat]
-    if np.any(gt_flat <= 0):
-        raise ContractError("gt depth must be positive on valid pixels")
-    logits_hw = np.moveaxis(depthmap.logits, 0, -1).reshape(h * w, d)
-    bin_idx = assign_depth_bins(gt_flat, bins)
-    value, grad_block = _bce_block(logits_hw[flat], bin_idx)
-    n = float(flat.size)
+    covered = np.zeros(h * w, dtype=bool)
+    covered[np.concatenate([pixel_rows(fds, w) for fds in used])] = True
+    rows = np.nonzero(covered)[0]
+    grad_rows = np.zeros((rows.size, d))
+    value = relative_depth_rows(
+        softmax_rows(logit_rows(depthmap.logits)[rows]),
+        _target_positions(rows, used, (h, w)),
+        bins.centers,
+        sel,
+        loss_reduction,
+        grad_rows,
+    )
     grad_hw = np.zeros((h * w, d))
-    grad_hw[flat] = grad_block / n
-    grad = np.moveaxis(grad_hw.reshape(h, w, d), -1, 0)
-    return LossResult(value / n, grad, components={"valid_pixels": n})
+    grad_hw[rows] = grad_rows
+    return LossResult(value, rows_to_map(grad_hw, h, w), components={"targets_used": float(len(used))})

@@ -39,23 +39,25 @@ from .depth_supervision import (
     CategoricalDepthMap,
     DepthBins,
     ReferenceSelection,
-    _anchored_residual_core,
-    _bce_from_probs,
-    _depth_grad_to_logits,
-    _expected_depth,
-    _pairwise_residual_core,
-    _softmax_block,
     absolute_depth_loss,
-    assign_depth_bins,
+    bce_rows,
+    expected_depths,
     inner_depth_loss,
+    logit_rows,
+    pack_view,
+    pixel_rows,
+    relative_depth_rows,
+    relative_residual,
+    rows_to_map,
     select_reference,
 )
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, NumericError, ShapeError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LossResult,
     finite_difference_gradient,
     frobenius_sq_distance,
+    softmax_rows,
 )
 from .rng import CounterRng
 from .scenegen import (
@@ -71,6 +73,12 @@ REPORT_FORMAT_VERSION = 1
 # Logit amplitude that drives every softmax probability past the BCE
 # clamp, making the one-hot prediction an exact stationary point.
 SATURATION_LOGIT = 40.0
+
+# The Adam update is elementwise, so it runs over the flat parameter
+# vector in blocks whose operands and temporaries stay in a core's L2
+# cache; in one pass over the whole vector each temporary spills, and the
+# update takes about twice as long on the default scene.
+ADAM_BLOCK = 32768
 
 
 def thread_count() -> int:
@@ -359,7 +367,19 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
         }
         payload.update(self.data)
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _finite_or_null(value):
+    """Copy of a report value with every non-finite float (a diverged
+    loss, a distance relative to a zero norm) replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(v) for v in value]
+    return value
 
 
 def write_report(path: str, report: RunReport) -> None:
@@ -426,10 +446,6 @@ def total_loss(
 # ---------------------------------------------------------------------------
 
 
-def _flat_pixel_index(fds: ForegroundDepthSet, width: int) -> np.ndarray:
-    return fds.pixels[:, 1] * width + fds.pixels[:, 0]
-
-
 def identity_student_inputs(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
@@ -447,34 +463,19 @@ def identity_student_inputs(
     for view in views:
         h, w = view.depth.shape
         logits_hw = np.zeros((h * w, d))
-        flat = np.nonzero(view.valid.reshape(-1))[0]
-        if flat.size:
-            gt_bins = assign_depth_bins(view.depth.reshape(-1)[flat], bins)
-            logits_hw[flat, gt_bins] = SATURATION_LOGIT
-        dm = CategoricalDepthMap(np.moveaxis(logits_hw.reshape(h, w, d), -1, 0))
-        new_targets = []
-        for fds in view.targets:
-            if fds.skipped:
-                new_targets.append(fds)
-                continue
-            block = logits_hw[_flat_pixel_index(fds, w)]
-            depths = _expected_depth(_softmax_block(block), bins.centers)
-            new_targets.append(
-                ForegroundDepthSet(
-                    target_index=fds.target_index,
-                    pixels=fds.pixels,
-                    gt_depth=depths,
-                    skipped=False,
-                    cam_index=fds.cam_index,
-                    center_uv=fds.center_uv,
-                )
+        packed = pack_view(view.depth, view.valid, bins)
+        logits_hw[packed.rows, packed.gt_bins] = SATURATION_LOGIT
+        new_targets = [
+            fds
+            if fds.skipped
+            else dataclasses.replace(
+                fds,
+                gt_depth=expected_depths(softmax_rows(logits_hw[pixel_rows(fds, w)]), bins.centers),
             )
-        maps.append(dm)
-        new_views.append(
-            ViewGroundTruth(
-                cam_index=view.cam_index, depth=view.depth, valid=view.valid, targets=new_targets
-            )
-        )
+            for fds in view.targets
+        ]
+        maps.append(CategoricalDepthMap(rows_to_map(logits_hw, h, w)))
+        new_views.append(dataclasses.replace(view, targets=new_targets))
     student = BevFeatureMap(data=scene.teacher_bev.data.copy(), grid=scene.grid)
     return maps, new_views, student
 
@@ -517,8 +518,14 @@ def evaluate_scene_losses(
     r_value = sum(r.value for _, r in per_view)
     a_res = LossResult(a_value, [a.grad for a, _ in per_view], empty=all(a.empty for a, _ in per_view))
     r_res = LossResult(r_value, [r.grad for _, r in per_view], empty=all(r.empty for _, r in per_view))
-    ic, ik = bev_distill_terms(
-        student_bev,
+    ic, ik = _bev_terms(cfg, scene, student_bev)
+    return total_loss(a_res, r_res, ic, ik, det=cfg.external_det_loss, weights=cfg.weights)
+
+
+def _bev_terms(cfg: HarnessConfig, scene: SyntheticScene, student: BevFeatureMap):
+    """Inter-channel and inter-keypoint results of one student map."""
+    return bev_distill_terms(
+        student,
         scene.teacher_bev,
         scene.boxes,
         g=cfg.keypoint_g,
@@ -526,7 +533,6 @@ def evaluate_scene_losses(
         normalization=cfg.gram_normalization,
         loss_reduction=cfg.loss_reduction,
     )
-    return total_loss(a_res, r_res, ic, ik, det=cfg.external_det_loss, weights=cfg.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +593,8 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     logits = 2.0 * sub.normal((d, h, w))
     dm = CategoricalDepthMap(logits)
     sel = cfg.reference
-    logits_hw = np.moveaxis(logits, 0, -1).reshape(h * w, d)
-    block = logits_hw[order]
-    probs = _softmax_block(block)
-    depths = _expected_depth(probs, bins.centers)
+    probs = softmax_rows(logit_rows(logits)[order])
+    depths = expected_depths(probs, bins.centers)
     tie = False
     if sel.strategy == "all_to_adaptive_smallest_error":
         err = gt - depths
@@ -602,19 +606,14 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
         conf = np.sort(np.max(probs, axis=1))[::-1][:2]
         tie = bool(conf[0] - conf[1] < 1e-6)
     analytic = inner_depth_loss([fds], dm, bins, sel, cfg.loss_reduction).grad
-
-    if sel.strategy == "one_to_one":
-        def f(x):
-            p = _softmax_block(np.moveaxis(x, 0, -1).reshape(h * w, d)[order])
-            dep = _expected_depth(p, bins.centers)
-            return _pairwise_residual_core(dep, gt, cfg.loss_reduction)[0]
-    else:
+    # the reference is chosen once at x0 and frozen, as in the backward pass
+    ref = None
+    if sel.strategy != "one_to_one":
         ref = select_reference(fds, depths, sel, conf=np.max(probs, axis=1))
 
-        def f(x):
-            p = _softmax_block(np.moveaxis(x, 0, -1).reshape(h * w, d)[order])
-            dep = _expected_depth(p, bins.centers)
-            return _anchored_residual_core(dep, gt, ref, cfg.loss_reduction)[0]
+    def f(x):
+        dep = expected_depths(softmax_rows(logit_rows(x)[order]), bins.centers)
+        return relative_residual(dep, gt, ref, cfg.loss_reduction)[0]
 
     return _Instance(f=f, x0=logits, analytic=analytic, tie_adjacent=tie)
 
@@ -777,18 +776,6 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _ViewBlock:
-    """One camera's trainable state: logits over its valid pixels plus
-    index plumbing back into image space."""
-
-    cam_index: int
-    n: int
-    gt_bins: np.ndarray
-    logits: np.ndarray
-    targets: List[Tuple[ForegroundDepthSet, np.ndarray]]
-
-
 def _gram_distance_summary(
     student: BevFeatureMap,
     teacher: BevFeatureMap,
@@ -840,8 +827,8 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     t0 = time.perf_counter()
     opt = cfg.optimizer
     w = cfg.weights
-    bins = cfg.bins
-    centers = bins.centers
+    d, centers = cfg.bins.count, cfg.bins.centers
+    sel, reduction = cfg.reference, cfg.loss_reduction
     scene = generate_scene(cfg.scene)
     views = render_gt_views(scene)
     teacher = scene.teacher_bev
@@ -850,103 +837,63 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # evaluation uses, so step-0 losses agree with eval-losses
     build = identity_student_inputs if identity_init else random_student_inputs
     maps, eff_views, student_map = build(cfg, scene, views)
-    student = student_map.data
+    packed = [pack_view(v.depth, v.valid, cfg.bins, v.targets) for v in eff_views]
 
-    blocks: List[_ViewBlock] = []
-    for view, dm in zip(eff_views, maps):
-        h, w_img = view.depth.shape
-        flat = np.nonzero(view.valid.reshape(-1))[0]
-        n = int(flat.size)
-        gt_bins = assign_depth_bins(view.depth.reshape(-1)[flat], bins) if n else np.zeros(0, int)
-        lookup = np.full(h * w_img, -1, dtype=np.int64)
-        lookup[flat] = np.arange(n)
-        targets = []
-        for fds in view.targets:
-            if fds.skipped:
-                continue
-            rows = lookup[_flat_pixel_index(fds, w_img)]
-            if np.any(rows < 0):
-                raise ContractError("foreground pixel outside the valid mask")
-            targets.append((fds, rows))
-        logits = np.moveaxis(dm.logits, 0, -1).reshape(h * w_img, bins.count)[flat].copy()
-        blocks.append(
-            _ViewBlock(cam_index=view.cam_index, n=n, gt_bins=gt_bins, logits=logits, targets=targets)
-        )
+    # each view's valid-pixel logits and the student BEV map are views
+    # into one flat parameter vector; the gradient shares its layout
+    ends = np.cumsum([p.rows.size * d for p in packed] + [student_map.data.size])
+    params = np.empty(ends[-1])
+    grad = np.empty_like(params)
 
-    groups: List[np.ndarray] = [blk.logits for blk in blocks] + [student]
-    moment1 = [np.zeros_like(gp) for gp in groups]
-    moment2 = [np.zeros_like(gp) for gp in groups]
+    def split(vec):
+        parts = np.split(vec, ends[:-1])
+        return [part.reshape(-1, d) for part in parts[:-1]], parts[-1].reshape(student_map.data.shape)
+
+    logits, student = split(params)
+    logit_grads, student_grad = split(grad)
+    for dst, dm, view in zip(logits, maps, packed):
+        dst[...] = logit_rows(dm.logits)[view.rows]
+    student[...] = student_map.data
+    moment1 = np.zeros_like(params)
+    moment2 = np.zeros_like(params)
     series: Dict[str, List[float]] = {
-        "total": [],
-        "absolute_depth": [],
-        "inner_depth": [],
-        "inter_channel": [],
-        "inter_keypoint": [],
+        key: [] for key in ("total", "absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")
     }
     status = "max_steps"
     initial: Optional[float] = None
 
     for step in range(opt.max_steps):
-        grads: List[np.ndarray] = []
-        a_val = 0.0
-        r_val = 0.0
-        for blk in blocks:
-            grad_blk = np.zeros_like(blk.logits)
-            if blk.n:
-                probs = _softmax_block(blk.logits)
-                if w.w_a > 0:
-                    bce_sum, bce_grad = _bce_from_probs(probs, blk.gt_bins)
-                    a_val += bce_sum / blk.n
-                    grad_blk += (w.w_a / blk.n) * bce_grad
-                if w.w_r > 0:
-                    for fds, rows in blk.targets:
-                        p_rows = probs[rows]
-                        depths = _expected_depth(p_rows, centers)
-                        if cfg.reference.strategy == "one_to_one":
-                            val, grad_d = _pairwise_residual_core(
-                                depths, fds.gt_depth, cfg.loss_reduction
-                            )
-                        else:
-                            conf = np.max(p_rows, axis=1)
-                            ref = select_reference(fds, depths, cfg.reference, conf=conf)
-                            val, grad_d = _anchored_residual_core(
-                                depths, fds.gt_depth, ref, cfg.loss_reduction
-                            )
-                        r_val += val
-                        np.add.at(
-                            grad_blk,
-                            rows,
-                            w.w_r * _depth_grad_to_logits(grad_d, p_rows, depths, centers),
-                        )
-            grads.append(grad_blk)
+        grad.fill(0.0)
+        # per-view values, summed across views in camera order exactly
+        # as evaluate_scene_losses sums them
+        a_views: List[float] = []
+        r_views: List[float] = []
+        for view, view_logits, view_grad in zip(packed, logits, logit_grads):
+            n = view.rows.size
+            if not n:
+                continue
+            probs = softmax_rows(view_logits)
+            if w.w_a > 0:
+                bce_sum, bce_grad = bce_rows(probs, view.gt_bins)
+                a_views.append(bce_sum / n)
+                view_grad += (w.w_a / n) * bce_grad
+            if w.w_r > 0:
+                r_views.append(
+                    relative_depth_rows(probs, view.targets, centers, sel, reduction, view_grad, w.w_r)
+                )
+        a_val = sum(a_views, 0.0)
+        r_val = sum(r_views, 0.0)
         if w.w_ic > 0 or w.w_ik > 0:
-            ic, ik = bev_distill_terms(
-                BevFeatureMap(data=student, grid=scene.grid),
-                teacher,
-                scene.boxes,
-                g=cfg.keypoint_g,
-                enlarge=cfg.enlarge,
-                normalization=cfg.gram_normalization,
-                loss_reduction=cfg.loss_reduction,
-            )
+            ic, ik = _bev_terms(cfg, scene, BevFeatureMap(data=student, grid=scene.grid))
             ic_val, ik_val = ic.value, ik.value
-            grads.append(w.w_ic * ic.grad + w.w_ik * ik.grad)
+            student_grad[...] = w.w_ic * ic.grad + w.w_ik * ik.grad
         else:
             ic_val = ik_val = 0.0
-            grads.append(np.zeros_like(student))
 
-        total = (
-            cfg.external_det_loss
-            + w.w_a * a_val
-            + w.w_r * r_val
-            + w.w_ic * ic_val
-            + w.w_ik * ik_val
-        )
-        series["total"].append(total)
-        series["absolute_depth"].append(a_val)
-        series["inner_depth"].append(r_val)
-        series["inter_channel"].append(ic_val)
-        series["inter_keypoint"].append(ik_val)
+        # the term order of total_loss
+        total = cfg.external_det_loss + w.w_a * a_val + w.w_r * r_val + w.w_ic * ic_val + w.w_ik * ik_val
+        for key, value in zip(series, (total, a_val, r_val, ic_val, ik_val)):
+            series[key].append(value)
 
         if not math.isfinite(total):
             status = "diverged"
@@ -971,18 +918,19 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
         if total > opt.divergence_factor * max(initial, 1e-12):
             status = "diverged"
             break
-        if all(not np.any(g) for g in grads):
+        if not np.any(grad):
             status = "stationary"
             break
         bias1 = 1.0 - opt.beta1 ** (step + 1)
         bias2 = 1.0 - opt.beta2 ** (step + 1)
         # exponential decay to final_lr_fraction * step_size at max_steps
         lr = opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
-        for i, grad in enumerate(grads):
-            moment1[i] = opt.beta1 * moment1[i] + (1.0 - opt.beta1) * grad
-            moment2[i] = opt.beta2 * moment2[i] + (1.0 - opt.beta2) * grad * grad
-            step_dir = (moment1[i] / bias1) / (np.sqrt(moment2[i] / bias2) + opt.eps)
-            groups[i] -= lr * step_dir
+        for start in range(0, params.size, ADAM_BLOCK):
+            block = slice(start, start + ADAM_BLOCK)
+            g = grad[block]
+            moment1[block] = opt.beta1 * moment1[block] + (1.0 - opt.beta1) * g
+            moment2[block] = opt.beta2 * moment2[block] + (1.0 - opt.beta2) * g * g
+            params[block] -= lr * ((moment1[block] / bias1) / (np.sqrt(moment2[block] / bias2) + opt.eps))
 
     final = series["total"][-1] if series["total"] else float("nan")
     reduction = 1.0 - final / initial if initial else 0.0
@@ -1007,7 +955,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 "frobenius": map_dist,
                 "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),
             },
-            "valid_pixels_per_view": [blk.n for blk in blocks],
+            "valid_pixels_per_view": [p.rows.size for p in packed],
         },
     )
     return report

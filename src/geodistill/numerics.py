@@ -7,7 +7,6 @@ bit-identical.
 
 from __future__ import annotations
 
-import io
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
@@ -177,10 +176,3 @@ def _read_tsr_body(fobj) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise FormatError("TSR stream contains non-finite values")
     return values.reshape(shape)
-
-
-def tsr_string(arr) -> str:
-    """Serialize a tensor to an in-memory TSR v1 string."""
-    buf = io.StringIO()
-    write_tsr(buf, arr)
-    return buf.getvalue()

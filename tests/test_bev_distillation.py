@@ -18,7 +18,6 @@ from geodistill import (
     bilinear_sample_backward,
     enlarge_box_bev,
     finite_difference_gradient,
-    gram_pair,
     inter_channel_gram,
     inter_channel_loss,
     inter_keypoint_gram,
@@ -234,12 +233,6 @@ class TestGramMatrices:
         gram = inter_keypoint_gram(f, "l2")
         assert np.allclose(np.diag(gram), 1.0, rtol=0, atol=1e-12)
         assert np.all(np.abs(gram) <= 1.0 + 1e-12)
-
-    def test_gram_pair_consistent(self):
-        f = CounterRng(113).normal((4, 3))
-        pair = gram_pair(f, "count")
-        assert np.array_equal(pair.inter_channel, inter_channel_gram(f, "count"))
-        assert np.array_equal(pair.inter_keypoint, inter_keypoint_gram(f, "count"))
 
     def test_unknown_normalization(self):
         with pytest.raises(ConfigError):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodistill import (
     BCE_CLAMP,
@@ -24,6 +26,16 @@ from geodistill import (
     relative_depths,
     select_reference,
 )
+from geodistill.depth_supervision import (
+    LOSS_REDUCTIONS,
+    REFERENCE_STRATEGIES,
+    bce_rows,
+    logit_rows,
+    pack_view,
+    relative_depth_rows,
+    rows_to_map,
+)
+from geodistill.numerics import softmax_rows
 from geodistill.oracles import (
     bce_scalar,
     continuous_depth_scalar,
@@ -445,3 +457,73 @@ class TestAbsoluteDepthLoss:
         fd = finite_difference_gradient(f, logits)
         denom = max(float(np.max(np.abs(fd))), 1e-10)
         assert float(np.max(np.abs(res.grad - fd))) / denom <= 1e-6
+
+
+@st.composite
+def packed_scenes(draw):
+    """Random (D, H, W) logits, a valid mask, positive gt depths and up
+    to four possibly overlapping targets drawn from the valid pixels."""
+    d = draw(st.integers(2, 6))
+    h = draw(st.integers(1, 4))
+    w = draw(st.integers(1, 5))
+    rng = CounterRng(draw(st.integers(0, 2**32)))
+    logits = 3.0 * rng.normal((d, h, w))
+    valid = rng.uniform((h, w)) < draw(st.floats(0.2, 1.0))
+    gt = rng.uniform((h, w), 0.5, 12.0)
+    flat = np.nonzero(valid.reshape(-1))[0]
+    targets = []
+    for index in range(draw(st.integers(0, 4))):
+        keep = np.sort(flat[rng.uniform(flat.size) < 0.6])
+        center = None
+        if draw(st.booleans()):
+            center = (float(rng.uniform(1)[0] * w), float(rng.uniform(1)[0] * h))
+        targets.append(
+            ForegroundDepthSet(
+                target_index=index,
+                pixels=np.stack([keep % w, keep // w], axis=1),
+                gt_depth=rng.uniform(keep.size, 1.0, 10.0),
+                skipped=keep.size < 2,
+                center_uv=center,
+            )
+        )
+    return logits, valid, gt, targets
+
+
+class TestPackedEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scene=packed_scenes(),
+        strategy=st.sampled_from(REFERENCE_STRATEGIES),
+        reduction=st.sampled_from(LOSS_REDUCTIONS),
+        signed=st.booleans(),
+    )
+    def test_dense_wrappers_equal_scattered_engine(self, scene, strategy, reduction, signed):
+        """Both dense losses equal the packed engine run once over the
+        view's valid rows and scattered back, values and gradients bit
+        for bit."""
+        logits, valid, gt, targets = scene
+        d, h, w = logits.shape
+        bins = DepthBins(count=d, d_min=0.5, d_max=12.0)
+        sel = ReferenceSelection(strategy, signed_reference_error=signed)
+        dm = CategoricalDepthMap(logits)
+        dense_a = absolute_depth_loss(dm, gt, valid, bins)
+        dense_r = inner_depth_loss(targets, dm, bins, sel, reduction)
+
+        view = pack_view(gt, valid, bins, targets)
+        n = view.rows.size
+        probs = softmax_rows(logit_rows(logits)[view.rows])
+        bce_sum, bce_grad = bce_rows(probs, view.gt_bins)
+        grad_rows = np.zeros_like(probs)
+        inner = relative_depth_rows(probs, view.targets, bins.centers, sel, reduction, grad_rows)
+        a_grad = np.zeros((h * w, d))
+        r_grad = np.zeros((h * w, d))
+        if n:
+            a_grad[view.rows] = bce_grad / n
+            r_grad[view.rows] = grad_rows
+            assert dense_a.value == bce_sum / n
+        else:
+            assert dense_a.empty and dense_a.value == 0.0
+        assert np.array_equal(dense_a.grad, rows_to_map(a_grad, h, w))
+        assert dense_r.value == inner
+        assert dense_r.empty == (not view.targets)
+        assert np.array_equal(dense_r.grad, rows_to_map(r_grad, h, w))

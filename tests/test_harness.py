@@ -318,6 +318,63 @@ class TestRunTrainToy:
         res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
         assert report.data["loss_series"]["total"][0] == res.value
 
+    @pytest.mark.parametrize("seed", [1, 42])
+    def test_step_zero_matches_evaluation_with_overlapping_targets(self, seed):
+        """Twelve boxes on two cameras give overlapping targets in several
+        views; the trainer's first total still equals evaluate_scene_losses
+        bit for bit, because both sum per-view values in the same order.
+        At seed 1 any other order differs in the last bit."""
+        cfg = config_from_dict(
+            {
+                "scene": {
+                    "seed": seed,
+                    "num_boxes": 12,
+                    "num_cameras": 2,
+                    "channels": 32,
+                    "image_width": 48,
+                    "image_height": 32,
+                    "focal": 40.0,
+                },
+                "bins": {"count": 16},
+                "keypoint_g": 10,
+                "optimizer": {"max_steps": 1},
+            }
+        )
+        report = run_train_toy(cfg)
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, eff_views, student = random_student_inputs(cfg, scene, views)
+        res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
+        assert report.data["loss_series"]["total"][0] == res.value
+        assert report.data["loss_series"]["inner_depth"][0] == res.components["inner_depth"]
+
+    def test_zero_teacher_report_is_strict_json(self, tmp_path):
+        """A teacher map of exact zeros makes every distance relative to
+        the teacher undefined; the report writes those as null, never as
+        Infinity or NaN."""
+        cfg = config_from_dict(
+            {
+                "scene": {
+                    "num_boxes": 2,
+                    "num_cameras": 2,
+                    "teacher_amplitude": 0.0,
+                    "teacher_noise": 0.0,
+                },
+                "optimizer": {"max_steps": 3},
+            }
+        )
+        path = tmp_path / "train_report.json"
+        write_report(str(path), run_train_toy(cfg))
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        parsed = json.loads(path.read_text(), parse_constant=reject)
+        assert parsed["bev_feature_distance"]["relative_to_teacher"] is None
+        for entry in parsed["gram_distances"]:
+            for key in ("inter_keypoint_rel", "inter_channel_rel", "raw_feature_rel"):
+                assert entry[key] is None
+
     def test_distillation_weights_zero_leaves_bev_untouched(self):
         """With w_ic = w_ik = 0 the BEV series stays exactly zero and the
         student map never moves from its initialization."""

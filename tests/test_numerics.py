@@ -17,7 +17,6 @@ from geodistill import (
     matmul,
     read_tsr,
     softmax_rows,
-    tsr_string,
     write_tsr,
 )
 from geodistill.rng import CounterRng
@@ -180,6 +179,3 @@ class TestTsrFormat:
             write_tsr(io.StringIO(), np.array([1.0, np.nan]))
         with pytest.raises(FormatError):
             read_tsr(io.StringIO("TSR 1\n2\nnan 1.0\n"))
-
-    def test_tsr_string_starts_with_magic(self):
-        assert tsr_string(np.zeros((2, 2))).startswith("TSR 1\n")
