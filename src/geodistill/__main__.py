@@ -1,0 +1,9 @@
+"""``python -m geodistill <command>``: the same entry point as the
+``geodistill`` console script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -122,19 +122,63 @@ def _point_array(points) -> np.ndarray:
     return pts.reshape(-1, 2)
 
 
-def _bilinear_corners(pts: np.ndarray, h: int, w: int):
-    """Corner indices and weights of border-clamped bilinear interpolation."""
-    r = np.clip(pts[:, 0], 0.0, float(h - 1))
-    c = np.clip(pts[:, 1], 0.0, float(w - 1))
+def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Flat cell indices and weights of border-clamped bilinear
+    interpolation at (..., N, 2) points, each shaped (..., 4, N) with the
+    corners in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1)."""
+    r = np.clip(pts[..., 0], 0.0, float(h - 1))
+    c = np.clip(pts[..., 1], 0.0, float(w - 1))
     r0 = np.floor(r).astype(np.int64)
     c0 = np.floor(c).astype(np.int64)
     r1 = np.minimum(r0 + 1, h - 1)
     c1 = np.minimum(c0 + 1, w - 1)
     fr = r - r0
     fc = c - c0
-    corners = ((r0, c0), (r0, c1), (r1, c0), (r1, c1))
-    weights = ((1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc)
-    return corners, weights
+    cells = np.stack([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1], axis=-2)
+    weights = np.stack(
+        [(1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc], axis=-2
+    )
+    return cells, weights
+
+
+def _gather(data: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(..., N, C) bilinear samples of (C, H, W) data, the four corner
+    terms added to zero in corner order."""
+    c_dim = data.shape[0]
+    flat = data.reshape(c_dim, -1)
+    out = np.zeros(cells.shape[:-2] + (cells.shape[-1], c_dim))
+    for k in range(4):
+        out += weights[..., k, :, None] * np.moveaxis(flat[:, cells[..., k, :]], 0, -1)
+    return out
+
+
+class _Scatter:
+    """Fixed-order adjoint of a bilinear gather over T point sets.
+
+    Built from (T, 4, N) corner cells and weights.  Per channel, stage one
+    sums each target's contributions to each cell in (corner, point)
+    order and stage two sums those per-target cell sums in target order;
+    both start from zero.  The result is bit for bit what scattering one
+    target at a time with ``np.add.at`` and adding the per-target maps in
+    order gives.
+    """
+
+    def __init__(self, cells: np.ndarray, weights: np.ndarray, h: int, w: int):
+        key = (np.arange(cells.shape[0])[:, None, None] * (h * w) + cells).ravel()
+        uniq, self.target_cell = np.unique(key, return_inverse=True)
+        self.cell = uniq % (h * w)
+        self.weights = weights
+        self.shape = (h, w)
+
+    def __call__(self, upstream: np.ndarray) -> np.ndarray:
+        """(C, H, W) map of (T, N, C) point gradients."""
+        c_dim = upstream.shape[-1]
+        values = (np.moveaxis(upstream, -1, 0)[:, :, None, :] * self.weights).reshape(c_dim, -1)
+        out = np.empty((c_dim, self.shape[0] * self.shape[1]))
+        for channel, row in zip(out, values):
+            per_target = np.bincount(self.target_cell, weights=row, minlength=self.cell.size)
+            channel[:] = np.bincount(self.cell, weights=per_target, minlength=channel.size)
+        return out.reshape(c_dim, *self.shape)
 
 
 def bilinear_sample(feat, points) -> np.ndarray:
@@ -142,14 +186,8 @@ def bilinear_sample(feat, points) -> np.ndarray:
     col) points; returns (N, C).  Integer coordinates reproduce the cell
     value exactly; out-of-range points clamp to the border."""
     data = _feat_data(feat)
-    pts = _point_array(points)
-    c_dim, h, w = data.shape
-    flat = data.reshape(c_dim, h * w)
-    corners, weights = _bilinear_corners(pts, h, w)
-    out = np.zeros((pts.shape[0], c_dim))
-    for (rr, cc), wt in zip(corners, weights):
-        out += wt[:, None] * flat[:, rr * w + cc].T
-    return out
+    cells, weights = _bilinear_corners(_point_array(points), *data.shape[1:])
+    return _gather(data, cells, weights)
 
 
 def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
@@ -160,56 +198,86 @@ def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
     upstream = as_tensor(upstream)
     if upstream.shape != (pts.shape[0], c_dim):
         raise ContractError("upstream gradient must be (N, C)")
-    grad_hw = np.zeros((h * w, c_dim))
-    corners, weights = _bilinear_corners(pts, h, w)
-    for (rr, cc), wt in zip(corners, weights):
-        np.add.at(grad_hw, rr * w + cc, wt[:, None] * upstream)
-    return np.moveaxis(grad_hw.reshape(h, w, c_dim), -1, 0)
-
-
-def _normalize_rows(f: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Row-L2 normalization; zero rows are guarded by a tiny floor and
-    are degenerate for gradients."""
-    norms = np.sqrt(np.sum(f * f, axis=1))
-    scale = np.maximum(norms, 1e-12)
-    return f / scale[:, None], scale
+    cells, weights = _bilinear_corners(pts, h, w)
+    return _Scatter(cells[None], weights[None], h, w)(upstream[None])
 
 
 def _effective_features(f: np.ndarray, normalization: str):
+    """Features the Grams are taken of, with the row scale for "l2".
+
+    Rows are L2-normalized for "l2"; zero rows are guarded by a tiny
+    floor and are degenerate for gradients.
+    """
     if normalization == "l2":
-        return _normalize_rows(f)
+        norms = np.sqrt(np.sum(f * f, axis=-1))
+        scale = np.maximum(norms, 1e-12)
+        return f / scale[..., None], scale
     return f, None
 
 
 def _row_canonical(f: np.ndarray) -> np.ndarray:
-    """Rows in lexicographic order.  The channel Gram is row-order
-    symmetric in exact arithmetic; accumulating in a canonical order
-    makes it bitwise invariant to keypoint permutations too."""
-    return f[np.lexsort(f.T[::-1])]
+    """Each target's rows of a (T, N, C) stack in lexicographic order.
+
+    The channel Gram is row-order symmetric in exact arithmetic;
+    accumulating in a canonical order makes it bitwise invariant to
+    keypoint permutations too.
+
+    Rows are sorted by (target, first column); only runs that tie there
+    are then sorted by the remaining columns.  Both sorts are stable, so
+    the order is exactly that of a full lexsort of each target's rows.
+    """
+    t, n, c = f.shape
+    flat = f.reshape(t * n, c)
+    target = np.repeat(np.arange(t), n)
+    order = np.lexsort((flat[:, 0], target))
+    first = flat[order, 0]
+    tie = (first[1:] == first[:-1]) & (target[1:] == target[:-1])
+    if tie.any():
+        # positions in runs of two or more rows, and the run of each
+        tied = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
+        run = np.cumsum(np.concatenate([[True], ~tie]))[tied]
+        rows = order[tied]
+        order[tied] = rows[np.lexsort(tuple(flat[rows, 1:].T[::-1]) + (run,))]
+    return flat[order].reshape(t, n, c)
+
+
+def _grams(f_eff: np.ndarray, kind: str, normalization: str) -> np.ndarray:
+    """(T, C, C) channel or (T, N, N) keypoint Grams of a (T, N, C) stack
+    of effective features, one ascending-k matmul for all targets."""
+    if kind == "channel":
+        f_can = _row_canonical(f_eff)
+        gram = matmul(np.swapaxes(f_can, 1, 2), f_can)
+    else:
+        gram = matmul(f_eff, np.swapaxes(f_eff, 1, 2))
+    if normalization == "count":
+        gram /= _gram_count(f_eff, kind)
+    return gram
+
+
+def _gram_count(f: np.ndarray, kind: str) -> int:
+    """Terms in each Gram entry: keypoints for channel, channels for keypoint."""
+    return f.shape[-2] if kind == "channel" else f.shape[-1]
+
+
+def _gram_of(f, kind: str, normalization: str) -> np.ndarray:
+    f = as_tensor(f)
+    _check_norm(normalization)
+    stack = f if f.ndim == 3 else f[None]
+    gram = _grams(_effective_features(stack, normalization)[0], kind, normalization)
+    return gram if f.ndim == 3 else gram[0]
 
 
 def inter_channel_gram(f, normalization: str = "none") -> np.ndarray:
     """(C, C) Gram of channel pairs, accumulated over keypoint rows in
-    canonical order, so permuting rows gives the identical matrix."""
-    f = as_tensor(f)
-    _check_norm(normalization)
-    f_eff, _ = _effective_features(f, normalization)
-    f_can = _row_canonical(f_eff)
-    gram = matmul(f_can.T, f_can)
-    if normalization == "count":
-        gram /= f.shape[0]
-    return gram
+    canonical order, so permuting rows gives the identical matrix.  A
+    (T, N, C) stack gives the (T, C, C) Grams of its targets."""
+    return _gram_of(f, "channel", normalization)
 
 
 def inter_keypoint_gram(f, normalization: str = "none") -> np.ndarray:
-    """(N, N) Gram of keypoint pairs, accumulated over channels."""
-    f = as_tensor(f)
-    _check_norm(normalization)
-    f_eff, _ = _effective_features(f, normalization)
-    gram = matmul(f_eff, f_eff.T)
-    if normalization == "count":
-        gram /= f.shape[1]
-    return gram
+    """(N, N) Gram of keypoint pairs, accumulated over channels.  A
+    (T, N, C) stack gives the (T, N, N) Grams of its targets."""
+    return _gram_of(f, "keypoint", normalization)
 
 
 def _check_norm(normalization: str):
@@ -224,43 +292,42 @@ def _check_reduction(reduction: str):
 
 def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Backpropagate through row-L2 normalization f_hat = f / ||f||."""
-    inner = np.sum(grad_eff * f_hat, axis=1, keepdims=True)
-    return (grad_eff - inner * f_hat) / scale[:, None]
+    inner = np.sum(grad_eff * f_hat, axis=-1, keepdims=True)
+    return (grad_eff - inner * f_hat) / scale[..., None]
 
 
-def _gram_loss_one(
-    fs: np.ndarray, ft: np.ndarray, kind: str, normalization: str, reduction: str
-) -> Tuple[float, np.ndarray]:
-    """Value and student-feature gradient of one target's Gram loss.
+def _gram_losses(
+    fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (T,) and student-feature gradients (T, N, C) of T targets'
+    Gram losses against fixed teacher Grams.
 
     ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.
     """
     fs_eff, fs_scale = _effective_features(fs, normalization)
-    count = fs.shape[0] if kind == "channel" else fs.shape[1]
-    if kind == "channel":
-        fs_can = _row_canonical(fs_eff)
-        gram_s = matmul(fs_can.T, fs_can)
-        gram_t = inter_channel_gram(ft, normalization)
-    else:
-        gram_s = matmul(fs_eff, fs_eff.T)
-        gram_t = inter_keypoint_gram(ft, normalization)
-    if normalization == "count":
-        gram_s = gram_s / count
-    diff = gram_s - gram_t
-    denom = float(diff.size) if reduction == "mean" else 1.0
-    value = float(np.sum(diff * diff)) / denom
-    g_mat = (2.0 / denom) * diff
+    diff = _grams(fs_eff, kind, normalization)
+    diff -= gram_t
+    denom = float(diff.shape[1] * diff.shape[2]) if reduction == "mean" else 1.0
+    values = np.sum((diff * diff).reshape(diff.shape[0], -1), axis=1) / denom
+    g_mat = diff
+    g_mat *= 2.0 / denom
     if kind == "channel":
         grad_eff = 2.0 * (fs_eff @ g_mat)
     else:
         grad_eff = 2.0 * (g_mat @ fs_eff)
     if normalization == "count":
-        grad_eff /= count
+        grad_eff /= _gram_count(fs, kind)
     if normalization == "l2":
-        grad = _chain_row_norm(grad_eff, fs_eff, fs_scale)
-    else:
-        grad = grad_eff
-    return value, grad
+        return values, _chain_row_norm(grad_eff, fs_eff, fs_scale)
+    return values, grad_eff
+
+
+def _sum_in_order(values: np.ndarray) -> float:
+    """Left-to-right float sum, in target order."""
+    total = 0.0
+    for v in values.tolist():
+        total += v
+    return total
 
 
 def _gram_loss(
@@ -273,9 +340,10 @@ def _gram_loss(
     total = 0.0
     grads = []
     for tkf in targets:
-        value, grad = _gram_loss_one(tkf.student, tkf.teacher, kind, normalization, reduction)
-        total += value
-        grads.append(grad)
+        gram_t = _gram_of(tkf.teacher[None], kind, normalization)
+        value, grad = _gram_losses(tkf.student[None], gram_t, kind, normalization, reduction)
+        total += float(value[0])
+        grads.append(grad[0])
     return LossResult(total, grads)
 
 
@@ -311,6 +379,76 @@ def keypoint_sets_for_boxes(
     return out
 
 
+@dataclass
+class DistillPlan:
+    """The student-independent half of one scene's BEV distillation.
+
+    The teacher map is a constant, so for fixed boxes, lattice extent
+    ``g``, ``enlarge`` and normalization its keypoint features, both
+    teacher Grams, the bilinear corners and the scatter order never
+    change.  Build it once with ``build_distill_plan`` and pass it to
+    every ``bev_distill_terms`` call on the same scene.
+    """
+
+    teacher_bev: BevFeatureMap
+    boxes: List[Box3D]
+    g: int
+    enlarge: float
+    normalization: str
+    cells: np.ndarray  # (T, 4, N) flat BEV cell of each bilinear corner
+    weights: np.ndarray  # (T, 4, N) bilinear weight of each corner
+    teacher: np.ndarray  # (T, N, C) teacher keypoint features
+    teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
+    teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
+    scatter: _Scatter  # student-feature gradients back onto the (C, H, W) map
+
+    def built_from(self, teacher_bev, boxes, g, enlarge, normalization) -> bool:
+        """True when these ``bev_distill_terms`` arguments are the ones
+        the plan was built from: the same teacher and box objects."""
+        return (
+            teacher_bev is self.teacher_bev
+            and len(boxes) == len(self.boxes)
+            and all(a is b for a, b in zip(boxes, self.boxes))
+            and (g, enlarge, normalization) == (self.g, self.enlarge, self.normalization)
+        )
+
+    def sample(self, bev: np.ndarray) -> np.ndarray:
+        """(T, N, C) features of a (C, H, W) map at every target's keypoints."""
+        return _gather(bev, self.cells, self.weights)
+
+
+def build_distill_plan(
+    teacher_bev: BevFeatureMap,
+    boxes: List[Box3D],
+    g: int = 6,
+    enlarge: float = 1.25,
+    normalization: str = "none",
+) -> DistillPlan:
+    """Keypoint lattices, bilinear corners, teacher features, teacher
+    Grams and the gradient scatter order of every target, stacked in box
+    order."""
+    _check_norm(normalization)
+    h, w = teacher_bev.data.shape[1:]
+    lattices = keypoint_sets_for_boxes(boxes, teacher_bev.grid, g=g, enlarge=enlarge)
+    pts = np.array([kp.points for kp in lattices]).reshape(len(lattices), g * g, 2)
+    cells, weights = _bilinear_corners(pts, h, w)
+    teacher = _gather(teacher_bev.data, cells, weights)
+    t_eff, _ = _effective_features(teacher, normalization)
+    return DistillPlan(
+        teacher_bev=teacher_bev,
+        boxes=list(boxes),
+        g=g,
+        enlarge=enlarge,
+        normalization=normalization,
+        cells=cells,
+        weights=weights,
+        teacher=teacher,
+        teacher_channel=_grams(t_eff, "channel", normalization),
+        teacher_keypoint=_grams(t_eff, "keypoint", normalization),
+        scatter=_Scatter(cells, weights, h, w),
+    )
+
+
 def bev_distill_terms(
     student_bev: BevFeatureMap,
     teacher_bev: BevFeatureMap,
@@ -319,12 +457,17 @@ def bev_distill_terms(
     enlarge: float = 1.25,
     normalization: str = "none",
     loss_reduction: str = "mean",
+    *,
+    plan: Optional[DistillPlan] = None,
 ) -> Tuple[LossResult, LossResult]:
     """Channel and keypoint Gram losses over all targets as separate
     results, each with its own gradient on the student BEV tensor.
 
-    Both maps are sampled at identical keypoints; per-target gradient
-    contributions are scattered into the maps in input order.
+    Both maps are sampled at identical keypoints.  ``plan`` is the
+    scene's prebuilt teacher side; without one it is built for this
+    call.  All targets run as one stack; values are summed and gradient
+    contributions scattered in input order, so the result is bit for bit
+    that of handling the targets one at a time.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)
@@ -332,26 +475,19 @@ def bev_distill_terms(
         raise ContractError("student and teacher BEV shapes disagree")
     if student_bev.grid != teacher_bev.grid:
         raise ContractError("student and teacher grids disagree")
+    if plan is not None and not plan.built_from(teacher_bev, boxes, g, enlarge, normalization):
+        raise ContractError("distillation plan was built from different arguments")
     if not boxes:
         zero = np.zeros_like(student_bev.data)
         return LossResult(0.0, zero, empty=True), LossResult(0.0, zero.copy(), empty=True)
-    grad_ic = np.zeros_like(student_bev.data)
-    grad_ik = np.zeros_like(student_bev.data)
-    total_ic = 0.0
-    total_ik = 0.0
-    for kp in keypoint_sets_for_boxes(boxes, student_bev.grid, g=g, enlarge=enlarge):
-        fs = bilinear_sample(student_bev, kp)
-        ft = bilinear_sample(teacher_bev, kp)
-        v_ic, g_ic = _gram_loss_one(fs, ft, "channel", normalization, loss_reduction)
-        v_ik, g_ik = _gram_loss_one(fs, ft, "keypoint", normalization, loss_reduction)
-        total_ic += v_ic
-        total_ik += v_ik
-        grad_ic += bilinear_sample_backward(student_bev.data.shape, kp, g_ic)
-        grad_ik += bilinear_sample_backward(student_bev.data.shape, kp, g_ik)
-    return (
-        LossResult(total_ic, grad_ic),
-        LossResult(total_ik, grad_ik),
-    )
+    if plan is None:
+        plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
+    fs = plan.sample(student_bev.data)
+    out = []
+    for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
+        values, grad_fs = _gram_losses(fs, gram_t, kind, normalization, loss_reduction)
+        out.append(LossResult(_sum_in_order(values), plan.scatter(grad_fs)))
+    return out[0], out[1]
 
 
 def bev_distill_loss(

@@ -12,7 +12,6 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import time
@@ -28,6 +27,7 @@ from .harness import (
     random_student_inputs,
     run_gradcheck,
     run_train_toy,
+    strict_json,
     write_report,
 )
 from .numerics import write_tsr
@@ -184,8 +184,7 @@ def _cmd_oracle(args, cfg) -> int:
     fixtures, ok = run_oracle_suite(seed=cfg.scene.seed)
     path = os.path.join(args.out, "oracle_fixtures.json")
     with open(path, "w") as fobj:
-        json.dump({"format_version": 1, "passed": ok, "families": fixtures}, fobj, sort_keys=True, indent=2)
-        fobj.write("\n")
+        fobj.write(strict_json({"format_version": 1, "passed": ok, "families": fixtures}))
     for name, entry in sorted(fixtures.items()):
         detail = ", ".join(
             f"{k}={v}" for k, v in sorted(entry.items()) if not isinstance(v, (list, dict))

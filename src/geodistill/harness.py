@@ -13,6 +13,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,15 +25,15 @@ import numpy as np
 from .bev_distillation import (
     GRAM_NORMALIZATIONS,
     BevFeatureMap,
+    DistillPlan,
     TargetKeypointFeatures,
     bev_distill_loss,
     bev_distill_terms,
-    bilinear_sample,
+    build_distill_plan,
     inter_channel_gram,
     inter_channel_loss,
     inter_keypoint_gram,
     inter_keypoint_loss,
-    sample_keypoints,
 )
 from .depth_supervision import (
     LOSS_REDUCTIONS,
@@ -200,10 +201,12 @@ class HarnessConfig:
             raise ConfigError(f"unknown loss reduction {self.loss_reduction!r}")
         if self.gram_normalization not in GRAM_NORMALIZATIONS:
             raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
-        if self.keypoint_g < 2:
-            raise ConfigError("keypoint_g must be >= 2")
-        if self.enlarge < 1.0:
-            raise ConfigError("enlarge must be >= 1")
+        g = self.keypoint_g
+        if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 2:
+            raise ConfigError(f"keypoint_g must be an integer >= 2, got {g!r}")
+        e = self.enlarge
+        if isinstance(e, bool) or not isinstance(e, numbers.Real) or not math.isfinite(e) or e < 1.0:
+            raise ConfigError(f"enlarge must be a finite number >= 1, got {e!r}")
 
 
 def default_config() -> HarnessConfig:
@@ -367,7 +370,12 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
         }
         payload.update(self.data)
-        return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return strict_json(payload)
+
+
+def strict_json(payload: Dict[str, Any]) -> str:
+    """Report text: sorted keys, indented, and strict JSON."""
+    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _finite_or_null(value):
@@ -522,8 +530,14 @@ def evaluate_scene_losses(
     return total_loss(a_res, r_res, ic, ik, det=cfg.external_det_loss, weights=cfg.weights)
 
 
-def _bev_terms(cfg: HarnessConfig, scene: SyntheticScene, student: BevFeatureMap):
-    """Inter-channel and inter-keypoint results of one student map."""
+def _bev_terms(
+    cfg: HarnessConfig,
+    scene: SyntheticScene,
+    student: BevFeatureMap,
+    plan: Optional[DistillPlan] = None,
+):
+    """Inter-channel and inter-keypoint results of one student map;
+    ``plan`` is the scene's teacher side when the caller keeps one."""
     return bev_distill_terms(
         student,
         scene.teacher_bev,
@@ -532,6 +546,7 @@ def _bev_terms(cfg: HarnessConfig, scene: SyntheticScene, student: BevFeatureMap
         enlarge=cfg.enlarge,
         normalization=cfg.gram_normalization,
         loss_reduction=cfg.loss_reduction,
+        plan=plan,
     )
 
 
@@ -776,31 +791,22 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _gram_distance_summary(
-    student: BevFeatureMap,
-    teacher: BevFeatureMap,
-    boxes: List[Box3D],
-    g: int,
-    enlarge: float,
-    normalization: str,
-) -> List[Dict[str, float]]:
+def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
     """Per-target Frobenius distances between student and teacher Grams,
-    plus the raw keypoint-feature distance that is allowed to stay big."""
+    plus the raw keypoint-feature distance that is allowed to stay big.
+    The teacher features and Grams come from the scene's plan."""
+    fs = plan.sample(student)
+    b_s = inter_keypoint_gram(fs, plan.normalization)
+    a_s = inter_channel_gram(fs, plan.normalization)
     out = []
-    for j, box in enumerate(boxes):
-        kp = sample_keypoints(box, student.grid, g=g, enlarge=enlarge)
-        fs = bilinear_sample(student, kp)
-        ft = bilinear_sample(teacher, kp)
-        b_s = inter_keypoint_gram(fs, normalization)
-        b_t = inter_keypoint_gram(ft, normalization)
-        a_s = inter_channel_gram(fs, normalization)
-        a_t = inter_channel_gram(ft, normalization)
+    for j in range(len(plan.boxes)):
+        ft, b_t, a_t = plan.teacher[j], plan.teacher_keypoint[j], plan.teacher_channel[j]
         b_norm = math.sqrt(float(np.sum(b_t * b_t)))
         a_norm = math.sqrt(float(np.sum(a_t * a_t)))
         f_norm = math.sqrt(float(np.sum(ft * ft)))
-        ik_dist = math.sqrt(frobenius_sq_distance(b_s, b_t))
-        ic_dist = math.sqrt(frobenius_sq_distance(a_s, a_t))
-        raw_dist = math.sqrt(frobenius_sq_distance(fs, ft))
+        ik_dist = math.sqrt(frobenius_sq_distance(b_s[j], b_t))
+        ic_dist = math.sqrt(frobenius_sq_distance(a_s[j], a_t))
+        raw_dist = math.sqrt(frobenius_sq_distance(fs[j], ft))
         out.append(
             {
                 "target": j,
@@ -838,6 +844,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     build = identity_student_inputs if identity_init else random_student_inputs
     maps, eff_views, student_map = build(cfg, scene, views)
     packed = [pack_view(v.depth, v.valid, cfg.bins, v.targets) for v in eff_views]
+    plan = build_distill_plan(teacher, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization)
 
     # each view's valid-pixel logits and the student BEV map are views
     # into one flat parameter vector; the gradient shares its layout
@@ -884,7 +891,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
         a_val = sum(a_views, 0.0)
         r_val = sum(r_views, 0.0)
         if w.w_ic > 0 or w.w_ik > 0:
-            ic, ik = _bev_terms(cfg, scene, BevFeatureMap(data=student, grid=scene.grid))
+            ic, ik = _bev_terms(cfg, scene, BevFeatureMap(data=student, grid=scene.grid), plan)
             ic_val, ik_val = ic.value, ik.value
             student_grad[...] = w.w_ic * ic.grad + w.w_ik * ik.grad
         else:
@@ -903,14 +910,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
         if total <= (1.0 - opt.target_reduction) * initial:
             # declare convergence only once every target's keypoint Gram
             # is also within ik_rel_target of the teacher's
-            summary = _gram_distance_summary(
-                BevFeatureMap(data=student, grid=scene.grid),
-                teacher,
-                scene.boxes,
-                cfg.keypoint_g,
-                cfg.enlarge,
-                cfg.gram_normalization,
-            )
+            summary = _gram_distance_summary(student, plan)
             worst_ik = max((e["inter_keypoint_rel"] for e in summary), default=0.0)
             if worst_ik <= opt.ik_rel_target:
                 status = "converged"
@@ -934,7 +934,6 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
 
     final = series["total"][-1] if series["total"] else float("nan")
     reduction = 1.0 - final / initial if initial else 0.0
-    student_map = BevFeatureMap(data=student, grid=scene.grid)
     teacher_norm = math.sqrt(float(np.sum(teacher.data * teacher.data)))
     map_dist = math.sqrt(frobenius_sq_distance(student, teacher.data))
     report = RunReport(
@@ -948,9 +947,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             "final_total": final,
             "loss_reduction": reduction,
             "loss_series": series,
-            "gram_distances": _gram_distance_summary(
-                student_map, teacher, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization
-            ),
+            "gram_distances": _gram_distance_summary(student, plan),
             "bev_feature_distance": {
                 "frobenius": map_dist,
                 "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),

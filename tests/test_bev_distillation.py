@@ -3,8 +3,12 @@ BEV feature-relation losses with their gradients."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodistill import (
+    GRAM_NORMALIZATIONS,
+    LOSS_REDUCTIONS,
     BevFeatureMap,
     BevGrid,
     Box3D,
@@ -16,6 +20,7 @@ from geodistill import (
     bev_distill_terms,
     bilinear_sample,
     bilinear_sample_backward,
+    build_distill_plan,
     enlarge_box_bev,
     finite_difference_gradient,
     inter_channel_gram,
@@ -23,6 +28,7 @@ from geodistill import (
     inter_keypoint_gram,
     inter_keypoint_loss,
     keypoint_sets_for_boxes,
+    matmul,
     points_in_box,
     sample_keypoints,
 )
@@ -163,6 +169,33 @@ class TestBilinearSample:
             rhs = float(np.sum(data * bilinear_sample_backward(data.shape, pts, up)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    def test_backward_equals_add_at_loop_bitwise(self):
+        """The fixed-order scatter gives the bits of scattering the four
+        corners in order with np.add.at, points in order, from zero;
+        repeated and border-clamped points share cells."""
+        rng = CounterRng(85)
+        for i in range(30):
+            sub = rng.substream(f"addat-{i}")
+            c, h, w = 3, 4, 5
+            pts = np.column_stack([sub.uniform(9, -1.0, h + 0.5), sub.uniform(9, -1.0, w + 0.5)])
+            pts[5:] = pts[:4]
+            up = sub.normal((9, c))
+            r = np.clip(pts[:, 0], 0.0, h - 1.0)
+            q = np.clip(pts[:, 1], 0.0, w - 1.0)
+            r0, q0 = np.floor(r).astype(int), np.floor(q).astype(int)
+            r1, q1 = np.minimum(r0 + 1, h - 1), np.minimum(q0 + 1, w - 1)
+            fr, fq = r - r0, q - q0
+            want = np.zeros((h * w, c))
+            for cell, wt in (
+                (r0 * w + q0, (1.0 - fr) * (1.0 - fq)),
+                (r0 * w + q1, (1.0 - fr) * fq),
+                (r1 * w + q0, fr * (1.0 - fq)),
+                (r1 * w + q1, fr * fq),
+            ):
+                np.add.at(want, cell, wt[:, None] * up)
+            got = bilinear_sample_backward((c, h, w), pts, up)
+            assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T.reshape(c, h, w)).tobytes()
+
     def test_backward_shape_contract(self):
         with pytest.raises(ContractError):
             bilinear_sample_backward((2, 3, 3), np.zeros((4, 2)), np.zeros((4, 3)))
@@ -216,6 +249,38 @@ class TestGramMatrices:
                 a = inter_channel_gram(f, norm)
                 b = inter_channel_gram(f[perm], norm)
                 assert np.array_equal(a, b)
+
+    def test_stack_equals_each_target_bitwise(self):
+        """A (T, N, C) stack gives each target's Gram bit for bit."""
+        rng = CounterRng(105)
+        for i in range(20):
+            sub = rng.substream(f"stack-{i}")
+            t, n, c = (2 + int(v * 5) for v in sub.uniform(3))
+            f = sub.normal((t, n, c))
+            for norm in GRAM_NORMALIZATIONS:
+                ic = inter_channel_gram(f, norm)
+                ik = inter_keypoint_gram(f, norm)
+                assert ic.shape == (t, c, c) and ik.shape == (t, n, n)
+                for j in range(t):
+                    assert ic[j].tobytes() == inter_channel_gram(f[j], norm).tobytes()
+                    assert ik[j].tobytes() == inter_keypoint_gram(f[j], norm).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4)),
+        alphabet=st.lists(st.sampled_from([-0.7, -0.0, 0.0, 0.1, 0.3, 1e8]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_channel_gram_accumulates_in_full_lexicographic_row_order(self, shape, alphabet, seed):
+        """Rows that tie on leading columns (few distinct values) are
+        still accumulated in each target's full lexicographic order."""
+        pick = np.array(alphabet)[
+            (CounterRng(seed).uniform(shape) * len(alphabet)).astype(int)
+        ]
+        grams = inter_channel_gram(pick)
+        for j, f in enumerate(pick):
+            rows = f[np.lexsort(f.T[::-1])]
+            assert grams[j].tobytes() == matmul(rows.T, rows).tobytes()
 
     def test_count_normalization(self):
         f = CounterRng(107).normal((5, 3))
@@ -383,6 +448,23 @@ class TestBevDistillLoss:
         assert combined.components["inter_keypoint"] == ik.value
         assert np.allclose(combined.grad, ic.grad + ik.grad, rtol=0, atol=1e-15)
 
+    def test_plan_from_other_arguments_rejected(self):
+        """A plan only serves the teacher, boxes, lattice and normalization
+        it was built from."""
+        plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, "none")
+        other_teacher = BevFeatureMap(self.teacher.data.copy(), self.grid)
+        for teacher, boxes, g, norm in (
+            (other_teacher, self.boxes, 3, "none"),
+            (self.teacher, self.boxes[:1], 3, "none"),
+            (self.teacher, self.boxes[::-1], 3, "none"),
+            (self.teacher, self.boxes, 4, "none"),
+            (self.teacher, self.boxes, 3, "l2"),
+        ):
+            with pytest.raises(ContractError):
+                bev_distill_terms(self.student, teacher, boxes, g, 1.25, norm, plan=plan)
+        ic, ik = bev_distill_terms(self.student, self.teacher, self.boxes, 3, 1.25, plan=plan)
+        assert ic.value > 0.0 and ik.value > 0.0
+
     def test_grid_mismatch_rejected(self):
         other = BevFeatureMap(
             self.teacher.data.copy(), BevGrid(-4.0, 4.0, -4.0, 4.0 + 1e-9, 8, 8)
@@ -409,3 +491,78 @@ class TestBevDistillLoss:
         fd = finite_difference_gradient(f, student)
         denom = max(float(np.max(np.abs(fd))), 1e-10)
         assert float(np.max(np.abs(res.grad - fd))) / denom <= 1e-6
+
+
+def _per_target_terms(student, teacher, boxes, g, enlarge, norm, reduction):
+    """bev_distill_terms composed from the public per-target functions:
+    sample both maps, take each Gram loss, scatter its gradient back, and
+    sum over the boxes in order."""
+    totals = [0.0, 0.0]
+    grads = [np.zeros_like(student.data), np.zeros_like(student.data)]
+    for box in boxes:
+        kp = sample_keypoints(box, student.grid, g=g, enlarge=enlarge)
+        pair = [TargetKeypointFeatures(bilinear_sample(student, kp), bilinear_sample(teacher, kp))]
+        for i, fn in enumerate((inter_channel_loss, inter_keypoint_loss)):
+            res = fn(pair, normalization=norm, loss_reduction=reduction)
+            totals[i] += res.value
+            grads[i] += bilinear_sample_backward(student.data.shape, kp, res.grad[0])
+    return totals, grads
+
+
+GRID6 = BevGrid(-4.0, 4.0, -4.0, 4.0, 6, 6)
+
+
+@st.composite
+def overlapping_boxes(draw):
+    """One to four boxes, each a jittered copy of the first, so their
+    footprints share BEV cells; long boxes run off the grid and clip."""
+    coord = st.floats(-3.5, 3.5)
+    cx, cy = draw(coord), draw(coord)
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        jitter = st.floats(-1.0, 1.0)
+        boxes.append(
+            Box3D(
+                center=[cx + draw(jitter), cy + draw(jitter), 0.5],
+                size=[draw(st.floats(0.5, 10.0)), draw(st.floats(0.5, 4.0)), 1.0],
+                yaw=draw(st.floats(-np.pi, np.pi)),
+            )
+        )
+    return boxes
+
+
+class TestBatchedDistillProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        boxes=overlapping_boxes(),
+        g=st.integers(2, 4),
+        enlarge=st.floats(1.0, 1.5),
+        channels=st.integers(1, 4),
+        seed=st.integers(0, 2**31),
+    )
+    @example(
+        boxes=[
+            Box3D(center=[3.0, 0.0, 0.5], size=[9.0, 2.0, 1.0], yaw=0.2),
+            Box3D(center=[2.5, 0.4, 0.5], size=[2.0, 1.5, 1.0], yaw=-0.7),
+        ],
+        g=3, enlarge=1.25, channels=3, seed=7,
+    )
+    def test_equals_per_target_composition(self, boxes, g, enlarge, channels, seed):
+        """Every normalization and reduction: the batched terms equal the
+        per-target composition of public functions bit for bit, and a plan
+        reused for two students gives what fresh plans give."""
+        rng = CounterRng(seed)
+        teacher = BevFeatureMap(rng.normal((channels, 6, 6)), GRID6)
+        students = [BevFeatureMap(rng.normal((channels, 6, 6)), GRID6) for _ in range(2)]
+        for norm in GRAM_NORMALIZATIONS:
+            plan = build_distill_plan(teacher, boxes, g, enlarge, norm)
+            for reduction in LOSS_REDUCTIONS:
+                for student in students:
+                    fresh = bev_distill_terms(student, teacher, boxes, g, enlarge, norm, reduction)
+                    reused = bev_distill_terms(
+                        student, teacher, boxes, g, enlarge, norm, reduction, plan=plan
+                    )
+                    totals, grads = _per_target_terms(student, teacher, boxes, g, enlarge, norm, reduction)
+                    for got, again, total, grad in zip(fresh, reused, totals, grads):
+                        assert got.value == again.value == total
+                        assert got.grad.tobytes() == again.grad.tobytes() == grad.tobytes()

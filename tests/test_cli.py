@@ -1,12 +1,14 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import geodistill
 from geodistill import generate_scene, read_scene, read_tsr, render_gt_views
 from geodistill.cli import main
 from geodistill.harness import config_from_dict
@@ -70,6 +72,36 @@ class TestUsageErrors:
         code = main(["gen-scene", "--config", small_cfg, "--seed", "-1", "--out", str(tmp_path)])
         assert code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("keypoint_g", 2.5), ("keypoint_g", True), ("keypoint_g", 1), ("enlarge", float("nan")),
+         ("enlarge", float("inf")), ("enlarge", 0.5), ("enlarge", "1.25")],
+    )
+    def test_bad_lattice_config_is_config_error(self, tmp_path, capsys, key, value):
+        """A lattice extent that is not an integer >= 2, or an enlargement
+        that is not a finite number >= 1, exits 2 with a one-line error."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, **{key: value})))
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
+    def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
+        """``python -m geodistill`` runs the CLI; keypoint_g 2.5 is a
+        config error, not a traceback."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, keypoint_g=2.5)))
+        src = os.path.dirname(os.path.dirname(geodistill.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "geodistill", "eval-losses", "--config", str(path),
+             "--out", str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr and "keypoint_g" in proc.stderr
 
     def test_console_script_installed(self):
         proc = subprocess.run(
@@ -191,3 +223,22 @@ class TestOracleCommand:
             "bilinear",
             "bin_assignment",
         }
+
+    def test_fixtures_are_strict_json(self, small_cfg, tmp_path, capsys, monkeypatch):
+        """A non-finite fixture value is written as null, never as NaN."""
+        import geodistill.cli as cli
+
+        def suite(seed):
+            return {"matmul": {"max_abs_diff": float("nan"), "tolerance": 0.0}}, False
+
+        monkeypatch.setattr(cli, "run_oracle_suite", suite)
+        out = tmp_path / "out"
+        assert main(["oracle", "--config", small_cfg, "--out", str(out)]) == 1
+        capsys.readouterr()
+
+        def reject(token):
+            raise ValueError(token)
+
+        text = (out / "oracle_fixtures.json").read_text()
+        fixtures = json.loads(text, parse_constant=reject)
+        assert fixtures["families"]["matmul"]["max_abs_diff"] is None

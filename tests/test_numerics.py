@@ -19,6 +19,7 @@ from geodistill import (
     softmax_rows,
     write_tsr,
 )
+from geodistill.oracles import matmul_loops
 from geodistill.rng import CounterRng
 
 
@@ -67,6 +68,30 @@ class TestMatmul:
         """Mismatched inner dimensions raise ShapeError."""
         with pytest.raises(ShapeError):
             matmul(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    def test_batched_equals_slices_and_loop_oracle_exactly(self):
+        """A stack of products equals, bit for bit, each slice's 2-D
+        product and the scalar triple loop (tolerance 0.0)."""
+        rng = CounterRng(13)
+        for i in range(30):
+            sub = rng.substream(f"bmm-{i}")
+            t, n, k, m = (1 + int(v * 6) for v in sub.uniform(4))
+            a = sub.normal((t, n, k))
+            b = sub.normal((t, k, m))
+            got = matmul(a, b)
+            assert got.shape == (t, n, m)
+            for j in range(t):
+                assert got[j].tobytes() == matmul(a[j], b[j]).tobytes()
+                assert np.array_equal(got[j], np.array(matmul_loops(a[j], b[j])))
+
+    def test_batched_shape_errors(self):
+        """Batch extents, inner extents and ranks must agree."""
+        with pytest.raises(ShapeError):
+            matmul(np.zeros((2, 3, 4)), np.zeros((3, 4, 5)))
+        with pytest.raises(ShapeError):
+            matmul(np.zeros((2, 3, 4)), np.zeros((2, 3, 5)))
+        with pytest.raises(ShapeError):
+            matmul(np.zeros((3, 4)), np.zeros((2, 4, 5)))
 
     def test_random_against_numpy(self):
         """Seeded random products agree with numpy within roundoff."""
