@@ -498,12 +498,16 @@ def bev_distill_loss(
     enlarge: float = 1.25,
     normalization: str = "none",
     loss_reduction: str = "mean",
+    *,
+    plan: Optional[DistillPlan] = None,
 ) -> LossResult:
     """Combined channel + keypoint Gram loss with the gradient mapped back
-    onto the student BEV tensor; teacher features carry no gradient."""
+    onto the student BEV tensor; teacher features carry no gradient.
+    ``plan`` is as for ``bev_distill_terms``."""
     ic, ik = bev_distill_terms(
         student_bev, teacher_bev, boxes,
         g=g, enlarge=enlarge, normalization=normalization, loss_reduction=loss_reduction,
+        plan=plan,
     )
     if ic.empty:
         return LossResult(0.0, ic.grad, empty=True)

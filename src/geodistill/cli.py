@@ -17,7 +17,7 @@ import sys
 import time
 from typing import List, Optional
 
-from .errors import ConfigError, ContractError, FormatError, GenerationError
+from .errors import ConfigError, ContractError, FormatError, GenerationError, NumericError
 from .harness import (
     RunReport,
     config_to_dict,
@@ -224,7 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ContractError, GenerationError) as exc:
+    except (ContractError, GenerationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -83,7 +83,8 @@ ADAM_BLOCK = 32768
 
 
 def thread_count() -> int:
-    """Worker count from TIG_THREADS; 0 or unset means 1."""
+    """Worker count from TIG_THREADS; 0 or unset means 1, and more than
+    the machine's CPU count means that count."""
     raw = os.environ.get("TIG_THREADS", "").strip()
     if not raw:
         return 1
@@ -91,7 +92,7 @@ def thread_count() -> int:
         n = int(raw)
     except ValueError as exc:
         raise ConfigError(f"TIG_THREADS must be an integer, got {raw!r}") from exc
-    return n if n >= 1 else 1
+    return max(1, min(n, os.cpu_count() or 1))
 
 
 def parallel_map(fn: Callable, items: List) -> List:
@@ -112,6 +113,22 @@ def parallel_map(fn: Callable, items: List) -> List:
 # ---------------------------------------------------------------------------
 
 
+def _require(
+    name: str, value, what: str, ok: Optional[Callable[[Any], bool]] = None, integer: bool = False
+) -> None:
+    """Raise ConfigError unless ``value`` is a finite number (an integer
+    when ``integer``), not a bool, and ``ok(value)`` holds when given;
+    ``what`` describes the accepted values in the message."""
+    kind = numbers.Integral if integer else numbers.Real
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, kind)
+        or not (integer or math.isfinite(value))
+        or (ok is not None and not ok(value))
+    ):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass
 class LossWeights:
     """Non-negative weights of the four differentiated loss terms."""
@@ -123,8 +140,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("w_a", "w_r", "w_ic", "w_ik"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"loss weight {name} must be >= 0")
+            _require(f"weights.{name}", getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
 
 
 @dataclass
@@ -149,22 +165,20 @@ class OptimizerConfig:
     divergence_factor: float = 1e6
 
     def __post_init__(self):
-        if self.step_size <= 0:
-            raise ConfigError("step_size must be positive")
-        if not 0.0 < self.final_lr_fraction <= 1.0:
-            raise ConfigError("final_lr_fraction must lie in (0, 1]")
-        if not 0.0 <= self.beta1 < 1.0:
-            raise ConfigError("beta1 must lie in [0, 1)")
-        if not 0.0 <= self.beta2 < 1.0:
-            raise ConfigError("beta2 must lie in [0, 1)")
-        if self.eps <= 0:
-            raise ConfigError("eps must be positive")
-        if self.max_steps < 1:
-            raise ConfigError("max_steps must be >= 1")
-        if not 0.0 < self.target_reduction < 1.0:
-            raise ConfigError("target_reduction must lie in (0, 1)")
-        if self.ik_rel_target <= 0:
-            raise ConfigError("ik_rel_target must be positive")
+        for name, what, ok in (
+            ("step_size", "> 0", lambda v: v > 0),
+            ("beta1", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("beta2", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
+            ("eps", "> 0", lambda v: v > 0),
+            ("target_reduction", "in (0, 1)", lambda v: 0.0 < v < 1.0),
+            ("ik_rel_target", "> 0", lambda v: v > 0),
+            ("final_lr_fraction", "in (0, 1]", lambda v: 0.0 < v <= 1.0),
+            ("init_logit_scale", "", None),
+            ("init_bev_scale", "", None),
+            ("divergence_factor", "", None),
+        ):
+            _require(f"optimizer.{name}", getattr(self, name), f"a finite number {what}".rstrip(), ok)
+        _require("optimizer.max_steps", self.max_steps, "an integer >= 1", lambda v: v >= 1, integer=True)
 
 
 @dataclass
@@ -174,10 +188,9 @@ class GradcheckConfig:
     fail_threshold: float = 1e-4
 
     def __post_init__(self):
-        if self.instances < 1:
-            raise ConfigError("gradcheck instances must be >= 1")
-        if self.h <= 0:
-            raise ConfigError("gradcheck step h must be positive")
+        _require("gradcheck.instances", self.instances, "an integer >= 1", lambda v: v >= 1, integer=True)
+        _require("gradcheck.h", self.h, "a finite number > 0", lambda v: v > 0)
+        _require("gradcheck.fail_threshold", self.fail_threshold, "a finite number >= 0", lambda v: v >= 0)
 
 
 @dataclass
@@ -201,12 +214,9 @@ class HarnessConfig:
             raise ConfigError(f"unknown loss reduction {self.loss_reduction!r}")
         if self.gram_normalization not in GRAM_NORMALIZATIONS:
             raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
-        g = self.keypoint_g
-        if isinstance(g, bool) or not isinstance(g, numbers.Integral) or g < 2:
-            raise ConfigError(f"keypoint_g must be an integer >= 2, got {g!r}")
-        e = self.enlarge
-        if isinstance(e, bool) or not isinstance(e, numbers.Real) or not math.isfinite(e) or e < 1.0:
-            raise ConfigError(f"enlarge must be a finite number >= 1, got {e!r}")
+        _require("keypoint_g", self.keypoint_g, "an integer >= 2", lambda g: g >= 2, integer=True)
+        _require("enlarge", self.enlarge, "a finite number >= 1", lambda e: e >= 1.0)
+        _require("external_det_loss", self.external_det_loss, "a finite number")
 
 
 def default_config() -> HarnessConfig:
@@ -214,14 +224,19 @@ def default_config() -> HarnessConfig:
 
 
 def _check_keys(d: Dict, allowed, where: str) -> None:
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be a JSON object")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
 def _scene_from_dict(d: Dict) -> SceneConfig:
-    names = {f.name for f in dataclasses.fields(SceneConfig)}
-    _check_keys(d, names, "scene")
+    fields = dataclasses.fields(SceneConfig)
+    _check_keys(d, {f.name for f in fields}, "scene")
+    for f in fields:
+        if f.type == "int" and f.name in d:
+            _require(f"scene.{f.name}", d[f.name], "an integer", integer=True)
     kw = dict(d)
     if "grid" in kw:
         g = kw["grid"]
@@ -273,6 +288,7 @@ def config_from_dict(d: Dict) -> HarnessConfig:
         kw["scene"] = _scene_from_dict(d["scene"])
     if "bins" in d:
         _check_keys(d["bins"], ("count", "mode", "d_min", "d_max"), "bins")
+        _require("bins.count", d["bins"].get("count"), "an integer", integer=True)
         kw["bins"] = DepthBins(**d["bins"])
     ref_kw = {}
     if "reference_strategy" in d:
@@ -491,14 +507,24 @@ def identity_student_inputs(
 def random_student_inputs(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
-    """Small-noise student inputs, seeded from the scene seed."""
+    """Small-noise student inputs, seeded from the scene seed.
+
+    Only the logits at valid pixels are drawn: each equals its entry of
+    the full (D, H, W) normal draw bit for bit, and every other logit is
+    0, since no loss reads it.
+    """
     root = CounterRng(cfg.scene.seed).substream("student-init")
     d = cfg.bins.count
     maps = []
     for view in views:
         h, w = view.depth.shape
-        noise = root.substream(f"logits-{view.cam_index}").normal((d, h, w))
-        maps.append(CategoricalDepthMap(cfg.optimizer.init_logit_scale * noise))
+        rows = np.flatnonzero(view.valid)
+        logits_hw = np.zeros((h * w, d))
+        # flat (D, H, W) position of bin k at pixel row r is k * H * W + r
+        index = rows[:, None] + h * w * np.arange(d)
+        noise = root.substream(f"logits-{view.cam_index}").normal_at((d, h, w), index)
+        logits_hw[rows] = cfg.optimizer.init_logit_scale * noise
+        maps.append(CategoricalDepthMap(rows_to_map(logits_hw, h, w)))
     bev = cfg.optimizer.init_bev_scale * root.substream("bev").normal(scene.teacher_bev.data.shape)
     return maps, views, BevFeatureMap(data=bev, grid=scene.grid)
 
@@ -678,17 +704,10 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
             )
         )
     teacher = BevFeatureMap(data=teacher_data, grid=grid)
-    res = bev_distill_loss(
-        BevFeatureMap(data=student, grid=grid),
-        teacher,
-        boxes,
-        g=2,
-        enlarge=cfg.enlarge,
-        normalization=cfg.gram_normalization,
-        loss_reduction=cfg.loss_reduction,
-    )
+    # the teacher side is the same for every evaluation of this instance
+    plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
 
-    def f(x):
+    def loss(x):
         return bev_distill_loss(
             BevFeatureMap(data=x, grid=grid),
             teacher,
@@ -697,8 +716,13 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
             enlarge=cfg.enlarge,
             normalization=cfg.gram_normalization,
             loss_reduction=cfg.loss_reduction,
-        ).value
+            plan=plan,
+        )
 
+    def f(x):
+        return loss(x).value
+
+    res = loss(student)
     return _Instance(f=f, x0=student, analytic=res.grad)
 
 

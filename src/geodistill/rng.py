@@ -16,6 +16,11 @@ with GAMMA = 0x9E3779B97F4A7C15 and ``mix64`` the SplitMix64 finalizer
 the Box-Muller transform: a request for ``n`` normals consumes ``2 * m``
 outputs with ``m = ceil(n / 2)``; the first ``m`` become radii (shifted
 into (0, 1] so the log is finite), the second ``m`` become angles.
+Entry ``j`` of the draw pairs radius ``j mod m`` with angle
+``j mod m + m`` and takes the cosine when ``j < m``, the sine otherwise.
+Because output ``k`` is a function of ``k`` alone, any subset of the
+entries can be computed without the rest (``CounterRng.normal_at``),
+bit for bit.
 
 Named substreams are independent streams seeded with
 ``mix64(parent_seed XOR fnv1a64(label))``.  They never consume parent
@@ -27,7 +32,11 @@ easy to reimplement elsewhere, which keeps generated fixtures portable.
 
 from __future__ import annotations
 
+from typing import Tuple
+
 import numpy as np
+
+from .errors import ContractError
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -71,30 +80,58 @@ class CounterRng:
         """Independent child stream; does not advance this stream."""
         return CounterRng(mix64(self.seed ^ fnv1a64(label)))
 
+    def _outputs(self, ks: np.ndarray) -> np.ndarray:
+        """Raw outputs at the 1-based uint64 counters ``ks``."""
+        return _mix64_array(np.uint64(self.seed) + ks * np.uint64(_GAMMA))
+
     def next_u64(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit outputs as a uint64 array."""
         ks = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
-        z = np.uint64(self.seed) + ks * np.uint64(_GAMMA)
-        return _mix64_array(z)
+        return self._outputs(ks)
 
     def uniform(self, shape, lo: float = 0.0, hi: float = 1.0) -> np.ndarray:
         """Uniform draws in [lo, hi), shaped per ``shape`` (int or tuple)."""
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_size(shape)
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (lo + (hi - lo) * u).reshape(shape)
 
     def normal(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """Standard Box-Muller normals scaled to N(mu, sigma^2)."""
-        shape = (shape,) if np.isscalar(shape) else tuple(shape)
-        n = int(np.prod(shape)) if shape else 1
+        shape, n = _shape_size(shape)
+        return self.normal_at(shape, np.arange(n), mu, sigma).reshape(shape)
+
+    def normal_at(self, shape, index, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        """Entries at the flat positions ``index`` of ``normal(shape, mu,
+        sigma)``, bit for bit, shaped like ``index``.
+
+        Only the requested entries are computed, but the stream advances
+        by the whole draw's 2 * ceil(n / 2) outputs, so later draws are
+        the same either way.
+        """
+        shape, n = _shape_size(shape)
+        index = np.asarray(index)
+        flat = index.reshape(-1)
+        if flat.size and flat.dtype.kind not in "iu":
+            raise ContractError(f"normal_at index must hold integers, got {flat.dtype}")
+        if flat.size and (flat.min() < 0 or flat.max() >= n):
+            raise ContractError(f"normal_at index outside [0, {n})")
         m = (n + 1) // 2
-        raw = self.next_u64(2 * m)
+        sine = flat >= m
+        ks = np.where(sine, flat - m, flat).astype(np.uint64) + np.uint64(self.counter + 1)
+        self.counter += 2 * m
         # Radii from (0, 1] so log() stays finite; angles from [0, 1).
-        u1 = ((raw[:m] >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (raw[m:] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u1 = ((self._outputs(ks) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (self._outputs(ks + np.uint64(m)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         r = np.sqrt(-2.0 * np.log(u1))
         theta = 2.0 * np.pi * u2
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return (mu + sigma * z).reshape(shape)
+        z = np.cos(theta, out=np.empty_like(theta), where=~sine)
+        np.sin(theta, out=z, where=sine)
+        z *= r
+        return (mu + sigma * z).reshape(index.shape)
+
+
+def _shape_size(shape) -> Tuple[Tuple[int, ...], int]:
+    """``shape`` (int or tuple) as a tuple, and its element count."""
+    shape = (shape,) if np.isscalar(shape) else tuple(shape)
+    return shape, int(np.prod(shape)) if shape else 1

@@ -465,6 +465,29 @@ class TestBevDistillLoss:
         ic, ik = bev_distill_terms(self.student, self.teacher, self.boxes, 3, 1.25, plan=plan)
         assert ic.value > 0.0 and ik.value > 0.0
 
+    @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
+    @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
+    def test_combined_loss_with_plan_equals_without(self, norm, reduction):
+        """bev_distill_loss with a prebuilt plan gives the bits of the call
+        that builds its own, and rejects a plan built from other arguments."""
+        plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, norm)
+        fresh = bev_distill_loss(self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction)
+        reused = bev_distill_loss(
+            self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction, plan=plan
+        )
+        assert reused.value == fresh.value
+        assert reused.components == fresh.components
+        assert np.array_equal(reused.grad, fresh.grad)
+        other = "l2" if norm != "l2" else "none"
+        with pytest.raises(ContractError):
+            bev_distill_loss(
+                self.student, self.teacher, self.boxes, 3, 1.25, other, reduction, plan=plan
+            )
+        with pytest.raises(ContractError):
+            bev_distill_loss(
+                self.student, self.teacher, self.boxes[::-1], 3, 1.25, norm, reduction, plan=plan
+            )
+
     def test_grid_mismatch_rejected(self):
         other = BevFeatureMap(
             self.teacher.data.copy(), BevGrid(-4.0, 4.0, -4.0, 4.0 + 1e-9, 8, 8)

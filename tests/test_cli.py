@@ -76,17 +76,56 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "key, value",
         [("keypoint_g", 2.5), ("keypoint_g", True), ("keypoint_g", 1), ("enlarge", float("nan")),
-         ("enlarge", float("inf")), ("enlarge", 0.5), ("enlarge", "1.25")],
+         ("enlarge", float("inf")), ("enlarge", 0.5), ("enlarge", "1.25"),
+         ("external_det_loss", float("nan")),
+         ("optimizer", {"step_size": float("nan")}), ("optimizer", {"beta1": float("inf")}),
+         ("optimizer", {"beta2": True}), ("optimizer", {"eps": float("-inf")}),
+         ("optimizer", {"target_reduction": float("nan")}),
+         ("optimizer", {"ik_rel_target": float("inf")}),
+         ("optimizer", {"final_lr_fraction": float("nan")}),
+         ("optimizer", {"init_logit_scale": float("inf")}),
+         ("optimizer", {"init_bev_scale": float("nan")}),
+         ("optimizer", {"divergence_factor": True}), ("optimizer", {"max_steps": True}),
+         ("optimizer", {"max_steps": 2.5}),
+         ("weights", {"w_a": float("nan")}), ("weights", {"w_r": float("inf")}),
+         ("weights", {"w_ic": True}), ("weights", {"w_ik": float("-inf")}),
+         ("gradcheck", {"h": float("inf")}), ("gradcheck", {"h": float("nan")}),
+         ("gradcheck", {"fail_threshold": float("nan")}), ("gradcheck", {"instances": True}),
+         ("scene", {"num_cameras": True}), ("bins", {"count": True})],
     )
     def test_bad_lattice_config_is_config_error(self, tmp_path, capsys, key, value):
-        """A lattice extent that is not an integer >= 2, or an enlargement
-        that is not a finite number >= 1, exits 2 with a one-line error."""
+        """A lattice extent that is not an integer >= 2, an enlargement
+        that is not a finite number >= 1, and a NaN, infinite or boolean
+        optimizer, weight, gradcheck, scene or bins number exit 2 with a
+        one-line error that names the field."""
+        name = key
+        if isinstance(value, dict):
+            name = f"{key}.{next(iter(value))}"
+            value = dict(SMALL.get(key, {}), **value)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(SMALL, **{key: value})))
         code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and key in err
+        assert err.startswith("error: ") and name in err and err.count("\n") == 1
+
+    def test_bins_without_count_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, bins={"mode": "uniform"})))
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: bins.count must be an integer, got None\n"
+
+    def test_non_finite_value_in_a_loss_is_one_line_error(self, tmp_path, capsys):
+        """A NaN teacher amplitude makes the teacher map non-finite; the
+        NumericError it raises exits 1 with one line, like a contract error."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, scene=dict(SMALL["scene"], teacher_amplitude=float("nan")))))
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
         """``python -m geodistill`` runs the CLI; keypoint_g 2.5 is a

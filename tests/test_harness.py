@@ -35,6 +35,21 @@ from geodistill import (
     write_report,
 )
 from geodistill.depth_supervision import DepthBins
+from geodistill.rng import CounterRng
+
+# 12 boxes, g = 10, 32 channels on two small cameras with 16 bins
+BEV_HEAVY = {
+    "scene": {
+        "num_boxes": 12,
+        "num_cameras": 2,
+        "channels": 32,
+        "image_width": 48,
+        "image_height": 32,
+        "focal": 40.0,
+    },
+    "bins": {"count": 16},
+    "keypoint_g": 10,
+}
 
 
 def small_harness_config(**optimizer_overrides):
@@ -211,6 +226,7 @@ class TestRunReport:
 
 class TestThreading:
     def test_thread_count_env(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 8)
         monkeypatch.delenv("TIG_THREADS", raising=False)
         assert thread_count() == 1
         monkeypatch.setenv("TIG_THREADS", "4")
@@ -222,6 +238,16 @@ class TestThreading:
         monkeypatch.setenv("TIG_THREADS", "lots")
         with pytest.raises(ConfigError):
             thread_count()
+
+    def test_thread_count_clamped_to_cpu_count(self, monkeypatch):
+        """Only the count is computed here; no thread is started."""
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        for raw, want in (("2", 2), ("3", 3), ("4", 3), ("1000000", 3), ("-5", 1)):
+            monkeypatch.setenv("TIG_THREADS", raw)
+            assert thread_count() == want
+        monkeypatch.setattr("os.cpu_count", lambda: None)
+        monkeypatch.setenv("TIG_THREADS", "16")
+        assert thread_count() == 1
 
     def test_parallel_map_preserves_order(self, monkeypatch):
         items = list(range(40))
@@ -248,6 +274,32 @@ class TestIdentityStudent:
         for g in res.grad["depth_logits"]:
             assert np.all(g == 0.0)
         assert np.all(res.grad["bev_features"] == 0.0)
+
+    @pytest.mark.parametrize("which", ["default-42", "bev-heavy-1"])
+    def test_random_logits_are_the_full_draw_at_valid_pixels(self, which):
+        """Logits at valid pixels equal the entries of the full (D, H, W)
+        draw bit for bit; every other logit is 0."""
+        if which == "default-42":
+            cfg = default_config()
+        else:
+            cfg = config_from_dict(BEV_HEAVY)
+            cfg.scene.seed = 1
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, _, student = random_student_inputs(cfg, scene, views)
+        root = CounterRng(cfg.scene.seed).substream("student-init")
+        d = cfg.bins.count
+        for view, dm in zip(views, maps):
+            h, w = view.depth.shape
+            full = cfg.optimizer.init_logit_scale * root.substream(
+                f"logits-{view.cam_index}"
+            ).normal((d, h, w))
+            assert view.valid.any()
+            assert dm.logits.shape == (d, h, w)
+            assert dm.logits[:, view.valid].tobytes() == full[:, view.valid].tobytes()
+            assert np.all(dm.logits[:, ~view.valid] == 0.0)
+        bev = cfg.optimizer.init_bev_scale * root.substream("bev").normal(student.data.shape)
+        assert student.data.tobytes() == bev.tobytes()
 
     def test_random_inputs_are_not_at_the_optimum(self):
         cfg = small_harness_config()
@@ -324,22 +376,8 @@ class TestRunTrainToy:
         views; the trainer's first total still equals evaluate_scene_losses
         bit for bit, because both sum per-view values in the same order.
         At seed 1 any other order differs in the last bit."""
-        cfg = config_from_dict(
-            {
-                "scene": {
-                    "seed": seed,
-                    "num_boxes": 12,
-                    "num_cameras": 2,
-                    "channels": 32,
-                    "image_width": 48,
-                    "image_height": 32,
-                    "focal": 40.0,
-                },
-                "bins": {"count": 16},
-                "keypoint_g": 10,
-                "optimizer": {"max_steps": 1},
-            }
-        )
+        cfg = config_from_dict(dict(BEV_HEAVY, optimizer={"max_steps": 1}))
+        cfg.scene.seed = seed
         report = run_train_toy(cfg)
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
