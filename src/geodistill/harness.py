@@ -52,7 +52,7 @@ from .depth_supervision import (
     rows_to_map,
     select_reference,
 )
-from .errors import ConfigError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError, ShapeError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LossResult,
@@ -114,19 +114,41 @@ def parallel_map(fn: Callable, items: List) -> List:
 
 
 def _require(
-    name: str, value, what: str, ok: Optional[Callable[[Any], bool]] = None, integer: bool = False
+    name: str, value, what: str, ok: Optional[Callable[[Any], bool]] = None, kind: type = numbers.Real
 ) -> None:
-    """Raise ConfigError unless ``value`` is a finite number (an integer
-    when ``integer``), not a bool, and ``ok(value)`` holds when given;
-    ``what`` describes the accepted values in the message."""
-    kind = numbers.Integral if integer else numbers.Real
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, kind)
-        or not (integer or math.isfinite(value))
-        or (ok is not None and not ok(value))
-    ):
+    """Raise ConfigError unless ``value`` is a ``kind`` and ``ok(value)``
+    holds when given; ``what`` describes the accepted values in the
+    message.  ``kind`` is ``numbers.Real`` (a finite number),
+    ``numbers.Integral`` (an integer) or ``bool``; a bool is never taken
+    for a number."""
+    if kind is bool:
+        typed = isinstance(value, bool)
+    else:
+        typed = (
+            not isinstance(value, bool)
+            and isinstance(value, kind)
+            and (kind is numbers.Integral or math.isfinite(value))
+        )
+    if not typed or (ok is not None and not ok(value)):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+def _require_list(name: str, value, what: str, kinds) -> list:
+    """``value`` as a JSON list with one entry per ``kinds``, entry ``i``
+    checked by ``_require`` as a ``kinds[i]``."""
+    if not (isinstance(value, list) and len(value) == len(kinds)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+    for v, kind in zip(value, kinds):
+        _require(name, v, what, kind=kind)
+    return value
+
+
+def _build(where: str, cls, *args, **kw):
+    """``cls(*args, **kw)`` with its range checks reported as config errors."""
+    try:
+        return cls(*args, **kw)
+    except ContractError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 @dataclass
@@ -178,7 +200,9 @@ class OptimizerConfig:
             ("divergence_factor", "", None),
         ):
             _require(f"optimizer.{name}", getattr(self, name), f"a finite number {what}".rstrip(), ok)
-        _require("optimizer.max_steps", self.max_steps, "an integer >= 1", lambda v: v >= 1, integer=True)
+        _require(
+            "optimizer.max_steps", self.max_steps, "an integer >= 1", lambda v: v >= 1, kind=numbers.Integral
+        )
 
 
 @dataclass
@@ -188,7 +212,9 @@ class GradcheckConfig:
     fail_threshold: float = 1e-4
 
     def __post_init__(self):
-        _require("gradcheck.instances", self.instances, "an integer >= 1", lambda v: v >= 1, integer=True)
+        _require(
+            "gradcheck.instances", self.instances, "an integer >= 1", lambda v: v >= 1, kind=numbers.Integral
+        )
         _require("gradcheck.h", self.h, "a finite number > 0", lambda v: v > 0)
         _require("gradcheck.fail_threshold", self.fail_threshold, "a finite number >= 0", lambda v: v >= 0)
 
@@ -214,7 +240,7 @@ class HarnessConfig:
             raise ConfigError(f"unknown loss reduction {self.loss_reduction!r}")
         if self.gram_normalization not in GRAM_NORMALIZATIONS:
             raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
-        _require("keypoint_g", self.keypoint_g, "an integer >= 2", lambda g: g >= 2, integer=True)
+        _require("keypoint_g", self.keypoint_g, "an integer >= 2", lambda g: g >= 2, kind=numbers.Integral)
         _require("enlarge", self.enlarge, "a finite number >= 1", lambda e: e >= 1.0)
         _require("external_det_loss", self.external_det_loss, "a finite number")
 
@@ -236,17 +262,20 @@ def _scene_from_dict(d: Dict) -> SceneConfig:
     _check_keys(d, {f.name for f in fields}, "scene")
     for f in fields:
         if f.type == "int" and f.name in d:
-            _require(f"scene.{f.name}", d[f.name], "an integer", integer=True)
+            _require(f"scene.{f.name}", d[f.name], "an integer", kind=numbers.Integral)
     kw = dict(d)
     if "grid" in kw:
-        g = kw["grid"]
-        if not (isinstance(g, (list, tuple)) and len(g) == 6):
-            raise ConfigError("scene.grid must be [x_min, x_max, y_min, y_max, h_bev, w_bev]")
-        kw["grid"] = BevGrid(float(g[0]), float(g[1]), float(g[2]), float(g[3]), int(g[4]), int(g[5]))
+        g = _require_list(
+            "scene.grid", kw["grid"],
+            "[x_min, x_max, y_min, y_max, h_bev, w_bev] with integer cell counts",
+            (numbers.Real,) * 4 + (numbers.Integral,) * 2,
+        )
+        kw["grid"] = _build("scene.grid", BevGrid, *(float(v) for v in g[:4]), *g[4:])
     for key in ("length_range", "width_range", "height_range"):
         if key in kw:
-            kw[key] = (float(kw[key][0]), float(kw[key][1]))
-    return SceneConfig(**kw)
+            lo, hi = _require_list(f"scene.{key}", kw[key], "[lo, hi]", (numbers.Real,) * 2)
+            kw[key] = (float(lo), float(hi))
+    return _build("scene", SceneConfig, **kw)
 
 
 def _scene_to_dict(s: SceneConfig) -> Dict:
@@ -288,13 +317,17 @@ def config_from_dict(d: Dict) -> HarnessConfig:
         kw["scene"] = _scene_from_dict(d["scene"])
     if "bins" in d:
         _check_keys(d["bins"], ("count", "mode", "d_min", "d_max"), "bins")
-        _require("bins.count", d["bins"].get("count"), "an integer", integer=True)
-        kw["bins"] = DepthBins(**d["bins"])
+        _require("bins.count", d["bins"].get("count"), "an integer", kind=numbers.Integral)
+        for key in ("d_min", "d_max"):
+            if key in d["bins"]:
+                _require(f"bins.{key}", d["bins"][key], "a finite number")
+        kw["bins"] = _build("bins", DepthBins, **d["bins"])
     ref_kw = {}
     if "reference_strategy" in d:
         ref_kw["strategy"] = d["reference_strategy"]
     if "signed_reference_error" in d:
-        ref_kw["signed_reference_error"] = bool(d["signed_reference_error"])
+        _require("signed_reference_error", d["signed_reference_error"], "true or false", kind=bool)
+        ref_kw["signed_reference_error"] = d["signed_reference_error"]
     if ref_kw:
         kw["reference"] = ReferenceSelection(**ref_kw)
     for key in ("loss_reduction", "keypoint_g", "enlarge", "gram_normalization", "external_det_loss"):

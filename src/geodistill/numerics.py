@@ -43,25 +43,22 @@ class LossResult:
 
 
 def matmul(a, b) -> np.ndarray:
-    """Matrix product with ascending-index summation over the inner axis.
+    """2-D matrix product with ascending-index summation over the inner axis.
 
     The contraction accumulates k = 0, 1, ... in order, so the result is
-    bit-identical to a scalar triple loop with the k loop innermost.
-    Operands are 2-D, or 3-D stacks with a shared leading batch axis; a
-    stack's products are computed together, each slice with the same
-    bits as its own 2-D product.
+    bit-identical to a scalar triple loop with the k loop innermost.  It
+    is the reference the oracle suite checks at tolerance 0.0; the loss
+    code uses BLAS products.
     """
     a = as_tensor(a)
     b = as_tensor(b)
-    if a.ndim != b.ndim or a.ndim not in (2, 3):
-        raise ShapeError(f"matmul needs two 2-D or two 3-D operands, got {a.shape} x {b.shape}")
-    if a.shape[:-2] != b.shape[:-2]:
-        raise ShapeError(f"batch extents disagree: {a.shape} x {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.ndim != 2 or b.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.shape} x {b.shape}")
+    if a.shape[1] != b.shape[0]:
         raise ShapeError(f"inner extents disagree: {a.shape} x {b.shape}")
-    out = np.zeros(a.shape[:-1] + b.shape[-1:])
-    for k in range(a.shape[-1]):
-        out += a[..., k : k + 1] * b[..., k : k + 1, :]
+    out = np.zeros((a.shape[0], b.shape[1]))
+    for k in range(a.shape[1]):
+        out += a[:, k : k + 1] * b[k : k + 1, :]
     return out
 
 

@@ -96,10 +96,23 @@ class CounterRng:
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (lo + (hi - lo) * u).reshape(shape)
 
+    def _polar(self, pairs: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Box-Muller radius and angle of the pairs ``pairs`` of a draw of
+        ``m`` pairs that starts at the current counter."""
+        ks = pairs.astype(np.uint64) + np.uint64(self.counter + 1)
+        # Radii from (0, 1] so log() stays finite; angles from [0, 1).
+        u1 = ((self._outputs(ks) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        u2 = (self._outputs(ks + np.uint64(m)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
+
     def normal(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """Standard Box-Muller normals scaled to N(mu, sigma^2)."""
         shape, n = _shape_size(shape)
-        return self.normal_at(shape, np.arange(n), mu, sigma).reshape(shape)
+        m = (n + 1) // 2
+        r, theta = self._polar(np.arange(m), m)
+        self.counter += 2 * m
+        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
+        return (mu + sigma * z).reshape(shape)
 
     def normal_at(self, shape, index, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
         """Entries at the flat positions ``index`` of ``normal(shape, mu,
@@ -118,13 +131,8 @@ class CounterRng:
             raise ContractError(f"normal_at index outside [0, {n})")
         m = (n + 1) // 2
         sine = flat >= m
-        ks = np.where(sine, flat - m, flat).astype(np.uint64) + np.uint64(self.counter + 1)
+        r, theta = self._polar(np.where(sine, flat - m, flat), m)
         self.counter += 2 * m
-        # Radii from (0, 1] so log() stays finite; angles from [0, 1).
-        u1 = ((self._outputs(ks) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self._outputs(ks + np.uint64(m)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        r = np.sqrt(-2.0 * np.log(u1))
-        theta = 2.0 * np.pi * u2
         z = np.cos(theta, out=np.empty_like(theta), where=~sine)
         np.sin(theta, out=z, where=sine)
         z *= r

@@ -28,7 +28,6 @@ from geodistill import (
     inter_keypoint_gram,
     inter_keypoint_loss,
     keypoint_sets_for_boxes,
-    matmul,
     points_in_box,
     sample_keypoints,
 )
@@ -273,14 +272,35 @@ class TestGramMatrices:
     )
     def test_channel_gram_accumulates_in_full_lexicographic_row_order(self, shape, alphabet, seed):
         """Rows that tie on leading columns (few distinct values) are
-        still accumulated in each target's full lexicographic order."""
+        still put in each target's full lexicographic order: each Gram
+        is the product of its lexsorted rows, bit for bit."""
         pick = np.array(alphabet)[
             (CounterRng(seed).uniform(shape) * len(alphabet)).astype(int)
         ]
         grams = inter_channel_gram(pick)
         for j, f in enumerate(pick):
             rows = f[np.lexsort(f.T[::-1])]
-            assert grams[j].tobytes() == matmul(rows.T, rows).tobytes()
+            assert grams[j].tobytes() == (rows.T @ rows).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4)),
+        alphabet=st.lists(st.sampled_from([-0.7, -0.0, 0.0, 0.1, 0.3, 1e8]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**31),
+    )
+    def test_channel_gram_permutation_invariant_bitwise(self, shape, alphabet, seed):
+        """Permuting each target's keypoint rows of a tie-heavy stack
+        leaves its channel Gram bitwise equal under every normalization,
+        and each target's Gram has the bits of its own 2-D call."""
+        rng = CounterRng(seed)
+        f = np.array(alphabet)[(rng.uniform(shape) * len(alphabet)).astype(int)]
+        perm = np.argsort(rng.uniform(shape[:2]), axis=1, kind="stable")
+        permuted = np.take_along_axis(f, perm[:, :, None], axis=1)
+        for norm in GRAM_NORMALIZATIONS:
+            grams = inter_channel_gram(f, norm)
+            assert grams.tobytes() == inter_channel_gram(permuted, norm).tobytes()
+            for j in range(shape[0]):
+                assert grams[j].tobytes() == inter_channel_gram(permuted[j], norm).tobytes()
 
     def test_count_normalization(self):
         f = CounterRng(107).normal((5, 3))

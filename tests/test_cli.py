@@ -109,6 +109,38 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and name in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "key, value, fragment",
+        [("scene", {"length_range": [3.8]}, "scene.length_range"),
+         ("scene", {"width_range": "1.6"}, "scene.width_range"),
+         ("scene", {"height_range": [1.4, float("nan")]}, "scene.height_range"),
+         ("scene", {"length_range": [5.5, 3.8]}, "scene: size ranges"),
+         ("scene", {"num_cameras": 0}, "scene: need at least one camera"),
+         ("scene", {"channels": 0}, "scene: need at least one feature channel"),
+         ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, "24", 24]}, "scene.grid"),
+         ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24.7, 24]}, "scene.grid"),
+         ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24]}, "scene.grid"),
+         ("scene", {"grid": [24.0, -24.0, -24.0, 24.0, 24, 24]}, "scene.grid: grid extents"),
+         ("bins", {"count": 1}, "bins: need at least 2 depth bins"),
+         ("bins", {"d_min": float("nan")}, "bins.d_min"),
+         ("bins", {"d_max": "60"}, "bins.d_max"),
+         ("bins", {"d_min": 5.0, "d_max": 2.0}, "bins: require 0 < d_min < d_max"),
+         ("signed_reference_error", "no", "signed_reference_error"),
+         ("signed_reference_error", 1, "signed_reference_error")],
+    )
+    def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
+        """Scene and bins fields of the wrong type or length, out of
+        range, or a non-boolean signed_reference_error exit 2 with one
+        error line, not a traceback or exit 1."""
+        if isinstance(value, dict):
+            value = dict(SMALL.get(key, {}), **value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, **{key: value})))
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and fragment in err and err.count("\n") == 1
+
     def test_bins_without_count_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "config.json"
         path.write_text(json.dumps(dict(SMALL, bins={"mode": "uniform"})))
