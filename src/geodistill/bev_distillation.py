@@ -300,10 +300,11 @@ def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) 
 
 
 def _gram_losses(
-    fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Values (T,) and student-feature gradients (T, N, C) of T targets'
-    Gram losses against fixed teacher Grams.
+    fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str,
+    with_grad: bool = True,
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Values (T,) and student-feature gradients (T, N, C), None without
+    ``with_grad``, of T targets' Gram losses against fixed teacher Grams.
 
     ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.
     """
@@ -312,6 +313,8 @@ def _gram_losses(
     diff -= gram_t
     denom = float(diff.shape[1] * diff.shape[2]) if reduction == "mean" else 1.0
     values = np.sum((diff * diff).reshape(diff.shape[0], -1), axis=1) / denom
+    if not with_grad:
+        return values, None
     g_mat = diff
     g_mat *= 2.0 / denom
     if kind == "channel":
@@ -462,9 +465,11 @@ def bev_distill_terms(
     loss_reduction: str = "mean",
     *,
     plan: Optional[DistillPlan] = None,
+    with_grad: bool = True,
 ) -> Tuple[LossResult, LossResult]:
     """Channel and keypoint Gram losses over all targets as separate
-    results, each with its own gradient on the student BEV tensor.
+    results, each with its own gradient on the student BEV tensor; a
+    call with targets forms no gradient (None) without ``with_grad``.
 
     Both maps are sampled at identical keypoints.  ``plan`` is the
     scene's prebuilt teacher side; without one it is built for this
@@ -488,8 +493,8 @@ def bev_distill_terms(
     fs = plan.sample(student_bev.data)
     out = []
     for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
-        values, grad_fs = _gram_losses(fs, gram_t, kind, normalization, loss_reduction)
-        out.append(LossResult(_sum_in_order(values), plan.scatter(grad_fs)))
+        values, grad_fs = _gram_losses(fs, gram_t, kind, normalization, loss_reduction, with_grad)
+        out.append(LossResult(_sum_in_order(values), plan.scatter(grad_fs) if with_grad else None))
     return out[0], out[1]
 
 

@@ -21,13 +21,11 @@ from .errors import ConfigError, ContractError, FormatError, GenerationError, Nu
 from .harness import (
     RunReport,
     config_to_dict,
-    evaluate_scene_losses,
-    identity_student_inputs,
     load_config,
-    random_student_inputs,
     run_gradcheck,
     run_train_toy,
     strict_json,
+    student_problem,
     write_report,
 )
 from .numerics import write_tsr
@@ -118,9 +116,8 @@ def _cmd_eval_losses(args, cfg) -> int:
     t0 = time.perf_counter()
     scene = generate_scene(cfg.scene)
     views = render_gt_views(scene)
-    build = identity_student_inputs if args.student == "identity" else random_student_inputs
-    maps, eval_views, student = build(cfg, scene, views)
-    result = evaluate_scene_losses(cfg, scene, eval_views, maps, student)
+    problem, params = student_problem(cfg, scene, views, identity=args.student == "identity")
+    result = problem.evaluate(params)
     report = RunReport(
         kind="eval-losses",
         config=config_to_dict(cfg),

@@ -138,25 +138,6 @@ def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum(probs * centers, axis=-1)
 
 
-def continuous_depth(probs, bins: DepthBins) -> float:
-    """Expectation of the bin centers under one pixel's distribution."""
-    probs = as_tensor(probs).reshape(-1)
-    if probs.shape != bins.centers.shape:
-        raise ContractError("probs length must equal the bin count")
-    total = float(np.sum(probs))
-    if abs(total - 1.0) > 1e-9:
-        raise ContractError(f"probs sum to {total!r}, expected 1 within 1e-9")
-    return float(expected_depths(probs, bins.centers))
-
-
-def continuous_depth_map(depthmap: CategoricalDepthMap, bins: DepthBins) -> np.ndarray:
-    """Per-pixel expected depth of a full categorical map, shape (H, W)."""
-    d, h, w = depthmap.logits.shape
-    if d != bins.count:
-        raise ContractError("depth map bin count disagrees with bins")
-    return expected_depths(logit_rows(depthmap.probs), bins.centers).reshape(h, w)
-
-
 def select_reference(
     fds: ForegroundDepthSet,
     pred_depth,
@@ -237,8 +218,6 @@ def relative_depths(
     return pred_depth - pred_depth[idx], fds.gt_depth - fds.gt_depth[idx]
 
 
-
-
 def assign_depth_bins(gt_values, bins: DepthBins) -> np.ndarray:
     """Indices of the nearest bin center; exact midpoints go to the lower bin."""
     gt_values = as_tensor(gt_values)
@@ -299,23 +278,28 @@ def _target_positions(
     return packed
 
 
-def bce_rows(probs: np.ndarray, gt_bins: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Summed one-hot BCE of softmax rows against their gt bins, plus its
-    gradient w.r.t. the underlying logits.
+def bce_rows(
+    probs: np.ndarray, gt_bins: np.ndarray, grad_rows: Optional[np.ndarray] = None, scale: float = 1.0
+) -> float:
+    """Summed one-hot BCE of softmax rows against their gt bins.
 
     Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
-    entries pass no gradient, matching the piecewise-constant clip.
+    entries pass no gradient, matching the piecewise-constant clip.  When
+    ``grad_rows`` is given, ``scale`` times the gradient w.r.t. the
+    underlying logits is added into it.
     """
     hit = (np.arange(probs.shape[0]), gt_bins)
     clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     at_gt = clamped[hit]
     terms = -np.log1p(-clamped)
     terms[hit] = -np.log(at_gt)
-    grad_p = 1.0 / (1.0 - clamped)
-    grad_p[hit] = -1.0 / at_gt
-    grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
-    inner = np.sum(grad_p * probs, axis=1, keepdims=True)
-    return float(np.sum(terms)), probs * (grad_p - inner)
+    if grad_rows is not None:
+        grad_p = 1.0 / (1.0 - clamped)
+        grad_p[hit] = -1.0 / at_gt
+        grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
+        inner = np.sum(grad_p * probs, axis=1, keepdims=True)
+        grad_rows += scale * (probs * (grad_p - inner))
+    return float(np.sum(terms))
 
 
 def relative_residual(
@@ -345,15 +329,15 @@ def relative_depth_rows(
     centers: np.ndarray,
     sel: ReferenceSelection,
     reduction: str,
-    grad_rows: np.ndarray,
+    grad_rows: Optional[np.ndarray] = None,
     scale: float = 1.0,
 ) -> float:
     """Relative-depth loss summed over targets, in target order.
 
     ``probs`` are softmax rows and each target carries the positions of
     its pixels among them.  Each target's reference is selected on the
-    current prediction, then ``scale`` times the logit gradient is added
-    into ``grad_rows``; overlapping targets accumulate in target order.
+    current prediction; with ``grad_rows``, ``scale`` times the logit
+    gradient is added into it, overlapping targets in target order.
     """
     total = 0.0
     for fds, pos in targets:
@@ -363,9 +347,10 @@ def relative_depth_rows(
         if sel.strategy != "one_to_one":
             ref = select_reference(fds, depths, sel, conf=np.max(p, axis=1))
         value, grad_d = relative_residual(depths, fds.gt_depth, ref, reduction)
-        # chain through the softmax expectation d = sum_k p_k c_k; a
-        # target's pixels are distinct, so += accumulates like np.add.at
-        grad_rows[pos] += scale * (p * (grad_d[:, None] * (centers - depths[:, None])))
+        if grad_rows is not None:
+            # chain through the softmax expectation d = sum_k p_k c_k; a
+            # target's pixels are distinct, so += accumulates like np.add.at
+            grad_rows[pos] += scale * (p * (grad_d[:, None] * (centers - depths[:, None])))
         total += value
     return total
 
@@ -392,10 +377,11 @@ def absolute_depth_loss(
     if view.rows.size == 0:
         return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
     probs = softmax_rows(logit_rows(depthmap.logits)[view.rows])
-    value, grad_block = bce_rows(probs, view.gt_bins)
+    grad_rows = np.zeros_like(probs)
+    value = bce_rows(probs, view.gt_bins, grad_rows)
     n = float(view.rows.size)
     grad_hw = np.zeros((h * w, d))
-    grad_hw[view.rows] = grad_block / n
+    grad_hw[view.rows] = grad_rows / n
     return LossResult(value / n, rows_to_map(grad_hw, h, w), components={"valid_pixels": n})
 
 

@@ -69,13 +69,6 @@ class RigidTransform:
         rot = self.rotation.T
         return RigidTransform(rot, -(rot @ self.translation))
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """Transform equal to applying ``other`` first, then ``self``."""
-        return RigidTransform(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 @dataclass
 class CameraModel:
@@ -312,13 +305,3 @@ def bev_to_world(grid: BevGrid, rowcol) -> np.ndarray:
     y = (rc[:, 0] + 0.5) / grid.h_bev * (grid.y_max - grid.y_min) + grid.y_min
     out = np.stack([x, y], axis=1)
     return out[0] if single else out
-
-
-def box_bev_corners(box: Box3D) -> np.ndarray:
-    """World (x, y) corners of the box footprint, order (+l+w, +l-w, -l-w, -l+w)."""
-    half_l, half_w = box.size[0] / 2.0, box.size[1] / 2.0
-    local = np.array(
-        [[half_l, half_w], [half_l, -half_w], [-half_l, -half_w], [-half_l, half_w]]
-    )
-    rot = rot_z(box.yaw)[:2, :2]
-    return local @ rot.T + box.center[:2]

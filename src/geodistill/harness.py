@@ -1,6 +1,6 @@
-"""Configuration, loss composition, gradient checking, and a toy
-first-order training loop that drives every loss end to end on a
-synthetic scene.
+"""Configuration, the scene problem that composes the training
+objective, gradient checking, and a toy first-order training loop that
+drives every loss end to end on a synthetic scene.
 
 The trainable parameters are the per-view depth logits at valid pixels
 and the student BEV feature map.  Reports are JSON with a declared
@@ -39,20 +39,21 @@ from .depth_supervision import (
     LOSS_REDUCTIONS,
     CategoricalDepthMap,
     DepthBins,
+    PackedView,
     ReferenceSelection,
     absolute_depth_loss,
+    assign_depth_bins,
     bce_rows,
     expected_depths,
     inner_depth_loss,
     logit_rows,
     pack_view,
-    pixel_rows,
     relative_depth_rows,
     relative_residual,
     rows_to_map,
     select_reference,
 )
-from .errors import ConfigError, ContractError, NumericError, ShapeError
+from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LossResult,
@@ -263,6 +264,8 @@ def _scene_from_dict(d: Dict) -> SceneConfig:
     for f in fields:
         if f.type == "int" and f.name in d:
             _require(f"scene.{f.name}", d[f.name], "an integer", kind=numbers.Integral)
+        elif f.type == "float" and f.name in d:
+            _require(f"scene.{f.name}", d[f.name], "a finite number")
     kw = dict(d)
     if "grid" in kw:
         g = _require_list(
@@ -445,168 +448,191 @@ def write_report(path: str, report: RunReport) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Loss composition
+# The scene problem: the one training objective
+# ---------------------------------------------------------------------------
+
+TERMS = ("absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")  # in report order
+
+
+@dataclass
+class SceneProblem:
+    """The weighted objective of one scene over a flat parameter vector
+    (each view's valid-pixel logit rows, then the student BEV map; a
+    gradient has the same layout).  ``build`` packs the views and the BEV
+    teacher side once; only ``evaluate`` composes the objective."""
+
+    cfg: HarnessConfig
+    scene: SyntheticScene
+    views: List[ViewGroundTruth]
+    packed: List[PackedView]
+    plan: DistillPlan
+    ends: np.ndarray  # end offset of each view's rows, then of the BEV map
+    # The last evaluation's BEV results, held until the next call: freed at
+    # once, their maps let glibc hand heap pages back to the OS that the next
+    # step faults in again, and a bev-heavy step runs about 20 % slower.
+    last_bev: Any = field(default=None, repr=False)
+
+    @classmethod
+    def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
+        packed = [pack_view(v.depth, v.valid, cfg.bins, v.targets) for v in views]
+        plan = build_distill_plan(
+            scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization
+        )
+        sizes = [p.rows.size * cfg.bins.count for p in packed] + [scene.teacher_bev.data.size]
+        return cls(cfg, scene, views, packed, plan, np.cumsum(sizes))
+
+    def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
+        """Each view's (N, D) logit rows and the (C, H, W) BEV map, as
+        views into a parameter or gradient vector."""
+        parts = np.split(vec, self.ends[:-1])
+        rows = [part.reshape(-1, self.cfg.bins.count) for part in parts[:-1]]
+        return rows, parts[-1].reshape(self.scene.teacher_bev.data.shape)
+
+    def evaluate(self, params: np.ndarray, grad: Optional[np.ndarray] = None) -> LossResult:
+        """Total loss at ``params`` with its components (``TERMS`` and
+        "external_det", a constant without gradient).
+
+        With ``grad``, the weighted gradient is written into it and a term
+        of weight 0 is skipped and reads 0.0 (the BEV terms only both
+        together).  Without, every term is evaluated and no gradient is
+        formed.  View values are summed in camera order."""
+        cfg, w, scene = self.cfg, self.cfg.weights, self.scene
+        value_only = grad is None
+        logits, student = self.split(params)
+        logit_grads, student_grad = ([None] * len(logits), None) if value_only else self.split(grad)
+        if not value_only:
+            grad.fill(0.0)
+        a_views, r_views = [], []
+        for view, rows, rows_grad in zip(self.packed, logits, logit_grads):
+            n = view.rows.size
+            if not n:
+                continue
+            probs = softmax_rows(rows)
+            if value_only or w.w_a > 0:
+                a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n) / n)
+            if value_only or w.w_r > 0:
+                r_views.append(relative_depth_rows(
+                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
+                ))
+        ic_val = ik_val = 0.0
+        if value_only or w.w_ic > 0 or w.w_ik > 0:
+            ic, ik = bev_distill_terms(
+                BevFeatureMap(data=student, grid=scene.grid), scene.teacher_bev, scene.boxes,
+                cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization, cfg.loss_reduction,
+                plan=self.plan, with_grad=not value_only,
+            )
+            ic_val, ik_val = ic.value, ik.value
+            self.last_bev = (ic, ik)
+            if not value_only:
+                student_grad[...] = w.w_ic * ic.grad + w.w_ik * ik.grad
+        det = float(cfg.external_det_loss)
+        values = (sum(a_views, 0.0), sum(r_views, 0.0), ic_val, ik_val)
+        total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
+        empty = not scene.boxes and not any(p.rows.size for p in self.packed)
+        return LossResult(total, None, empty=empty, components=dict(zip(TERMS, values), external_det=det))
+
+
+def student_problem(
+    cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool = False
+) -> Tuple[SceneProblem, np.ndarray]:
+    """The scene problem and the flat parameters of a starting student.
+    The identity student sits exactly at the optimum: saturated one-hot
+    logits at each valid pixel's gt bin, each foreground set's gt depth
+    replaced by the continuous depth of those logits (bitwise, so
+    relative residuals vanish exactly), and the teacher's BEV map.  The
+    random student is small noise seeded from the scene seed; each
+    valid-pixel logit is its entry of the full (D, H, W) normal draw."""
+    d = cfg.bins.count
+    if identity:
+        # continuous depth of the saturated one-hot logits of each bin
+        at_bin = expected_depths(softmax_rows(SATURATION_LOGIT * np.eye(d)), cfg.bins.centers)
+        views = [_identity_view(v, at_bin, cfg.bins) for v in views]
+    problem = SceneProblem.build(cfg, scene, views)
+    params = np.zeros(problem.ends[-1])
+    logits, bev = problem.split(params)
+    if identity:
+        for rows, view in zip(logits, problem.packed):
+            rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
+        bev[...] = scene.teacher_bev.data
+        return problem, params
+    root = CounterRng(cfg.scene.seed).substream("student-init")
+    for rows, view, packed in zip(logits, views, problem.packed):
+        h, w = view.depth.shape
+        # flat (D, H, W) position of bin k at pixel row r is k * H * W + r
+        index = packed.rows[:, None] + h * w * np.arange(d)
+        noise = root.substream(f"logits-{view.cam_index}").normal_at((d, h, w), index)
+        rows[...] = cfg.optimizer.init_logit_scale * noise
+    bev[...] = cfg.optimizer.init_bev_scale * root.substream("bev").normal(bev.shape)
+    return problem, params
+
+
+def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -> ViewGroundTruth:
+    """``view`` with each usable target's gt depth set to ``at_bin`` of its pixels' gt bins."""
+    def at_optimum(fds: ForegroundDepthSet) -> ForegroundDepthSet:
+        gt_bins = assign_depth_bins(view.depth[fds.pixels[:, 1], fds.pixels[:, 0]], bins)
+        return dataclasses.replace(fds, gt_depth=at_bin[gt_bins])
+
+    return dataclasses.replace(view, targets=[fds if fds.skipped else at_optimum(fds) for fds in view.targets])
+
+
+# ---------------------------------------------------------------------------
+# The dense (D, H, W) API over the scene problem
 # ---------------------------------------------------------------------------
 
 
-def _weighted_grad(g1, w1, g2, w2):
-    if isinstance(g1, list) != isinstance(g2, list):
-        raise ShapeError("component gradients have different structure")
-    if isinstance(g1, list):
-        if len(g1) != len(g2):
-            raise ShapeError("component gradient lists differ in length")
-        return [w1 * a + w2 * b for a, b in zip(g1, g2)]
-    if g1.shape != g2.shape:
-        raise ShapeError(f"component gradient shapes differ: {g1.shape} vs {g2.shape}")
-    return w1 * g1 + w2 * g2
+def _dense_rows(rows: np.ndarray, packed: PackedView, view: ViewGroundTruth) -> np.ndarray:
+    """(D, H, W) map holding packed rows at their pixels and 0 elsewhere."""
+    h, w = view.depth.shape
+    out = np.zeros((h * w, rows.shape[1]))
+    out[packed.rows] = rows
+    return rows_to_map(out, h, w)
 
 
-def total_loss(
-    absolute: LossResult,
-    inner: LossResult,
-    channel: LossResult,
-    keypoint: LossResult,
-    det: float = 0.0,
-    weights: Optional[LossWeights] = None,
-) -> LossResult:
-    """Weighted sum of the four differentiated terms plus the externally
-    supplied detection scalar, which carries no gradient.
-
-    The gradient is a dict: "depth_logits" combines the two depth
-    losses, "bev_features" the two distillation losses.
-    """
-    w = weights if weights is not None else LossWeights()
-    value = (
-        float(det)
-        + w.w_a * absolute.value
-        + w.w_r * inner.value
-        + w.w_ic * channel.value
-        + w.w_ik * keypoint.value
-    )
-    grad = {
-        "depth_logits": _weighted_grad(absolute.grad, w.w_a, inner.grad, w.w_r),
-        "bev_features": _weighted_grad(channel.grad, w.w_ic, keypoint.grad, w.w_ik),
-    }
-    components = {
-        "absolute_depth": absolute.value,
-        "inner_depth": inner.value,
-        "inter_channel": channel.value,
-        "inter_keypoint": keypoint.value,
-        "external_det": float(det),
-    }
-    empty = absolute.empty and inner.empty and channel.empty and keypoint.empty
-    return LossResult(value, grad, empty=empty, components=components)
-
-
-# ---------------------------------------------------------------------------
-# Student inputs and full-scene evaluation
-# ---------------------------------------------------------------------------
+def _dense_student(problem: SceneProblem, params: np.ndarray):
+    logits, bev = problem.split(params)
+    maps = [CategoricalDepthMap(_dense_rows(*args)) for args in zip(logits, problem.packed, problem.views)]
+    return maps, problem.views, BevFeatureMap(data=bev, grid=problem.scene.grid)
 
 
 def identity_student_inputs(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
-    """Student inputs that sit exactly at the optimum.
-
-    Valid pixels carry saturated one-hot logits at the ground-truth bin,
-    every foreground set's gt depth is replaced by the continuous depth
-    those logits produce (bitwise, so relative-depth residuals vanish
-    exactly), and the student BEV map is a copy of the teacher's.
-    """
-    bins = cfg.bins
-    d = bins.count
-    maps: List[CategoricalDepthMap] = []
-    new_views: List[ViewGroundTruth] = []
-    for view in views:
-        h, w = view.depth.shape
-        logits_hw = np.zeros((h * w, d))
-        packed = pack_view(view.depth, view.valid, bins)
-        logits_hw[packed.rows, packed.gt_bins] = SATURATION_LOGIT
-        new_targets = [
-            fds
-            if fds.skipped
-            else dataclasses.replace(
-                fds,
-                gt_depth=expected_depths(softmax_rows(logits_hw[pixel_rows(fds, w)]), bins.centers),
-            )
-            for fds in view.targets
-        ]
-        maps.append(CategoricalDepthMap(rows_to_map(logits_hw, h, w)))
-        new_views.append(dataclasses.replace(view, targets=new_targets))
-    student = BevFeatureMap(data=scene.teacher_bev.data.copy(), grid=scene.grid)
-    return maps, new_views, student
+    """Dense maps, views with their replaced gt depths, and student BEV
+    map of the identity student of ``student_problem``."""
+    return _dense_student(*student_problem(cfg, scene, views, identity=True))
 
 
 def random_student_inputs(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
-    """Small-noise student inputs, seeded from the scene seed.
-
-    Only the logits at valid pixels are drawn: each equals its entry of
-    the full (D, H, W) normal draw bit for bit, and every other logit is
-    0, since no loss reads it.
-    """
-    root = CounterRng(cfg.scene.seed).substream("student-init")
-    d = cfg.bins.count
-    maps = []
-    for view in views:
-        h, w = view.depth.shape
-        rows = np.flatnonzero(view.valid)
-        logits_hw = np.zeros((h * w, d))
-        # flat (D, H, W) position of bin k at pixel row r is k * H * W + r
-        index = rows[:, None] + h * w * np.arange(d)
-        noise = root.substream(f"logits-{view.cam_index}").normal_at((d, h, w), index)
-        logits_hw[rows] = cfg.optimizer.init_logit_scale * noise
-        maps.append(CategoricalDepthMap(rows_to_map(logits_hw, h, w)))
-    bev = cfg.optimizer.init_bev_scale * root.substream("bev").normal(scene.teacher_bev.data.shape)
-    return maps, views, BevFeatureMap(data=bev, grid=scene.grid)
+    """Dense maps, views and student BEV map of the random student of
+    ``student_problem``; logits outside the valid pixels are 0."""
+    return _dense_student(*student_problem(cfg, scene, views))
 
 
 def evaluate_scene_losses(
-    cfg: HarnessConfig,
-    scene: SyntheticScene,
-    views: List[ViewGroundTruth],
-    depth_maps: List[CategoricalDepthMap],
-    student_bev: BevFeatureMap,
+    cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth],
+    depth_maps: List[CategoricalDepthMap], student_bev: BevFeatureMap,
 ) -> LossResult:
-    """All four losses over every view plus the BEV terms, composed via
-    total_loss.  Depth terms are evaluated per view (in parallel when
-    TIG_THREADS allows) and summed in camera order."""
-    bins = cfg.bins
-
-    def _view_losses(pair):
-        view, dm = pair
-        a = absolute_depth_loss(dm, view.depth, view.valid, bins)
-        r = inner_depth_loss(view.targets, dm, bins, cfg.reference, cfg.loss_reduction)
-        return a, r
-
-    per_view = parallel_map(_view_losses, list(zip(views, depth_maps)))
-    a_value = sum(a.value for a, _ in per_view)
-    r_value = sum(r.value for _, r in per_view)
-    a_res = LossResult(a_value, [a.grad for a, _ in per_view], empty=all(a.empty for a, _ in per_view))
-    r_res = LossResult(r_value, [r.grad for _, r in per_view], empty=all(r.empty for _, r in per_view))
-    ic, ik = _bev_terms(cfg, scene, student_bev)
-    return total_loss(a_res, r_res, ic, ik, det=cfg.external_det_loss, weights=cfg.weights)
-
-
-def _bev_terms(
-    cfg: HarnessConfig,
-    scene: SyntheticScene,
-    student: BevFeatureMap,
-    plan: Optional[DistillPlan] = None,
-):
-    """Inter-channel and inter-keypoint results of one student map;
-    ``plan`` is the scene's teacher side when the caller keeps one."""
-    return bev_distill_terms(
-        student,
-        scene.teacher_bev,
-        scene.boxes,
-        g=cfg.keypoint_g,
-        enlarge=cfg.enlarge,
-        normalization=cfg.gram_normalization,
-        loss_reduction=cfg.loss_reduction,
-        plan=plan,
+    """The scene problem of ``views`` at dense student inputs, with the
+    gradient as one (D, H, W) map per view ("depth_logits") and a (C, H, W)
+    map ("bev_features"); as in train-toy, a term of weight 0 reads 0.0."""
+    problem = SceneProblem.build(cfg, scene, views)
+    shapes = [(cfg.bins.count,) + v.depth.shape for v in views] + [scene.teacher_bev.data.shape]
+    if [dm.logits.shape for dm in depth_maps] + [student_bev.data.shape] != shapes:
+        raise ContractError("student inputs disagree with the views, the bins or the teacher map")
+    params = np.concatenate(
+        [logit_rows(dm.logits)[p.rows].ravel() for dm, p in zip(depth_maps, problem.packed)]
+        + [student_bev.data.ravel()]
     )
+    grad = np.empty_like(params)
+    res = problem.evaluate(params, grad)
+    logit_grads, bev_grad = problem.split(grad)
+    res.grad = {
+        "depth_logits": [_dense_rows(*args) for args in zip(logit_grads, problem.packed, views)],
+        "bev_features": bev_grad,
+    }
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -889,75 +915,24 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     """
     t0 = time.perf_counter()
     opt = cfg.optimizer
-    w = cfg.weights
-    d, centers = cfg.bins.count, cfg.bins.centers
-    sel, reduction = cfg.reference, cfg.loss_reduction
     scene = generate_scene(cfg.scene)
-    views = render_gt_views(scene)
     teacher = scene.teacher_bev
-
-    # trainable state comes from the same constructors the one-shot
-    # evaluation uses, so step-0 losses agree with eval-losses
-    build = identity_student_inputs if identity_init else random_student_inputs
-    maps, eff_views, student_map = build(cfg, scene, views)
-    packed = [pack_view(v.depth, v.valid, cfg.bins, v.targets) for v in eff_views]
-    plan = build_distill_plan(teacher, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization)
-
-    # each view's valid-pixel logits and the student BEV map are views
-    # into one flat parameter vector; the gradient shares its layout
-    ends = np.cumsum([p.rows.size * d for p in packed] + [student_map.data.size])
-    params = np.empty(ends[-1])
+    # eval-losses builds the same problem and student, so step-0 losses agree
+    problem, params = student_problem(cfg, scene, render_gt_views(scene), identity_init)
+    _, student = problem.split(params)
     grad = np.empty_like(params)
-
-    def split(vec):
-        parts = np.split(vec, ends[:-1])
-        return [part.reshape(-1, d) for part in parts[:-1]], parts[-1].reshape(student_map.data.shape)
-
-    logits, student = split(params)
-    logit_grads, student_grad = split(grad)
-    for dst, dm, view in zip(logits, maps, packed):
-        dst[...] = logit_rows(dm.logits)[view.rows]
-    student[...] = student_map.data
     moment1 = np.zeros_like(params)
     moment2 = np.zeros_like(params)
-    series: Dict[str, List[float]] = {
-        key: [] for key in ("total", "absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")
-    }
+    series: Dict[str, List[float]] = {key: [] for key in ("total",) + TERMS}
     status = "max_steps"
     initial: Optional[float] = None
 
     for step in range(opt.max_steps):
-        grad.fill(0.0)
-        # per-view values, summed across views in camera order exactly
-        # as evaluate_scene_losses sums them
-        a_views: List[float] = []
-        r_views: List[float] = []
-        for view, view_logits, view_grad in zip(packed, logits, logit_grads):
-            n = view.rows.size
-            if not n:
-                continue
-            probs = softmax_rows(view_logits)
-            if w.w_a > 0:
-                bce_sum, bce_grad = bce_rows(probs, view.gt_bins)
-                a_views.append(bce_sum / n)
-                view_grad += (w.w_a / n) * bce_grad
-            if w.w_r > 0:
-                r_views.append(
-                    relative_depth_rows(probs, view.targets, centers, sel, reduction, view_grad, w.w_r)
-                )
-        a_val = sum(a_views, 0.0)
-        r_val = sum(r_views, 0.0)
-        if w.w_ic > 0 or w.w_ik > 0:
-            ic, ik = _bev_terms(cfg, scene, BevFeatureMap(data=student, grid=scene.grid), plan)
-            ic_val, ik_val = ic.value, ik.value
-            student_grad[...] = w.w_ic * ic.grad + w.w_ik * ik.grad
-        else:
-            ic_val = ik_val = 0.0
-
-        # the term order of total_loss
-        total = cfg.external_det_loss + w.w_a * a_val + w.w_r * r_val + w.w_ic * ic_val + w.w_ik * ik_val
-        for key, value in zip(series, (total, a_val, r_val, ic_val, ik_val)):
-            series[key].append(value)
+        res = problem.evaluate(params, grad)
+        total = res.value
+        series["total"].append(total)
+        for key in TERMS:
+            series[key].append(res.components[key])
 
         if not math.isfinite(total):
             status = "diverged"
@@ -967,7 +942,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
         if total <= (1.0 - opt.target_reduction) * initial:
             # declare convergence only once every target's keypoint Gram
             # is also within ik_rel_target of the teacher's
-            summary = _gram_distance_summary(student, plan)
+            summary = _gram_distance_summary(student, problem.plan)
             worst_ik = max((e["inter_keypoint_rel"] for e in summary), default=0.0)
             if worst_ik <= opt.ik_rel_target:
                 status = "converged"
@@ -1004,12 +979,12 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             "final_total": final,
             "loss_reduction": reduction,
             "loss_series": series,
-            "gram_distances": _gram_distance_summary(student, plan),
+            "gram_distances": _gram_distance_summary(student, problem.plan),
             "bev_feature_distance": {
                 "frobenius": map_dist,
                 "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),
             },
-            "valid_pixels_per_view": [p.rows.size for p in packed],
+            "valid_pixels_per_view": [p.rows.size for p in problem.packed],
         },
     )
     return report

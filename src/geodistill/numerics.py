@@ -31,9 +31,9 @@ class LossResult:
     """Scalar loss value plus its gradient w.r.t. the differentiated input.
 
     ``grad`` is an ndarray for single-tensor losses, a list of ndarrays
-    for per-target losses, or a dict keyed by parameter name for
-    composed losses.  ``empty`` marks degenerate calls that had nothing
-    to supervise (value 0, zero gradient).
+    for per-target losses, a dict keyed by parameter name for composed
+    losses, or None when no gradient was asked for.  ``empty`` marks
+    degenerate calls that had nothing to supervise (value 0).
     """
 
     value: float

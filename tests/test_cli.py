@@ -126,12 +126,16 @@ class TestUsageErrors:
          ("bins", {"d_max": "60"}, "bins.d_max"),
          ("bins", {"d_min": 5.0, "d_max": 2.0}, "bins: require 0 < d_min < d_max"),
          ("signed_reference_error", "no", "signed_reference_error"),
-         ("signed_reference_error", 1, "signed_reference_error")],
+         ("signed_reference_error", 1, "signed_reference_error"),
+         ("scene", {"focal": "70"}, "scene.focal"),
+         ("scene", {"focal": float("nan")}, "scene.focal"),
+         ("scene", {"teacher_amplitude": float("nan")}, "scene.teacher_amplitude"),
+         ("scene", {"z_near": True}, "scene.z_near")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
-        """Scene and bins fields of the wrong type or length, out of
-        range, or a non-boolean signed_reference_error exit 2 with one
-        error line, not a traceback or exit 1."""
+        """Scene and bins fields of the wrong type or length, non-finite,
+        out of range, or a non-boolean signed_reference_error exit 2 with
+        one error line, not a traceback or exit 1."""
         if isinstance(value, dict):
             value = dict(SMALL.get(key, {}), **value)
         path = tmp_path / "config.json"
@@ -149,15 +153,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: bins.count must be an integer, got None\n"
 
-    def test_non_finite_value_in_a_loss_is_one_line_error(self, tmp_path, capsys):
-        """A NaN teacher amplitude makes the teacher map non-finite; the
-        NumericError it raises exits 1 with one line, like a contract error."""
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(SMALL, scene=dict(SMALL["scene"], teacher_amplitude=float("nan")))))
-        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+    def test_non_finite_value_in_a_loss_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
+        """A NaN that enters after the config is read, here in the teacher
+        map the identity student copies, raises a NumericError in the
+        loss; it exits 1 with one line, like a contract error."""
+        def nan_teacher(scene_cfg):
+            scene = generate_scene(scene_cfg)
+            scene.teacher_bev.data[0, 0, 0] = np.nan
+            return scene
+
+        monkeypatch.setattr("geodistill.cli.generate_scene", nan_teacher)
+        argv = ["eval-losses", "--config", small_cfg, "--student", "identity"]
+        code = main(argv + ["--out", str(tmp_path / "out")])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
 
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
         """``python -m geodistill`` runs the CLI; keypoint_g 2.5 is a

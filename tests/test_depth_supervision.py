@@ -19,8 +19,6 @@ from geodistill import (
     SkippedTargetError,
     absolute_depth_loss,
     assign_depth_bins,
-    continuous_depth,
-    continuous_depth_map,
     finite_difference_gradient,
     inner_depth_loss,
     relative_depths,
@@ -30,6 +28,7 @@ from geodistill.depth_supervision import (
     LOSS_REDUCTIONS,
     REFERENCE_STRATEGIES,
     bce_rows,
+    expected_depths,
     logit_rows,
     pack_view,
     relative_depth_rows,
@@ -103,30 +102,25 @@ class TestDepthBins:
 class TestContinuousDepth:
     def test_one_hot_returns_center(self):
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
-        assert continuous_depth([0.0, 1.0, 0.0], bins) == bins.centers[1]
+        assert expected_depths(np.array([0.0, 1.0, 0.0]), bins.centers) == bins.centers[1]
 
     def test_hand_weighted_sum(self):
         """centers [1,2,3] with probs [0.2,0.5,0.3] give 2.1."""
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
         assert np.allclose(bins.centers, [1.0, 2.0, 3.0])
-        assert continuous_depth([0.2, 0.5, 0.3], bins) == pytest.approx(2.1, abs=1e-15)
+        assert expected_depths(np.array([0.2, 0.5, 0.3]), bins.centers) == pytest.approx(2.1, abs=1e-15)
 
     def test_uniform_probs_hit_center_mean(self):
         bins = DepthBins(count=5, d_min=0.0 + 1e-9, d_max=10.0)
-        val = continuous_depth(np.full(5, 0.2), bins)
+        val = expected_depths(np.full(5, 0.2), bins.centers)
         assert val == pytest.approx(float(np.mean(bins.centers)), abs=1e-12)
 
-    def test_rejects_non_distribution(self):
-        bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
-        with pytest.raises(ContractError):
-            continuous_depth([0.5, 0.2, 0.2], bins)
-
     def test_map_matches_scalar(self):
-        """The dense map equals per-pixel scalar evaluation."""
+        """Expected depths of softmax logit rows equal per-pixel scalar
+        evaluation."""
         bins = DepthBins(count=4, d_min=1.0, d_max=9.0)
         logits = CounterRng(3).normal((4, 2, 3), sigma=2.0)
-        dm = CategoricalDepthMap(logits)
-        dmap = continuous_depth_map(dm, bins)
+        dmap = expected_depths(softmax_rows(logit_rows(logits)), bins.centers).reshape(2, 3)
         for r in range(2):
             for c in range(3):
                 probs = softmax_scalar(list(logits[:, r, c]))
@@ -500,7 +494,7 @@ class TestPackedEngine:
     def test_dense_wrappers_equal_scattered_engine(self, scene, strategy, reduction, signed):
         """Both dense losses equal the packed engine run once over the
         view's valid rows and scattered back, values and gradients bit
-        for bit."""
+        for bit; the engine's value-only calls give the same values."""
         logits, valid, gt, targets = scene
         d, h, w = logits.shape
         bins = DepthBins(count=d, d_min=0.5, d_max=12.0)
@@ -512,9 +506,12 @@ class TestPackedEngine:
         view = pack_view(gt, valid, bins, targets)
         n = view.rows.size
         probs = softmax_rows(logit_rows(logits)[view.rows])
-        bce_sum, bce_grad = bce_rows(probs, view.gt_bins)
+        bce_grad = np.zeros_like(probs)
+        bce_sum = bce_rows(probs, view.gt_bins, bce_grad)
+        assert bce_rows(probs, view.gt_bins) == bce_sum
         grad_rows = np.zeros_like(probs)
         inner = relative_depth_rows(probs, view.targets, bins.centers, sel, reduction, grad_rows)
+        assert relative_depth_rows(probs, view.targets, bins.centers, sel, reduction) == inner
         a_grad = np.zeros((h * w, d))
         r_grad = np.zeros((h * w, d))
         if n:

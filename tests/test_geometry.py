@@ -14,7 +14,6 @@ from geodistill import (
     ForegroundDepthSet,
     RigidTransform,
     bev_to_world,
-    box_bev_corners,
     build_gt_depth_map,
     enlarge_box_bev,
     foreground_pixel_sets,
@@ -69,12 +68,6 @@ class TestRigidTransform:
             pts = sub.normal((12, 3), sigma=4.0)
             back = t.inverse().apply(t.apply(pts))
             assert np.allclose(back, pts, rtol=0, atol=1e-12)
-
-    def test_compose_matches_sequential(self):
-        a = RigidTransform(rotation=rot_z(0.3), translation=np.array([1.0, 2.0, 3.0]))
-        b = RigidTransform(rotation=rot_z(-1.1), translation=np.array([0.5, 0.0, -2.0]))
-        pts = CounterRng(2).normal((6, 3))
-        assert np.allclose(b.compose(a).apply(pts), b.apply(a.apply(pts)), rtol=0, atol=1e-12)
 
 
 class TestNormalizeYaw:
@@ -332,5 +325,8 @@ class TestBevGridMapping:
                 yaw=2 * math.pi * draw[4] - math.pi,
             )
             big = enlarge_box_bev(box, 1.0 + draw[5])
-            corners = np.column_stack([box_bev_corners(box), np.full(4, box.center[2])])
+            half = box.size[:2] / 2.0
+            local = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, -1.0], [-1.0, 1.0]]) * half
+            footprint = local @ rot_z(box.yaw)[:2, :2].T + box.center[:2]
+            corners = np.column_stack([footprint, np.full(4, box.center[2])])
             assert points_in_box(big, corners).all()

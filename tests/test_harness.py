@@ -1,6 +1,7 @@
 """Config plumbing, loss composition, run reports, threading, gradcheck,
 and the toy trainer."""
 
+import dataclasses
 import json
 import math
 
@@ -8,15 +9,16 @@ import numpy as np
 import pytest
 
 from geodistill import (
+    BevFeatureMap,
     BevGrid,
+    CategoricalDepthMap,
     ConfigError,
+    ContractError,
     HarnessConfig,
-    LossResult,
     LossWeights,
     OptimizerConfig,
     RunReport,
     SceneConfig,
-    ShapeError,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -31,10 +33,10 @@ from geodistill import (
     run_gradcheck,
     run_train_toy,
     thread_count,
-    total_loss,
     write_report,
 )
 from geodistill.depth_supervision import DepthBins
+from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.rng import CounterRng
 
 # 12 boxes, g = 10, 32 channels on two small cameras with 16 bins
@@ -149,60 +151,105 @@ class TestConfigDicts:
 
 
 class TestTotalLoss:
+    """The total loss as SceneProblem.evaluate composes it."""
+
     @staticmethod
-    def parts():
-        absolute = LossResult(1.0, np.ones((2, 2)))
-        inner = LossResult(2.0, 2.0 * np.ones((2, 2)))
-        channel = LossResult(3.0, np.full(3, 3.0))
-        keypoint = LossResult(4.0, np.full(3, 4.0))
-        return absolute, inner, channel, keypoint
+    def problem(cfg):
+        scene = generate_scene(cfg.scene)
+        return student_problem(cfg, scene, render_gt_views(scene))
+
+    def check_total(self, weights, det):
+        """total == det + sum of w_i * component_i in term order, with
+        and without a gradient."""
+        cfg = small_harness_config()
+        cfg.weights = weights
+        cfg.external_det_loss = det
+        problem, params = self.problem(cfg)
+        for grad in (None, np.empty_like(params)):
+            res = problem.evaluate(params, grad)
+            c = res.components
+            assert c["external_det"] == det and all(c[key] > 0.0 for key in TERMS)
+            want = det
+            for key, w in zip(TERMS, (weights.w_a, weights.w_r, weights.w_ic, weights.w_ik)):
+                want += w * c[key]
+            assert res.value == want
 
     def test_unit_weights_hand_value(self):
-        """Components 1 + 2 + 3 + 4 plus det 5 add to 15."""
-        res = total_loss(*self.parts(), det=5.0)
-        assert res.value == 15.0
-        assert res.components["external_det"] == 5.0
-        assert np.array_equal(res.grad["depth_logits"], 3.0 * np.ones((2, 2)))
-        assert np.array_equal(res.grad["bev_features"], np.full(3, 7.0))
+        self.check_total(LossWeights(), 5.0)
 
     def test_weights_scale_linearly(self):
-        w = LossWeights(w_a=2.0, w_r=0.5, w_ic=1.0, w_ik=0.0)
-        res = total_loss(*self.parts(), det=5.0, weights=w)
-        assert res.value == pytest.approx(5.0 + 2.0 + 1.0 + 3.0 + 0.0, abs=1e-12)
-        a, r, c, k = self.parts()
-        want_depth = w.w_a * a.grad + w.w_r * r.grad
-        want_bev = w.w_ic * c.grad + w.w_ik * k.grad
-        assert np.allclose(res.grad["depth_logits"], want_depth, rtol=0, atol=1e-12)
-        assert np.allclose(res.grad["bev_features"], want_bev, rtol=0, atol=1e-12)
+        self.check_total(LossWeights(w_a=2.0, w_r=0.5, w_ic=3.0, w_ik=0.25), 1.5)
 
     def test_per_view_gradient_lists(self):
-        absolute = LossResult(1.0, [np.ones(3), np.ones(2)])
-        inner = LossResult(2.0, [np.zeros(3), np.full(2, 2.0)])
-        channel = LossResult(0.0, np.zeros(4), empty=True)
-        keypoint = LossResult(0.0, np.zeros(4), empty=True)
-        res = total_loss(absolute, inner, channel, keypoint)
-        assert isinstance(res.grad["depth_logits"], list)
-        assert np.array_equal(res.grad["depth_logits"][1], np.full(2, 3.0))
+        """evaluate_scene_losses gives one dense (D, H, W) gradient per view:
+        the problem's packed rows at the valid pixels, 0 elsewhere."""
+        cfg = small_harness_config()
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, eff_views, student = random_student_inputs(cfg, scene, views)
+        res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
+        problem, params = student_problem(cfg, scene, views)
+        grad = np.empty_like(params)
+        problem.evaluate(params, grad)
+        logit_grads, bev_grad = problem.split(grad)
+        assert isinstance(res.grad["depth_logits"], list) and len(res.grad["depth_logits"]) == len(views)
+        for dense, rows, view in zip(res.grad["depth_logits"], logit_grads, views):
+            assert dense.shape == (cfg.bins.count,) + view.depth.shape
+            assert np.any(rows) and np.array_equal(dense[:, view.valid].T, rows)
+            assert np.all(dense[:, ~view.valid] == 0.0)
+        assert np.array_equal(res.grad["bev_features"], bev_grad)
 
-    def test_mismatched_gradients_rejected(self):
-        absolute = LossResult(1.0, np.ones(3))
-        inner = LossResult(2.0, np.ones(4))
-        zero = LossResult(0.0, np.zeros(2))
-        with pytest.raises(ShapeError):
-            total_loss(absolute, inner, zero, zero)
-        with pytest.raises(ShapeError):
-            total_loss(LossResult(1.0, [np.ones(3)]), LossResult(1.0, np.ones(3)), zero, zero)
+    def test_mismatched_student_inputs_rejected(self):
+        cfg = small_harness_config()
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, _, student = random_student_inputs(cfg, scene, views)
+        for bad_maps, bad_student in (
+            (maps[:-1], student),
+            ([CategoricalDepthMap(m.logits[:-1]) for m in maps], student),
+            (maps, BevFeatureMap(data=student.data[:-1], grid=student.grid)),
+        ):
+            with pytest.raises(ContractError):
+                evaluate_scene_losses(cfg, scene, views, bad_maps, bad_student)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
             LossWeights(w_a=-0.1)
 
     def test_empty_only_when_all_terms_empty(self):
-        zero = lambda: LossResult(0.0, np.zeros(2), empty=True)  # noqa: E731
-        res = total_loss(zero(), zero(), zero(), zero(), det=5.0)
-        assert res.empty and res.value == 5.0
-        res = total_loss(LossResult(1.0, np.ones(2)), zero(), zero(), zero())
-        assert not res.empty
+        """No valid pixel in any view and no box: every term is empty and
+        the total is the external scalar; one box or one view with valid
+        pixels makes the problem non-empty."""
+        cfg = small_harness_config()
+        cfg.external_det_loss = 5.0
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        blind = [dataclasses.replace(v, valid=np.zeros_like(v.valid), targets=[]) for v in views]
+        no_boxes = dataclasses.replace(scene, boxes=[])
+        for scn, vws, empty in (
+            (no_boxes, blind, True), (scene, blind, False), (no_boxes, [views[0]] + blind[1:], False)
+        ):
+            problem = SceneProblem.build(cfg, scn, vws)
+            for grad in (None, np.zeros(problem.ends[-1])):
+                res = problem.evaluate(np.zeros(problem.ends[-1]), grad)
+                assert res.empty == empty
+                if empty:
+                    assert res.value == 5.0 and all(res.components[key] == 0.0 for key in TERMS)
+
+    @pytest.mark.parametrize("seed", [5, 7])
+    def test_value_only_call_equals_gradient_call(self, seed):
+        """With every weight non-zero, eval-losses' call without a gradient
+        and the trainer's call with one give the same bits."""
+        cfg = small_harness_config()
+        cfg.scene.seed = seed
+        cfg.weights = LossWeights(w_a=0.5, w_r=2.0, w_ic=1.5, w_ik=3.0)
+        problem, params = self.problem(cfg)
+        grad = np.empty_like(params)
+        plain, with_grad = problem.evaluate(params), problem.evaluate(params, grad)
+        assert plain.grad is None and np.any(grad)
+        assert (plain.value, plain.components, plain.empty) == (
+            with_grad.value, with_grad.components, with_grad.empty
+        )
 
 
 class TestRunReport:
@@ -359,32 +406,37 @@ class TestRunTrainToy:
         assert series["inter_keypoint"] == [0.0]
         assert report.data["bev_feature_distance"]["frobenius"] == 0.0
 
-    def test_step_zero_matches_one_shot_evaluation(self):
-        """The trainer's first recorded total equals evaluate_scene_losses
-        on the same freshly built student, bit for bit."""
-        cfg = small_harness_config(max_steps=1)
-        report = run_train_toy(cfg)
+    @staticmethod
+    def assert_step_zero_matches_evaluation(cfg):
+        """The trainer's step-0 series entries equal, bit for bit, every
+        component of evaluate_scene_losses and of eval-losses' value-only
+        call on the same freshly built student."""
+        cfg.optimizer = OptimizerConfig(max_steps=1)
+        series = run_train_toy(cfg).data["loss_series"]
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         maps, eff_views, student = random_student_inputs(cfg, scene, views)
-        res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
-        assert report.data["loss_series"]["total"][0] == res.value
+        dense = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
+        problem, params = student_problem(cfg, scene, views)
+        plain = problem.evaluate(params)
+        for res in (dense, plain):
+            assert series["total"] == [res.value]
+            for key in TERMS:
+                assert series[key] == [res.components[key]]
 
-    @pytest.mark.parametrize("seed", [1, 42])
+    def test_step_zero_matches_one_shot_evaluation(self):
+        self.assert_step_zero_matches_evaluation(small_harness_config())
+        self.assert_step_zero_matches_evaluation(default_config())
+
+    @pytest.mark.parametrize("seed", [1, 3, 42])
     def test_step_zero_matches_evaluation_with_overlapping_targets(self, seed):
         """Twelve boxes on two cameras give overlapping targets in several
-        views; the trainer's first total still equals evaluate_scene_losses
-        bit for bit, because both sum per-view values in the same order.
+        views; step 0 still equals the one-shot evaluations in every
+        component, since all of them sum per-view values in camera order.
         At seed 1 any other order differs in the last bit."""
-        cfg = config_from_dict(dict(BEV_HEAVY, optimizer={"max_steps": 1}))
+        cfg = config_from_dict(BEV_HEAVY)
         cfg.scene.seed = seed
-        report = run_train_toy(cfg)
-        scene = generate_scene(cfg.scene)
-        views = render_gt_views(scene)
-        maps, eff_views, student = random_student_inputs(cfg, scene, views)
-        res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
-        assert report.data["loss_series"]["total"][0] == res.value
-        assert report.data["loss_series"]["inner_depth"][0] == res.components["inner_depth"]
+        self.assert_step_zero_matches_evaluation(cfg)
 
     def test_zero_teacher_report_is_strict_json(self, tmp_path):
         """A teacher map of exact zeros makes every distance relative to
