@@ -12,6 +12,7 @@ configuration or usage.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import time
@@ -201,9 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be non-negative")
-            cfg.scene.seed = args.seed
+            cfg.scene = dataclasses.replace(cfg.scene, seed=args.seed)
         os.makedirs(args.out, exist_ok=True)
         if args.command == "gen-scene":
             return _cmd_gen_scene(args, cfg)

@@ -128,6 +128,14 @@ def rows_to_map(rows: np.ndarray, h: int, w: int) -> np.ndarray:
     return np.moveaxis(rows.reshape(h, w, -1), -1, 0)
 
 
+def packed_to_map(rows: np.ndarray, at: np.ndarray, h: int, w: int) -> np.ndarray:
+    """(D, H, W) map holding (N, D) ``rows`` at flat pixel indices ``at``
+    and 0 elsewhere."""
+    out = np.zeros((h * w, rows.shape[1]))
+    out[at] = rows
+    return rows_to_map(out, h, w)
+
+
 def pixel_rows(fds: ForegroundDepthSet, width: int) -> np.ndarray:
     """Flat row index y * W + x of every pixel of a foreground set."""
     return fds.pixels[:, 1] * width + fds.pixels[:, 0]
@@ -138,19 +146,20 @@ def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum(probs * centers, axis=-1)
 
 
-def select_reference(
+def reference_scores(
     fds: ForegroundDepthSet,
     pred_depth,
     sel: ReferenceSelection,
     conf=None,
-) -> int:
-    """Pick the reference pixel of one target; returns its index into
-    ``fds.pixels``.
+) -> np.ndarray:
+    """Score of every pixel of one target as its reference; lower is
+    better.
 
     ``pred_depth`` holds the predicted continuous depth per set pixel,
     ``conf`` the per-pixel peak bin probability (only needed by the
-    highest-confidence strategy).  Ties resolve to the first pixel in
-    row-major order, which is the storage order of the set.
+    highest-confidence strategy).  The score is the depth error
+    ``gt - pred`` (its magnitude unless ``signed_reference_error``), the
+    negated confidence, or the squared distance to the target's center.
     """
     if fds.skipped:
         raise SkippedTargetError(f"target {fds.target_index} has fewer than 2 pixels")
@@ -162,32 +171,36 @@ def select_reference(
 
     if sel.strategy == "all_to_adaptive_smallest_error":
         err = fds.gt_depth - pred_depth
-        if not sel.signed_reference_error:
-            err = np.abs(err)
-        return int(np.argmin(err))
+        return err if sel.signed_reference_error else np.abs(err)
     if sel.strategy == "all_to_adaptive_highest_conf":
         if conf is None:
             raise ValueError("highest-confidence selection needs per-pixel conf")
         conf = as_tensor(conf).reshape(-1)
         if conf.shape[0] != len(fds):
             raise ContractError("conf length must match the pixel set")
-        return int(np.argmax(conf))
-    if sel.strategy == "all_to_certain_3d_center":
-        if fds.center_uv is not None:
-            # pixel (x, y) covers [x, x+1) x [y, y+1); measure from its center
-            cx, cy = fds.center_uv[0] - 0.5, fds.center_uv[1] - 0.5
-        else:
-            cx, cy = np.mean(fds.pixels[:, 0]), np.mean(fds.pixels[:, 1])
-        return _nearest_pixel(fds.pixels, cx, cy)
-    # all_to_certain_2d_center
-    cx, cy = np.mean(fds.pixels[:, 0]), np.mean(fds.pixels[:, 1])
-    return _nearest_pixel(fds.pixels, cx, cy)
+        return -conf
+    if sel.strategy == "all_to_certain_3d_center" and fds.center_uv is not None:
+        # pixel (x, y) covers [x, x+1) x [y, y+1); measure from its center
+        cx, cy = fds.center_uv[0] - 0.5, fds.center_uv[1] - 0.5
+    else:  # the 2d center, and the 3d one of a target without a projected center
+        cx, cy = fds.pixels[:, 0].mean(), fds.pixels[:, 1].mean()
+    dx = fds.pixels[:, 0] - cx
+    dy = fds.pixels[:, 1] - cy
+    return dx * dx + dy * dy
 
 
-def _nearest_pixel(pixels: np.ndarray, cx: float, cy: float) -> int:
-    dx = pixels[:, 0] - cx
-    dy = pixels[:, 1] - cy
-    return int(np.argmin(dx * dx + dy * dy))
+def select_reference(
+    fds: ForegroundDepthSet,
+    pred_depth,
+    sel: ReferenceSelection,
+    conf=None,
+) -> int:
+    """Pick the reference pixel of one target; returns its index into
+    ``fds.pixels``: the first pixel of smallest ``reference_scores``, so
+    ties resolve to the first pixel in row-major order, which is the
+    storage order of the set."""
+    # the method, not np.argmin: its dispatch costs more than a short scan
+    return int(reference_scores(fds, pred_depth, sel, conf).argmin())
 
 
 def _ref_index(fds: ForegroundDepthSet, ref: Union[int, Sequence[int]]) -> int:
@@ -370,7 +383,7 @@ def absolute_depth_loss(
     truth, averaged over valid pixels; gradient w.r.t. the logits."""
     if bins.count != depthmap.num_bins:
         raise ContractError("depth map bin count disagrees with bins")
-    d, h, w = depthmap.logits.shape
+    _, h, w = depthmap.logits.shape
     if np.shape(gt) != (h, w) or np.shape(valid) != (h, w):
         raise ContractError("gt and valid must both be (H, W)")
     view = pack_view(gt, valid, bins)
@@ -380,9 +393,8 @@ def absolute_depth_loss(
     grad_rows = np.zeros_like(probs)
     value = bce_rows(probs, view.gt_bins, grad_rows)
     n = float(view.rows.size)
-    grad_hw = np.zeros((h * w, d))
-    grad_hw[view.rows] = grad_rows / n
-    return LossResult(value / n, rows_to_map(grad_hw, h, w), components={"valid_pixels": n})
+    grad = packed_to_map(grad_rows / n, view.rows, h, w)
+    return LossResult(value / n, grad, components={"valid_pixels": n})
 
 
 def inner_depth_loss(
@@ -421,6 +433,5 @@ def inner_depth_loss(
         loss_reduction,
         grad_rows,
     )
-    grad_hw = np.zeros((h * w, d))
-    grad_hw[rows] = grad_rows
-    return LossResult(value, rows_to_map(grad_hw, h, w), components={"targets_used": float(len(used))})
+    grad = packed_to_map(grad_rows, rows, h, w)
+    return LossResult(value, grad, components={"targets_used": float(len(used))})

@@ -48,10 +48,10 @@ from .depth_supervision import (
     inner_depth_loss,
     logit_rows,
     pack_view,
+    packed_to_map,
+    reference_scores,
     relative_depth_rows,
     relative_residual,
-    rows_to_map,
-    select_reference,
 )
 from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
@@ -152,18 +152,38 @@ def _build(where: str, cls, *args, **kw):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+# the kind and its wording of a config number, by its field's annotation
+_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number")}
+
+
+def _ranged(default, what: str, ok: Callable[[Any], bool]):
+    """A numeric config field with a range: ``ok`` accepts a value and
+    ``what`` states the range after the kind in error messages."""
+    return field(default=default, metadata={"range": (what, ok)})
+
+
+def _check_fields(where: str, cls, values: Dict[str, Any]) -> None:
+    """``_require`` each entry of ``values`` that names an ``int`` or
+    ``float`` field of ``cls``: the annotation gives the kind, the
+    field's metadata its range; ``where`` prefixes the name."""
+    for f in dataclasses.fields(cls):
+        if f.name in values and f.type in _KINDS:
+            kind, noun = _KINDS[f.type]
+            what, ok = f.metadata.get("range", ("", None))
+            _require(where + f.name, values[f.name], f"{noun} {what}".rstrip(), ok, kind)
+
+
 @dataclass
 class LossWeights:
     """Non-negative weights of the four differentiated loss terms."""
 
-    w_a: float = 1.0
-    w_r: float = 1.0
-    w_ic: float = 1.0
-    w_ik: float = 1.0
+    w_a: float = _ranged(1.0, ">= 0", lambda v: v >= 0)
+    w_r: float = _ranged(1.0, ">= 0", lambda v: v >= 0)
+    w_ic: float = _ranged(1.0, ">= 0", lambda v: v >= 0)
+    w_ik: float = _ranged(1.0, ">= 0", lambda v: v >= 0)
 
     def __post_init__(self):
-        for name in ("w_a", "w_r", "w_ic", "w_ik"):
-            _require(f"weights.{name}", getattr(self, name), "a finite number >= 0", lambda v: v >= 0)
+        _check_fields("weights.", LossWeights, vars(self))
 
 
 @dataclass
@@ -175,49 +195,30 @@ class OptimizerConfig:
     differ by orders of magnitude and change as training progresses.
     """
 
-    step_size: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    max_steps: int = 2000
-    target_reduction: float = 0.99
-    ik_rel_target: float = 0.01
-    final_lr_fraction: float = 0.05
+    step_size: float = _ranged(0.1, "> 0", lambda v: v > 0)
+    beta1: float = _ranged(0.9, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+    beta2: float = _ranged(0.999, "in [0, 1)", lambda v: 0.0 <= v < 1.0)
+    eps: float = _ranged(1e-8, "> 0", lambda v: v > 0)
+    max_steps: int = _ranged(2000, ">= 1", lambda v: v >= 1)
+    target_reduction: float = _ranged(0.99, "in (0, 1)", lambda v: 0.0 < v < 1.0)
+    ik_rel_target: float = _ranged(0.01, "> 0", lambda v: v > 0)
+    final_lr_fraction: float = _ranged(0.05, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     init_logit_scale: float = 0.01
     init_bev_scale: float = 0.1
     divergence_factor: float = 1e6
 
     def __post_init__(self):
-        for name, what, ok in (
-            ("step_size", "> 0", lambda v: v > 0),
-            ("beta1", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-            ("beta2", "in [0, 1)", lambda v: 0.0 <= v < 1.0),
-            ("eps", "> 0", lambda v: v > 0),
-            ("target_reduction", "in (0, 1)", lambda v: 0.0 < v < 1.0),
-            ("ik_rel_target", "> 0", lambda v: v > 0),
-            ("final_lr_fraction", "in (0, 1]", lambda v: 0.0 < v <= 1.0),
-            ("init_logit_scale", "", None),
-            ("init_bev_scale", "", None),
-            ("divergence_factor", "", None),
-        ):
-            _require(f"optimizer.{name}", getattr(self, name), f"a finite number {what}".rstrip(), ok)
-        _require(
-            "optimizer.max_steps", self.max_steps, "an integer >= 1", lambda v: v >= 1, kind=numbers.Integral
-        )
+        _check_fields("optimizer.", OptimizerConfig, vars(self))
 
 
 @dataclass
 class GradcheckConfig:
-    instances: int = 100
-    h: float = 1e-6
-    fail_threshold: float = 1e-4
+    instances: int = _ranged(100, ">= 1", lambda v: v >= 1)
+    h: float = _ranged(1e-6, "> 0", lambda v: v > 0)
+    fail_threshold: float = _ranged(1e-4, ">= 0", lambda v: v >= 0)
 
     def __post_init__(self):
-        _require(
-            "gradcheck.instances", self.instances, "an integer >= 1", lambda v: v >= 1, kind=numbers.Integral
-        )
-        _require("gradcheck.h", self.h, "a finite number > 0", lambda v: v > 0)
-        _require("gradcheck.fail_threshold", self.fail_threshold, "a finite number >= 0", lambda v: v >= 0)
+        _check_fields("gradcheck.", GradcheckConfig, vars(self))
 
 
 @dataclass
@@ -228,8 +229,8 @@ class HarnessConfig:
     bins: DepthBins = field(default_factory=lambda: DepthBins(112))
     reference: ReferenceSelection = field(default_factory=ReferenceSelection)
     loss_reduction: str = "mean"
-    keypoint_g: int = 6
-    enlarge: float = 1.25
+    keypoint_g: int = _ranged(6, ">= 2", lambda g: g >= 2)
+    enlarge: float = _ranged(1.25, ">= 1", lambda e: e >= 1.0)
     gram_normalization: str = "none"
     weights: LossWeights = field(default_factory=LossWeights)
     external_det_loss: float = 0.0
@@ -241,13 +242,19 @@ class HarnessConfig:
             raise ConfigError(f"unknown loss reduction {self.loss_reduction!r}")
         if self.gram_normalization not in GRAM_NORMALIZATIONS:
             raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
-        _require("keypoint_g", self.keypoint_g, "an integer >= 2", lambda g: g >= 2, kind=numbers.Integral)
-        _require("enlarge", self.enlarge, "a finite number >= 1", lambda e: e >= 1.0)
-        _require("external_det_loss", self.external_det_loss, "a finite number")
+        _check_fields("", HarnessConfig, vars(self))
 
 
 def default_config() -> HarnessConfig:
     return HarnessConfig()
+
+
+# config sections that map one-to-one onto a HarnessConfig field, by key
+_SECTIONS = {"weights": LossWeights, "optimizer": OptimizerConfig, "gradcheck": GradcheckConfig}
+# top-level keys that hold a HarnessConfig field's plain value
+_PLAIN_KEYS = tuple(f.name for f in dataclasses.fields(HarnessConfig) if f.type in ("str", "int", "float"))
+_BINS_KEYS = ("count", "mode", "d_min", "d_max")
+_TOP_KEYS = ("scene", "bins", "reference_strategy", "signed_reference_error") + _PLAIN_KEYS + tuple(_SECTIONS)
 
 
 def _check_keys(d: Dict, allowed, where: str) -> None:
@@ -259,13 +266,8 @@ def _check_keys(d: Dict, allowed, where: str) -> None:
 
 
 def _scene_from_dict(d: Dict) -> SceneConfig:
-    fields = dataclasses.fields(SceneConfig)
-    _check_keys(d, {f.name for f in fields}, "scene")
-    for f in fields:
-        if f.type == "int" and f.name in d:
-            _require(f"scene.{f.name}", d[f.name], "an integer", kind=numbers.Integral)
-        elif f.type == "float" and f.name in d:
-            _require(f"scene.{f.name}", d[f.name], "a finite number")
+    _check_keys(d, {f.name for f in dataclasses.fields(SceneConfig)}, "scene")
+    _check_fields("scene.", SceneConfig, d)
     kw = dict(d)
     if "grid" in kw:
         g = _require_list(
@@ -293,37 +295,18 @@ def _scene_to_dict(s: SceneConfig) -> Dict:
     return out
 
 
-_TOP_KEYS = (
-    "scene",
-    "bins",
-    "reference_strategy",
-    "signed_reference_error",
-    "loss_reduction",
-    "keypoint_g",
-    "enlarge",
-    "gram_normalization",
-    "weights",
-    "external_det_loss",
-    "optimizer",
-    "gradcheck",
-)
-
-
 def config_from_dict(d: Dict) -> HarnessConfig:
     """Build a config from a parsed JSON object; unknown keys anywhere
     are errors."""
     if not isinstance(d, dict):
         raise ConfigError("config root must be a JSON object")
     _check_keys(d, _TOP_KEYS, "config")
-    kw: Dict[str, Any] = {}
+    kw: Dict[str, Any] = {key: d[key] for key in _PLAIN_KEYS if key in d}
     if "scene" in d:
         kw["scene"] = _scene_from_dict(d["scene"])
     if "bins" in d:
-        _check_keys(d["bins"], ("count", "mode", "d_min", "d_max"), "bins")
-        _require("bins.count", d["bins"].get("count"), "an integer", kind=numbers.Integral)
-        for key in ("d_min", "d_max"):
-            if key in d["bins"]:
-                _require(f"bins.{key}", d["bins"][key], "a finite number")
+        _check_keys(d["bins"], _BINS_KEYS, "bins")
+        _check_fields("bins.", DepthBins, {"count": None, **d["bins"]})  # count is required
         kw["bins"] = _build("bins", DepthBins, **d["bins"])
     ref_kw = {}
     if "reference_strategy" in d:
@@ -333,55 +316,24 @@ def config_from_dict(d: Dict) -> HarnessConfig:
         ref_kw["signed_reference_error"] = d["signed_reference_error"]
     if ref_kw:
         kw["reference"] = ReferenceSelection(**ref_kw)
-    for key in ("loss_reduction", "keypoint_g", "enlarge", "gram_normalization", "external_det_loss"):
+    for key, cls in _SECTIONS.items():
         if key in d:
-            kw[key] = d[key]
-    if "weights" in d:
-        _check_keys(d["weights"], ("w_a", "w_r", "w_ic", "w_ik"), "weights")
-        kw["weights"] = LossWeights(**d["weights"])
-    if "optimizer" in d:
-        names = {f.name for f in dataclasses.fields(OptimizerConfig)}
-        _check_keys(d["optimizer"], names, "optimizer")
-        kw["optimizer"] = OptimizerConfig(**d["optimizer"])
-    if "gradcheck" in d:
-        names = {f.name for f in dataclasses.fields(GradcheckConfig)}
-        _check_keys(d["gradcheck"], names, "gradcheck")
-        kw["gradcheck"] = GradcheckConfig(**d["gradcheck"])
+            _check_keys(d[key], {f.name for f in dataclasses.fields(cls)}, key)
+            kw[key] = cls(**d[key])
     return HarnessConfig(**kw)
 
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
     """Config echo in the same shape config_from_dict accepts."""
-    return {
+    out = {
         "scene": _scene_to_dict(cfg.scene),
-        "bins": {
-            "count": cfg.bins.count,
-            "mode": cfg.bins.mode,
-            "d_min": cfg.bins.d_min,
-            "d_max": cfg.bins.d_max,
-        },
+        "bins": {key: getattr(cfg.bins, key) for key in _BINS_KEYS},
         "reference_strategy": cfg.reference.strategy,
         "signed_reference_error": cfg.reference.signed_reference_error,
-        "loss_reduction": cfg.loss_reduction,
-        "keypoint_g": cfg.keypoint_g,
-        "enlarge": cfg.enlarge,
-        "gram_normalization": cfg.gram_normalization,
-        "weights": {
-            "w_a": cfg.weights.w_a,
-            "w_r": cfg.weights.w_r,
-            "w_ic": cfg.weights.w_ic,
-            "w_ik": cfg.weights.w_ik,
-        },
-        "external_det_loss": cfg.external_det_loss,
-        "optimizer": {
-            f.name: getattr(cfg.optimizer, f.name)
-            for f in dataclasses.fields(OptimizerConfig)
-        },
-        "gradcheck": {
-            f.name: getattr(cfg.gradcheck, f.name)
-            for f in dataclasses.fields(GradcheckConfig)
-        },
     }
+    out.update((key, getattr(cfg, key)) for key in _PLAIN_KEYS)
+    out.update((key, dataclasses.asdict(getattr(cfg, key))) for key in _SECTIONS)
+    return out
 
 
 def load_config(source: str) -> HarnessConfig:
@@ -580,17 +532,12 @@ def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -
 # ---------------------------------------------------------------------------
 
 
-def _dense_rows(rows: np.ndarray, packed: PackedView, view: ViewGroundTruth) -> np.ndarray:
-    """(D, H, W) map holding packed rows at their pixels and 0 elsewhere."""
-    h, w = view.depth.shape
-    out = np.zeros((h * w, rows.shape[1]))
-    out[packed.rows] = rows
-    return rows_to_map(out, h, w)
-
-
 def _dense_student(problem: SceneProblem, params: np.ndarray):
     logits, bev = problem.split(params)
-    maps = [CategoricalDepthMap(_dense_rows(*args)) for args in zip(logits, problem.packed, problem.views)]
+    maps = [
+        CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
+        for rows, p, v in zip(logits, problem.packed, problem.views)
+    ]
     return maps, problem.views, BevFeatureMap(data=bev, grid=problem.scene.grid)
 
 
@@ -629,7 +576,9 @@ def evaluate_scene_losses(
     res = problem.evaluate(params, grad)
     logit_grads, bev_grad = problem.split(grad)
     res.grad = {
-        "depth_logits": [_dense_rows(*args) for args in zip(logit_grads, problem.packed, views)],
+        "depth_logits": [
+            packed_to_map(g, p.rows, *v.depth.shape) for g, p, v in zip(logit_grads, problem.packed, views)
+        ],
         "bev_features": bev_grad,
     }
     return res
@@ -695,21 +644,17 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     sel = cfg.reference
     probs = softmax_rows(logit_rows(logits)[order])
     depths = expected_depths(probs, bins.centers)
-    tie = False
-    if sel.strategy == "all_to_adaptive_smallest_error":
-        err = gt - depths
-        if not sel.signed_reference_error:
-            err = np.abs(err)
-        two = np.sort(err)[:2]
-        tie = bool(two[1] - two[0] < 1e-5 * (1.0 + abs(two[0])))
-    elif sel.strategy == "all_to_adaptive_highest_conf":
-        conf = np.sort(np.max(probs, axis=1))[::-1][:2]
-        tie = bool(conf[0] - conf[1] < 1e-6)
     analytic = inner_depth_loss([fds], dm, bins, sel, cfg.loss_reduction).grad
-    # the reference is chosen once at x0 and frozen, as in the backward pass
-    ref = None
+    ref, tie = None, False
     if sel.strategy != "one_to_one":
-        ref = select_reference(fds, depths, sel, conf=np.max(probs, axis=1))
+        scores = reference_scores(fds, depths, sel, conf=np.max(probs, axis=1))
+        # the reference is chosen once at x0 and frozen, as in the backward pass
+        ref = int(scores.argmin())
+        best, second = np.sort(scores)[:2]
+        if sel.strategy == "all_to_adaptive_smallest_error":
+            tie = bool(second - best < 1e-5 * (1.0 + abs(best)))
+        elif sel.strategy == "all_to_adaptive_highest_conf":
+            tie = bool(second - best < 1e-6)
 
     def f(x):
         dep = expected_depths(softmax_rows(logit_rows(x)[order]), bins.centers)
@@ -765,24 +710,19 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     teacher = BevFeatureMap(data=teacher_data, grid=grid)
     # the teacher side is the same for every evaluation of this instance
     plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
-
-    def loss(x):
-        return bev_distill_loss(
-            BevFeatureMap(data=x, grid=grid),
-            teacher,
-            boxes,
-            g=2,
-            enlarge=cfg.enlarge,
-            normalization=cfg.gram_normalization,
-            loss_reduction=cfg.loss_reduction,
-            plan=plan,
-        )
+    analytic = bev_distill_loss(
+        BevFeatureMap(data=student, grid=grid), teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization,
+        cfg.loss_reduction, plan=plan,
+    ).grad
 
     def f(x):
-        return loss(x).value
+        ic, ik = bev_distill_terms(
+            BevFeatureMap(data=x, grid=grid), teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization,
+            cfg.loss_reduction, plan=plan, with_grad=False,
+        )
+        return ic.value + ik.value
 
-    res = loss(student)
-    return _Instance(f=f, x0=student, analytic=res.grad)
+    return _Instance(f=f, x0=student, analytic=analytic)
 
 
 _GRADCHECK_LOSSES = (

@@ -18,7 +18,7 @@ from typing import List, Optional, TextIO, Tuple
 import numpy as np
 
 from .bev_distillation import BevFeatureMap
-from .errors import ContractError, FormatError, GenerationError
+from .errors import ConfigError, ContractError, FormatError, GenerationError
 from .geometry import (
     BevGrid,
     Box3D,
@@ -75,6 +75,9 @@ class SceneConfig:
     enlarge: float = 1.25
 
     def __post_init__(self):
+        # CounterRng keeps 64 bits of the seed; a wider one would alias another
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"scene.seed must be in [0, 2**64), got {self.seed!r}")
         if min(self.num_boxes, self.num_cameras, self.points_per_box, self.ground_points) < 0:
             raise ContractError("scene counts must be non-negative")
         if self.num_cameras < 1:

@@ -73,6 +73,14 @@ class TestUsageErrors:
         assert code == 2
         capsys.readouterr()
 
+    def test_seed_flag_beyond_64_bits(self, small_cfg, tmp_path, capsys):
+        """Like a config seed, ``--seed`` must be in [0, 2**64); a wider one
+        would alias a 64-bit seed."""
+        code = main(["gen-scene", "--config", small_cfg, "--seed", str(2**64), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "scene.seed" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "key, value",
         [("keypoint_g", 2.5), ("keypoint_g", True), ("keypoint_g", 1), ("enlarge", float("nan")),
@@ -130,7 +138,8 @@ class TestUsageErrors:
          ("scene", {"focal": "70"}, "scene.focal"),
          ("scene", {"focal": float("nan")}, "scene.focal"),
          ("scene", {"teacher_amplitude": float("nan")}, "scene.teacher_amplitude"),
-         ("scene", {"z_near": True}, "scene.z_near")],
+         ("scene", {"z_near": True}, "scene.z_near"),
+         ("scene", {"seed": -1}, "scene.seed must be in [0, 2**64)")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
         """Scene and bins fields of the wrong type or length, non-finite,

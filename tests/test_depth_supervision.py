@@ -185,6 +185,27 @@ class TestSelectReference:
                 gt, pred, signed=True
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(*[st.floats(0.5, 60.0) | st.sampled_from((1.0, 2.0))] * 2, st.floats(0.0, 1.0)),
+            min_size=2,
+            max_size=12,
+        )
+    )
+    def test_adaptive_strategies_match_oracles(self, entries):
+        """Smallest error picks the scan oracle's pixel, signed and
+        unsigned, and highest confidence the first argmax of ``conf``;
+        repeated values test that ties go to the first pixel."""
+        gt, pred, conf = (np.array(column) for column in zip(*entries))
+        n = len(entries)
+        fds = make_fds(np.stack([np.arange(n) % 4, np.arange(n) // 4], axis=1), gt)
+        for signed in (False, True):
+            sel = ReferenceSelection("all_to_adaptive_smallest_error", signed_reference_error=signed)
+            assert select_reference(fds, pred, sel) == smallest_error_scan(gt, pred, signed=signed)
+        sel = ReferenceSelection("all_to_adaptive_highest_conf")
+        assert select_reference(fds, pred, sel, conf=conf) == int(np.argmax(conf))
+
     def test_highest_conf(self):
         fds = make_fds([[0, 0], [1, 0], [2, 0]], [5.0, 6.0, 7.0])
         sel = ReferenceSelection("all_to_adaptive_highest_conf")

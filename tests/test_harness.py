@@ -4,6 +4,8 @@ and the toy trainer."""
 import dataclasses
 import json
 import math
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from geodistill import (
     CategoricalDepthMap,
     ConfigError,
     ContractError,
+    GradcheckConfig,
     HarnessConfig,
     LossWeights,
     OptimizerConfig,
@@ -76,11 +79,71 @@ def small_harness_config(**optimizer_overrides):
     return cfg
 
 
+# a valid value other than the default of each string config key
+OTHER_CHOICE = {
+    "mode": "spacing_increasing",
+    "reference_strategy": "one_to_one",
+    "loss_reduction": "sum",
+    "gram_normalization": "l2",
+}
+
+
+def other_value(key, value):
+    """A valid config value unlike ``value`` at every leaf: a flipped
+    bool, another choice, an integer plus one, a doubled enlargement, or
+    a halved (0 -> 0.5) number."""
+    if isinstance(value, dict):
+        return {k: other_value(k, v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [other_value(key, v) for v in value]
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, str):
+        return OTHER_CHOICE[key]
+    if isinstance(value, int):
+        return value + 1
+    if key == "enlarge":
+        return 2.0 * value
+    return value / 2.0 if value else 0.5
+
+
 class TestConfigDicts:
     def test_round_trip_is_identity(self):
         cfg = default_config()
         echo = config_to_dict(config_from_dict(config_to_dict(cfg)))
         assert echo == config_to_dict(cfg)
+
+    def test_every_field_loads_and_echoes(self):
+        """Every field of every section, set to a valid non-default value,
+        is loaded and echoed back, and each section echoes exactly the
+        fields of its dataclass: a new field is loaded and echoed from its
+        declaration alone."""
+        default = config_to_dict(default_config())
+        d = other_value("config", default)
+        assert config_to_dict(config_from_dict(d)) == d
+        for key, cls in (
+            ("scene", SceneConfig), ("weights", LossWeights),
+            ("optimizer", OptimizerConfig), ("gradcheck", GradcheckConfig),
+        ):
+            assert list(d[key]) == [f.name for f in dataclasses.fields(cls)]
+            assert all(d[key][name] != value for name, value in default[key].items())
+        plain = {f.name for f in dataclasses.fields(HarnessConfig)} - {"reference"}
+        assert plain | {"reference_strategy", "signed_reference_error"} == set(d)
+
+    def test_readme_defaults_block_is_the_default_echo(self):
+        """README's jsonc defaults block, without its // comments, is the
+        echo of the default config."""
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```jsonc\n", 1)[1].split("```", 1)[0]
+        assert json.loads(re.sub(r"//.*", "", block)) == config_to_dict(default_config())
+
+    def test_seed_must_fit_the_generator(self):
+        """Seeds are the 64-bit unsigned integers; a wider or negative one
+        would alias another seed in the generator."""
+        assert config_from_dict({"scene": {"seed": 2**64 - 1}}).scene.seed == 2**64 - 1
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match=r"scene\.seed must be in \[0, 2\*\*64\)"):
+                config_from_dict({"scene": {"seed": seed}})
 
     def test_overrides_apply(self):
         d = {
