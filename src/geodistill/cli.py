@@ -203,7 +203,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg.scene = dataclasses.replace(cfg.scene, seed=args.seed)
-        os.makedirs(args.out, exist_ok=True)
+        try:
+            os.makedirs(args.out, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
         if args.command == "gen-scene":
             return _cmd_gen_scene(args, cfg)
         if args.command == "render-depth":

@@ -358,7 +358,8 @@ def relative_depth_rows(
         depths = expected_depths(p, centers)
         ref = None
         if sel.strategy != "one_to_one":
-            ref = select_reference(fds, depths, sel, conf=np.max(p, axis=1))
+            conf = np.max(p, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
+            ref = select_reference(fds, depths, sel, conf)
         value, grad_d = relative_residual(depths, fds.gt_depth, ref, reduction)
         if grad_rows is not None:
             # chain through the softmax expectation d = sum_k p_k c_k; a

@@ -11,12 +11,11 @@ wall-clock field.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -81,32 +80,6 @@ SATURATION_LOGIT = 40.0
 # cache; in one pass over the whole vector each temporary spills, and the
 # update takes about twice as long on the default scene.
 ADAM_BLOCK = 32768
-
-
-def thread_count() -> int:
-    """Worker count from TIG_THREADS; 0 or unset means 1, and more than
-    the machine's CPU count means that count."""
-    raw = os.environ.get("TIG_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"TIG_THREADS must be an integer, got {raw!r}") from exc
-    return max(1, min(n, os.cpu_count() or 1))
-
-
-def parallel_map(fn: Callable, items: List) -> List:
-    """Order-preserving map, threaded when TIG_THREADS > 1.
-
-    Results are collected in input order, so reductions over them are
-    identical at any thread count.
-    """
-    n = thread_count()
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -647,7 +620,8 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     analytic = inner_depth_loss([fds], dm, bins, sel, cfg.loss_reduction).grad
     ref, tie = None, False
     if sel.strategy != "one_to_one":
-        scores = reference_scores(fds, depths, sel, conf=np.max(probs, axis=1))
+        conf = np.max(probs, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
+        scores = reference_scores(fds, depths, sel, conf)
         # the reference is chosen once at x0 and frozen, as in the backward pass
         ref = int(scores.argmin())
         best, second = np.sort(scores)[:2]
@@ -725,66 +699,47 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     return _Instance(f=f, x0=student, analytic=analytic)
 
 
-_GRADCHECK_LOSSES = (
-    ("absolute_depth", "w_a"),
-    ("inner_depth", "w_r"),
-    ("inter_channel", "w_ic"),
-    ("inter_keypoint", "w_ik"),
-    ("bev_distill", None),
-)
-
-
-def _build_instance(name: str, cfg: HarnessConfig, sub: CounterRng) -> _Instance:
-    if name == "absolute_depth":
-        return _absolute_instance(cfg, sub)
-    if name == "inner_depth":
-        return _inner_instance(cfg, sub)
-    if name == "inter_channel":
-        return _feature_gram_instance(cfg, sub, "channel")
-    if name == "inter_keypoint":
-        return _feature_gram_instance(cfg, sub, "keypoint")
-    return _bev_instance(cfg, sub)
+# each checked loss family: its instance builder, and the weights that
+# skip it when all are 0
+_GRADCHECK_FAMILIES = {
+    "absolute_depth": (_absolute_instance, ("w_a",)),
+    "inner_depth": (_inner_instance, ("w_r",)),
+    "inter_channel": (functools.partial(_feature_gram_instance, kind="channel"), ("w_ic",)),
+    "inter_keypoint": (functools.partial(_feature_gram_instance, kind="keypoint"), ("w_ik",)),
+    "bev_distill": (_bev_instance, ("w_ic", "w_ik")),
+}
 
 
 def run_gradcheck(cfg: HarnessConfig) -> RunReport:
     """Compare every analytic gradient against central finite differences
-    on seeded random instances; tie-adjacent instances are excluded."""
+    on seeded random instances; tie-adjacent instances are excluded, and
+    at most 10 instances are drawn per one wanted."""
     t0 = time.perf_counter()
     root = CounterRng(cfg.scene.seed)
+    want = cfg.gradcheck.instances
     losses: Dict[str, Dict[str, Any]] = {}
     all_ok = True
     overall = 0.0
-    for name, weight_attr in _GRADCHECK_LOSSES:
-        if weight_attr is None:
-            skip = cfg.weights.w_ic == 0 and cfg.weights.w_ik == 0
-        else:
-            skip = getattr(cfg.weights, weight_attr) == 0
-        if skip:
+    for name, (build, weights) in _GRADCHECK_FAMILIES.items():
+        if all(getattr(cfg.weights, w) == 0 for w in weights):
             losses[name] = {"skipped": True, "reason": "zero weight"}
             continue
-        want = cfg.gradcheck.instances
-        instances: List[_Instance] = []
-        excluded = 0
-        attempts = 0
-        while len(instances) < want and attempts < 10 * want:
-            inst = _build_instance(name, cfg, root.substream(f"gradcheck-{name}-{attempts}"))
-            attempts += 1
+        rels: List[float] = []
+        excluded = overflow = 0
+        for attempt in range(10 * want):
+            if len(rels) + overflow == want:
+                break
+            inst = build(cfg, root.substream(f"gradcheck-{name}-{attempt}"))
             if inst.tie_adjacent:
                 excluded += 1
                 continue
-            instances.append(inst)
-
-        def _check(inst: _Instance):
             try:
                 numeric = finite_difference_gradient(inst.f, inst.x0, cfg.gradcheck.h)
             except NumericError:
-                return None
-            return _rel_error(inst.analytic, numeric)
-
-        results = parallel_map(_check, instances)
-        overflow = sum(1 for r in results if r is None)
-        rels = [r for r in results if r is not None]
-        max_rel = max(rels) if rels else 0.0
+                overflow += 1
+                continue
+            rels.append(_rel_error(inst.analytic, numeric))
+        max_rel = max(rels, default=0.0)
         ok = bool(rels) and max_rel <= cfg.gradcheck.fail_threshold
         losses[name] = {
             "instances": len(rels),

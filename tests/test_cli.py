@@ -81,6 +81,17 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "scene.seed" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["existing-file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory(self, small_cfg, tmp_path, capsys, sub):
+        """An ``--out`` that is a file, or lies under one, exits 2 with one
+        error line."""
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = os.path.join(str(blocker), sub) if sub else str(blocker)
+        assert main(["eval-losses", "--config", small_cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+
     @pytest.mark.parametrize(
         "key, value",
         [("keypoint_g", 2.5), ("keypoint_g", True), ("keypoint_g", 1), ("enlarge", float("nan")),

@@ -1,5 +1,5 @@
-"""Config plumbing, loss composition, run reports, threading, gradcheck,
-and the toy trainer."""
+"""Config plumbing, loss composition, run reports, gradcheck, and the toy
+trainer."""
 
 import dataclasses
 import json
@@ -19,6 +19,7 @@ from geodistill import (
     GradcheckConfig,
     HarnessConfig,
     LossWeights,
+    NumericError,
     OptimizerConfig,
     RunReport,
     SceneConfig,
@@ -30,15 +31,14 @@ from geodistill import (
     generate_scene,
     identity_student_inputs,
     load_config,
-    parallel_map,
     random_student_inputs,
     render_gt_views,
     run_gradcheck,
     run_train_toy,
-    thread_count,
     write_report,
 )
 from geodistill.depth_supervision import DepthBins
+from geodistill import harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.rng import CounterRng
 
@@ -334,39 +334,6 @@ class TestRunReport:
         assert path.read_text() == text
 
 
-class TestThreading:
-    def test_thread_count_env(self, monkeypatch):
-        monkeypatch.setattr("os.cpu_count", lambda: 8)
-        monkeypatch.delenv("TIG_THREADS", raising=False)
-        assert thread_count() == 1
-        monkeypatch.setenv("TIG_THREADS", "4")
-        assert thread_count() == 4
-        monkeypatch.setenv("TIG_THREADS", "0")
-        assert thread_count() == 1
-        monkeypatch.setenv("TIG_THREADS", "")
-        assert thread_count() == 1
-        monkeypatch.setenv("TIG_THREADS", "lots")
-        with pytest.raises(ConfigError):
-            thread_count()
-
-    def test_thread_count_clamped_to_cpu_count(self, monkeypatch):
-        """Only the count is computed here; no thread is started."""
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        for raw, want in (("2", 2), ("3", 3), ("4", 3), ("1000000", 3), ("-5", 1)):
-            monkeypatch.setenv("TIG_THREADS", raw)
-            assert thread_count() == want
-        monkeypatch.setattr("os.cpu_count", lambda: None)
-        monkeypatch.setenv("TIG_THREADS", "16")
-        assert thread_count() == 1
-
-    def test_parallel_map_preserves_order(self, monkeypatch):
-        items = list(range(40))
-        monkeypatch.setenv("TIG_THREADS", "4")
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-        monkeypatch.delenv("TIG_THREADS", raising=False)
-        assert parallel_map(lambda x: x * x, items) == [x * x for x in items]
-
-
 class TestIdentityStudent:
     def test_identity_inputs_sit_at_the_optimum(self):
         """With the identity student every differentiated term except the
@@ -452,6 +419,46 @@ class TestRunGradcheck:
         assert losses["bev_distill"]["skipped"] is True
         assert losses["inner_depth"]["passed"]
         assert report.status == "passed"
+
+    @pytest.mark.parametrize("w_ic, w_ik", [(0.0, 1.0), (1.0, 0.0)])
+    def test_one_zero_gram_weight_skips_only_its_family(self, w_ic, w_ik):
+        """The combined BEV family is skipped only when both Gram weights
+        are 0."""
+        cfg = small_harness_config()
+        cfg.gradcheck.instances = 2
+        cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=w_ic, w_ik=w_ik)
+        losses = run_gradcheck(cfg).data["losses"]
+        skipped = {name for name, entry in losses.items() if entry.get("skipped")}
+        assert skipped == {"inter_channel" if w_ic == 0 else "inter_keypoint"}
+        assert losses["bev_distill"]["instances"] == 2 and losses["bev_distill"]["passed"]
+
+    def test_overflowing_instances_fail_every_family(self, monkeypatch):
+        """An instance whose finite differences overflow is counted, not
+        checked, and a family with no checked instance fails."""
+        def overflow(f, x0, h):
+            raise NumericError("overflow")
+
+        monkeypatch.setattr(harness, "finite_difference_gradient", overflow)
+        cfg = small_harness_config()
+        cfg.gradcheck.instances = 3
+        report = run_gradcheck(cfg)
+        for entry in report.data["losses"].values():
+            assert entry["overflow"] == 3 and entry["instances"] == 0
+            assert entry["passed"] is False
+        assert report.status == "failed"
+
+    def test_tie_adjacent_instances_are_drawn_at_most_ten_per_wanted(self, monkeypatch):
+        """With every instance tie-adjacent, each family draws 10 per wanted
+        instance, checks none and fails."""
+        instance = harness._Instance
+        monkeypatch.setattr(harness, "_Instance", lambda **kw: instance(**dict(kw, tie_adjacent=True)))
+        cfg = small_harness_config()
+        cfg.gradcheck.instances = 2
+        report = run_gradcheck(cfg)
+        for entry in report.data["losses"].values():
+            assert entry["excluded_tie_adjacent"] == 20 and entry["instances"] == 0
+            assert entry["overflow"] == 0 and entry["passed"] is False
+        assert report.status == "failed"
 
 
 class TestRunTrainToy:
