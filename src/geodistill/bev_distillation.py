@@ -343,14 +343,12 @@ def _gram_loss(
     _check_reduction(reduction)
     if not targets:
         return LossResult(0.0, [], empty=True)
-    total = 0.0
-    grads = []
-    for tkf in targets:
-        gram_t = _gram_of(tkf.teacher[None], kind, normalization)
-        value, grad = _gram_losses(tkf.student[None], gram_t, kind, normalization, reduction)
-        total += float(value[0])
-        grads.append(grad[0])
-    return LossResult(total, grads)
+    if len({tkf.student.shape for tkf in targets}) > 1:
+        raise ContractError("every target's keypoint features must share one (N, C)")
+    gram_t = _gram_of(np.array([tkf.teacher for tkf in targets]), kind, normalization)
+    fs = np.array([tkf.student for tkf in targets])
+    values, grads = _gram_losses(fs, gram_t, kind, normalization, reduction)
+    return LossResult(_sum_in_order(values), list(grads))
 
 
 def inter_channel_loss(
@@ -359,7 +357,8 @@ def inter_channel_loss(
     loss_reduction: str = "mean",
 ) -> LossResult:
     """Squared-difference loss between student and teacher channel Grams,
-    reduced per target then summed; gradient per student block."""
+    reduced per target then summed; gradient per student block.  All
+    targets share one (N, C)."""
     return _gram_loss(targets, "channel", normalization, loss_reduction)
 
 
@@ -369,7 +368,8 @@ def inter_keypoint_loss(
     loss_reduction: str = "mean",
 ) -> LossResult:
     """Squared-difference loss between student and teacher keypoint Grams,
-    reduced per target then summed; gradient per student block."""
+    reduced per target then summed; gradient per student block.  All
+    targets share one (N, C)."""
     return _gram_loss(targets, "keypoint", normalization, loss_reduction)
 
 

@@ -6,7 +6,7 @@ checking, the toy training loop, and the brute-force oracle suite.
 
 Exit codes: 0 on success, 1 when a check fails (gradcheck over
 threshold, training not converged, oracle mismatch), 2 on bad
-configuration or usage.
+configuration or usage, or an output it cannot write.
 """
 
 from __future__ import annotations
@@ -32,55 +32,6 @@ from .harness import (
 from .numerics import write_tsr
 from .oracles import run_oracle_suite
 from .scenegen import generate_scene, render_gt_views, write_scene
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--config",
-        default="default",
-        help='config JSON path, or "default" for built-in defaults',
-    )
-    sub.add_argument("--seed", type=int, default=None, help="override the scene seed")
-    sub.add_argument("--out", default="out", help="output directory (created if missing)")
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="geodistill",
-        description="Depth-distribution and BEV feature distillation toolkit.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-scene", help="generate a synthetic scene and teacher BEV map")
-    _add_common(p)
-
-    p = sub.add_parser("render-depth", help="render per-camera depth maps and masks")
-    _add_common(p)
-
-    p = sub.add_parser("eval-losses", help="evaluate every loss once and write a report")
-    _add_common(p)
-    p.add_argument(
-        "--student",
-        choices=("identity", "random"),
-        default="random",
-        help="student construction: exact optimum or seeded noise",
-    )
-
-    p = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
-    _add_common(p)
-
-    p = sub.add_parser("train-toy", help="run the toy training loop to convergence")
-    _add_common(p)
-    p.add_argument(
-        "--identity-init",
-        action="store_true",
-        help="start at the exact optimum (sanity mode; stops immediately)",
-    )
-
-    p = sub.add_parser("oracle", help="run brute-force oracle comparisons")
-    _add_common(p)
-
-    return parser
 
 
 def _cmd_gen_scene(args, cfg) -> int:
@@ -157,8 +108,8 @@ def _cmd_gradcheck(args, cfg) -> int:
     return 0 if report.status == "passed" else 1
 
 
-def _cmd_train_toy(args, cfg, identity_init: bool) -> int:
-    report = run_train_toy(cfg, identity_init=identity_init)
+def _cmd_train_toy(args, cfg) -> int:
+    report = run_train_toy(cfg, identity_init=args.identity_init)
     path = os.path.join(args.out, "train_report.json")
     write_report(path, report)
     d = report.data
@@ -174,7 +125,7 @@ def _cmd_train_toy(args, cfg, identity_init: bool) -> int:
             f"raw feature rel {entry['raw_feature_rel']:.3e}"
         )
     print(f"report -> {path}")
-    success = report.status == "converged" or (identity_init and report.status == "stationary")
+    success = report.status == "converged" or (args.identity_init and report.status == "stationary")
     return 0 if success else 1
 
 
@@ -192,6 +143,47 @@ def _cmd_oracle(args, cfg) -> int:
     return 0 if ok else 1
 
 
+_COMMON_OPTIONS = (
+    ("--config", {"default": "default", "help": 'config JSON path, or "default" for built-in defaults'}),
+    ("--seed", {"type": int, "default": None, "help": "override the scene seed"}),
+    ("--out", {"default": "out", "help": "output directory (created if missing)"}),
+)
+
+# name -> (help, handler, options beyond the common ones)
+_COMMANDS = {
+    "gen-scene": ("generate a synthetic scene and teacher BEV map", _cmd_gen_scene, ()),
+    "render-depth": ("render per-camera depth maps and masks", _cmd_render_depth, ()),
+    "eval-losses": ("evaluate every loss once and write a report", _cmd_eval_losses, (
+        ("--student", {
+            "choices": ("identity", "random"),
+            "default": "random",
+            "help": "student construction: exact optimum or seeded noise",
+        }),
+    )),
+    "gradcheck": ("compare analytic gradients to finite differences", _cmd_gradcheck, ()),
+    "train-toy": ("run the toy training loop to convergence", _cmd_train_toy, (
+        ("--identity-init", {
+            "action": "store_true",
+            "help": "start at the exact optimum (sanity mode; stops immediately)",
+        }),
+    )),
+    "oracle": ("run brute-force oracle comparisons", _cmd_oracle, ()),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="geodistill",
+        description="Depth-distribution and BEV feature distillation toolkit.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, kwargs in _COMMON_OPTIONS + options:
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = _build_parser()
     try:
@@ -207,19 +199,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
-        if args.command == "gen-scene":
-            return _cmd_gen_scene(args, cfg)
-        if args.command == "render-depth":
-            return _cmd_render_depth(args, cfg)
-        if args.command == "eval-losses":
-            return _cmd_eval_losses(args, cfg)
-        if args.command == "gradcheck":
-            return _cmd_gradcheck(args, cfg)
-        if args.command == "train-toy":
-            return _cmd_train_toy(args, cfg, args.identity_init)
-        if args.command == "oracle":
-            return _cmd_oracle(args, cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        try:
+            return _COMMANDS[args.command][1](args, cfg)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output in {args.out!r}: {exc}") from exc
     except (ConfigError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

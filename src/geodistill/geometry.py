@@ -56,10 +56,6 @@ class RigidTransform:
         if abs(np.linalg.det(self.rotation) - 1.0) > 1e-9:
             raise ContractError("rotation determinant is not +1")
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points) -> np.ndarray:
         """Transform one point (3,) or a stack (P, 3)."""
         pts = as_tensor(points)

@@ -26,12 +26,11 @@ from .bev_distillation import (
     BevFeatureMap,
     DistillPlan,
     TargetKeypointFeatures,
+    _gram_losses,
     bev_distill_loss,
     bev_distill_terms,
     build_distill_plan,
-    inter_channel_gram,
     inter_channel_loss,
-    inter_keypoint_gram,
     inter_keypoint_loss,
 )
 from .depth_supervision import (
@@ -769,33 +768,30 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
+def _row_sq(stack: np.ndarray) -> np.ndarray:
+    """Sum of squares of each target's slice of a (T, ...) stack."""
+    return np.sum((stack * stack).reshape(stack.shape[0], -1), axis=1)
+
+
 def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
     """Per-target Frobenius distances between student and teacher Grams,
     plus the raw keypoint-feature distance that is allowed to stay big.
     The teacher features and Grams come from the scene's plan."""
+    if not plan.boxes:
+        return []
     fs = plan.sample(student)
-    b_s = inter_keypoint_gram(fs, plan.normalization)
-    a_s = inter_channel_gram(fs, plan.normalization)
-    out = []
-    for j in range(len(plan.boxes)):
-        ft, b_t, a_t = plan.teacher[j], plan.teacher_keypoint[j], plan.teacher_channel[j]
-        b_norm = math.sqrt(float(np.sum(b_t * b_t)))
-        a_norm = math.sqrt(float(np.sum(a_t * a_t)))
-        f_norm = math.sqrt(float(np.sum(ft * ft)))
-        ik_dist = math.sqrt(frobenius_sq_distance(b_s[j], b_t))
-        ic_dist = math.sqrt(frobenius_sq_distance(a_s[j], a_t))
-        raw_dist = math.sqrt(frobenius_sq_distance(fs[j], ft))
-        out.append(
-            {
-                "target": j,
-                "inter_keypoint_frob": ik_dist,
-                "inter_keypoint_rel": ik_dist / b_norm if b_norm else float("inf"),
-                "inter_channel_frob": ic_dist,
-                "inter_channel_rel": ic_dist / a_norm if a_norm else float("inf"),
-                "raw_feature_frob": raw_dist,
-                "raw_feature_rel": raw_dist / f_norm if f_norm else float("inf"),
-            }
-        )
+    # name -> per-target squared distances and teacher squared norms
+    columns = {}
+    for kind, gram_t in (("keypoint", plan.teacher_keypoint), ("channel", plan.teacher_channel)):
+        sq, _ = _gram_losses(fs, gram_t, kind, plan.normalization, "sum", with_grad=False)
+        columns[f"inter_{kind}"] = (sq, _row_sq(gram_t))
+    columns["raw_feature"] = (_row_sq(fs - plan.teacher), _row_sq(plan.teacher))
+    out = [{"target": j} for j in range(len(plan.boxes))]
+    for name, (dist_sq, norm_sq) in columns.items():
+        for entry, d2, n2 in zip(out, dist_sq.tolist(), norm_sq.tolist()):
+            dist, norm = math.sqrt(d2), math.sqrt(n2)
+            entry[f"{name}_frob"] = dist
+            entry[f"{name}_rel"] = dist / norm if norm else float("inf")
     return out
 
 

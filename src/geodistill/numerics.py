@@ -7,6 +7,7 @@ bit-identical.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict
@@ -157,24 +158,23 @@ def _read_tsr_body(fobj) -> np.ndarray:
         raise FormatError(f"bad extents line: {exc}") from exc
     if not shape or any(e < 1 for e in shape):
         raise FormatError(f"extents must be positive, got {shape}")
-    count = int(np.prod(shape))
-    values = np.empty(count)
-    have = 0
+    count = math.prod(shape)
+    values = []
     for line in fobj:
         toks = line.split()
         if not toks:
             continue
-        if have + len(toks) > count:
+        if len(values) + len(toks) > count:
             raise FormatError("more values than the extents allow")
         try:
-            values[have : have + len(toks)] = [float(t) for t in toks]
+            values.extend(float(t) for t in toks)
         except ValueError as exc:
             raise FormatError(f"bad value token: {exc}") from exc
-        have += len(toks)
-        if have == count:
+        if len(values) == count:
             break
-    if have != count:
-        raise FormatError(f"expected {count} values, got {have}")
-    if not np.all(np.isfinite(values)):
+    if len(values) != count:
+        raise FormatError(f"expected {count} values, got {len(values)}")
+    arr = np.array(values)
+    if not np.all(np.isfinite(arr)):
         raise FormatError("TSR stream contains non-finite values")
-    return values.reshape(shape)
+    return arr.reshape(shape)

@@ -4,8 +4,7 @@ facing cameras, and a teacher BEV feature map with planted per-target
 inner structure.
 
 Everything is a pure function of the config; the counter-based
-generator in ``rng`` makes output bit-identical across runs and thread
-counts.
+generator in ``rng`` makes output bit-identical across runs.
 """
 
 from __future__ import annotations
@@ -379,14 +378,31 @@ def _write_scene_body(fobj: TextIO, scene: SyntheticScene) -> None:
     fobj.write("end\n")
 
 
-def _expect(fobj: TextIO, key: str) -> List[str]:
+def _expect(fobj: TextIO, key: str, count: int) -> List[str]:
+    """The ``count`` tokens after ``key`` on the next line."""
     line = fobj.readline()
     if not line:
         raise FormatError(f"unexpected end of file, wanted {key!r}")
     toks = line.split()
     if not toks or toks[0] != key:
         raise FormatError(f"expected {key!r} line, got {line.strip()!r}")
+    if len(toks) != count + 1:
+        raise FormatError(f"{key!r} line needs {count} values, got {len(toks) - 1}")
     return toks[1:]
+
+
+def _numbers(kind, toks: List[str]) -> list:
+    try:
+        return [kind(t) for t in toks]
+    except ValueError as exc:
+        raise FormatError(f"bad number: {exc}") from exc
+
+
+def _count(fobj: TextIO, key: str) -> int:
+    n = _numbers(int, _expect(fobj, key, 1))[0]
+    if n < 0:
+        raise FormatError(f"{key!r} count must be >= 0, got {n}")
+    return n
 
 
 def read_scene(src) -> SyntheticScene:
@@ -400,51 +416,40 @@ def _read_scene_body(fobj: TextIO) -> SyntheticScene:
     header = fobj.readline().strip()
     if header != "SCN 1":
         raise FormatError(f"expected 'SCN 1' header, got {header!r}")
-    gtoks = _expect(fobj, "grid")
-    grid = BevGrid(
-        float(gtoks[0]), float(gtoks[1]), float(gtoks[2]), float(gtoks[3]),
-        int(gtoks[4]), int(gtoks[5]),
-    )
-    n_cams = int(_expect(fobj, "cameras")[0])
+    gtoks = _expect(fobj, "grid", 6)
+    grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
     cameras = []
-    for _ in range(n_cams):
-        ctoks = _expect(fobj, "camera")
-        rtoks = _expect(fobj, "rot")
-        ttoks = _expect(fobj, "t")
+    for _ in range(_count(fobj, "cameras")):
+        ctoks = _expect(fobj, "camera", 7)
+        fx, fy, cx, cy, z_near = _numbers(float, ctoks[:4] + ctoks[6:])
+        width, height = _numbers(int, ctoks[4:6])
+        rot = _numbers(float, _expect(fobj, "rot", 9))
+        trans = _numbers(float, _expect(fobj, "t", 3))
         cameras.append(
             CameraModel(
-                fx=float(ctoks[0]),
-                fy=float(ctoks[1]),
-                cx=float(ctoks[2]),
-                cy=float(ctoks[3]),
-                width=int(ctoks[4]),
-                height=int(ctoks[5]),
-                world_to_cam=RigidTransform(
-                    np.array([float(x) for x in rtoks]).reshape(3, 3),
-                    np.array([float(x) for x in ttoks]),
-                ),
-                z_near=float(ctoks[6]),
+                fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
+                world_to_cam=RigidTransform(np.array(rot).reshape(3, 3), np.array(trans)),
+                z_near=z_near,
             )
         )
-    n_boxes = int(_expect(fobj, "boxes")[0])
     boxes = []
-    for _ in range(n_boxes):
-        btoks = [float(x) for x in _expect(fobj, "box")]
+    for _ in range(_count(fobj, "boxes")):
+        btoks = _numbers(float, _expect(fobj, "box", 7))
         boxes.append(Box3D(center=np.array(btoks[0:3]), size=np.array(btoks[3:6]), yaw=btoks[6]))
-    n_points = int(_expect(fobj, "points")[0])
+    n_points = _count(fobj, "points")
     points = read_tsr(fobj) if n_points else np.zeros((0, 3))
     if points.shape != (n_points, 3) and n_points:
         raise FormatError(f"points block has shape {points.shape}, expected ({n_points}, 3)")
-    _expect(fobj, "labels")
+    _expect(fobj, "labels", 0)
     labels: List[int] = []
     while len(labels) < n_points:
         line = fobj.readline()
         if not line:
             raise FormatError("unexpected end of file inside labels")
-        labels.extend(int(t) for t in line.split())
+        labels.extend(_numbers(int, line.split()))
     if len(labels) != n_points:
         raise FormatError(f"expected {n_points} labels, got {len(labels)}")
-    _expect(fobj, "end")
+    _expect(fobj, "end", 0)
     return SyntheticScene(
         grid=grid,
         boxes=boxes,

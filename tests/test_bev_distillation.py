@@ -195,6 +195,22 @@ class TestBilinearSample:
             got = bilinear_sample_backward((c, h, w), pts, up)
             assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want.T.reshape(c, h, w)).tobytes()
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), c=st.integers(1, 4), h=st.integers(1, 6), w=st.integers(1, 6),
+           n=st.integers(1, 8), seed=st.integers(0, 2**31))
+    def test_adjoint_identity_property(self, data, c, h, w, n, seed):
+        """<sample(F, P), U> equals <F, scatter(P, U)> to 1e-12 on grids
+        down to one cell per axis, with points up to one cell outside."""
+        rows = st.floats(-1.0, float(h), allow_nan=False)
+        cols = st.floats(-1.0, float(w), allow_nan=False)
+        pts = np.array(data.draw(st.lists(st.tuples(rows, cols), min_size=n, max_size=n)))
+        rng = CounterRng(seed)
+        feat = rng.normal((c, h, w))
+        up = rng.normal((n, c))
+        lhs = float(np.sum(bilinear_sample(feat, pts) * up))
+        rhs = float(np.sum(feat * bilinear_sample_backward(feat.shape, pts, up)))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
     def test_backward_shape_contract(self):
         with pytest.raises(ContractError):
             bilinear_sample_backward((2, 3, 3), np.zeros((4, 2)), np.zeros((4, 3)))
@@ -401,12 +417,29 @@ class TestGramLosses:
         assert inter_channel_loss(targets).value > 1e-2
 
     def test_sum_over_targets(self):
+        """A multi-target loss is the in-order sum of the one-target losses
+        and each target's gradient has the bits of its own call, for
+        every Gram kind, normalization and reduction."""
         rng = CounterRng(151)
         targets = make_targets(rng, 3, 4, 3)
-        whole = inter_keypoint_loss(targets)
-        parts = [inter_keypoint_loss([t]).value for t in targets]
-        assert whole.value == pytest.approx(sum(parts), rel=1e-12)
-        assert len(whole.grad) == 3
+        for fn in (inter_channel_loss, inter_keypoint_loss):
+            for norm in GRAM_NORMALIZATIONS:
+                for reduction in LOSS_REDUCTIONS:
+                    whole = fn(targets, norm, reduction)
+                    parts = [fn([t], norm, reduction) for t in targets]
+                    assert whole.value == sum(part.value for part in parts)
+                    assert len(whole.grad) == 3
+                    for grad, part in zip(whole.grad, parts):
+                        assert grad.tobytes() == part.grad[0].tobytes()
+
+    def test_mixed_target_shapes_rejected(self):
+        """One call stacks its targets, so they must share one (N, C)."""
+        rng = CounterRng(152)
+        for n, c in ((5, 3), (4, 2)):
+            targets = make_targets(rng, 2, 4, 3) + make_targets(rng.substream("other"), 1, n, c)
+            for fn in (inter_channel_loss, inter_keypoint_loss):
+                with pytest.raises(ContractError):
+                    fn(targets)
 
     def test_empty_target_list(self):
         for fn in (inter_channel_loss, inter_keypoint_loss):

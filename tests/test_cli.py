@@ -2,6 +2,7 @@
 
 import json
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -10,6 +11,7 @@ import pytest
 
 import geodistill
 from geodistill import generate_scene, read_scene, read_tsr, render_gt_views
+from geodistill import cli
 from geodistill.cli import main
 from geodistill.harness import config_from_dict
 
@@ -91,6 +93,28 @@ class TestUsageErrors:
         assert main(["eval-losses", "--config", small_cfg, "--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: cannot create output directory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("gen-scene", "scene.scn"), ("eval-losses", "eval_report.json")],
+    )
+    def test_output_file_that_cannot_be_written(
+        self, small_cfg, tmp_path, capsys, command, blocked
+    ):
+        """An output file the command cannot write, here a directory in its
+        place, exits 2 with one error line, not a traceback."""
+        (tmp_path / "out" / blocked).mkdir(parents=True)
+        assert main([command, "--config", small_cfg, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and blocked in err and err.count("\n") == 1
+
+    def test_readme_cli_block_lists_every_command(self):
+        """The README's CLI synopsis names exactly the parser's commands,
+        in its order."""
+        readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## CLI\n\n```sh\n", 1)[1].split("```", 1)[0]
+        listed = [line.split()[1] for line in block.splitlines()]
+        assert listed == list(cli._COMMANDS)
 
     @pytest.mark.parametrize(
         "key, value",

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from geodistill import (
+    GRAM_NORMALIZATIONS,
     BevFeatureMap,
     BevGrid,
     CategoricalDepthMap,
@@ -23,6 +24,7 @@ from geodistill import (
     OptimizerConfig,
     RunReport,
     SceneConfig,
+    build_distill_plan,
     config_from_dict,
     config_to_dict,
     default_config,
@@ -30,6 +32,8 @@ from geodistill import (
     frobenius_sq_distance,
     generate_scene,
     identity_student_inputs,
+    inter_channel_gram,
+    inter_keypoint_gram,
     load_config,
     random_student_inputs,
     render_gt_views,
@@ -549,6 +553,33 @@ class TestRunTrainToy:
         _, _, student = random_student_inputs(cfg, scene, views)
         want = math.sqrt(frobenius_sq_distance(student.data, scene.teacher_bev.data))
         assert report.data["bev_feature_distance"]["frobenius"] == want
+
+    @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
+    def test_gram_distances_equal_per_target_recomputation(self, norm):
+        """Each target's Gram and raw-feature distances equal, bit for
+        bit, a recomputation through the public Gram functions and
+        frobenius_sq_distance.  Zero BEV weights keep the student map at
+        its starting draw."""
+        cfg = small_harness_config(max_steps=3)
+        cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=0.0, w_ik=0.0)
+        cfg.gram_normalization = norm
+        entries = run_train_toy(cfg).data["gram_distances"]
+        scene = generate_scene(cfg.scene)
+        _, _, student = random_student_inputs(cfg, scene, render_gt_views(scene))
+        plan = build_distill_plan(scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, norm)
+        fs = plan.sample(student.data)
+        assert [e["target"] for e in entries] == list(range(len(scene.boxes)))
+        for j, entry in enumerate(entries):
+            ft = plan.teacher[j]
+            pairs = [
+                (name, gram(fs[j], norm), gram(ft, norm))
+                for name, gram in (("inter_keypoint", inter_keypoint_gram), ("inter_channel", inter_channel_gram))
+            ]
+            for name, got, want in pairs + [("raw_feature", fs[j], ft)]:
+                dist = math.sqrt(frobenius_sq_distance(got, want))
+                want_norm = math.sqrt(frobenius_sq_distance(want, np.zeros_like(want)))
+                assert entry[f"{name}_frob"] == dist
+                assert entry[f"{name}_rel"] == dist / want_norm
 
     def test_loss_decreases_on_small_scene(self):
         cfg = small_harness_config(max_steps=60)

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from geodistill import (
     FormatError,
@@ -180,11 +183,37 @@ class TestTsrFormat:
             read_tsr(io.StringIO("NOPE 1\n2\n1.0 2.0\n"))
 
     def test_rejects_wrong_count(self):
-        with pytest.raises(FormatError):
-            read_tsr(io.StringIO("TSR 1\n3\n1.0 2.0\n"))
+        """The value count must equal the product of the extents, counted
+        exactly also where the product wraps around in int64."""
+        for extents, values in (
+            ("3", "1.0 2.0\n"),
+            ("3037000500 3037000500", ""), ("3037000500 3037000500", "1.0 2.0\n"),
+            ("4294967296 4294967296", ""), ("4294967296 4294967296", "1.0 2.0\n"),
+        ):
+            with pytest.raises(FormatError):
+                read_tsr(io.StringIO(f"TSR 1\n{extents}\n{values}"))
 
     def test_rejects_nonfinite_values(self):
         with pytest.raises(FormatError):
             write_tsr(io.StringIO(), np.array([1.0, np.nan]))
         with pytest.raises(FormatError):
             read_tsr(io.StringIO("TSR 1\n2\nnan 1.0\n"))
+    @settings(max_examples=200, deadline=None)
+    @given(
+        arr=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=1, max_dims=3, max_side=5),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @example(arr=np.array([-0.0, 0.0, 5e-324, -2.2250738585072009e-308]))
+    @example(arr=np.array([[np.finfo(float).max], [-np.finfo(float).max]]))
+    def test_round_trip_property(self, arr):
+        """write_tsr then read_tsr returns every finite array bit for bit,
+        signed zeros, subnormals and the largest magnitudes included."""
+        buf = io.StringIO()
+        write_tsr(buf, arr)
+        buf.seek(0)
+        back = read_tsr(buf)
+        assert back.shape == arr.shape
+        assert back.tobytes() == np.ascontiguousarray(arr).tobytes()

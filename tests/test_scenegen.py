@@ -9,6 +9,7 @@ import pytest
 
 from geodistill import (
     BevGrid,
+    ContractError,
     FormatError,
     GenerationError,
     SceneConfig,
@@ -283,3 +284,26 @@ class TestScnFormat:
         text = scene_string(scene).replace("boxes 0", "boxen 0")
         with pytest.raises(FormatError):
             read_scene(io.StringIO(text))
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [("grid -24.0", "grid a"), ("cameras 3", "cameras x"), ("\n-1 ", "\nz "),
+         ("grid -24.0 24.0 -24.0 24.0 32 32", "grid 0 1 0 1"), ("cameras 3", "cameras"),
+         ("cameras 3", "cameras 3 4"), ("cameras 3", "cameras -1"), ("boxes 1", "boxes 1.5")],
+        ids=["grid-word", "cameras-word", "label-word", "grid-short", "cameras-bare",
+             "cameras-long", "cameras-negative", "boxes-float"],
+    )
+    def test_malformed_line_is_format_error(self, old, new):
+        """A missing, extra or unparsable token raises FormatError, not a
+        ValueError or IndexError from the parse."""
+        text = scene_string(generate_scene(small_config(num_boxes=1)))
+        assert old in text
+        with pytest.raises(FormatError):
+            read_scene(io.StringIO(text.replace(old, new, 1)))
+
+    def test_well_formed_bad_geometry_is_contract_error(self):
+        """A stream that parses but describes an inverted grid keeps
+        raising the grid's ContractError."""
+        text = scene_string(generate_scene(small_config(num_boxes=1)))
+        with pytest.raises(ContractError):
+            read_scene(io.StringIO(text.replace("grid -24.0 24.0", "grid 24.0 -24.0", 1)))
