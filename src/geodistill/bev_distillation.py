@@ -304,7 +304,8 @@ def _gram_losses(
     with_grad: bool = True,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Values (T,) and student-feature gradients (T, N, C), None without
-    ``with_grad``, of T targets' Gram losses against fixed teacher Grams.
+    ``with_grad``, of T >= 0 targets' Gram losses against fixed teacher
+    Grams.
 
     ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.
     """
@@ -312,7 +313,7 @@ def _gram_losses(
     diff = _grams(fs_eff, kind, normalization)
     diff -= gram_t
     denom = float(diff.shape[1] * diff.shape[2]) if reduction == "mean" else 1.0
-    values = np.sum((diff * diff).reshape(diff.shape[0], -1), axis=1) / denom
+    values = np.sum((diff * diff).reshape(diff.shape[0], diff.shape[1] * diff.shape[2]), axis=1) / denom
     if not with_grad:
         return values, None
     g_mat = diff
@@ -468,14 +469,15 @@ def bev_distill_terms(
     with_grad: bool = True,
 ) -> Tuple[LossResult, LossResult]:
     """Channel and keypoint Gram losses over all targets as separate
-    results, each with its own gradient on the student BEV tensor; a
-    call with targets forms no gradient (None) without ``with_grad``.
+    results, each with its own gradient on the student BEV tensor, or
+    None without ``with_grad``.
 
     Both maps are sampled at identical keypoints.  ``plan`` is the
     scene's prebuilt teacher side; without one it is built for this
     call.  All targets run as one stack; values are summed and gradient
     contributions scattered in input order, so the result is bit for bit
-    that of handling the targets one at a time.
+    that of handling the targets one at a time.  With no boxes the stack
+    is empty: both results are 0.0, ``empty``, with zero gradients.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)
@@ -485,16 +487,14 @@ def bev_distill_terms(
         raise ContractError("student and teacher grids disagree")
     if plan is not None and not plan.built_from(teacher_bev, boxes, g, enlarge, normalization):
         raise ContractError("distillation plan was built from different arguments")
-    if not boxes:
-        zero = np.zeros_like(student_bev.data)
-        return LossResult(0.0, zero, empty=True), LossResult(0.0, zero.copy(), empty=True)
     if plan is None:
         plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
     fs = plan.sample(student_bev.data)
     out = []
     for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
         values, grad_fs = _gram_losses(fs, gram_t, kind, normalization, loss_reduction, with_grad)
-        out.append(LossResult(_sum_in_order(values), plan.scatter(grad_fs) if with_grad else None))
+        grad = plan.scatter(grad_fs) if with_grad else None
+        out.append(LossResult(_sum_in_order(values), grad, empty=not boxes))
     return out[0], out[1]
 
 

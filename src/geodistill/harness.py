@@ -27,6 +27,7 @@ from .bev_distillation import (
     DistillPlan,
     TargetKeypointFeatures,
     _gram_losses,
+    _gram_of,
     bev_distill_loss,
     bev_distill_terms,
     build_distill_plan,
@@ -648,18 +649,14 @@ def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _I
         )
         tie = bool(np.min(norms) < 1e-3)
     loss_fn = inter_channel_loss if kind == "channel" else inter_keypoint_loss
-    res = loss_fn(
-        [TargetKeypointFeatures(student=fs, teacher=ft)],
-        normalization=cfg.gram_normalization,
-        loss_reduction=cfg.loss_reduction,
-    )
+    norm, reduction = cfg.gram_normalization, cfg.loss_reduction
+    res = loss_fn([TargetKeypointFeatures(student=fs, teacher=ft)], norm, reduction)
+    # the teacher Gram is the same for every evaluation of this instance
+    gram_t = _gram_of(ft[None], kind, norm)
 
     def f(x):
-        return loss_fn(
-            [TargetKeypointFeatures(student=x.reshape(n, c), teacher=ft)],
-            normalization=cfg.gram_normalization,
-            loss_reduction=cfg.loss_reduction,
-        ).value
+        values, _ = _gram_losses(x.reshape(1, n, c), gram_t, kind, norm, reduction, with_grad=False)
+        return values[0]
 
     return _Instance(f=f, x0=fs, analytic=res.grad[0], tie_adjacent=tie)
 
@@ -769,16 +766,14 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 
 
 def _row_sq(stack: np.ndarray) -> np.ndarray:
-    """Sum of squares of each target's slice of a (T, ...) stack."""
-    return np.sum((stack * stack).reshape(stack.shape[0], -1), axis=1)
+    """Sum of squares of each target's slice of a (T, A, B) stack, T >= 0."""
+    return np.sum((stack * stack).reshape(stack.shape[0], stack.shape[1] * stack.shape[2]), axis=1)
 
 
 def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
     """Per-target Frobenius distances between student and teacher Grams,
     plus the raw keypoint-feature distance that is allowed to stay big.
     The teacher features and Grams come from the scene's plan."""
-    if not plan.boxes:
-        return []
     fs = plan.sample(student)
     # name -> per-target squared distances and teacher squared norms
     columns = {}
@@ -803,6 +798,8 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     target_reduction AND every target's keypoint Gram is within
     ik_rel_target of the teacher's; otherwise on exhausting max_steps,
     an exactly zero gradient (nothing left to improve), or divergence.
+    No update follows the last evaluation, so every figure of the report
+    describes the same parameters.
     """
     t0 = time.perf_counter()
     opt = cfg.optimizer
@@ -818,47 +815,53 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     status = "max_steps"
     initial: Optional[float] = None
 
-    for step in range(opt.max_steps):
-        res = problem.evaluate(params, grad)
-        total = res.value
-        series["total"].append(total)
-        for key in TERMS:
-            series[key].append(res.components[key])
+    # A diverging run overflows on its way to the "diverged" status that
+    # reports it, so numpy's overflow warnings would only repeat it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(opt.max_steps):
+            res = problem.evaluate(params, grad)
+            total = res.value
+            series["total"].append(total)
+            for key in TERMS:
+                series[key].append(res.components[key])
 
-        if not math.isfinite(total):
-            status = "diverged"
-            break
-        if initial is None:
-            initial = total
-        if total <= (1.0 - opt.target_reduction) * initial:
-            # declare convergence only once every target's keypoint Gram
-            # is also within ik_rel_target of the teacher's
-            summary = _gram_distance_summary(student, problem.plan)
-            worst_ik = max((e["inter_keypoint_rel"] for e in summary), default=0.0)
-            if worst_ik <= opt.ik_rel_target:
-                status = "converged"
+            if not math.isfinite(total):
+                status = "diverged"
                 break
-        if total > opt.divergence_factor * max(initial, 1e-12):
-            status = "diverged"
-            break
-        if not np.any(grad):
-            status = "stationary"
-            break
-        bias1 = 1.0 - opt.beta1 ** (step + 1)
-        bias2 = 1.0 - opt.beta2 ** (step + 1)
-        # exponential decay to final_lr_fraction * step_size at max_steps
-        lr = opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
-        for start in range(0, params.size, ADAM_BLOCK):
-            block = slice(start, start + ADAM_BLOCK)
-            g = grad[block]
-            moment1[block] = opt.beta1 * moment1[block] + (1.0 - opt.beta1) * g
-            moment2[block] = opt.beta2 * moment2[block] + (1.0 - opt.beta2) * g * g
-            params[block] -= lr * ((moment1[block] / bias1) / (np.sqrt(moment2[block] / bias2) + opt.eps))
+            if initial is None:
+                initial = total
+            if total <= (1.0 - opt.target_reduction) * initial:
+                # declare convergence only once every target's keypoint Gram
+                # is also within ik_rel_target of the teacher's
+                summary = _gram_distance_summary(student, problem.plan)
+                worst_ik = max((e["inter_keypoint_rel"] for e in summary), default=0.0)
+                if worst_ik <= opt.ik_rel_target:
+                    status = "converged"
+                    break
+            if total > opt.divergence_factor * max(initial, 1e-12):
+                status = "diverged"
+                break
+            if not np.any(grad):
+                status = "stationary"
+                break
+            if step + 1 == opt.max_steps:
+                break  # the report describes the parameters evaluated last
+            bias1 = 1.0 - opt.beta1 ** (step + 1)
+            bias2 = 1.0 - opt.beta2 ** (step + 1)
+            # exponential decay to final_lr_fraction * step_size at max_steps
+            lr = opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
+            for start in range(0, params.size, ADAM_BLOCK):
+                block = slice(start, start + ADAM_BLOCK)
+                g = grad[block]
+                moment1[block] = opt.beta1 * moment1[block] + (1.0 - opt.beta1) * g
+                moment2[block] = opt.beta2 * moment2[block] + (1.0 - opt.beta2) * g * g
+                params[block] -= lr * ((moment1[block] / bias1) / (np.sqrt(moment2[block] / bias2) + opt.eps))
+        map_dist = math.sqrt(frobenius_sq_distance(student, teacher.data))
+        gram_distances = _gram_distance_summary(student, problem.plan)
 
-    final = series["total"][-1] if series["total"] else float("nan")
+    final = series["total"][-1]
     reduction = 1.0 - final / initial if initial else 0.0
     teacher_norm = math.sqrt(float(np.sum(teacher.data * teacher.data)))
-    map_dist = math.sqrt(frobenius_sq_distance(student, teacher.data))
     report = RunReport(
         kind="train-toy",
         config=config_to_dict(cfg),
@@ -870,7 +873,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             "final_total": final,
             "loss_reduction": reduction,
             "loss_series": series,
-            "gram_distances": _gram_distance_summary(student, problem.plan),
+            "gram_distances": gram_distances,
             "bev_feature_distance": {
                 "frobenius": map_dist,
                 "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),

@@ -7,10 +7,11 @@ bit-identical.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Iterator, TextIO
 
 import numpy as np
 
@@ -118,6 +119,17 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def open_text(target, mode: str = "r") -> Iterator[TextIO]:
+    """A path opened in ``mode`` and closed on exit, or a text file
+    object as it is, left open."""
+    if isinstance(target, (str, os.PathLike)):
+        with open(target, mode) as fobj:
+            yield fobj
+    else:
+        yield target
+
+
 def write_tsr(dest, arr) -> None:
     """Write a tensor in TSR v1 format to a path or text file object."""
     arr = as_tensor(arr)
@@ -125,53 +137,40 @@ def write_tsr(dest, arr) -> None:
         raise ShapeError("TSR tensors need at least one extent")
     if not np.all(np.isfinite(arr)):
         raise FormatError("TSR tensors must be finite")
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w") as fobj:
-            _write_tsr_body(fobj, arr)
-    else:
-        _write_tsr_body(dest, arr)
-
-
-def _write_tsr_body(fobj, arr: np.ndarray) -> None:
-    fobj.write("TSR 1\n")
-    fobj.write(" ".join(str(e) for e in arr.shape) + "\n")
     rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
-    for row in rows:
-        fobj.write(" ".join(repr(float(v)) for v in row) + "\n")
+    with open_text(dest, "w") as fobj:
+        fobj.write("TSR 1\n")
+        fobj.write(" ".join(str(e) for e in arr.shape) + "\n")
+        for row in rows:
+            fobj.write(" ".join(repr(float(v)) for v in row) + "\n")
 
 
 def read_tsr(src) -> np.ndarray:
     """Read a TSR v1 tensor from a path or text file object."""
-    if isinstance(src, (str, os.PathLike)):
-        with open(src) as fobj:
-            return _read_tsr_body(fobj)
-    return _read_tsr_body(src)
-
-
-def _read_tsr_body(fobj) -> np.ndarray:
-    header = fobj.readline().strip()
-    if header != "TSR 1":
-        raise FormatError(f"expected 'TSR 1' header, got {header!r}")
-    try:
-        shape = tuple(int(tok) for tok in fobj.readline().split())
-    except ValueError as exc:
-        raise FormatError(f"bad extents line: {exc}") from exc
-    if not shape or any(e < 1 for e in shape):
-        raise FormatError(f"extents must be positive, got {shape}")
-    count = math.prod(shape)
-    values = []
-    for line in fobj:
-        toks = line.split()
-        if not toks:
-            continue
-        if len(values) + len(toks) > count:
-            raise FormatError("more values than the extents allow")
+    with open_text(src) as fobj:
+        header = fobj.readline().strip()
+        if header != "TSR 1":
+            raise FormatError(f"expected 'TSR 1' header, got {header!r}")
         try:
-            values.extend(float(t) for t in toks)
+            shape = tuple(int(tok) for tok in fobj.readline().split())
         except ValueError as exc:
-            raise FormatError(f"bad value token: {exc}") from exc
-        if len(values) == count:
-            break
+            raise FormatError(f"bad extents line: {exc}") from exc
+        if not shape or any(e < 1 for e in shape):
+            raise FormatError(f"extents must be positive, got {shape}")
+        count = math.prod(shape)
+        values = []
+        for line in fobj:
+            toks = line.split()
+            if not toks:
+                continue
+            if len(values) + len(toks) > count:
+                raise FormatError("more values than the extents allow")
+            try:
+                values.extend(float(t) for t in toks)
+            except ValueError as exc:
+                raise FormatError(f"bad value token: {exc}") from exc
+            if len(values) == count:
+                break
     if len(values) != count:
         raise FormatError(f"expected {count} values, got {len(values)}")
     arr = np.array(values)

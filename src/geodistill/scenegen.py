@@ -10,7 +10,6 @@ generator in ``rng`` makes output bit-identical across runs.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, TextIO, Tuple
 
@@ -29,7 +28,7 @@ from .geometry import (
     foreground_pixel_sets,
     rot_z,
 )
-from .numerics import as_tensor, read_tsr, write_tsr
+from .numerics import as_tensor, open_text, read_tsr, write_tsr
 from .rng import CounterRng
 
 # Local face coordinates are shrunk by this relative factor so that the
@@ -81,8 +80,15 @@ class SceneConfig:
             raise ContractError("scene counts must be non-negative")
         if self.num_cameras < 1:
             raise ContractError("need at least one camera")
-        if self.channels < 1:
-            raise ContractError("need at least one feature channel")
+        if self.channels < 2:
+            # the teacher's front and rear signatures are orthogonal
+            raise ContractError("need at least two feature channels")
+        if self.image_width < 1 or self.image_height < 1:
+            raise ContractError("image extents must be >= 1")
+        if self.focal <= 0:
+            raise ContractError("focal must be positive")
+        if self.z_near <= 0:
+            raise ContractError("z_near must be positive")
         for lo, hi in (self.length_range, self.width_range, self.height_range):
             if not (0 < lo <= hi):
                 raise ContractError("size ranges must satisfy 0 < lo <= hi")
@@ -346,36 +352,29 @@ def _fmt(*values) -> str:
 
 
 def write_scene(dest, scene: SyntheticScene) -> None:
-    if isinstance(dest, (str, os.PathLike)):
-        with open(dest, "w") as fobj:
-            _write_scene_body(fobj, scene)
-    else:
-        _write_scene_body(dest, scene)
-
-
-def _write_scene_body(fobj: TextIO, scene: SyntheticScene) -> None:
-    g = scene.grid
-    fobj.write("SCN 1\n")
-    fobj.write("grid " + _fmt(g.x_min, g.x_max, g.y_min, g.y_max, g.h_bev, g.w_bev) + "\n")
-    fobj.write(f"cameras {len(scene.cameras)}\n")
-    for cam in scene.cameras:
-        fobj.write(
-            "camera "
-            + _fmt(cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, cam.z_near)
-            + "\n"
-        )
-        fobj.write("rot " + _fmt(*cam.world_to_cam.rotation.ravel()) + "\n")
-        fobj.write("t " + _fmt(*cam.world_to_cam.translation) + "\n")
-    fobj.write(f"boxes {len(scene.boxes)}\n")
-    for box in scene.boxes:
-        fobj.write("box " + _fmt(*box.center, *box.size, box.yaw) + "\n")
-    fobj.write(f"points {len(scene.points)}\n")
-    if len(scene.points):
-        write_tsr(fobj, scene.points)
-    fobj.write("labels\n")
-    for start in range(0, len(scene.labels), 16):
-        fobj.write(" ".join(str(int(x)) for x in scene.labels[start : start + 16]) + "\n")
-    fobj.write("end\n")
+    with open_text(dest, "w") as fobj:
+        g = scene.grid
+        fobj.write("SCN 1\n")
+        fobj.write("grid " + _fmt(g.x_min, g.x_max, g.y_min, g.y_max, g.h_bev, g.w_bev) + "\n")
+        fobj.write(f"cameras {len(scene.cameras)}\n")
+        for cam in scene.cameras:
+            fobj.write(
+                "camera "
+                + _fmt(cam.fx, cam.fy, cam.cx, cam.cy, cam.width, cam.height, cam.z_near)
+                + "\n"
+            )
+            fobj.write("rot " + _fmt(*cam.world_to_cam.rotation.ravel()) + "\n")
+            fobj.write("t " + _fmt(*cam.world_to_cam.translation) + "\n")
+        fobj.write(f"boxes {len(scene.boxes)}\n")
+        for box in scene.boxes:
+            fobj.write("box " + _fmt(*box.center, *box.size, box.yaw) + "\n")
+        fobj.write(f"points {len(scene.points)}\n")
+        if len(scene.points):
+            write_tsr(fobj, scene.points)
+        fobj.write("labels\n")
+        for start in range(0, len(scene.labels), 16):
+            fobj.write(" ".join(str(int(x)) for x in scene.labels[start : start + 16]) + "\n")
+        fobj.write("end\n")
 
 
 def _expect(fobj: TextIO, key: str, count: int) -> List[str]:
@@ -406,50 +405,44 @@ def _count(fobj: TextIO, key: str) -> int:
 
 
 def read_scene(src) -> SyntheticScene:
-    if isinstance(src, (str, os.PathLike)):
-        with open(src) as fobj:
-            return _read_scene_body(fobj)
-    return _read_scene_body(src)
-
-
-def _read_scene_body(fobj: TextIO) -> SyntheticScene:
-    header = fobj.readline().strip()
-    if header != "SCN 1":
-        raise FormatError(f"expected 'SCN 1' header, got {header!r}")
-    gtoks = _expect(fobj, "grid", 6)
-    grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
-    cameras = []
-    for _ in range(_count(fobj, "cameras")):
-        ctoks = _expect(fobj, "camera", 7)
-        fx, fy, cx, cy, z_near = _numbers(float, ctoks[:4] + ctoks[6:])
-        width, height = _numbers(int, ctoks[4:6])
-        rot = _numbers(float, _expect(fobj, "rot", 9))
-        trans = _numbers(float, _expect(fobj, "t", 3))
-        cameras.append(
-            CameraModel(
-                fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
-                world_to_cam=RigidTransform(np.array(rot).reshape(3, 3), np.array(trans)),
-                z_near=z_near,
+    with open_text(src) as fobj:
+        header = fobj.readline().strip()
+        if header != "SCN 1":
+            raise FormatError(f"expected 'SCN 1' header, got {header!r}")
+        gtoks = _expect(fobj, "grid", 6)
+        grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
+        cameras = []
+        for _ in range(_count(fobj, "cameras")):
+            ctoks = _expect(fobj, "camera", 7)
+            fx, fy, cx, cy, z_near = _numbers(float, ctoks[:4] + ctoks[6:])
+            width, height = _numbers(int, ctoks[4:6])
+            rot = _numbers(float, _expect(fobj, "rot", 9))
+            trans = _numbers(float, _expect(fobj, "t", 3))
+            cameras.append(
+                CameraModel(
+                    fx=fx, fy=fy, cx=cx, cy=cy, width=width, height=height,
+                    world_to_cam=RigidTransform(np.array(rot).reshape(3, 3), np.array(trans)),
+                    z_near=z_near,
+                )
             )
-        )
-    boxes = []
-    for _ in range(_count(fobj, "boxes")):
-        btoks = _numbers(float, _expect(fobj, "box", 7))
-        boxes.append(Box3D(center=np.array(btoks[0:3]), size=np.array(btoks[3:6]), yaw=btoks[6]))
-    n_points = _count(fobj, "points")
-    points = read_tsr(fobj) if n_points else np.zeros((0, 3))
-    if points.shape != (n_points, 3) and n_points:
-        raise FormatError(f"points block has shape {points.shape}, expected ({n_points}, 3)")
-    _expect(fobj, "labels", 0)
-    labels: List[int] = []
-    while len(labels) < n_points:
-        line = fobj.readline()
-        if not line:
-            raise FormatError("unexpected end of file inside labels")
-        labels.extend(_numbers(int, line.split()))
-    if len(labels) != n_points:
-        raise FormatError(f"expected {n_points} labels, got {len(labels)}")
-    _expect(fobj, "end", 0)
+        boxes = []
+        for _ in range(_count(fobj, "boxes")):
+            btoks = _numbers(float, _expect(fobj, "box", 7))
+            boxes.append(Box3D(center=np.array(btoks[0:3]), size=np.array(btoks[3:6]), yaw=btoks[6]))
+        n_points = _count(fobj, "points")
+        points = read_tsr(fobj) if n_points else np.zeros((0, 3))
+        if points.shape != (n_points, 3) and n_points:
+            raise FormatError(f"points block has shape {points.shape}, expected ({n_points}, 3)")
+        _expect(fobj, "labels", 0)
+        labels: List[int] = []
+        while len(labels) < n_points:
+            line = fobj.readline()
+            if not line:
+                raise FormatError("unexpected end of file inside labels")
+            labels.extend(_numbers(int, line.split()))
+        if len(labels) != n_points:
+            raise FormatError(f"expected {n_points} labels, got {len(labels)}")
+        _expect(fobj, "end", 0)
     return SyntheticScene(
         grid=grid,
         boxes=boxes,

@@ -31,6 +31,7 @@ from geodistill import (
     points_in_box,
     sample_keypoints,
 )
+from geodistill.bev_distillation import _gram_losses
 from geodistill.oracles import bilinear_scalar, gram_channel_loops, gram_keypoint_loops
 from geodistill.rng import CounterRng
 
@@ -446,6 +447,20 @@ class TestGramLosses:
             res = fn([])
             assert res.empty and res.value == 0.0 and res.grad == []
 
+    def test_zero_target_stack(self):
+        """A (0, N, C) stack against (0, K, K) teacher Grams gives (0,)
+        values and (0, N, C) gradients, or none without with_grad, for
+        both kinds, every normalization and reduction."""
+        n, c = 9, 4
+        for kind, k in (("channel", c), ("keypoint", n)):
+            for norm in GRAM_NORMALIZATIONS:
+                for reduction in LOSS_REDUCTIONS:
+                    args = (np.zeros((0, n, c)), np.zeros((0, k, k)), kind, norm, reduction)
+                    values, grads = _gram_losses(*args)
+                    assert values.shape == (0,) and grads.shape == (0, n, c)
+                    values, grads = _gram_losses(*args, with_grad=False)
+                    assert values.shape == (0,) and grads is None
+
     def test_gradients_match_finite_differences(self):
         """Analytic student gradients agree with central differences for
         every normalization and both Gram kinds."""
@@ -483,10 +498,20 @@ class TestBevDistillLoss:
         assert np.allclose(a.grad, b.grad, rtol=0, atol=1e-12)
 
     def test_zero_boxes_empty(self):
-        res = bev_distill_loss(self.student, self.teacher, [])
-        assert res.empty and res.value == 0.0
-        assert res.grad.shape == self.student.data.shape
-        assert np.all(res.grad == 0.0)
+        """No boxes: an empty 0.0 result with a zero gradient and no
+        components, for every normalization and reduction."""
+        for norm in GRAM_NORMALIZATIONS:
+            for reduction in LOSS_REDUCTIONS:
+                res = bev_distill_loss(self.student, self.teacher, [], 6, 1.25, norm, reduction)
+                assert res.empty and res.value == 0.0 and res.components == {}
+                assert res.grad.shape == self.student.data.shape
+                assert np.all(res.grad == 0.0)
+
+    def test_zero_boxes_without_gradient(self):
+        """No boxes and no gradient asked for: both terms are empty 0.0
+        results with no gradient, as a call with boxes gives none."""
+        for term in bev_distill_terms(self.student, self.teacher, [], with_grad=False):
+            assert term.empty and term.value == 0.0 and term.grad is None
 
     def test_identical_maps_zero(self):
         res = bev_distill_loss(self.student, self.student, self.boxes, g=3)

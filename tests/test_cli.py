@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -159,7 +160,7 @@ class TestUsageErrors:
          ("scene", {"height_range": [1.4, float("nan")]}, "scene.height_range"),
          ("scene", {"length_range": [5.5, 3.8]}, "scene: size ranges"),
          ("scene", {"num_cameras": 0}, "scene: need at least one camera"),
-         ("scene", {"channels": 0}, "scene: need at least one feature channel"),
+         ("scene", {"channels": 0}, "scene: need at least two feature channels"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, "24", 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24.7, 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24]}, "scene.grid"),
@@ -174,7 +175,12 @@ class TestUsageErrors:
          ("scene", {"focal": float("nan")}, "scene.focal"),
          ("scene", {"teacher_amplitude": float("nan")}, "scene.teacher_amplitude"),
          ("scene", {"z_near": True}, "scene.z_near"),
-         ("scene", {"seed": -1}, "scene.seed must be in [0, 2**64)")],
+         ("scene", {"seed": -1}, "scene.seed must be in [0, 2**64)"),
+         ("scene", {"channels": 1}, "scene: need at least two feature channels"),
+         ("scene", {"focal": -1.0}, "scene: focal must be positive"),
+         ("scene", {"image_width": 0}, "scene: image extents must be >= 1"),
+         ("scene", {"image_height": 0}, "scene: image extents must be >= 1"),
+         ("scene", {"z_near": 0.0}, "scene: z_near must be positive")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
         """Scene and bins fields of the wrong type or length, non-finite,
@@ -330,6 +336,20 @@ class TestTrainToyCommand:
         capsys.readouterr()
         report = read_json(out / "train_report.json")
         assert report["status"] == "max_steps"
+
+    def test_diverging_run_warns_about_nothing(self, tmp_path, capsys):
+        """A step size far too large diverges: exit 1 with status
+        "diverged", and numpy warns about none of the overflow on the way."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, optimizer={"max_steps": 5, "step_size": 1e300})))
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["train-toy", "--config", str(path), "--out", str(out)])
+        capsys.readouterr()
+        assert code == 1
+        assert read_json(out / "train_report.json")["status"] == "diverged"
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 class TestOracleCommand:

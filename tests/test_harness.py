@@ -581,6 +581,20 @@ class TestRunTrainToy:
                 assert entry[f"{name}_frob"] == dist
                 assert entry[f"{name}_rel"] == dist / want_norm
 
+    def test_max_steps_report_describes_the_evaluated_student(self):
+        """A run stopped by max_steps applies no update after its last
+        evaluation, so its distances describe the student whose total it
+        reports: after one step, the starting student."""
+        cfg = small_harness_config(max_steps=1)
+        report = run_train_toy(cfg)
+        assert report.status == "max_steps" and report.data["loss_reduction"] == 0.0
+        scene = generate_scene(cfg.scene)
+        problem, params = student_problem(cfg, scene, render_gt_views(scene))
+        _, student = problem.split(params)
+        assert report.data["gram_distances"] == harness._gram_distance_summary(student, problem.plan)
+        want = math.sqrt(frobenius_sq_distance(student, scene.teacher_bev.data))
+        assert report.data["bev_feature_distance"]["frobenius"] == want
+
     def test_loss_decreases_on_small_scene(self):
         cfg = small_harness_config(max_steps=60)
         report = run_train_toy(cfg)
