@@ -143,13 +143,13 @@ def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.n
 
 
 def _gather(data: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(..., N, C) bilinear samples of (C, H, W) data, the four corner
-    terms added to zero in corner order."""
-    c_dim = data.shape[0]
-    flat = data.reshape(c_dim, -1)
-    out = np.zeros(cells.shape[:-2] + (cells.shape[-1], c_dim))
+    """(..., N, C) bilinear samples of (C, H, W) data at (..., 4, N)
+    corners, the four corner terms added to zero in corner order; a
+    (B, C, H, W) stack of maps gives (B, ..., N, C)."""
+    flat = data.reshape(data.shape[:-2] + (-1,))
+    out = np.zeros(data.shape[:-3] + cells.shape[:-2] + (cells.shape[-1], data.shape[-3]))
     for k in range(4):
-        out += weights[..., k, :, None] * np.moveaxis(flat[:, cells[..., k, :]], 0, -1)
+        out += weights[..., k, :, None] * np.moveaxis(flat[..., cells[..., k, :]], data.ndim - 3, -1)
     return out
 
 
@@ -217,7 +217,7 @@ def _effective_features(f: np.ndarray, normalization: str):
 
 
 def _row_canonical(f: np.ndarray) -> np.ndarray:
-    """Each target's rows of a (T, N, C) stack in lexicographic order.
+    """Each target's rows of a (..., T, N, C) stack in lexicographic order.
 
     The channel Gram is row-order symmetric in exact arithmetic;
     accumulating in a canonical order makes it bitwise invariant to
@@ -227,7 +227,8 @@ def _row_canonical(f: np.ndarray) -> np.ndarray:
     are then sorted by the remaining columns.  Both sorts are stable, so
     the order is exactly that of a full lexsort of each target's rows.
     """
-    t, n, c = f.shape
+    n, c = f.shape[-2:]
+    t = int(np.prod(f.shape[:-2]))
     flat = f.reshape(t * n, c)
     target = np.repeat(np.arange(t), n)
     order = np.lexsort((flat[:, 0], target))
@@ -239,19 +240,19 @@ def _row_canonical(f: np.ndarray) -> np.ndarray:
         run = np.cumsum(np.concatenate([[True], ~tie]))[tied]
         rows = order[tied]
         order[tied] = rows[np.lexsort(tuple(flat[rows, 1:].T[::-1]) + (run,))]
-    return flat[order].reshape(t, n, c)
+    return flat[order].reshape(f.shape)
 
 
 def _grams(f_eff: np.ndarray, kind: str, normalization: str) -> np.ndarray:
-    """(T, C, C) channel or (T, N, N) keypoint Grams of a (T, N, C) stack
-    of effective features, one BLAS product per target.  Each slice's
-    product depends only on that slice's values, so a target's Gram has
-    the same bits in a stack as on its own."""
+    """(..., C, C) channel or (..., N, N) keypoint Grams of a (..., N, C)
+    stack of effective features, one BLAS product per target.  Each
+    slice's product depends only on that slice's values, so a target's
+    Gram has the same bits in a stack as on its own."""
     if kind == "channel":
         f_can = _row_canonical(f_eff)
-        gram = np.swapaxes(f_can, 1, 2) @ f_can
+        gram = np.swapaxes(f_can, -1, -2) @ f_can
     else:
-        gram = f_eff @ np.swapaxes(f_eff, 1, 2)
+        gram = f_eff @ np.swapaxes(f_eff, -1, -2)
     if normalization == "count":
         gram /= _gram_count(f_eff, kind)
     return gram
@@ -263,11 +264,8 @@ def _gram_count(f: np.ndarray, kind: str) -> int:
 
 
 def _gram_of(f, kind: str, normalization: str) -> np.ndarray:
-    f = as_tensor(f)
     _check_norm(normalization)
-    stack = f if f.ndim == 3 else f[None]
-    gram = _grams(_effective_features(stack, normalization)[0], kind, normalization)
-    return gram if f.ndim == 3 else gram[0]
+    return _grams(_effective_features(as_tensor(f), normalization)[0], kind, normalization)
 
 
 def inter_channel_gram(f, normalization: str = "none") -> np.ndarray:
@@ -307,13 +305,16 @@ def _gram_losses(
     ``with_grad``, of T >= 0 targets' Gram losses against fixed teacher
     Grams.
 
-    ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.
+    ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.  A
+    (B, T, N, C) stack gives (B, T) values against the same teacher
+    Grams, each row bit for bit that of its (T, N, C) slice alone.
     """
     fs_eff, fs_scale = _effective_features(fs, normalization)
     diff = _grams(fs_eff, kind, normalization)
     diff -= gram_t
-    denom = float(diff.shape[1] * diff.shape[2]) if reduction == "mean" else 1.0
-    values = np.sum((diff * diff).reshape(diff.shape[0], diff.shape[1] * diff.shape[2]), axis=1) / denom
+    k_sq = diff.shape[-2] * diff.shape[-1]
+    denom = float(k_sq) if reduction == "mean" else 1.0
+    values = np.sum((diff * diff).reshape(diff.shape[:-2] + (k_sq,)), axis=-1) / denom
     if not with_grad:
         return values, None
     g_mat = diff
@@ -329,12 +330,11 @@ def _gram_losses(
     return values, grad_eff
 
 
-def _sum_in_order(values: np.ndarray) -> float:
-    """Left-to-right float sum, in target order."""
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return total
+def _sum_in_order(values: np.ndarray):
+    """Left-to-right float sum over the last (target) axis, in target
+    order: a float for (T,) values, one sum per row for (B, T)."""
+    total = sum(values.T, 0.0)
+    return total if np.ndim(total) else float(total)
 
 
 def _gram_loss(
@@ -420,7 +420,8 @@ class DistillPlan:
         )
 
     def sample(self, bev: np.ndarray) -> np.ndarray:
-        """(T, N, C) features of a (C, H, W) map at every target's keypoints."""
+        """(T, N, C) features of a (C, H, W) map at every target's
+        keypoints, or (B, T, N, C) of a (B, C, H, W) stack of maps."""
         return _gather(bev, self.cells, self.weights)
 
 

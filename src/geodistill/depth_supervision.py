@@ -119,8 +119,8 @@ class ReferenceSelection:
 
 
 def logit_rows(logits: np.ndarray) -> np.ndarray:
-    """(H*W, D) row view of a (D, H, W) map; row y * W + x is pixel (x, y)."""
-    return np.moveaxis(logits, 0, -1).reshape(-1, logits.shape[0])
+    """(..., H*W, D) rows of a (..., D, H, W) map or map stack; row y * W + x is pixel (x, y)."""
+    return np.moveaxis(logits, -3, -1).reshape(logits.shape[:-3] + (-1, logits.shape[-3]))
 
 
 def rows_to_map(rows: np.ndarray, h: int, w: int) -> np.ndarray:
@@ -293,15 +293,17 @@ def _target_positions(
 
 def bce_rows(
     probs: np.ndarray, gt_bins: np.ndarray, grad_rows: Optional[np.ndarray] = None, scale: float = 1.0
-) -> float:
-    """Summed one-hot BCE of softmax rows against their gt bins.
+) -> Union[float, np.ndarray]:
+    """Summed one-hot BCE of (N, D) softmax rows against their gt bins.
 
     Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
     entries pass no gradient, matching the piecewise-constant clip.  When
     ``grad_rows`` is given, ``scale`` times the gradient w.r.t. the
-    underlying logits is added into it.
+    underlying logits is added into it.  A C-ordered (B, N, D) stack of
+    row sets against the same bins gives B sums, each bit for bit that
+    of its (N, D) slice on its own.
     """
-    hit = (np.arange(probs.shape[0]), gt_bins)
+    hit = (..., np.arange(probs.shape[-2]), gt_bins)
     clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     at_gt = clamped[hit]
     terms = -np.log1p(-clamped)
@@ -310,30 +312,37 @@ def bce_rows(
         grad_p = 1.0 / (1.0 - clamped)
         grad_p[hit] = -1.0 / at_gt
         grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
-        inner = np.sum(grad_p * probs, axis=1, keepdims=True)
+        inner = np.sum(grad_p * probs, axis=-1, keepdims=True)
         grad_rows += scale * (probs * (grad_p - inner))
-    return float(np.sum(terms))
+    total = np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+    return total if total.ndim else float(total)
 
 
 def relative_residual(
     d: np.ndarray, gt: np.ndarray, ref: Optional[int], reduction: str
-) -> Tuple[float, np.ndarray]:
+) -> Tuple[Union[float, np.ndarray], np.ndarray]:
     """Loss and d-gradient of one target's squared relative residuals.
 
     With a reference index, depths are anchored at that pixel; the index
     is a constant of the backward pass, while d[ref] still receives
     gradient through every residual it appears in.  With ``ref`` None,
-    residuals run over all ordered pixel pairs (p, q), p != q.
+    residuals run over all ordered pixel pairs (p, q), p != q.  A
+    C-ordered (B, n) stack of depth vectors gives B losses and
+    gradients, each bit for bit that of its row on its own.
     """
+    n = d.shape[-1]
     if ref is None:
-        e_mat = (d[:, None] - d[None, :]) - (gt[:, None] - gt[None, :])
-        denom = float(d.size * (d.size - 1)) if reduction == "mean" else 1.0
-        return float(np.sum(e_mat * e_mat)) / denom, 4.0 * np.sum(e_mat, axis=1) / denom
-    e = (d - d[ref]) - (gt - gt[ref])
-    denom = float(e.size) if reduction == "mean" else 1.0
-    grad_d = 2.0 * e / denom
-    grad_d[ref] -= 2.0 * float(np.sum(e)) / denom
-    return float(np.sum(e * e)) / denom, grad_d
+        e = (d[..., :, None] - d[..., None, :]) - (gt[:, None] - gt[None, :])
+        denom = float(n * (n - 1)) if reduction == "mean" else 1.0
+        grad_d = 4.0 * np.sum(e, axis=-1) / denom
+        e = e.reshape(d.shape[:-1] + (n * n,))
+    else:
+        e = (d - d[..., ref, None]) - (gt - gt[ref])
+        denom = float(n) if reduction == "mean" else 1.0
+        grad_d = 2.0 * e / denom
+        grad_d[..., ref] -= 2.0 * np.sum(e, axis=-1) / denom
+    value = np.sum(e * e, axis=-1) / denom
+    return (value if value.ndim else float(value)), grad_d
 
 
 def relative_depth_rows(
@@ -422,9 +431,7 @@ def inner_depth_loss(
     used = [fds for fds in targets if not fds.skipped]
     if not used:
         return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
-    covered = np.zeros(h * w, dtype=bool)
-    covered[np.concatenate([pixel_rows(fds, w) for fds in used])] = True
-    rows = np.nonzero(covered)[0]
+    rows = np.unique(np.concatenate([pixel_rows(fds, w) for fds in used]))
     grad_rows = np.zeros((rows.size, d))
     value = relative_depth_rows(
         softmax_rows(logit_rows(depthmap.logits)[rows]),

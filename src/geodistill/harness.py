@@ -28,6 +28,7 @@ from .bev_distillation import (
     TargetKeypointFeatures,
     _gram_losses,
     _gram_of,
+    _sum_in_order,
     bev_distill_loss,
     bev_distill_terms,
     build_distill_plan,
@@ -564,7 +565,12 @@ def evaluate_scene_losses(
 
 @dataclass
 class _Instance:
-    f: Callable[[np.ndarray], float]
+    """One drawn check: ``values`` maps a (B, *x0.shape) stack of inputs
+    to their B loss values through the loss's own forward kernels.  Logit
+    rows of a stack are gathered by ``np.take``, in C order like one map's
+    rows; indexing would stride them, and a strided sum rounds differently."""
+
+    values: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
     analytic: np.ndarray
     tie_adjacent: bool = False
@@ -588,15 +594,16 @@ def _absolute_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     tie = bool(np.min(np.abs(gt[valid][:, None] - midpoints[None, :])) < 1e-5)
     dm = CategoricalDepthMap(logits)
     probs = dm.probs
-    tie = tie or bool(
-        np.any(np.abs(probs - 1e-7) < 1e-9) or np.any(np.abs(probs - (1 - 1e-7)) < 1e-9)
-    )
+    tie = tie or bool(np.any(np.abs(probs - 1e-7) < 1e-9) or np.any(np.abs(probs - (1 - 1e-7)) < 1e-9))
     analytic = absolute_depth_loss(dm, gt, valid, bins).grad
-
-    def f(x):
-        return absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value
-
-    return _Instance(f=f, x0=logits, analytic=analytic, tie_adjacent=tie)
+    view = pack_view(gt, valid, bins)
+    return _Instance(
+        # each map's mean BCE over its valid pixels, as absolute_depth_loss forms it
+        values=lambda xs: bce_rows(
+            softmax_rows(np.take(logit_rows(xs), view.rows, axis=1)), view.gt_bins
+        ) / view.rows.size,
+        x0=logits, analytic=analytic, tie_adjacent=tie,
+    )
 
 
 def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
@@ -604,20 +611,16 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     d = 3 + int(sub.uniform(1)[0] * 4)
     h, w = 3, 4
     bins = DepthBins(count=d, d_min=1.0, d_max=10.0)
-    order = np.argsort(sub.uniform(h * w), kind="stable")[:n]
-    order = np.sort(order)
+    order = np.sort(np.argsort(sub.uniform(h * w), kind="stable")[:n])
     pixels = np.stack([order % w, order // w], axis=1)
     gt = 2.0 + 8.0 * sub.uniform(n)
     center = (sub.uniform(1)[0] * w, sub.uniform(1)[0] * h)
-    fds = ForegroundDepthSet(
-        target_index=0, pixels=pixels, gt_depth=gt, skipped=False, center_uv=center
-    )
+    fds = ForegroundDepthSet(target_index=0, pixels=pixels, gt_depth=gt, skipped=False, center_uv=center)
     logits = 2.0 * sub.normal((d, h, w))
-    dm = CategoricalDepthMap(logits)
     sel = cfg.reference
     probs = softmax_rows(logit_rows(logits)[order])
     depths = expected_depths(probs, bins.centers)
-    analytic = inner_depth_loss([fds], dm, bins, sel, cfg.loss_reduction).grad
+    analytic = inner_depth_loss([fds], CategoricalDepthMap(logits), bins, sel, cfg.loss_reduction).grad
     ref, tie = None, False
     if sel.strategy != "one_to_one":
         conf = np.max(probs, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
@@ -629,12 +632,13 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
             tie = bool(second - best < 1e-5 * (1.0 + abs(best)))
         elif sel.strategy == "all_to_adaptive_highest_conf":
             tie = bool(second - best < 1e-6)
-
-    def f(x):
-        dep = expected_depths(softmax_rows(logit_rows(x)[order]), bins.centers)
-        return relative_residual(dep, gt, ref, cfg.loss_reduction)[0]
-
-    return _Instance(f=f, x0=logits, analytic=analytic, tie_adjacent=tie)
+    return _Instance(
+        values=lambda xs: relative_residual(
+            expected_depths(softmax_rows(np.take(logit_rows(xs), order, axis=1)), bins.centers),
+            gt, ref, cfg.loss_reduction,
+        )[0],
+        x0=logits, analytic=analytic, tie_adjacent=tie,
+    )
 
 
 def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _Instance:
@@ -642,57 +646,49 @@ def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _I
     c = 2 + int(sub.uniform(1)[0] * 5)
     fs = sub.normal((n, c))
     ft = sub.normal((n, c))
-    tie = False
-    if cfg.gram_normalization == "l2":
-        norms = np.concatenate(
-            [np.sqrt(np.sum(fs * fs, axis=1)), np.sqrt(np.sum(ft * ft, axis=1))]
-        )
-        tie = bool(np.min(norms) < 1e-3)
+    both = np.concatenate([fs, ft])
+    tie = cfg.gram_normalization == "l2" and bool(np.min(np.sqrt(np.sum(both * both, axis=1))) < 1e-3)
     loss_fn = inter_channel_loss if kind == "channel" else inter_keypoint_loss
     norm, reduction = cfg.gram_normalization, cfg.loss_reduction
     res = loss_fn([TargetKeypointFeatures(student=fs, teacher=ft)], norm, reduction)
-    # the teacher Gram is the same for every evaluation of this instance
+    # each student of a stack is one target against the instance's teacher Gram
     gram_t = _gram_of(ft[None], kind, norm)
-
-    def f(x):
-        values, _ = _gram_losses(x.reshape(1, n, c), gram_t, kind, norm, reduction, with_grad=False)
-        return values[0]
-
-    return _Instance(f=f, x0=fs, analytic=res.grad[0], tie_adjacent=tie)
+    return _Instance(
+        values=lambda xs: _gram_losses(xs, gram_t, kind, norm, reduction, with_grad=False)[0],
+        x0=fs, analytic=res.grad[0], tie_adjacent=tie,
+    )
 
 
 def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     grid = BevGrid(-4.0, 4.0, -4.0, 4.0, 5, 5)
     c = 2
     student = sub.normal((c, 5, 5))
-    teacher_data = sub.normal((c, 5, 5))
-    n_boxes = 1 + int(sub.uniform(1)[0] * 2)
-    boxes = []
-    for _ in range(n_boxes):
-        draw = sub.uniform(5)
-        boxes.append(
-            Box3D(
-                center=np.array([4.0 * draw[0] - 2.0, 4.0 * draw[1] - 2.0, 0.5]),
-                size=np.array([1.5 + 1.5 * draw[2], 1.0 + draw[3], 1.0]),
-                yaw=2.0 * math.pi * draw[4] - math.pi,
-            )
+    teacher = BevFeatureMap(data=sub.normal((c, 5, 5)), grid=grid)
+    draws = [sub.uniform(5) for _ in range(1 + int(sub.uniform(1)[0] * 2))]
+    boxes = [
+        Box3D(
+            center=np.array([4.0 * draw[0] - 2.0, 4.0 * draw[1] - 2.0, 0.5]),
+            size=np.array([1.5 + 1.5 * draw[2], 1.0 + draw[3], 1.0]),
+            yaw=2.0 * math.pi * draw[4] - math.pi,
         )
-    teacher = BevFeatureMap(data=teacher_data, grid=grid)
+        for draw in draws
+    ]
+    norm, reduction = cfg.gram_normalization, cfg.loss_reduction
     # the teacher side is the same for every evaluation of this instance
-    plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
+    plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, norm)
     analytic = bev_distill_loss(
-        BevFeatureMap(data=student, grid=grid), teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization,
-        cfg.loss_reduction, plan=plan,
+        BevFeatureMap(data=student, grid=grid), teacher, boxes, 2, cfg.enlarge, norm, reduction, plan=plan
     ).grad
 
-    def f(x):
-        ic, ik = bev_distill_terms(
-            BevFeatureMap(data=x, grid=grid), teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization,
-            cfg.loss_reduction, plan=plan, with_grad=False,
+    def values(xs):
+        """ic + ik of each map of a stack, as bev_distill_terms sums them."""
+        fs = plan.sample(xs)
+        return sum(
+            _sum_in_order(_gram_losses(fs, gram_t, kind, norm, reduction, with_grad=False)[0])
+            for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint))
         )
-        return ic.value + ik.value
 
-    return _Instance(f=f, x0=student, analytic=analytic)
+    return _Instance(values=values, x0=student, analytic=analytic)
 
 
 # each checked loss family: its instance builder, and the weights that
@@ -730,7 +726,7 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
                 excluded += 1
                 continue
             try:
-                numeric = finite_difference_gradient(inst.f, inst.x0, cfg.gradcheck.h)
+                numeric = finite_difference_gradient(inst.values, inst.x0, cfg.gradcheck.h)
             except NumericError:
                 overflow += 1
                 continue

@@ -84,30 +84,26 @@ def softmax_rows(logits) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time.
+def finite_difference_gradient(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-6) -> np.ndarray:
+    """Central-difference gradient of a scalar function of ``x``.
 
-    Serves as the independent oracle for every analytic gradient in the
-    package; it only ever calls ``f`` as a black box.
+    ``f`` maps a (2m, *x.shape) stack of inputs to their 2m values; it is
+    called once, on x + h e_i for each of the m flat coordinates i, then
+    x - h e_i for each.  Serves as the independent oracle for every
+    analytic gradient in the package; it only ever calls ``f`` as a
+    black box.
     """
     if h <= 0:
         raise ValueError("h must be positive")
     x = as_tensor(x)
-    # flatten through a copy: reshape(-1) on a strided view would not give a
-    # writable alias, so accumulate into a fresh flat buffer instead
-    flat = np.ascontiguousarray(x).reshape(-1)
-    grad = np.empty(flat.size)
-    for i in range(flat.size):
-        xp = flat.copy()
-        xp[i] += h
-        fp = float(f(xp.reshape(x.shape)))
-        xm = flat.copy()
-        xm[i] -= h
-        fm = float(f(xm.reshape(x.shape)))
-        if not (np.isfinite(fp) and np.isfinite(fm)):
-            raise NumericError(f"function evaluated non-finite at coordinate {i}")
-        grad[i] = (fp - fm) / (2.0 * h)
-    return grad.reshape(x.shape)
+    m = x.size
+    stack = np.tile(x.reshape(-1), (2, m, 1))
+    stack[:, np.arange(m), np.arange(m)] += [[h], [-h]]
+    fp, fm = as_tensor(f(stack.reshape((2 * m,) + x.shape))).reshape(2, m)
+    bad = np.flatnonzero(~(np.isfinite(fp) & np.isfinite(fm)))
+    if bad.size:
+        raise NumericError(f"function evaluated non-finite at coordinate {bad[0]}")
+    return ((fp - fm) / (2.0 * h)).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------

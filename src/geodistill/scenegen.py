@@ -76,24 +76,24 @@ class SceneConfig:
         # CounterRng keeps 64 bits of the seed; a wider one would alias another
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"scene.seed must be in [0, 2**64), got {self.seed!r}")
-        if min(self.num_boxes, self.num_cameras, self.points_per_box, self.ground_points) < 0:
-            raise ContractError("scene counts must be non-negative")
-        if self.num_cameras < 1:
-            raise ContractError("need at least one camera")
-        if self.channels < 2:
+        counts = (self.num_boxes, self.num_cameras, self.points_per_box, self.ground_points)
+        for ok, message in (
+            (min(counts) >= 0, "scene counts must be non-negative"),
+            (self.num_cameras >= 1, "need at least one camera"),
             # the teacher's front and rear signatures are orthogonal
-            raise ContractError("need at least two feature channels")
-        if self.image_width < 1 or self.image_height < 1:
-            raise ContractError("image extents must be >= 1")
-        if self.focal <= 0:
-            raise ContractError("focal must be positive")
-        if self.z_near <= 0:
-            raise ContractError("z_near must be positive")
-        for lo, hi in (self.length_range, self.width_range, self.height_range):
-            if not (0 < lo <= hi):
-                raise ContractError("size ranges must satisfy 0 < lo <= hi")
-        if not (0 < self.place_radius_min <= self.place_radius_max):
-            raise ContractError("placement radii must satisfy 0 < min <= max")
+            (self.channels >= 2, "need at least two feature channels"),
+            (min(self.image_width, self.image_height) >= 1, "image extents must be >= 1"),
+            (self.focal > 0, "focal must be positive"),
+            (self.z_near > 0, "z_near must be positive"),
+            (self.enlarge > 0, "enlarge must be positive"),
+            (self.max_place_attempts >= 1, "max_place_attempts must be >= 1"),
+            (self.teacher_noise >= 0, "teacher_noise must be >= 0"),
+            (all(0 < lo <= hi for lo, hi in (self.length_range, self.width_range, self.height_range)),
+             "size ranges must satisfy 0 < lo <= hi"),
+            (0 < self.place_radius_min <= self.place_radius_max, "placement radii must satisfy 0 < min <= max"),
+        ):
+            if not ok:
+                raise ContractError(message)
 
 
 @dataclass

@@ -472,8 +472,8 @@ class TestGramLosses:
                 ft = sub.normal((4, 3))
                 res = fn([TargetKeypointFeatures(fs, ft)], normalization=norm)
 
-                def f(x, fn=fn, ft=ft, norm=norm):
-                    return fn([TargetKeypointFeatures(x, ft)], normalization=norm).value
+                def f(xs, fn=fn, ft=ft, norm=norm):
+                    return [fn([TargetKeypointFeatures(x, ft)], normalization=norm).value for x in xs]
 
                 fd = finite_difference_gradient(f, fs)
                 denom = max(float(np.max(np.abs(fd))), 1e-10)
@@ -586,8 +586,8 @@ class TestBevDistillLoss:
         boxes = [Box3D(center=[0.2, -0.4, 0.0], size=[2.5, 1.5, 1.0], yaw=0.5)]
         res = bev_distill_loss(BevFeatureMap(student, grid), teacher, boxes, g=2)
 
-        def f(x):
-            return bev_distill_loss(BevFeatureMap(x, grid), teacher, boxes, g=2).value
+        def f(xs):
+            return [bev_distill_loss(BevFeatureMap(x, grid), teacher, boxes, g=2).value for x in xs]
 
         fd = finite_difference_gradient(f, student)
         denom = max(float(np.max(np.abs(fd))), 1e-10)

@@ -180,7 +180,11 @@ class TestUsageErrors:
          ("scene", {"focal": -1.0}, "scene: focal must be positive"),
          ("scene", {"image_width": 0}, "scene: image extents must be >= 1"),
          ("scene", {"image_height": 0}, "scene: image extents must be >= 1"),
-         ("scene", {"z_near": 0.0}, "scene: z_near must be positive")],
+         ("scene", {"z_near": 0.0}, "scene: z_near must be positive"),
+         ("scene", {"enlarge": 0.0}, "scene: enlarge must be positive"),
+         ("scene", {"enlarge": -1.25}, "scene: enlarge must be positive"),
+         ("scene", {"max_place_attempts": 0}, "scene: max_place_attempts must be >= 1"),
+         ("scene", {"teacher_noise": -1.0}, "scene: teacher_noise must be >= 0")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
         """Scene and bins fields of the wrong type or length, non-finite,

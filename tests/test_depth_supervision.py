@@ -397,8 +397,8 @@ class TestInnerDepthLoss:
         sel = ReferenceSelection("all_to_adaptive_smallest_error")
         res = inner_depth_loss([fds], dm, bins, sel)
 
-        def f(x):
-            return inner_depth_loss([fds], CategoricalDepthMap(x), bins, sel).value
+        def f(xs):
+            return [inner_depth_loss([fds], CategoricalDepthMap(x), bins, sel).value for x in xs]
 
         fd = finite_difference_gradient(f, dm.logits)
         denom = max(float(np.max(np.abs(fd))), 1e-10)
@@ -466,8 +466,8 @@ class TestAbsoluteDepthLoss:
         dm = CategoricalDepthMap(logits)
         res = absolute_depth_loss(dm, gt, valid, bins)
 
-        def f(x):
-            return absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value
+        def f(xs):
+            return [absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value for x in xs]
 
         fd = finite_difference_gradient(f, logits)
         denom = max(float(np.max(np.abs(fd))), 1e-10)

@@ -41,7 +41,19 @@ from geodistill import (
     run_train_toy,
     write_report,
 )
-from geodistill.depth_supervision import DepthBins
+from geodistill.depth_supervision import (
+    LOSS_REDUCTIONS,
+    REFERENCE_STRATEGIES,
+    DepthBins,
+    absolute_depth_loss,
+    expected_depths,
+    logit_rows,
+    pixel_rows,
+    relative_residual,
+    select_reference,
+)
+from geodistill.bev_distillation import TargetKeypointFeatures, bev_distill_terms
+from geodistill.numerics import finite_difference_gradient, softmax_rows
 from geodistill import harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.rng import CounterRng
@@ -463,6 +475,114 @@ class TestRunGradcheck:
             assert entry["excluded_tie_adjacent"] == 20 and entry["instances"] == 0
             assert entry["overflow"] == 0 and entry["passed"] is False
         assert report.status == "failed"
+
+
+def _absolute_value(args, kw, x):
+    _, gt, valid, bins = args
+    return absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value
+
+
+def _inner_value(args, kw, x):
+    """relative_residual of one input against the reference chosen at the
+    instance's start point, as the analytic gradient freezes it."""
+    (fds,), dm, bins, sel, reduction = args
+    rows = pixel_rows(fds, dm.logits.shape[2])
+
+    def probs(logits):
+        return softmax_rows(logit_rows(logits)[rows])
+
+    ref = None
+    if sel.strategy != "one_to_one":
+        p0 = probs(dm.logits)
+        ref = select_reference(fds, expected_depths(p0, bins.centers), sel, np.max(p0, axis=1))
+    return relative_residual(expected_depths(probs(x), bins.centers), fds.gt_depth, ref, reduction)[0]
+
+
+def _gram_value(loss_name):
+    def value(args, kw, x):
+        (tkf,), norm, reduction = args
+        return getattr(harness, loss_name)([TargetKeypointFeatures(x, tkf.teacher)], norm, reduction).value
+    return value
+
+
+def _bev_value(args, kw, x):
+    student, teacher, boxes, *rest = args
+    ic, ik = bev_distill_terms(
+        BevFeatureMap(x, student.grid), teacher, boxes, *rest, plan=kw["plan"], with_grad=False
+    )
+    return ic.value + ik.value
+
+
+# per gradcheck family: the public loss its builder calls for the analytic
+# gradient, and the value of one input given that call's arguments
+_PUBLIC_VALUES = {
+    "absolute_depth": ("absolute_depth_loss", _absolute_value),
+    "inner_depth": ("inner_depth_loss", _inner_value),
+    "inter_channel": ("inter_channel_loss", _gram_value("inter_channel_loss")),
+    "inter_keypoint": ("inter_keypoint_loss", _gram_value("inter_keypoint_loss")),
+    "bev_distill": ("bev_distill_loss", _bev_value),
+}
+
+
+class TestStackedFiniteDifferences:
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"gram_normalization": n, "loss_reduction": r} for n in GRAM_NORMALIZATIONS for r in LOSS_REDUCTIONS]
+        + [{"reference_strategy": s} for s in REFERENCE_STRATEGIES]
+        + [{"signed_reference_error": True}],
+        ids=lambda overrides: "-".join(f"{key}={value}" for key, value in overrides.items()),
+    )
+    def test_stacked_values_equal_the_public_loss_per_input(self, monkeypatch, overrides):
+        """Each value of an instance's finite-difference stack equals, with
+        ==, the public loss evaluated on that one perturbed input."""
+        cfg = config_from_dict(overrides)
+        calls = {}
+        for loss_name, _ in _PUBLIC_VALUES.values():
+            def record(*args, _real=getattr(harness, loss_name), _name=loss_name, **kw):
+                calls[_name] = (args, kw)
+                return _real(*args, **kw)
+            monkeypatch.setattr(harness, loss_name, record)
+        root = CounterRng(cfg.scene.seed)
+        for family, (build, _) in harness._GRADCHECK_FAMILIES.items():
+            loss_name, value = _PUBLIC_VALUES[family]
+            for attempt in range(4):
+                inst = build(cfg, root.substream(f"gradcheck-{family}-{attempt}"))
+                seen = []
+
+                def f(xs):
+                    seen.append((xs, inst.values(xs)))
+                    return seen[-1][1]
+
+                finite_difference_gradient(f, inst.x0, cfg.gradcheck.h)
+                (xs, stacked), = seen
+                args, kw = calls[loss_name]
+                assert stacked.tolist() == [value(args, kw, x) for x in xs], (family, attempt)
+
+    def test_each_instance_is_one_stacked_value_call(self, monkeypatch):
+        """finite_difference_gradient calls its function once per checked
+        instance of every family, on the (2m, *x0.shape) stack."""
+        real = harness.finite_difference_gradient
+        shapes = []
+
+        def counting(f, x0, h):
+            calls = []
+
+            def counted(xs):
+                calls.append(xs.shape)
+                return f(xs)
+
+            grad = real(counted, x0, h)
+            shapes.append((x0.shape, calls))
+            return grad
+
+        monkeypatch.setattr(harness, "finite_difference_gradient", counting)
+        cfg = small_harness_config()
+        cfg.gradcheck.instances = 3
+        losses = run_gradcheck(cfg).data["losses"]
+        assert all(entry["instances"] == 3 and entry["overflow"] == 0 for entry in losses.values())
+        assert len(shapes) == 3 * len(losses) == 15
+        for shape, calls in shapes:
+            assert calls == [(2 * math.prod(shape),) + shape]
 
 
 class TestRunTrainToy:

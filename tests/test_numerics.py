@@ -130,21 +130,56 @@ class TestSoftmaxRows:
 class TestFiniteDifference:
     def test_known_quadratic(self):
         """Gradient of ||x||^2 at [1, 2] is about [2, 4]."""
-        g = finite_difference_gradient(lambda x: float(np.sum(x * x)), np.array([1.0, 2.0]))
+        g = finite_difference_gradient(lambda xs: np.sum(xs * xs, axis=1), np.array([1.0, 2.0]))
         assert np.allclose(g, [2.0, 4.0], rtol=1e-8, atol=1e-8)
 
     def test_constant_function(self):
-        g = finite_difference_gradient(lambda x: 3.5, np.ones((2, 2)))
+        g = finite_difference_gradient(lambda xs: np.full(len(xs), 3.5), np.ones((2, 2)))
         assert np.array_equal(g, np.zeros((2, 2)))
 
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
-            finite_difference_gradient(lambda x: 0.0, np.ones(2), h=0.0)
+            finite_difference_gradient(lambda xs: np.zeros(len(xs)), np.ones(2), h=0.0)
 
     def test_nonfinite_value_raises(self):
         """An overflowing objective surfaces as NumericError."""
         with np.errstate(over="ignore"), pytest.raises(NumericError):
-            finite_difference_gradient(lambda x: float(np.exp(x[0] * 1e6)), np.array([2000.0]))
+            finite_difference_gradient(lambda xs: np.exp(xs[:, 0] * 1e6), np.array([2000.0]))
+
+    def test_nonfinite_error_names_the_first_overflowing_coordinate(self):
+        """exp(1e6 * max(x1, x2)) is finite at x and at x +- h e_0, and
+        overflows at x + h e_1 and x + h e_2: the error names coordinate 1."""
+        x = np.array([0.0, 7.095e-4, 7.095e-4])
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="at coordinate 1$"):
+            finite_difference_gradient(lambda xs: np.exp(np.max(xs[:, 1:], axis=1) * 1e6), x)
+
+    def test_one_call_on_the_plus_then_minus_stack(self):
+        """f is called once, on x + h e_i for every flat coordinate i, then
+        x - h e_i, stacked along a leading axis of length 2m."""
+        x = np.array([[1.0, -2.0, 0.5], [3.0, 0.25, -1.5]])
+        h = 1e-3
+        calls = []
+
+        def f(xs):
+            calls.append(xs.copy())
+            return np.sum(xs, axis=(1, 2))
+
+        finite_difference_gradient(f, x, h)
+        assert len(calls) == 1 and calls[0].shape == (12, 2, 3)
+        for i in range(6):
+            plus, minus = x.copy().reshape(-1), x.copy().reshape(-1)
+            plus[i] += h
+            minus[i] -= h
+            assert np.array_equal(calls[0][i].reshape(-1), plus)
+            assert np.array_equal(calls[0][6 + i].reshape(-1), minus)
+
+    def test_wrong_value_count_rejected(self):
+        """A function that does not return one value per stacked input,
+        such as a scalar function of one input, is an error."""
+        with pytest.raises(ValueError):
+            finite_difference_gradient(lambda xs: 1.0, np.ones(3))
+        with pytest.raises(ValueError):
+            finite_difference_gradient(lambda xs: np.zeros(len(xs) + 1), np.ones(3))
 
 
 class TestTsrFormat:
