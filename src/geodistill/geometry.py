@@ -181,13 +181,7 @@ def build_gt_depth_map(cam: CameraModel, points) -> Tuple[np.ndarray, np.ndarray
 
     Returns (depth, valid); depth is 0 at pixels no point reached.
     """
-    proj = project_points(cam, points)
-    depth = np.full((cam.height, cam.width), np.inf)
-    rows = np.floor(proj.v).astype(np.int64)
-    cols = np.floor(proj.u).astype(np.int64)
-    np.minimum.at(depth, (rows, cols), proj.depth)
-    valid = np.isfinite(depth)
-    depth[~valid] = 0.0
+    depth, valid, _ = render_view(cam, [], points)
     return depth, valid
 
 
@@ -218,7 +212,9 @@ class ForegroundDepthSet:
         if not self.skipped:
             if np.any(self.gt_depth <= 0):
                 raise ContractError("foreground gt depths must be positive")
-            if len(np.unique(self.pixels, axis=0)) != len(self.pixels):
+            # duplicates are adjacent once sorted: the verdict of np.unique
+            ordered = self.pixels[np.lexsort(self.pixels.T)]
+            if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
                 raise ContractError("foreground pixels must be unique within a set")
 
     def __len__(self) -> int:
@@ -246,29 +242,43 @@ def foreground_pixel_sets(
     per box independently, so a point inside two overlapping boxes
     contributes to both sets.
     """
+    return render_view(cam, boxes, points, cam_index=cam_index)[2]
+
+
+def render_view(
+    cam: CameraModel,
+    boxes: List[Box3D],
+    points,
+    inside: Optional[List[np.ndarray]] = None,
+    cam_index: int = 0,
+) -> Tuple[np.ndarray, np.ndarray, List[ForegroundDepthSet]]:
+    """``build_gt_depth_map`` and ``foreground_pixel_sets`` of one camera
+    from one projection of the points and the box centers.  ``inside[j]``
+    is ``points_in_box(boxes[j], points)``; pass it to share it between
+    cameras."""
     pts = as_tensor(points).reshape(-1, 3)
-    out: List[ForegroundDepthSet] = []
-    for j, box in enumerate(boxes):
-        inside = points_in_box(box, pts)
-        proj = project_points(cam, pts[inside])
-        cols = np.floor(proj.u).astype(np.int64)
-        rows = np.floor(proj.v).astype(np.int64)
-        cols, rows, depth = _dedup_min_depth(cols, rows, proj.depth)
-        center_uv = None
-        cproj = project_points(cam, box.center.reshape(1, 3))
-        if len(cproj) == 1:
-            center_uv = (float(cproj.u[0]), float(cproj.v[0]))
-        out.append(
-            ForegroundDepthSet(
-                target_index=j,
-                pixels=np.stack([cols, rows], axis=1),
-                gt_depth=depth,
-                skipped=len(cols) < 2,
-                cam_index=cam_index,
-                center_uv=center_uv,
-            )
-        )
-    return out
+    if inside is None:
+        inside = [points_in_box(box, pts) for box in boxes]
+    n = len(pts)
+    proj = project_points(cam, np.concatenate([pts, np.reshape([b.center for b in boxes], (-1, 3))]))
+    k = np.searchsorted(proj.index, n)  # hits of the points, then of the centers
+    index, z = proj.index[:k], proj.depth[:k]
+    cols = np.floor(proj.u[:k]).astype(np.int64)
+    rows = np.floor(proj.v[:k]).astype(np.int64)
+    depth = np.full((cam.height, cam.width), np.inf)
+    np.minimum.at(depth, (rows, cols), z)
+    valid = np.isfinite(depth)
+    depth[~valid] = 0.0
+    center_uv = {int(i) - n: (float(u), float(v)) for i, u, v in zip(proj.index[k:], proj.u[k:], proj.v[k:])}
+    sets = []
+    for j, mask in enumerate(inside):
+        sel = mask[index]
+        c, r, d = _dedup_min_depth(cols[sel], rows[sel], z[sel])
+        sets.append(ForegroundDepthSet(
+            target_index=j, pixels=np.stack([c, r], axis=1), gt_depth=d,
+            skipped=len(c) < 2, cam_index=cam_index, center_uv=center_uv.get(j),
+        ))
+    return depth, valid, sets
 
 
 def enlarge_box_bev(box: Box3D, factor: float) -> Box3D:

@@ -483,11 +483,9 @@ def student_problem(
         return problem, params
     root = CounterRng(cfg.scene.seed).substream("student-init")
     for rows, view, packed in zip(logits, views, problem.packed):
-        h, w = view.depth.shape
-        # flat (D, H, W) position of bin k at pixel row r is k * H * W + r
-        index = packed.rows[:, None] + h * w * np.arange(d)
-        noise = root.substream(f"logits-{view.cam_index}").normal_at((d, h, w), index)
-        rows[...] = cfg.optimizer.init_logit_scale * noise
+        sub = root.substream(f"logits-{view.cam_index}")
+        noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
+        rows[...] = cfg.optimizer.init_logit_scale * noise.T
     bev[...] = cfg.optimizer.init_bev_scale * root.substream("bev").normal(bev.shape)
     return problem, params
 

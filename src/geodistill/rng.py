@@ -19,8 +19,11 @@ into (0, 1] so the log is finite), the second ``m`` become angles.
 Entry ``j`` of the draw pairs radius ``j mod m`` with angle
 ``j mod m + m`` and takes the cosine when ``j < m``, the sine otherwise.
 Because output ``k`` is a function of ``k`` alone, any subset of the
-entries can be computed without the rest (``CounterRng.normal_at``),
-bit for bit.
+entries can be computed without the rest, bit for bit:
+``CounterRng.normal_columns`` computes some columns of a draw seen as a
+(rows, columns) matrix.  When the row count is even, ``m`` is a whole
+number of rows, so rows ``k`` and ``k + rows / 2`` of a column take the
+cosine and the sine of one pair.
 
 Named substreams are independent streams seeded with
 ``mix64(parent_seed XOR fnv1a64(label))``.  They never consume parent
@@ -114,29 +117,39 @@ class CounterRng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return (mu + sigma * z).reshape(shape)
 
-    def normal_at(self, shape, index, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """Entries at the flat positions ``index`` of ``normal(shape, mu,
-        sigma)``, bit for bit, shaped like ``index``.
+    def normal_columns(self, shape, columns, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
+        """Columns ``columns`` of ``normal(shape, mu, sigma)`` seen as a
+        (shape[0], -1) matrix, bit for bit, shaped (shape[0],) + columns.shape.
 
         Only the requested entries are computed, but the stream advances
         by the whole draw's 2 * ceil(n / 2) outputs, so later draws are
-        the same either way.
+        the same either way.  With an even shape[0] = 2h, rows k and k + h
+        of a column share one Box-Muller pair, whose radius and angle are
+        computed once.
         """
         shape, n = _shape_size(shape)
-        index = np.asarray(index)
-        flat = index.reshape(-1)
-        if flat.size and flat.dtype.kind not in "iu":
-            raise ContractError(f"normal_at index must hold integers, got {flat.dtype}")
-        if flat.size and (flat.min() < 0 or flat.max() >= n):
-            raise ContractError(f"normal_at index outside [0, {n})")
+        if not shape:
+            raise ContractError("normal_columns needs a shape with at least one axis")
+        lead, width = shape[0], int(np.prod(shape[1:]))
+        columns = np.asarray(columns)
+        if columns.size and columns.dtype.kind not in "iu":
+            raise ContractError(f"normal_columns index must hold integers, got {columns.dtype}")
+        if columns.size and (columns.min() < 0 or columns.max() >= width):
+            raise ContractError(f"normal_columns index outside [0, {width})")
         m = (n + 1) // 2
-        sine = flat >= m
-        r, theta = self._polar(np.where(sine, flat - m, flat), m)
+        cols = columns.reshape(1, -1).astype(np.int64)
+        if lead % 2:  # pairs straddle rows: each entry takes its own pair
+            flat = cols + width * np.arange(lead)[:, None]
+            sine = flat >= m
+            r, theta = self._polar(np.where(sine, flat - m, flat), m)
+            z = np.cos(theta, out=np.empty_like(theta), where=~sine)
+            np.sin(theta, out=z, where=sine)
+            z *= r
+        else:
+            r, theta = self._polar(cols + width * np.arange(lead // 2)[:, None], m)
+            z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         self.counter += 2 * m
-        z = np.cos(theta, out=np.empty_like(theta), where=~sine)
-        np.sin(theta, out=z, where=sine)
-        z *= r
-        return (mu + sigma * z).reshape(index.shape)
+        return (mu + sigma * z).reshape((lead,) + columns.shape)
 
 
 def _shape_size(shape) -> Tuple[Tuple[int, ...], int]:

@@ -24,8 +24,8 @@ from .geometry import (
     ForegroundDepthSet,
     RigidTransform,
     bev_to_world,
-    build_gt_depth_map,
-    foreground_pixel_sets,
+    points_in_box,
+    render_view,
     rot_z,
 )
 from .numerics import as_tensor, open_text, read_tsr, write_tsr
@@ -88,6 +88,8 @@ class SceneConfig:
             (self.enlarge > 0, "enlarge must be positive"),
             (self.max_place_attempts >= 1, "max_place_attempts must be >= 1"),
             (self.teacher_noise >= 0, "teacher_noise must be >= 0"),
+            (self.place_clearance >= 0, "place_clearance must be >= 0"),
+            (self.ground_radius > 0, "ground_radius must be positive"),
             (all(0 < lo <= hi for lo, hi in (self.length_range, self.width_range, self.height_range)),
              "size ranges must satisfy 0 < lo <= hi"),
             (0 < self.place_radius_min <= self.place_radius_max, "placement radii must satisfy 0 < min <= max"),
@@ -314,11 +316,12 @@ def generate_teacher_bev(scene: SyntheticScene, cfg: SceneConfig) -> BevFeatureM
 
 
 def render_gt_views(scene: SyntheticScene) -> List[ViewGroundTruth]:
-    """Dense depth maps and per-target foreground sets for every camera."""
+    """Dense depth maps and per-target foreground sets for every camera;
+    box membership is tested once per scene, not once per camera."""
+    inside = [points_in_box(box, scene.points) for box in scene.boxes]
     views = []
     for i, cam in enumerate(scene.cameras):
-        depth, valid = build_gt_depth_map(cam, scene.points)
-        targets = foreground_pixel_sets(cam, scene.boxes, scene.points, cam_index=i)
+        depth, valid, targets = render_view(cam, scene.boxes, scene.points, inside, i)
         views.append(ViewGroundTruth(cam_index=i, depth=depth, valid=valid, targets=targets))
     return views
 

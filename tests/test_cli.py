@@ -184,7 +184,10 @@ class TestUsageErrors:
          ("scene", {"enlarge": 0.0}, "scene: enlarge must be positive"),
          ("scene", {"enlarge": -1.25}, "scene: enlarge must be positive"),
          ("scene", {"max_place_attempts": 0}, "scene: max_place_attempts must be >= 1"),
-         ("scene", {"teacher_noise": -1.0}, "scene: teacher_noise must be >= 0")],
+         ("scene", {"teacher_noise": -1.0}, "scene: teacher_noise must be >= 0"),
+         ("scene", {"place_clearance": -5.0}, "scene: place_clearance must be >= 0"),
+         ("scene", {"ground_radius": 0.0}, "scene: ground_radius must be positive"),
+         ("scene", {"ground_radius": -3.0}, "scene: ground_radius must be positive")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
         """Scene and bins fields of the wrong type or length, non-finite,

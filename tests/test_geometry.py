@@ -281,6 +281,22 @@ class TestForegroundSets:
                 gt_depth=np.array([2.0, -3.0]),
                 skipped=False,
             )
+        # duplicates that are not adjacent are still found
+        with pytest.raises(ContractError):
+            ForegroundDepthSet(
+                target_index=0,
+                pixels=np.array([[1, 1], [2, 1], [1, 1]]),
+                gt_depth=np.array([2.0, 3.0, 4.0]),
+                skipped=False,
+            )
+        # unique pixels need not be sorted
+        fds = ForegroundDepthSet(
+            target_index=0,
+            pixels=np.array([[3, 2], [1, 1], [2, 1], [0, 2]]),
+            gt_depth=np.array([2.0, 3.0, 4.0, 5.0]),
+            skipped=False,
+        )
+        assert len(fds) == 4
 
 
 class TestBevGridMapping:

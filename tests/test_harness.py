@@ -368,12 +368,15 @@ class TestIdentityStudent:
             assert np.all(g == 0.0)
         assert np.all(res.grad["bev_features"] == 0.0)
 
-    @pytest.mark.parametrize("which", ["default-42", "bev-heavy-1"])
+    @pytest.mark.parametrize("which", ["default-42", "bev-heavy-1", "odd-bins-15"])
     def test_random_logits_are_the_full_draw_at_valid_pixels(self, which):
         """Logits at valid pixels equal the entries of the full (D, H, W)
-        draw bit for bit; every other logit is 0."""
+        draw bit for bit, for an even and an odd bin count; every other
+        logit is 0."""
         if which == "default-42":
             cfg = default_config()
+        elif which == "odd-bins-15":
+            cfg = config_from_dict({"bins": {"count": 15}})
         else:
             cfg = config_from_dict(BEV_HEAVY)
             cfg.scene.seed = 1

@@ -6,22 +6,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodistill import (
     BevGrid,
+    Box3D,
+    CameraModel,
     ContractError,
     FormatError,
     GenerationError,
     SceneConfig,
+    RigidTransform,
     SyntheticScene,
+    build_gt_depth_map,
+    foreground_pixel_sets,
     generate_scene,
     generate_teacher_bev,
     points_in_box,
     project_points,
     read_scene,
     render_gt_views,
+    rot_z,
     write_scene,
 )
+from geodistill.rng import CounterRng
 
 
 def small_config(**overrides):
@@ -229,6 +238,64 @@ class TestRenderGtViews:
         for v in self.views:
             assert np.all(v.depth[v.valid] > 0.0)
             assert np.all(v.depth[~v.valid] == 0.0)
+
+
+def _camera(yaw):
+    """Small camera at the origin looking along world +x rotated by ``yaw``."""
+    cam_to_world = rot_z(yaw) @ np.array([[0.0, 0.0, 1.0], [-1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    return CameraModel(
+        fx=12.0, fy=12.0, cx=12.0, cy=8.0, width=24, height=16,
+        world_to_cam=RigidTransform(cam_to_world.T, np.array([0.0, 0.0, -1.0])),
+    )
+
+
+@st.composite
+def hand_built_scenes(draw):
+    """0-3 boxes (box 1 may overlap box 0), points on their faces plus
+    points all around the cameras (behind them and outside the frustum),
+    and 1 or 2 cameras."""
+    boxes = []
+    for j in range(draw(st.integers(0, 3))):
+        if j == 1 and draw(st.booleans()):
+            center = boxes[0].center + draw(st.sampled_from([0.0, 0.3]))
+        else:
+            center = [draw(st.floats(2.0, 9.0)), draw(st.floats(-4.0, 4.0)), draw(st.floats(0.0, 2.0))]
+        size = [draw(st.floats(0.5, 3.0)) for _ in range(3)]
+        boxes.append(Box3D(center=np.array(center, dtype=float), size=np.array(size), yaw=draw(st.floats(-4.0, 4.0))))
+    rng = CounterRng(draw(st.integers(0, 2**64 - 1)))
+    blocks = [rng.uniform((draw(st.integers(0, 200)), 3), -10.0, 10.0)]
+    for box in boxes:
+        # local coordinates pushed onto a face: one axis at +-size/2
+        local = rng.uniform((40, 3), -0.5, 0.5)
+        local[np.arange(40), np.arange(40) % 3] = np.where(np.arange(40) % 2, 0.5, -0.5)
+        blocks.append((local * box.size) @ rot_z(box.yaw).T + box.center)
+    points = np.concatenate(blocks)
+    cameras = [_camera(yaw) for yaw in [0.0, draw(st.floats(-3.2, 3.2))][: draw(st.integers(1, 2))]]
+    grid = BevGrid(-24.0, 24.0, -24.0, 24.0, 8, 8)
+    return SyntheticScene(grid, boxes, points, np.full(len(points), -1), cameras)
+
+
+class TestRenderMatchesSingleCameraEntryPoints:
+    @settings(max_examples=25, deadline=None)
+    @given(scene=hand_built_scenes())
+    def test_bitwise(self, scene):
+        """render_gt_views equals build_gt_depth_map per camera and
+        foreground_pixel_sets per camera and box, bit for bit."""
+        views = render_gt_views(scene)
+        assert len(views) == len(scene.cameras)
+        for i, (cam, view) in enumerate(zip(scene.cameras, views)):
+            depth, valid = build_gt_depth_map(cam, scene.points)
+            assert view.cam_index == i
+            assert view.depth.tobytes() == depth.tobytes()
+            assert view.valid.tobytes() == valid.tobytes()
+            assert len(view.targets) == len(scene.boxes)
+            for j, (box, got) in enumerate(zip(scene.boxes, view.targets)):
+                (want,) = foreground_pixel_sets(cam, [box], scene.points, cam_index=i)
+                assert (got.target_index, got.cam_index) == (j, i)
+                assert got.pixels.tobytes() == want.pixels.tobytes()
+                assert got.gt_depth.tobytes() == want.gt_depth.tobytes()
+                assert got.skipped == want.skipped
+                assert got.center_uv == want.center_uv
 
 
 class TestScnFormat:
