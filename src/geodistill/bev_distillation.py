@@ -153,33 +153,18 @@ def _gather(data: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndar
     return out
 
 
-class _Scatter:
-    """Fixed-order adjoint of a bilinear gather over T point sets.
-
-    Built from (T, 4, N) corner cells and weights.  Per channel, stage one
-    sums each target's contributions to each cell in (corner, point)
-    order and stage two sums those per-target cell sums in target order;
-    both start from zero.  The result is bit for bit what scattering one
-    target at a time with ``np.add.at`` and adding the per-target maps in
-    order gives.
-    """
-
-    def __init__(self, cells: np.ndarray, weights: np.ndarray, h: int, w: int):
-        key = (np.arange(cells.shape[0])[:, None, None] * (h * w) + cells).ravel()
-        uniq, self.target_cell = np.unique(key, return_inverse=True)
-        self.cell = uniq % (h * w)
-        self.weights = weights
-        self.shape = (h, w)
-
-    def __call__(self, upstream: np.ndarray) -> np.ndarray:
-        """(C, H, W) map of (T, N, C) point gradients."""
-        c_dim = upstream.shape[-1]
-        values = (np.moveaxis(upstream, -1, 0)[:, :, None, :] * self.weights).reshape(c_dim, -1)
-        out = np.empty((c_dim, self.shape[0] * self.shape[1]))
-        for channel, row in zip(out, values):
-            per_target = np.bincount(self.target_cell, weights=row, minlength=self.cell.size)
-            channel[:] = np.bincount(self.cell, weights=per_target, minlength=channel.size)
-        return out.reshape(c_dim, *self.shape)
+def _scatter(upstream: np.ndarray, cells: np.ndarray, weights: np.ndarray, h: int, w: int) -> np.ndarray:
+    """Adjoint of ``_gather``: the (C, H, W) map of (T, N, C) point
+    gradients at (T, 4, N) corner cells and weights.  Per channel, one
+    bincount adds every contribution to zero in (target, corner, point)
+    order, bit for bit what ``np.add.at`` over the flat corners gives."""
+    c_dim = upstream.shape[-1]
+    flat = cells.ravel()
+    values = (np.moveaxis(upstream, -1, 0)[:, :, None, :] * weights).reshape(c_dim, -1)
+    out = np.empty((c_dim, h * w))
+    for channel, row in zip(out, values):
+        channel[:] = np.bincount(flat, weights=row, minlength=h * w)
+    return out.reshape(c_dim, h, w)
 
 
 def bilinear_sample(feat, points) -> np.ndarray:
@@ -200,7 +185,7 @@ def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
     if upstream.shape != (pts.shape[0], c_dim):
         raise ContractError("upstream gradient must be (N, C)")
     cells, weights = _bilinear_corners(pts, h, w)
-    return _Scatter(cells[None], weights[None], h, w)(upstream[None])
+    return _scatter(upstream[None], cells[None], weights[None], h, w)
 
 
 def _effective_features(f: np.ndarray, normalization: str):
@@ -392,9 +377,9 @@ class DistillPlan:
 
     The teacher map is a constant, so for fixed boxes, lattice extent
     ``g``, ``enlarge`` and normalization its keypoint features, both
-    teacher Grams, the bilinear corners and the scatter order never
-    change.  Build it once with ``build_distill_plan`` and pass it to
-    every ``bev_distill_terms`` call on the same scene.
+    teacher Grams and the bilinear corners never change.  Build it once
+    with ``build_distill_plan`` and pass it to every
+    ``bev_distill_terms`` call on the same scene.
     """
 
     teacher_bev: BevFeatureMap
@@ -407,7 +392,6 @@ class DistillPlan:
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
-    scatter: _Scatter  # student-feature gradients back onto the (C, H, W) map
 
     def built_from(self, teacher_bev, boxes, g, enlarge, normalization) -> bool:
         """True when these ``bev_distill_terms`` arguments are the ones
@@ -424,6 +408,21 @@ class DistillPlan:
         keypoints, or (B, T, N, C) of a (B, C, H, W) stack of maps."""
         return _gather(bev, self.cells, self.weights)
 
+    def terms(self, bev: np.ndarray, reduction: str, with_grad: bool = True):
+        """(value, gradient) of the channel and then the keypoint Gram
+        loss of a (C, H, W) student map.  Each value is the per-target
+        values summed in target order; each gradient is the (C, H, W) map
+        of one scatter pass, None without ``with_grad``.  A (B, C, H, W)
+        stack gives (B,) values and no maps."""
+        fs = self.sample(bev)
+        with_grad = with_grad and bev.ndim == 3
+        out = []
+        for kind, gram_t in (("channel", self.teacher_channel), ("keypoint", self.teacher_keypoint)):
+            values, grad_fs = _gram_losses(fs, gram_t, kind, self.normalization, reduction, with_grad)
+            grad = _scatter(grad_fs, self.cells, self.weights, *bev.shape[1:]) if with_grad else None
+            out.append((_sum_in_order(values), grad))
+        return out
+
 
 def build_distill_plan(
     teacher_bev: BevFeatureMap,
@@ -432,14 +431,12 @@ def build_distill_plan(
     enlarge: float = 1.25,
     normalization: str = "none",
 ) -> DistillPlan:
-    """Keypoint lattices, bilinear corners, teacher features, teacher
-    Grams and the gradient scatter order of every target, stacked in box
-    order."""
+    """Keypoint lattices, bilinear corners, teacher features and teacher
+    Grams of every target, stacked in box order."""
     _check_norm(normalization)
-    h, w = teacher_bev.data.shape[1:]
     lattices = keypoint_sets_for_boxes(boxes, teacher_bev.grid, g=g, enlarge=enlarge)
     pts = np.array([kp.points for kp in lattices]).reshape(len(lattices), g * g, 2)
-    cells, weights = _bilinear_corners(pts, h, w)
+    cells, weights = _bilinear_corners(pts, *teacher_bev.data.shape[1:])
     teacher = _gather(teacher_bev.data, cells, weights)
     t_eff, _ = _effective_features(teacher, normalization)
     return DistillPlan(
@@ -453,7 +450,6 @@ def build_distill_plan(
         teacher=teacher,
         teacher_channel=_grams(t_eff, "channel", normalization),
         teacher_keypoint=_grams(t_eff, "keypoint", normalization),
-        scatter=_Scatter(cells, weights, h, w),
     )
 
 
@@ -475,10 +471,11 @@ def bev_distill_terms(
 
     Both maps are sampled at identical keypoints.  ``plan`` is the
     scene's prebuilt teacher side; without one it is built for this
-    call.  All targets run as one stack; values are summed and gradient
-    contributions scattered in input order, so the result is bit for bit
-    that of handling the targets one at a time.  With no boxes the stack
-    is empty: both results are 0.0, ``empty``, with zero gradients.
+    call.  All targets run as one stack through ``DistillPlan.terms``:
+    values are the per-target values summed in input order, and each
+    gradient is scattered in one pass in (target, corner, point) order.
+    With no boxes the stack is empty: both results are 0.0, ``empty``,
+    with zero gradients.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)
@@ -490,13 +487,8 @@ def bev_distill_terms(
         raise ContractError("distillation plan was built from different arguments")
     if plan is None:
         plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
-    fs = plan.sample(student_bev.data)
-    out = []
-    for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
-        values, grad_fs = _gram_losses(fs, gram_t, kind, normalization, loss_reduction, with_grad)
-        grad = plan.scatter(grad_fs) if with_grad else None
-        out.append(LossResult(_sum_in_order(values), grad, empty=not boxes))
-    return out[0], out[1]
+    (ic, ic_grad), (ik, ik_grad) = plan.terms(student_bev.data, loss_reduction, with_grad)
+    return LossResult(ic, ic_grad, empty=not boxes), LossResult(ik, ik_grad, empty=not boxes)
 
 
 def bev_distill_loss(
@@ -507,16 +499,12 @@ def bev_distill_loss(
     enlarge: float = 1.25,
     normalization: str = "none",
     loss_reduction: str = "mean",
-    *,
-    plan: Optional[DistillPlan] = None,
 ) -> LossResult:
     """Combined channel + keypoint Gram loss with the gradient mapped back
-    onto the student BEV tensor; teacher features carry no gradient.
-    ``plan`` is as for ``bev_distill_terms``."""
+    onto the student BEV tensor; teacher features carry no gradient."""
     ic, ik = bev_distill_terms(
         student_bev, teacher_bev, boxes,
         g=g, enlarge=enlarge, normalization=normalization, loss_reduction=loss_reduction,
-        plan=plan,
     )
     if ic.empty:
         return LossResult(0.0, ic.grad, empty=True)

@@ -5,8 +5,8 @@ rendering, one-shot loss evaluation, finite-difference gradient
 checking, the toy training loop, and the brute-force oracle suite.
 
 Exit codes: 0 on success, 1 when a check fails (gradcheck over
-threshold, training not converged, oracle mismatch), 2 on bad
-configuration or usage, or an output it cannot write.
+threshold, training not converged, oracle mismatch) or memory runs
+out, 2 on bad configuration or usage, or an output it cannot write.
 """
 
 from __future__ import annotations
@@ -210,6 +210,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     except (ContractError, GenerationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

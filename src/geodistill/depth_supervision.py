@@ -71,6 +71,8 @@ class DepthBins:
         self.centers = as_tensor(self.centers)
         if self.centers.shape != (self.count,):
             raise ContractError("centers length must equal the bin count")
+        if not np.all(np.isfinite(self.centers)):
+            raise ContractError("bin centers must be finite")
         if np.any(np.diff(self.centers) <= 0):
             raise ContractError("bin centers must be strictly increasing")
         if self.centers[0] < self.d_min or self.centers[-1] > self.d_max:

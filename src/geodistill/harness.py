@@ -28,8 +28,6 @@ from .bev_distillation import (
     TargetKeypointFeatures,
     _gram_losses,
     _gram_of,
-    _sum_in_order,
-    bev_distill_loss,
     bev_distill_terms,
     build_distill_plan,
     inter_channel_loss,
@@ -179,7 +177,7 @@ class OptimizerConfig:
     final_lr_fraction: float = _ranged(0.05, "in (0, 1]", lambda v: 0.0 < v <= 1.0)
     init_logit_scale: float = 0.01
     init_bev_scale: float = 0.1
-    divergence_factor: float = 1e6
+    divergence_factor: float = _ranged(1e6, ">= 1", lambda v: v >= 1)
 
     def __post_init__(self):
         _check_fields("optimizer.", OptimizerConfig, vars(self))
@@ -671,22 +669,16 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
         )
         for draw in draws
     ]
-    norm, reduction = cfg.gram_normalization, cfg.loss_reduction
     # the teacher side is the same for every evaluation of this instance
-    plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, norm)
-    analytic = bev_distill_loss(
-        BevFeatureMap(data=student, grid=grid), teacher, boxes, 2, cfg.enlarge, norm, reduction, plan=plan
-    ).grad
+    plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
+    (_, ic_grad), (_, ik_grad) = plan.terms(student, cfg.loss_reduction)
 
     def values(xs):
-        """ic + ik of each map of a stack, as bev_distill_terms sums them."""
-        fs = plan.sample(xs)
-        return sum(
-            _sum_in_order(_gram_losses(fs, gram_t, kind, norm, reduction, with_grad=False)[0])
-            for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint))
-        )
+        """ic + ik of each map of a stack."""
+        (ic, _), (ik, _) = plan.terms(xs, cfg.loss_reduction, with_grad=False)
+        return ic + ik
 
-    return _Instance(values=values, x0=student, analytic=analytic)
+    return _Instance(values=values, x0=student, analytic=ic_grad + ik_grad)
 
 
 # each checked loss family: its instance builder, and the weights that

@@ -117,9 +117,9 @@ class CounterRng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
         return (mu + sigma * z).reshape(shape)
 
-    def normal_columns(self, shape, columns, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """Columns ``columns`` of ``normal(shape, mu, sigma)`` seen as a
-        (shape[0], -1) matrix, bit for bit, shaped (shape[0],) + columns.shape.
+    def normal_columns(self, shape, columns) -> np.ndarray:
+        """Columns ``columns`` of ``normal(shape)`` seen as a (shape[0], -1)
+        matrix, bit for bit, shaped (shape[0],) + columns.shape.
 
         Only the requested entries are computed, but the stream advances
         by the whole draw's 2 * ceil(n / 2) outputs, so later draws are
@@ -149,7 +149,7 @@ class CounterRng:
             r, theta = self._polar(cols + width * np.arange(lead // 2)[:, None], m)
             z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         self.counter += 2 * m
-        return (mu + sigma * z).reshape((lead,) + columns.shape)
+        return z.reshape((lead,) + columns.shape)
 
 
 def _shape_size(shape) -> Tuple[Tuple[int, ...], int]:

@@ -135,13 +135,15 @@ class TestUsageErrors:
          ("weights", {"w_ic": True}), ("weights", {"w_ik": float("-inf")}),
          ("gradcheck", {"h": float("inf")}), ("gradcheck", {"h": float("nan")}),
          ("gradcheck", {"fail_threshold": float("nan")}), ("gradcheck", {"instances": True}),
-         ("scene", {"num_cameras": True}), ("bins", {"count": True})],
+         ("scene", {"num_cameras": True}), ("bins", {"count": True}),
+         ("optimizer", {"divergence_factor": 0.5})],
     )
     def test_bad_lattice_config_is_config_error(self, tmp_path, capsys, key, value):
         """A lattice extent that is not an integer >= 2, an enlargement
-        that is not a finite number >= 1, and a NaN, infinite or boolean
-        optimizer, weight, gradcheck, scene or bins number exit 2 with a
-        one-line error that names the field."""
+        that is not a finite number >= 1, a NaN, infinite or boolean
+        optimizer, weight, gradcheck, scene or bins number, and a
+        divergence factor below 1 exit 2 with a one-line error that names
+        the field."""
         name = key
         if isinstance(value, dict):
             name = f"{key}.{next(iter(value))}"
@@ -225,6 +227,17 @@ class TestUsageErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
+    def test_out_of_memory_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
+        """A MemoryError, such as an allocation for a huge lattice, exits
+        1 with one line instead of a traceback."""
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 233. TiB")
+
+        monkeypatch.setattr("geodistill.cli.student_problem", no_memory)
+        code = main(["eval-losses", "--config", small_cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: out of memory: Unable to allocate 233. TiB\n"
 
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
         """``python -m geodistill`` runs the CLI; keypoint_g 2.5 is a

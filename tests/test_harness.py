@@ -9,6 +9,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geodistill import (
     GRAM_NORMALIZATIONS,
@@ -123,7 +125,87 @@ def other_value(key, value):
     return value / 2.0 if value else 0.5
 
 
+# any JSON value of any kind: integers stay within +-10**6, because a
+# loaded bins.count allocates that many centers
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.floats(),
+    st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-10**6, 10**6), st.floats()), max_size=7),
+    st.dictionaries(st.text(max_size=4), st.integers(-10**6, 10**6), max_size=2),
+)
+STRING_CHOICES = (
+    ("uniform", "spacing_increasing") + REFERENCE_STRATEGIES + LOSS_REDUCTIONS + GRAM_NORMALIZATIONS
+)
+DEFAULT_ECHO = config_to_dict(default_config())
+# each section's keys, from its dataclass
+SECTION_CLASSES = {"scene": SceneConfig, "bins": DepthBins, **harness._SECTIONS}
+
+
+def values_near(default):
+    """Values of the default's kind around it, in and out of range, or
+    any value at all."""
+    if isinstance(default, bool):
+        near = st.booleans()
+    elif isinstance(default, int):
+        near = st.integers(-2, 2 * default + 2)
+    elif isinstance(default, float):
+        near = st.one_of(st.floats(-2.0, 2.0).map(lambda f: f * default), st.floats(-1.0, 2.0))
+    elif isinstance(default, str):
+        near = st.sampled_from(STRING_CHOICES)
+    elif isinstance(default, list):
+        near = st.tuples(*(values_near(v) for v in default)).map(list)
+    else:
+        near = st.nothing()
+    return st.one_of(near, ANY_VALUE)
+
+
+@st.composite
+def config_dicts(draw):
+    """A config dict over every top-level key and every section field,
+    each present or not and about one in eight of them off its default,
+    with an unknown key now and then; a section may be of the wrong kind."""
+    def some(keys, defaults):
+        out = {}
+        for key in keys:
+            if draw(st.booleans()):
+                default = defaults.get(key)
+                out[key] = draw(values_near(default)) if draw(st.integers(0, 7)) == 0 else default
+        if draw(st.integers(0, 9)) == 0:
+            out[draw(st.text(max_size=4))] = draw(ANY_VALUE)
+        return out
+
+    plain = [key for key in harness._TOP_KEYS if key not in SECTION_CLASSES]
+    d = some(plain, DEFAULT_ECHO)
+    for key, cls in SECTION_CLASSES.items():
+        if draw(st.booleans()):
+            fields = [f.name for f in dataclasses.fields(cls)]
+            d[key] = some(fields, DEFAULT_ECHO[key]) if draw(st.integers(0, 9)) else draw(ANY_VALUE)
+    return d
+
+
 class TestConfigDicts:
+    @settings(max_examples=150, deadline=None)
+    @given(d=config_dicts())
+    # log-spaced bins whose d_max / d_min overflows to infinity
+    @example(d={"bins": {"count": 4, "mode": "spacing_increasing", "d_min": 1e-320, "d_max": 1.0}})
+    def test_generated_dict_loads_and_round_trips_or_is_config_error(self, d):
+        """A dict of values in and out of range, of wrong kinds, NaN,
+        +-inf, bools, strings, lists and unknown keys either raises
+        ConfigError, or loads every given value and echoes a dict that
+        loads back to the same echo."""
+        try:
+            cfg = config_from_dict(d)
+        except ConfigError:
+            return
+        echo = config_to_dict(cfg)
+        for key, value in d.items():
+            given = dict(echo[key], **value) if key in SECTION_CLASSES else value
+            assert echo[key] == given
+        assert config_to_dict(config_from_dict(echo)) == echo
+
     def test_round_trip_is_identity(self):
         cfg = default_config()
         echo = config_to_dict(config_from_dict(config_to_dict(cfg)))
@@ -480,12 +562,12 @@ class TestRunGradcheck:
         assert report.status == "failed"
 
 
-def _absolute_value(args, kw, x):
+def _absolute_value(cfg, args, kw, x):
     _, gt, valid, bins = args
     return absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value
 
 
-def _inner_value(args, kw, x):
+def _inner_value(cfg, args, kw, x):
     """relative_residual of one input against the reference chosen at the
     instance's start point, as the analytic gradient freezes it."""
     (fds,), dm, bins, sel, reduction = args
@@ -502,28 +584,29 @@ def _inner_value(args, kw, x):
 
 
 def _gram_value(loss_name):
-    def value(args, kw, x):
+    def value(cfg, args, kw, x):
         (tkf,), norm, reduction = args
         return getattr(harness, loss_name)([TargetKeypointFeatures(x, tkf.teacher)], norm, reduction).value
     return value
 
 
-def _bev_value(args, kw, x):
-    student, teacher, boxes, *rest = args
+def _bev_value(cfg, args, kw, x):
+    teacher, boxes, g, enlarge, norm = args
     ic, ik = bev_distill_terms(
-        BevFeatureMap(x, student.grid), teacher, boxes, *rest, plan=kw["plan"], with_grad=False
+        BevFeatureMap(x, teacher.grid), teacher, boxes, g, enlarge, norm, cfg.loss_reduction, with_grad=False
     )
     return ic.value + ik.value
 
 
-# per gradcheck family: the public loss its builder calls for the analytic
-# gradient, and the value of one input given that call's arguments
+# per gradcheck family: the public function its builder calls (for the BEV
+# family the plan builder), and the value of one input given the config and
+# that call's arguments
 _PUBLIC_VALUES = {
     "absolute_depth": ("absolute_depth_loss", _absolute_value),
     "inner_depth": ("inner_depth_loss", _inner_value),
     "inter_channel": ("inter_channel_loss", _gram_value("inter_channel_loss")),
     "inter_keypoint": ("inter_keypoint_loss", _gram_value("inter_keypoint_loss")),
-    "bev_distill": ("bev_distill_loss", _bev_value),
+    "bev_distill": ("build_distill_plan", _bev_value),
 }
 
 
@@ -559,7 +642,7 @@ class TestStackedFiniteDifferences:
                 finite_difference_gradient(f, inst.x0, cfg.gradcheck.h)
                 (xs, stacked), = seen
                 args, kw = calls[loss_name]
-                assert stacked.tolist() == [value(args, kw, x) for x in xs], (family, attempt)
+                assert stacked.tolist() == [value(cfg, args, kw, x) for x in xs], (family, attempt)
 
     def test_each_instance_is_one_stacked_value_call(self, monkeypatch):
         """finite_difference_gradient calls its function once per checked
