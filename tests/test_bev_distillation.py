@@ -556,6 +556,30 @@ class TestBevDistillLoss:
         ic, ik = bev_distill_terms(self.student, self.teacher, self.boxes, 3, 1.25, plan=plan)
         assert ic.value > 0.0 and ik.value > 0.0
 
+    @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
+    @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
+    def test_combined_loss_with_plan_equals_without(self, norm, reduction):
+        """The terms of a prebuilt plan, added, give the bits of
+        bev_distill_loss, which builds its own plan; the prebuilt plan is
+        rejected for other arguments."""
+        plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, norm)
+        fresh = bev_distill_loss(self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction)
+        ic, ik = bev_distill_terms(
+            self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction, plan=plan
+        )
+        assert fresh.value == ic.value + ik.value
+        assert fresh.components == {"inter_channel": ic.value, "inter_keypoint": ik.value}
+        assert np.array_equal(fresh.grad, ic.grad + ik.grad)
+        other = "l2" if norm != "l2" else "none"
+        with pytest.raises(ContractError):
+            bev_distill_terms(
+                self.student, self.teacher, self.boxes, 3, 1.25, other, reduction, plan=plan
+            )
+        with pytest.raises(ContractError):
+            bev_distill_terms(
+                self.student, self.teacher, self.boxes[::-1], 3, 1.25, norm, reduction, plan=plan
+            )
+
     def test_grid_mismatch_rejected(self):
         other = BevFeatureMap(
             self.teacher.data.copy(), BevGrid(-4.0, 4.0, -4.0, 4.0 + 1e-9, 8, 8)
