@@ -284,11 +284,12 @@ def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) 
 
 def _gram_losses(
     fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str,
-    with_grad: bool = True,
+    with_grad: bool = True, sq: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Values (T,) and student-feature gradients (T, N, C), None without
     ``with_grad``, of T >= 0 targets' Gram losses against fixed teacher
-    Grams.
+    Grams.  With ``sq``, a (T,) array, each target's sum of squared Gram
+    differences is written into it before the reduction's division.
 
     ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.  A
     (B, T, N, C) stack gives (B, T) values against the same teacher
@@ -299,7 +300,7 @@ def _gram_losses(
     diff -= gram_t
     k_sq = diff.shape[-2] * diff.shape[-1]
     denom = float(k_sq) if reduction == "mean" else 1.0
-    values = np.sum((diff * diff).reshape(diff.shape[:-2] + (k_sq,)), axis=-1) / denom
+    values = np.sum((diff * diff).reshape(diff.shape[:-2] + (k_sq,)), axis=-1, out=sq) / denom
     if not with_grad:
         return values, None
     g_mat = diff
@@ -408,17 +409,22 @@ class DistillPlan:
         keypoints, or (B, T, N, C) of a (B, C, H, W) stack of maps."""
         return _gather(bev, self.cells, self.weights)
 
-    def terms(self, bev: np.ndarray, reduction: str, with_grad: bool = True):
+    def terms(
+        self, bev: np.ndarray, reduction: str, with_grad: bool = True, keypoint_sq: Optional[np.ndarray] = None
+    ):
         """(value, gradient) of the channel and then the keypoint Gram
         loss of a (C, H, W) student map.  Each value is the per-target
         values summed in target order; each gradient is the (C, H, W) map
         of one scatter pass, None without ``with_grad``.  A (B, C, H, W)
-        stack gives (B,) values and no maps."""
+        stack gives (B,) values and no maps.  ``keypoint_sq`` receives the
+        keypoint kind's per-target squared distances (see ``_gram_losses``)."""
         fs = self.sample(bev)
         with_grad = with_grad and bev.ndim == 3
         out = []
-        for kind, gram_t in (("channel", self.teacher_channel), ("keypoint", self.teacher_keypoint)):
-            values, grad_fs = _gram_losses(fs, gram_t, kind, self.normalization, reduction, with_grad)
+        for kind, gram_t, sq in (
+            ("channel", self.teacher_channel, None), ("keypoint", self.teacher_keypoint, keypoint_sq)
+        ):
+            values, grad_fs = _gram_losses(fs, gram_t, kind, self.normalization, reduction, with_grad, sq)
             grad = _scatter(grad_fs, self.cells, self.weights, *bev.shape[1:]) if with_grad else None
             out.append((_sum_in_order(values), grad))
         return out
@@ -464,6 +470,7 @@ def bev_distill_terms(
     *,
     plan: Optional[DistillPlan] = None,
     with_grad: bool = True,
+    keypoint_sq: Optional[np.ndarray] = None,
 ) -> Tuple[LossResult, LossResult]:
     """Channel and keypoint Gram losses over all targets as separate
     results, each with its own gradient on the student BEV tensor, or
@@ -475,7 +482,8 @@ def bev_distill_terms(
     values are the per-target values summed in input order, and each
     gradient is scattered in one pass in (target, corner, point) order.
     With no boxes the stack is empty: both results are 0.0, ``empty``,
-    with zero gradients.
+    with zero gradients.  ``keypoint_sq``, a (T,) array, receives each
+    target's squared keypoint-Gram distance, before the reduction.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)
@@ -487,7 +495,7 @@ def bev_distill_terms(
         raise ContractError("distillation plan was built from different arguments")
     if plan is None:
         plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
-    (ic, ic_grad), (ik, ik_grad) = plan.terms(student_bev.data, loss_reduction, with_grad)
+    (ic, ic_grad), (ik, ik_grad) = plan.terms(student_bev.data, loss_reduction, with_grad, keypoint_sq)
     return LossResult(ic, ic_grad, empty=not boxes), LossResult(ik, ik_grad, empty=not boxes)
 
 

@@ -294,29 +294,44 @@ def _target_positions(
 
 
 def bce_rows(
-    probs: np.ndarray, gt_bins: np.ndarray, grad_rows: Optional[np.ndarray] = None, scale: float = 1.0
+    probs: np.ndarray,
+    gt_bins: np.ndarray,
+    grad_rows: Optional[np.ndarray] = None,
+    scale: float = 1.0,
+    work: Optional[np.ndarray] = None,
 ) -> Union[float, np.ndarray]:
     """Summed one-hot BCE of (N, D) softmax rows against their gt bins.
 
     Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
     entries pass no gradient, matching the piecewise-constant clip.  When
     ``grad_rows`` is given, ``scale`` times the gradient w.r.t. the
-    underlying logits is added into it.  A C-ordered (B, N, D) stack of
-    row sets against the same bins gives B sums, each bit for bit that
-    of its (N, D) slice on its own.
+    underlying logits is written into it, with the bits of adding it to
+    zeros; it also holds the gradient's temporaries.  ``work`` is an
+    optional C-contiguous array of the probabilities' shape that holds
+    the others.  A C-ordered (B, N, D) stack of row sets against the
+    same bins gives B sums, each bit for bit that of its (N, D) slice on
+    its own.
     """
     hit = (..., np.arange(probs.shape[-2]), gt_bins)
-    clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    work = np.empty_like(probs) if work is None else work
+    # with every probability strictly inside the clamp, the clip and the
+    # gradient mask change no bit and are skipped
+    inside = probs.size > 0 and probs.min() > BCE_CLAMP and probs.max() < 1.0 - BCE_CLAMP
+    clamped = probs if inside else np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
     at_gt = clamped[hit]
-    terms = -np.log1p(-clamped)
-    terms[hit] = -np.log(at_gt)
+    logs = np.log1p(np.negative(clamped, out=work), out=work)
+    logs[hit] = np.log(at_gt)
+    # every log is negative and nonzero, so negating the sum rounds as
+    # summing the negated terms; 0.0 - keeps an empty sum at +0.0
+    total = 0.0 - np.sum(logs.reshape(logs.shape[:-2] + (-1,)), axis=-1)
     if grad_rows is not None:
-        grad_p = 1.0 / (1.0 - clamped)
+        grad_p = np.divide(1.0, np.subtract(1.0, clamped, out=grad_rows), out=grad_rows)
         grad_p[hit] = -1.0 / at_gt
-        grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
-        inner = np.sum(grad_p * probs, axis=-1, keepdims=True)
-        grad_rows += scale * (probs * (grad_p - inner))
-    total = np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+        if not inside:
+            grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
+        inner = np.sum(np.multiply(grad_p, probs, out=work), axis=-1, keepdims=True)
+        g = np.multiply(probs, np.subtract(grad_p, inner, out=grad_rows), out=grad_rows)
+        np.add(np.multiply(g, scale, out=g), 0.0, out=g)
     return total if total.ndim else float(total)
 
 
@@ -402,7 +417,7 @@ def absolute_depth_loss(
     if view.rows.size == 0:
         return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
     probs = softmax_rows(logit_rows(depthmap.logits)[view.rows])
-    grad_rows = np.zeros_like(probs)
+    grad_rows = np.empty_like(probs)
     value = bce_rows(probs, view.gt_bins, grad_rows)
     n = float(view.rows.size)
     grad = packed_to_map(grad_rows / n, view.rows, h, w)

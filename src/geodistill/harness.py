@@ -391,9 +391,18 @@ class SceneProblem:
     packed: List[PackedView]
     plan: DistillPlan
     ends: np.ndarray  # end offset of each view's rows, then of the BEV map
-    # The last evaluation's BEV results, held until the next call: freed at
-    # once, their maps let glibc hand heap pages back to the OS that the next
-    # step faults in again, and a bev-heavy step runs about 20 % slower.
+    # (2, N, D) step buffers of the largest view, shared by every view:
+    # probabilities and BCE's work array.  A view uses the leading rows,
+    # which are C-contiguous, so its sums round as in fresh arrays.
+    rows_buffers: np.ndarray = field(repr=False)
+    # each target's squared keypoint-Gram distance at the last evaluation
+    # of the BEV terms, and the teacher keypoint Gram's squared norm
+    keypoint_sq: np.ndarray = field(repr=False)
+    keypoint_norm_sq: np.ndarray = field(repr=False)
+    # The last evaluation's BEV results, held until the next call (None
+    # when it skipped them): freed at once, their maps let glibc hand heap
+    # pages back to the OS that the next step faults in again, and a
+    # bev-heavy step runs about 20 % slower.
     last_bev: Any = field(default=None, repr=False)
 
     @classmethod
@@ -403,7 +412,13 @@ class SceneProblem:
             scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization
         )
         sizes = [p.rows.size * cfg.bins.count for p in packed] + [scene.teacher_bev.data.size]
-        return cls(cfg, scene, views, packed, plan, np.cumsum(sizes))
+        n_max = max((p.rows.size for p in packed), default=0)
+        return cls(
+            cfg, scene, views, packed, plan, np.cumsum(sizes),
+            rows_buffers=np.empty((2, n_max, cfg.bins.count)),
+            keypoint_sq=np.empty(len(scene.boxes)),
+            keypoint_norm_sq=_row_sq(plan.teacher_keypoint),
+        )
 
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Each view's (N, D) logit rows and the (C, H, W) BEV map, as
@@ -419,21 +434,26 @@ class SceneProblem:
         With ``grad``, the weighted gradient is written into it and a term
         of weight 0 is skipped and reads 0.0 (the BEV terms only both
         together).  Without, every term is evaluated and no gradient is
-        formed.  View values are summed in camera order."""
+        formed.  View values are summed in camera order.
+
+        The first term that writes a block of ``grad`` assigns it, with
+        the bits of adding into zeros, and a block that no term writes is
+        zeroed, so ``grad`` may hold anything on entry."""
         cfg, w, scene = self.cfg, self.cfg.weights, self.scene
         value_only = grad is None
         logits, student = self.split(params)
         logit_grads, student_grad = ([None] * len(logits), None) if value_only else self.split(grad)
-        if not value_only:
-            grad.fill(0.0)
         a_views, r_views = [], []
         for view, rows, rows_grad in zip(self.packed, logits, logit_grads):
             n = view.rows.size
             if not n:
                 continue
-            probs = softmax_rows(rows)
+            probs_buf, work = self.rows_buffers[:, :n]
+            probs = softmax_rows(rows, out=probs_buf)
             if value_only or w.w_a > 0:
-                a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n) / n)
+                a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n, work) / n)
+            else:
+                rows_grad.fill(0.0)
             if value_only or w.w_r > 0:
                 r_views.append(relative_depth_rows(
                     probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
@@ -443,12 +463,20 @@ class SceneProblem:
             ic, ik = bev_distill_terms(
                 BevFeatureMap(data=student, grid=scene.grid), scene.teacher_bev, scene.boxes,
                 cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization, cfg.loss_reduction,
-                plan=self.plan, with_grad=not value_only,
+                plan=self.plan, with_grad=not value_only, keypoint_sq=self.keypoint_sq,
             )
             ic_val, ik_val = ic.value, ik.value
             self.last_bev = (ic, ik)
             if not value_only:
-                student_grad[...] = w.w_ic * ic.grad + w.w_ik * ik.grad
+                # w_ic * ic.grad + w_ik * ik.grad, formed in the BEV block.
+                # The w_ik product stays a temporary: with none, glibc's heap
+                # heuristics fault the BEV side's pages in again every step
+                # (bev-heavy: about 60k minor faults per 200 steps, not 6.5k).
+                np.multiply(ic.grad, w.w_ic, out=student_grad)
+                student_grad += w.w_ik * ik.grad
+        else:  # the weights skip the BEV terms, which only a gradient call does
+            self.last_bev = None
+            student_grad.fill(0.0)
         det = float(cfg.external_det_loss)
         values = (sum(a_views, 0.0), sum(r_views, 0.0), ic_val, ik_val)
         total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
@@ -769,11 +797,34 @@ def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[
     columns["raw_feature"] = (_row_sq(fs - plan.teacher), _row_sq(plan.teacher))
     out = [{"target": j} for j in range(len(plan.boxes))]
     for name, (dist_sq, norm_sq) in columns.items():
-        for entry, d2, n2 in zip(out, dist_sq.tolist(), norm_sq.tolist()):
-            dist, norm = math.sqrt(d2), math.sqrt(n2)
+        for entry, (dist, rel) in zip(out, _distances(dist_sq, norm_sq)):
             entry[f"{name}_frob"] = dist
-            entry[f"{name}_rel"] = dist / norm if norm else float("inf")
+            entry[f"{name}_rel"] = rel
     return out
+
+
+def _distances(dist_sq: np.ndarray, norm_sq: np.ndarray) -> List[Tuple[float, float]]:
+    """Each target's distance and distance relative to the norm, from
+    its squared distance and squared norm (inf relative to a zero norm)."""
+    out = []
+    for d2, n2 in zip(dist_sq.tolist(), norm_sq.tolist()):
+        dist, norm = math.sqrt(d2), math.sqrt(n2)
+        out.append((dist, dist / norm if norm else float("inf")))
+    return out
+
+
+def _worst_keypoint_rel(problem: SceneProblem, student: np.ndarray) -> float:
+    """Largest relative keypoint-Gram distance over targets of the BEV map
+    ``student`` that ``problem`` evaluated last, as ``_gram_distance_summary``
+    gives it.  The evaluation's own per-target sums are reused; only when it
+    skipped the BEV terms is the student sampled again."""
+    plan = problem.plan
+    if problem.last_bev is None:
+        _gram_losses(
+            plan.sample(student), plan.teacher_keypoint, "keypoint", plan.normalization, "sum",
+            with_grad=False, sq=problem.keypoint_sq,
+        )
+    return max((rel for _, rel in _distances(problem.keypoint_sq, problem.keypoint_norm_sq)), default=0.0)
 
 
 def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
@@ -789,6 +840,10 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     """
     t0 = time.perf_counter()
     opt = cfg.optimizer
+    # the Adam update's temporary, reused by every block; taken before the
+    # scene, it sits below the per-step allocations in the heap, and
+    # bev-heavy peaks about 0.6 MB lower than with it taken after them
+    adam_tmp = np.empty(ADAM_BLOCK)
     scene = generate_scene(cfg.scene)
     teacher = scene.teacher_bev
     # eval-losses builds the same problem and student, so step-0 losses agree
@@ -819,9 +874,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             if total <= (1.0 - opt.target_reduction) * initial:
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
-                summary = _gram_distance_summary(student, problem.plan)
-                worst_ik = max((e["inter_keypoint_rel"] for e in summary), default=0.0)
-                if worst_ik <= opt.ik_rel_target:
+                if _worst_keypoint_rel(problem, student) <= opt.ik_rel_target:
                     status = "converged"
                     break
             if total > opt.divergence_factor * max(initial, 1e-12):
@@ -838,10 +891,18 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             lr = opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
             for start in range(0, params.size, ADAM_BLOCK):
                 block = slice(start, start + ADAM_BLOCK)
-                g = grad[block]
-                moment1[block] = opt.beta1 * moment1[block] + (1.0 - opt.beta1) * g
-                moment2[block] = opt.beta2 * moment2[block] + (1.0 - opt.beta2) * g * g
-                params[block] -= lr * ((moment1[block] / bias1) / (np.sqrt(moment2[block] / bias2) + opt.eps))
+                g, m1, m2, p = grad[block], moment1[block], moment2[block], params[block]
+                t = adam_tmp[: g.size]
+                # m1 = b1 * m1 + c1 * g and m2 = b2 * m2 + (c2 * g) * g
+                np.add(np.multiply(m1, opt.beta1, out=m1), np.multiply(g, 1.0 - opt.beta1, out=t), out=m1)
+                np.multiply(np.multiply(g, 1.0 - opt.beta2, out=t), g, out=t)
+                np.add(np.multiply(m2, opt.beta2, out=m2), t, out=m2)
+                # p -= lr * ((m1 / bias1) / (sqrt(m2 / bias2) + eps)); the
+                # gradient block is the second temporary, since the next
+                # evaluation writes every block of the gradient again
+                u = np.add(np.sqrt(np.divide(m2, bias2, out=g), out=g), opt.eps, out=g)
+                np.divide(np.divide(m1, bias1, out=t), u, out=t)
+                np.subtract(p, np.multiply(t, lr, out=t), out=p)
         map_dist = math.sqrt(frobenius_sq_distance(student, teacher.data))
         gram_distances = _gram_distance_summary(student, problem.plan)
 

@@ -11,7 +11,7 @@ import contextlib
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, TextIO
+from typing import Any, Callable, Dict, Iterator, Optional, TextIO
 
 import numpy as np
 
@@ -74,14 +74,17 @@ def frobenius_sq_distance(a, b) -> float:
     return float(np.sum(d * d))
 
 
-def softmax_rows(logits) -> np.ndarray:
-    """Softmax over the trailing axis, with max-subtraction for stability."""
+def softmax_rows(logits, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Softmax over the trailing axis, with max-subtraction for stability.
+
+    ``out`` is an optional C-contiguous array of the logits' shape that
+    receives the result; the rows sum in the same order either way."""
     logits = as_tensor(logits)
     if logits.shape[-1] < 1:
         raise ShapeError("softmax_rows needs a non-empty trailing axis")
-    z = logits - np.max(logits, axis=-1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=-1, keepdims=True)
+    e = np.subtract(logits, np.max(logits, axis=-1, keepdims=True), out=out)
+    np.exp(e, out=e)
+    return np.divide(e, np.sum(e, axis=-1, keepdims=True), out=e)
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], np.ndarray], x, h: float = 1e-6) -> np.ndarray:

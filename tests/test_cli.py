@@ -1,19 +1,25 @@
 """Command-line interface: subcommands, artifacts, and exit codes."""
 
+import contextlib
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import geodistill
-from geodistill import generate_scene, read_scene, read_tsr, render_gt_views
+from geodistill import GRAM_NORMALIZATIONS, generate_scene, read_scene, read_tsr, render_gt_views
 from geodistill import cli
 from geodistill.cli import main
+from geodistill.depth_supervision import LOSS_REDUCTIONS, REFERENCE_STRATEGIES
 from geodistill.harness import config_from_dict
 
 
@@ -407,3 +413,73 @@ class TestOracleCommand:
         text = (out / "oracle_fixtures.json").read_text()
         fixtures = json.loads(text, parse_constant=reject)
         assert fixtures["families"]["matmul"]["max_abs_diff"] is None
+
+
+@st.composite
+def tiny_configs(draw):
+    """Valid configs of one camera with a 1x1 image, 0 to 3 boxes, g = 2,
+    2 bins and 1 to 3 steps."""
+    return {
+        "scene": {
+            "seed": draw(st.integers(0, 2**64 - 1)),
+            "num_boxes": draw(st.integers(0, 3)),
+            "num_cameras": 1,
+            "image_width": 1,
+            "image_height": 1,
+            "points_per_box": draw(st.integers(0, 40)),
+            "ground_points": draw(st.integers(0, 60)),
+            "channels": draw(st.integers(2, 4)),
+        },
+        "bins": {"count": 2},
+        "keypoint_g": 2,
+        "reference_strategy": draw(st.sampled_from(REFERENCE_STRATEGIES)),
+        "loss_reduction": draw(st.sampled_from(LOSS_REDUCTIONS)),
+        "gram_normalization": draw(st.sampled_from(GRAM_NORMALIZATIONS)),
+        "gradcheck": {"instances": 1},
+        "optimizer": {"max_steps": draw(st.integers(1, 3))},
+    }
+
+
+# each command, and the JSON report it writes
+COMMAND_REPORTS = {
+    "gen-scene": None,
+    "render-depth": None,
+    "eval-losses": "eval_report.json",
+    "gradcheck": "gradcheck_report.json",
+    "train-toy": "train_report.json",
+    "oracle": "oracle_fixtures.json",
+}
+
+
+class TestTinyConfigs:
+    def test_every_command_is_covered(self):
+        assert set(COMMAND_REPORTS) == set(cli._COMMANDS)
+
+    @settings(max_examples=5, deadline=None)
+    @given(cfg=tiny_configs())
+    def test_every_command_exits_0_or_1_with_strict_reports(self, cfg):
+        """In process, every command on a tiny valid config exits 0 or 1,
+        writes its report as strict JSON (always when it exits 0), prints
+        at most one line to stderr, an ``error:`` line, and warns nothing."""
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w") as fobj:
+                json.dump(cfg, fobj)
+            for command, report in COMMAND_REPORTS.items():
+                out = os.path.join(tmp, command)
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, \
+                        contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    warnings.simplefilter("always")
+                    code = main([command, "--config", path, "--out", out])
+                lines = err.getvalue().splitlines()
+                assert code in (0, 1), (command, lines)
+                assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines), lines
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
+                if report is not None and (code == 0 or os.path.exists(os.path.join(out, report))):
+                    with open(os.path.join(out, report)) as fobj:
+                        json.loads(fobj.read(), parse_constant=reject)

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geodistill import (
@@ -34,6 +34,7 @@ from geodistill.depth_supervision import (
     relative_depth_rows,
     rows_to_map,
 )
+from geodistill.harness import SATURATION_LOGIT
 from geodistill.numerics import softmax_rows
 from geodistill.oracles import (
     bce_scalar,
@@ -545,3 +546,79 @@ class TestPackedEngine:
         assert dense_r.value == inner
         assert dense_r.empty == (not view.targets)
         assert np.array_equal(dense_r.grad, rows_to_map(r_grad, h, w))
+
+
+def clip_and_mask_bce(probs, gt_bins, grad_rows, scale):
+    """BCE rows as the clip-and-mask formulation: every probability
+    clipped, every term negated before the sum, and the masked gradient
+    added into ``grad_rows``."""
+    hit = (..., np.arange(probs.shape[-2]), gt_bins)
+    clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+    at_gt = clamped[hit]
+    terms = -np.log1p(-clamped)
+    terms[hit] = -np.log(at_gt)
+    grad_p = 1.0 / (1.0 - clamped)
+    grad_p[hit] = -1.0 / at_gt
+    grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
+    inner = np.sum(grad_p * probs, axis=-1, keepdims=True)
+    grad_rows += scale * (probs * (grad_p - inner))
+    total = np.sum(terms.reshape(terms.shape[:-2] + (-1,)), axis=-1)
+    return total if total.ndim else float(total)
+
+
+@st.composite
+def bce_row_sets(draw):
+    """Softmax rows, (N, D) or a C-ordered (B, N, D) stack with N >= 0,
+    from logits at scales that keep every probability inside the clamp
+    or push some to exact 0 and 1; some entries are then set exactly to
+    BCE_CLAMP or 1 - BCE_CLAMP and some rows to saturated one-hot rows."""
+    b = draw(st.sampled_from([None, 1, 3]))
+    n = draw(st.integers(0, 5))
+    d = draw(st.integers(2, 5))
+    rng = CounterRng(draw(st.integers(0, 2**32)))
+    shape = (n, d) if b is None else (b, n, d)
+    probs = softmax_rows(draw(st.sampled_from([0.01, 1.0, 20.0, 800.0])) * rng.normal(shape))
+    flat = probs.reshape(-1, d)
+    if flat.size:
+        for value in (BCE_CLAMP, 1.0 - BCE_CLAMP):
+            flat.reshape(-1)[draw(st.lists(st.integers(0, flat.size - 1), max_size=2))] = value
+        for row in draw(st.lists(st.integers(0, len(flat) - 1), max_size=2)):
+            flat[row] = softmax_rows(SATURATION_LOGIT * np.eye(d)[draw(st.integers(0, d - 1))])
+    gt_bins = np.array(draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n)), dtype=np.int64)
+    return probs, gt_bins
+
+
+def _edge_rows():
+    """Rows strictly inside the clamp, and the same rows with one entry
+    at each clamp edge."""
+    inside = softmax_rows(CounterRng(3).normal((4, 3)))
+    edge = inside.copy()
+    edge[1, 2] = BCE_CLAMP
+    edge[2, 0] = 1.0 - BCE_CLAMP
+    return inside, edge
+
+
+class TestBceRows:
+    @settings(max_examples=150, deadline=None)
+    @given(rows=bce_row_sets(), scale=st.sampled_from([1.0, 0.3, 1.0 / 3.0, 0.0]))
+    @example(rows=(_edge_rows()[0], np.arange(4) % 3), scale=0.5)
+    @example(rows=(_edge_rows()[1], np.arange(4) % 3), scale=0.5)
+    @example(rows=(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)), scale=0.5)
+    @example(rows=(np.zeros((2, 0, 3)), np.zeros(0, dtype=np.int64)), scale=0.5)
+    def test_equals_clip_and_mask_bitwise(self, rows, scale):
+        """bce_rows gives the clip-and-mask formulation's value and
+        gradient bit for bit, signed zeros included, whether or not any
+        probability reaches the clamp, with or without a work buffer; the
+        gradient is written, so whatever ``grad_rows`` held is gone."""
+        probs, gt_bins = rows
+        want_grad = np.zeros_like(probs)
+        want = clip_and_mask_bce(probs, gt_bins, want_grad, scale)
+        for work in (None, np.empty_like(probs)):
+            got_grad = np.full_like(probs, np.nan)
+            got = bce_rows(probs, gt_bins, got_grad, scale, work)
+            assert type(got) is type(want)
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            assert got_grad.tobytes() == want_grad.tobytes()
+            assert np.array_equal(np.signbit(got_grad), np.signbit(want_grad))
+            value_only = bce_rows(probs, gt_bins, work=work)
+            assert np.asarray(value_only).tobytes() == np.asarray(want).tobytes()

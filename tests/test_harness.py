@@ -412,6 +412,40 @@ class TestTotalLoss:
             with_grad.value, with_grad.components, with_grad.empty
         )
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            LossWeights(),
+            LossWeights(w_a=0.0),
+            LossWeights(w_r=0.0),
+            LossWeights(w_ic=0.0, w_ik=0.0),
+            LossWeights(w_a=0.0, w_r=0.0, w_ic=0.0, w_ik=0.0),
+        ],
+        ids=["default", "w_a-0", "w_r-0", "bev-0", "all-0"],
+    )
+    def test_gradient_ignores_what_the_buffer_held(self, weights):
+        """evaluate writes every block of the gradient, the first term to
+        write a block assigning it: a buffer filled with NaN and one of
+        zeros give the same bits, signs of zeros included, also with a
+        view that has no valid pixel."""
+        cfg = small_harness_config()
+        cfg.weights = weights
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        views[1] = dataclasses.replace(views[1], valid=np.zeros_like(views[1].valid), targets=[])
+        problem, params = student_problem(cfg, scene, views)
+        assert problem.packed[0].rows.size and not problem.packed[1].rows.size
+        runs = []
+        for fill in (np.nan, 0.0):
+            grad = np.full_like(params, fill)
+            res = problem.evaluate(params, grad)
+            runs.append((res.value, res.components, grad))
+        (value, components, grad), (value_z, components_z, grad_z) = runs
+        assert (value, components) == (value_z, components_z)
+        assert not np.isnan(grad).any()
+        assert grad.tobytes() == grad_z.tobytes()
+        assert np.array_equal(np.signbit(grad), np.signbit(grad_z))
+
 
 class TestRunReport:
     def test_json_shape(self, tmp_path):
@@ -744,6 +778,33 @@ class TestRunTrainToy:
         for entry in parsed["gram_distances"]:
             for key in ("inter_keypoint_rel", "inter_channel_rel", "raw_feature_rel"):
                 assert entry[key] is None
+
+    @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
+    @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
+    def test_convergence_check_equals_gram_distance_summary(self, monkeypatch, norm, reduction):
+        """After every evaluation of a short run, the keypoint criterion,
+        which reuses the step's own per-target Gram sums, is the worst
+        inter_keypoint_rel of _gram_distance_summary bit for bit; with
+        zero BEV weights it samples the student itself."""
+        pairs = []
+        evaluate = SceneProblem.evaluate
+
+        def checked(problem, params, grad=None):
+            res = evaluate(problem, params, grad)
+            _, student = problem.split(params)
+            summary = harness._gram_distance_summary(student, problem.plan)
+            worst = max(e["inter_keypoint_rel"] for e in summary)
+            pairs.append((harness._worst_keypoint_rel(problem, student), worst))
+            return res
+
+        monkeypatch.setattr(SceneProblem, "evaluate", checked)
+        for weights in (LossWeights(), LossWeights(w_ic=0.0, w_ik=0.0)):
+            pairs.clear()
+            cfg = small_harness_config(max_steps=6)
+            cfg.gram_normalization, cfg.loss_reduction, cfg.weights = norm, reduction, weights
+            assert run_train_toy(cfg).data["steps_run"] == len(pairs) == 6
+            for got, want in pairs:
+                assert got.hex() == want.hex()
 
     def test_distillation_weights_zero_leaves_bev_untouched(self):
         """With w_ic = w_ik = 0 the BEV series stays exactly zero and the

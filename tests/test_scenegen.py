@@ -1,8 +1,10 @@
 """Synthetic scene generation, teacher feature synthesis, ground-truth
 rendering, and the SCN scene file format."""
 
+import functools
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,9 +28,11 @@ from geodistill import (
     points_in_box,
     project_points,
     read_scene,
+    read_tsr,
     render_gt_views,
     rot_z,
     write_scene,
+    write_tsr,
 )
 from geodistill.rng import CounterRng
 
@@ -374,3 +378,67 @@ class TestScnFormat:
         text = scene_string(generate_scene(small_config(num_boxes=1)))
         with pytest.raises(ContractError):
             read_scene(io.StringIO(text.replace("grid -24.0 24.0", "grid 24.0 -24.0", 1)))
+
+
+@st.composite
+def mutated(draw, text):
+    """``text`` after one to three edits, each a truncation, a dropped or
+    duplicated whitespace-separated token, or a digit changed to another."""
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("truncate", "drop", "duplicate", "flip")))
+        if op == "truncate":
+            text = text[: draw(st.integers(0, len(text)))]
+        elif op == "flip":
+            digits = [i for i, ch in enumerate(text) if ch.isdigit()]
+            if digits:
+                i = digits[draw(st.integers(0, len(digits) - 1))]
+                text = text[:i] + draw(st.sampled_from("0123456789".replace(text[i], ""))) + text[i + 1:]
+        else:
+            spans = [m.span() for m in re.finditer(r"\S+", text)]
+            if spans:
+                a, b = spans[draw(st.integers(0, len(spans) - 1))]
+                text = text[:a] + text[b:] if op == "drop" else text[:b] + " " + text[a:b] + text[b:]
+    return text
+
+
+@functools.lru_cache(maxsize=None)
+def scn_texts():
+    """SCN streams of scenes with 0, 1 and 2 boxes and few points."""
+    return tuple(
+        scene_string(generate_scene(small_config(num_boxes=n, num_cameras=2, points_per_box=3, ground_points=5)))
+        for n in (0, 1, 2)
+    )
+
+
+def tsr_text(arr):
+    buf = io.StringIO()
+    write_tsr(buf, arr)
+    return buf.getvalue()
+
+
+class TestMutatedStreams:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_scn_reads_back_or_is_format_or_contract_error(self, data):
+        """A truncated SCN stream, or one with a dropped, duplicated or
+        changed token, either reads back as a scene or raises FormatError
+        or ContractError, never another exception."""
+        text = data.draw(mutated(data.draw(st.sampled_from(scn_texts()))))
+        try:
+            scene = read_scene(io.StringIO(text))
+        except (FormatError, ContractError):
+            return
+        assert isinstance(scene, SyntheticScene)
+        assert scene.points.shape == (len(scene.labels), 3)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), shape=st.sampled_from([(3,), (2, 3), (2, 1, 2)]), seed=st.integers(0, 2**32))
+    def test_tsr_reads_back_or_is_format_error(self, data, shape, seed):
+        """The same edits of a TSR stream either read back as a finite
+        tensor or raise FormatError."""
+        text = data.draw(mutated(tsr_text(CounterRng(seed).normal(shape) * 1e3)))
+        try:
+            arr = read_tsr(io.StringIO(text))
+        except FormatError:
+            return
+        assert arr.dtype == np.float64 and np.all(np.isfinite(arr))
