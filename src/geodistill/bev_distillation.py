@@ -14,8 +14,8 @@ sampling; the teacher is a constant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -142,29 +142,26 @@ def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.n
     return cells, weights
 
 
-def _gather(data: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(..., N, C) bilinear samples of (C, H, W) data at (..., 4, N)
-    corners, the four corner terms added to zero in corner order; a
-    (B, C, H, W) stack of maps gives (B, ..., N, C)."""
-    flat = data.reshape(data.shape[:-2] + (-1,))
-    out = np.zeros(data.shape[:-3] + cells.shape[:-2] + (cells.shape[-1], data.shape[-3]))
+def _gather(flat: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """(..., N, C) bilinear samples of (C, K) cell columns at (..., 4, N)
+    corners indexing those columns, the four corner terms added to zero
+    in corner order; a (B, C, K) stack gives (B, ..., N, C)."""
+    out = np.zeros(flat.shape[:-2] + cells.shape[:-2] + (cells.shape[-1], flat.shape[-2]))
     for k in range(4):
-        out += weights[..., k, :, None] * np.moveaxis(flat[..., cells[..., k, :]], data.ndim - 3, -1)
+        out += weights[..., k, :, None] * np.moveaxis(flat[..., cells[..., k, :]], flat.ndim - 2, -1)
     return out
 
 
-def _scatter(upstream: np.ndarray, cells: np.ndarray, weights: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Adjoint of ``_gather``: the (C, H, W) map of (T, N, C) point
-    gradients at (T, 4, N) corner cells and weights.  Per channel, one
+def _scatter(upstream: np.ndarray, cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
+    """Adjoint of ``_gather``: the (C, size) cell columns of (T, N, C)
+    point gradients at (T, 4, N) corners and weights.  Per channel, one
     bincount adds every contribution to zero in (target, corner, point)
     order, bit for bit what ``np.add.at`` over the flat corners gives."""
-    c_dim = upstream.shape[-1]
     flat = cells.ravel()
-    values = (np.moveaxis(upstream, -1, 0)[:, :, None, :] * weights).reshape(c_dim, -1)
-    out = np.empty((c_dim, h * w))
-    for channel, row in zip(out, values):
-        channel[:] = np.bincount(flat, weights=row, minlength=h * w)
-    return out.reshape(c_dim, h, w)
+    out = np.empty((upstream.shape[-1], size))
+    for channel, up in zip(out, np.moveaxis(upstream, -1, 0)):
+        channel[:] = np.bincount(flat, weights=(up[:, None, :] * weights).ravel(), minlength=size)
+    return out
 
 
 def bilinear_sample(feat, points) -> np.ndarray:
@@ -173,7 +170,7 @@ def bilinear_sample(feat, points) -> np.ndarray:
     value exactly; out-of-range points clamp to the border."""
     data = _feat_data(feat)
     cells, weights = _bilinear_corners(_point_array(points), *data.shape[1:])
-    return _gather(data, cells, weights)
+    return _gather(data.reshape(data.shape[0], -1), cells, weights)
 
 
 def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
@@ -185,7 +182,7 @@ def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
     if upstream.shape != (pts.shape[0], c_dim):
         raise ContractError("upstream gradient must be (N, C)")
     cells, weights = _bilinear_corners(pts, h, w)
-    return _scatter(upstream[None], cells[None], weights[None], h, w)
+    return _scatter(upstream[None], cells[None], weights[None], h * w).reshape(c_dim, h, w)
 
 
 def _effective_features(f: np.ndarray, normalization: str):
@@ -228,16 +225,17 @@ def _row_canonical(f: np.ndarray) -> np.ndarray:
     return flat[order].reshape(f.shape)
 
 
-def _grams(f_eff: np.ndarray, kind: str, normalization: str) -> np.ndarray:
+def _grams(f_eff: np.ndarray, kind: str, normalization: str, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(..., C, C) channel or (..., N, N) keypoint Grams of a (..., N, C)
-    stack of effective features, one BLAS product per target.  Each
-    slice's product depends only on that slice's values, so a target's
-    Gram has the same bits in a stack as on its own."""
+    stack of effective features, one BLAS product per target, written
+    into ``out`` when given.  Each slice's product depends only on that
+    slice's values, so a target's Gram has the same bits in a stack as on
+    its own."""
     if kind == "channel":
         f_can = _row_canonical(f_eff)
-        gram = np.swapaxes(f_can, -1, -2) @ f_can
+        gram = np.matmul(np.swapaxes(f_can, -1, -2), f_can, out=out)
     else:
-        gram = f_eff @ np.swapaxes(f_eff, -1, -2)
+        gram = np.matmul(f_eff, np.swapaxes(f_eff, -1, -2), out=out)
     if normalization == "count":
         gram /= _gram_count(f_eff, kind)
     return gram
@@ -284,31 +282,33 @@ def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) 
 
 def _gram_losses(
     fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str,
-    with_grad: bool = True, sq: Optional[np.ndarray] = None,
+    with_grad: bool = True, sq: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Values (T,) and student-feature gradients (T, N, C), None without
     ``with_grad``, of T >= 0 targets' Gram losses against fixed teacher
     Grams.  With ``sq``, a (T,) array, each target's sum of squared Gram
     differences is written into it before the reduction's division.
+    ``work``, an optional C-contiguous array of shape (2,) + the Grams'
+    shape, holds the Gram differences and their squares.
 
     ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.  A
     (B, T, N, C) stack gives (B, T) values against the same teacher
     Grams, each row bit for bit that of its (T, N, C) slice alone.
     """
+    diff_out, sq_out = (None, None) if work is None else work
     fs_eff, fs_scale = _effective_features(fs, normalization)
-    diff = _grams(fs_eff, kind, normalization)
+    diff = _grams(fs_eff, kind, normalization, diff_out)
     diff -= gram_t
     k_sq = diff.shape[-2] * diff.shape[-1]
     denom = float(k_sq) if reduction == "mean" else 1.0
-    values = np.sum((diff * diff).reshape(diff.shape[:-2] + (k_sq,)), axis=-1, out=sq) / denom
+    squares = np.multiply(diff, diff, out=sq_out)
+    values = np.sum(squares.reshape(diff.shape[:-2] + (k_sq,)), axis=-1, out=sq) / denom
     if not with_grad:
         return values, None
     g_mat = diff
     g_mat *= 2.0 / denom
-    if kind == "channel":
-        grad_eff = 2.0 * (fs_eff @ g_mat)
-    else:
-        grad_eff = 2.0 * (g_mat @ fs_eff)
+    grad_eff = fs_eff @ g_mat if kind == "channel" else g_mat @ fs_eff
+    grad_eff *= 2.0
     if normalization == "count":
         grad_eff /= _gram_count(fs, kind)
     if normalization == "l2":
@@ -379,8 +379,12 @@ class DistillPlan:
     The teacher map is a constant, so for fixed boxes, lattice extent
     ``g``, ``enlarge`` and normalization its keypoint features, both
     teacher Grams and the bilinear corners never change.  Build it once
-    with ``build_distill_plan`` and pass it to every
-    ``bev_distill_terms`` call on the same scene.
+    with ``build_distill_plan`` and reuse it for every student of the
+    scene.
+
+    Only the live cells, those some corner touches, are ever read, so
+    the student side runs on a packed (C, L) block of their columns:
+    ``pack`` takes it from a (C, H, W) map and ``unpack`` puts it back.
     """
 
     teacher_bev: BevFeatureMap
@@ -388,11 +392,16 @@ class DistillPlan:
     g: int
     enlarge: float
     normalization: str
-    cells: np.ndarray  # (T, 4, N) flat BEV cell of each bilinear corner
+    live: np.ndarray  # (L,) sorted distinct flat BEV cells that any corner touches
+    cells: np.ndarray  # (T, 4, N) index into ``live`` of each bilinear corner
     weights: np.ndarray  # (T, 4, N) bilinear weight of each corner
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
+    # per Gram kind, the ``_gram_losses`` work array of one (C, L) student,
+    # taken once: a fresh pair of (T, N, N) arrays on every step lets glibc
+    # hand heap pages back that the next step faults in again
+    gram_work: Dict[str, np.ndarray] = field(repr=False)
 
     def built_from(self, teacher_bev, boxes, g, enlarge, normalization) -> bool:
         """True when these ``bev_distill_terms`` arguments are the ones
@@ -404,28 +413,45 @@ class DistillPlan:
             and (g, enlarge, normalization) == (self.g, self.enlarge, self.normalization)
         )
 
-    def sample(self, bev: np.ndarray) -> np.ndarray:
-        """(T, N, C) features of a (C, H, W) map at every target's
-        keypoints, or (B, T, N, C) of a (B, C, H, W) stack of maps."""
-        return _gather(bev, self.cells, self.weights)
+    def pack(self, bev: np.ndarray) -> np.ndarray:
+        """The (C, L) live columns of a (C, H, W) map, or (B, C, L) of a
+        (B, C, H, W) stack of maps."""
+        return np.take(bev.reshape(bev.shape[:-2] + (-1,)), self.live, axis=-1)
+
+    def unpack(self, block: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (C, H, W) map holding the (C, L) ``block`` at the live
+        cells and, elsewhere, zeros or the C-contiguous map ``base``,
+        which is written in place."""
+        out = np.zeros(self.teacher_bev.data.shape) if base is None else base
+        out.reshape(out.shape[0], -1)[:, self.live] = block
+        return out
+
+    def sample(self, block: np.ndarray) -> np.ndarray:
+        """(T, N, C) features of a (C, L) block at every target's
+        keypoints, or (B, T, N, C) of a (B, C, L) stack of blocks."""
+        return _gather(block, self.cells, self.weights)
 
     def terms(
-        self, bev: np.ndarray, reduction: str, with_grad: bool = True, keypoint_sq: Optional[np.ndarray] = None
+        self, block: np.ndarray, reduction: str, with_grad: bool = True, keypoint_sq: Optional[np.ndarray] = None
     ):
         """(value, gradient) of the channel and then the keypoint Gram
-        loss of a (C, H, W) student map.  Each value is the per-target
-        values summed in target order; each gradient is the (C, H, W) map
-        of one scatter pass, None without ``with_grad``.  A (B, C, H, W)
-        stack gives (B,) values and no maps.  ``keypoint_sq`` receives the
-        keypoint kind's per-target squared distances (see ``_gram_losses``)."""
-        fs = self.sample(bev)
-        with_grad = with_grad and bev.ndim == 3
+        loss of a (C, L) student block.  Each value is the per-target
+        values summed in target order; each gradient is the (C, L) block
+        of one scatter pass, None without ``with_grad``.  A (B, C, L)
+        stack gives (B,) values and no gradients.  ``keypoint_sq``
+        receives the keypoint kind's per-target squared distances (see
+        ``_gram_losses``)."""
+        fs = self.sample(block)
+        single = block.ndim == 2
         out = []
         for kind, gram_t, sq in (
             ("channel", self.teacher_channel, None), ("keypoint", self.teacher_keypoint, keypoint_sq)
         ):
-            values, grad_fs = _gram_losses(fs, gram_t, kind, self.normalization, reduction, with_grad, sq)
-            grad = _scatter(grad_fs, self.cells, self.weights, *bev.shape[1:]) if with_grad else None
+            values, grad_fs = _gram_losses(
+                fs, gram_t, kind, self.normalization, reduction, with_grad and single, sq,
+                self.gram_work[kind] if single else None,
+            )
+            grad = None if grad_fs is None else _scatter(grad_fs, self.cells, self.weights, self.live.size)
             out.append((_sum_in_order(values), grad))
         return out
 
@@ -443,19 +469,24 @@ def build_distill_plan(
     lattices = keypoint_sets_for_boxes(boxes, teacher_bev.grid, g=g, enlarge=enlarge)
     pts = np.array([kp.points for kp in lattices]).reshape(len(lattices), g * g, 2)
     cells, weights = _bilinear_corners(pts, *teacher_bev.data.shape[1:])
-    teacher = _gather(teacher_bev.data, cells, weights)
+    live, at = np.unique(cells.ravel(), return_inverse=True)
+    at = at.reshape(cells.shape)
+    teacher = _gather(np.take(teacher_bev.data.reshape(teacher_bev.channels, -1), live, axis=-1), at, weights)
     t_eff, _ = _effective_features(teacher, normalization)
+    grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}
     return DistillPlan(
         teacher_bev=teacher_bev,
         boxes=list(boxes),
         g=g,
         enlarge=enlarge,
         normalization=normalization,
-        cells=cells,
+        live=live,
+        cells=at,
         weights=weights,
         teacher=teacher,
-        teacher_channel=_grams(t_eff, "channel", normalization),
-        teacher_keypoint=_grams(t_eff, "keypoint", normalization),
+        teacher_channel=grams["channel"],
+        teacher_keypoint=grams["keypoint"],
+        gram_work={kind: np.empty((2,) + gram.shape) for kind, gram in grams.items()},
     )
 
 
@@ -480,8 +511,8 @@ def bev_distill_terms(
     scene's prebuilt teacher side; without one it is built for this
     call.  All targets run as one stack through ``DistillPlan.terms``:
     values are the per-target values summed in input order, and each
-    gradient is scattered in one pass in (target, corner, point) order.
-    With no boxes the stack is empty: both results are 0.0, ``empty``,
+    gradient is scattered in one pass in (target, corner, point) order
+    onto the plan's live cells, and is 0.0 elsewhere.  With no boxes the stack is empty: both results are 0.0, ``empty``,
     with zero gradients.  ``keypoint_sq``, a (T,) array, receives each
     target's squared keypoint-Gram distance, before the reduction.
     """
@@ -495,8 +526,10 @@ def bev_distill_terms(
         raise ContractError("distillation plan was built from different arguments")
     if plan is None:
         plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
-    (ic, ic_grad), (ik, ik_grad) = plan.terms(student_bev.data, loss_reduction, with_grad, keypoint_sq)
-    return LossResult(ic, ic_grad, empty=not boxes), LossResult(ik, ik_grad, empty=not boxes)
+    terms = plan.terms(plan.pack(student_bev.data), loss_reduction, with_grad, keypoint_sq)
+    return tuple(
+        LossResult(value, None if grad is None else plan.unpack(grad), empty=not boxes) for value, grad in terms
+    )
 
 
 def bev_distill_loss(

@@ -3,7 +3,7 @@ objective, gradient checking, and a toy first-order training loop that
 drives every loss end to end on a synthetic scene.
 
 The trainable parameters are the per-view depth logits at valid pixels
-and the student BEV feature map.  Reports are JSON with a declared
+and the student BEV features at the cells the keypoints read.  Reports are JSON with a declared
 format version and are deterministic for a fixed config up to the
 wall-clock field.
 """
@@ -28,7 +28,7 @@ from .bev_distillation import (
     TargetKeypointFeatures,
     _gram_losses,
     _gram_of,
-    bev_distill_terms,
+    bev_distill_terms,  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
     build_distill_plan,
     inter_channel_loss,
     inter_keypoint_loss,
@@ -55,6 +55,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LossResult,
+    check_finite,
     finite_difference_gradient,
     frobenius_sq_distance,
     softmax_rows,
@@ -381,29 +382,31 @@ TERMS = ("absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")  # 
 @dataclass
 class SceneProblem:
     """The weighted objective of one scene over a flat parameter vector
-    (each view's valid-pixel logit rows, then the student BEV map; a
-    gradient has the same layout).  ``build`` packs the views and the BEV
-    teacher side once; only ``evaluate`` composes the objective."""
+    (each view's valid-pixel logit rows, then the (C, L) block of the
+    student BEV map's live cells, see ``DistillPlan``; a gradient has the
+    same layout).  ``build`` packs the views and the BEV teacher side
+    once; only ``evaluate`` composes the objective."""
 
     cfg: HarnessConfig
     scene: SyntheticScene
     views: List[ViewGroundTruth]
     packed: List[PackedView]
     plan: DistillPlan
-    ends: np.ndarray  # end offset of each view's rows, then of the BEV map
+    ends: np.ndarray  # end offset of each view's rows, then of the BEV block
     # (2, N, D) step buffers of the largest view, shared by every view:
     # probabilities and BCE's work array.  A view uses the leading rows,
     # which are C-contiguous, so its sums round as in fresh arrays.
     rows_buffers: np.ndarray = field(repr=False)
+    # (2, M, D) step buffers of the largest target, shared in the same way
+    # by every target's relative-depth temporaries
+    target_buffers: np.ndarray = field(repr=False)
     # each target's squared keypoint-Gram distance at the last evaluation
     # of the BEV terms, and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
     keypoint_norm_sq: np.ndarray = field(repr=False)
-    # The last evaluation's BEV results, held until the next call (None
-    # when it skipped them): freed at once, their maps let glibc hand heap
-    # pages back to the OS that the next step faults in again, and a
-    # bev-heavy step runs about 20 % slower.
-    last_bev: Any = field(default=None, repr=False)
+    # whether the last evaluation wrote keypoint_sq; a gradient call skips
+    # the BEV terms when both their weights are 0
+    keypoint_filled: bool = field(default=False, repr=False)
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
@@ -411,21 +414,24 @@ class SceneProblem:
         plan = build_distill_plan(
             scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization
         )
-        sizes = [p.rows.size * cfg.bins.count for p in packed] + [scene.teacher_bev.data.size]
+        d = cfg.bins.count
+        sizes = [p.rows.size * d for p in packed] + [scene.teacher_bev.channels * plan.live.size]
         n_max = max((p.rows.size for p in packed), default=0)
+        m_max = max((pos.size for p in packed for _, pos in p.targets), default=0)
         return cls(
             cfg, scene, views, packed, plan, np.cumsum(sizes),
-            rows_buffers=np.empty((2, n_max, cfg.bins.count)),
+            rows_buffers=np.empty((2, n_max, d)),
+            target_buffers=np.empty((2, m_max, d)),
             keypoint_sq=np.empty(len(scene.boxes)),
             keypoint_norm_sq=_row_sq(plan.teacher_keypoint),
         )
 
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Each view's (N, D) logit rows and the (C, H, W) BEV map, as
+        """Each view's (N, D) logit rows and the (C, L) BEV block, as
         views into a parameter or gradient vector."""
         parts = np.split(vec, self.ends[:-1])
         rows = [part.reshape(-1, self.cfg.bins.count) for part in parts[:-1]]
-        return rows, parts[-1].reshape(self.scene.teacher_bev.data.shape)
+        return rows, parts[-1].reshape(self.scene.teacher_bev.channels, -1)
 
     def evaluate(self, params: np.ndarray, grad: Optional[np.ndarray] = None) -> LossResult:
         """Total loss at ``params`` with its components (``TERMS`` and
@@ -434,7 +440,8 @@ class SceneProblem:
         With ``grad``, the weighted gradient is written into it and a term
         of weight 0 is skipped and reads 0.0 (the BEV terms only both
         together).  Without, every term is evaluated and no gradient is
-        formed.  View values are summed in camera order.
+        formed.  View values are summed in camera order.  A non-finite
+        BEV block raises ``NumericError`` when the BEV terms run.
 
         The first term that writes a block of ``grad`` assigns it, with
         the bits of adding into zeros, and a block that no term writes is
@@ -456,32 +463,31 @@ class SceneProblem:
                 rows_grad.fill(0.0)
             if value_only or w.w_r > 0:
                 r_views.append(relative_depth_rows(
-                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
+                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r,
+                    self.target_buffers,
                 ))
         ic_val = ik_val = 0.0
-        if value_only or w.w_ic > 0 or w.w_ik > 0:
-            ic, ik = bev_distill_terms(
-                BevFeatureMap(data=student, grid=scene.grid), scene.teacher_bev, scene.boxes,
-                cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization, cfg.loss_reduction,
-                plan=self.plan, with_grad=not value_only, keypoint_sq=self.keypoint_sq,
+        self.keypoint_filled = value_only or w.w_ic > 0 or w.w_ik > 0
+        if self.keypoint_filled:
+            check_finite(student, "BEV features")
+            (ic_val, ic_grad), (ik_val, ik_grad) = self.plan.terms(
+                student, cfg.loss_reduction, not value_only, self.keypoint_sq
             )
-            ic_val, ik_val = ic.value, ik.value
-            self.last_bev = (ic, ik)
             if not value_only:
-                # w_ic * ic.grad + w_ik * ik.grad, formed in the BEV block.
-                # The w_ik product stays a temporary: with none, glibc's heap
-                # heuristics fault the BEV side's pages in again every step
-                # (bev-heavy: about 60k minor faults per 200 steps, not 6.5k).
-                np.multiply(ic.grad, w.w_ic, out=student_grad)
-                student_grad += w.w_ik * ik.grad
+                # w_ic * ic_grad + w_ik * ik_grad, formed in the BEV block
+                np.multiply(ic_grad, w.w_ic, out=student_grad)
+                student_grad += np.multiply(ik_grad, w.w_ik, out=ik_grad)
         else:  # the weights skip the BEV terms, which only a gradient call does
-            self.last_bev = None
             student_grad.fill(0.0)
         det = float(cfg.external_det_loss)
         values = (sum(a_views, 0.0), sum(r_views, 0.0), ic_val, ik_val)
         total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
         empty = not scene.boxes and not any(p.rows.size for p in self.packed)
         return LossResult(total, None, empty=empty, components=dict(zip(TERMS, values), external_det=det))
+
+
+def _student_stream(cfg: HarnessConfig) -> CounterRng:
+    return CounterRng(cfg.scene.seed).substream("student-init")
 
 
 def student_problem(
@@ -493,7 +499,9 @@ def student_problem(
     replaced by the continuous depth of those logits (bitwise, so
     relative residuals vanish exactly), and the teacher's BEV map.  The
     random student is small noise seeded from the scene seed; each
-    valid-pixel logit is its entry of the full (D, H, W) normal draw."""
+    valid-pixel logit is its entry of the full (D, H, W) normal draw, and
+    each live BEV cell its column of the full (C, H, W) draw.
+    ``_starting_bev`` gives the full map of either student."""
     d = cfg.bins.count
     if identity:
         # continuous depth of the saturated one-hot logits of each bin
@@ -505,15 +513,25 @@ def student_problem(
     if identity:
         for rows, view in zip(logits, problem.packed):
             rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
-        bev[...] = scene.teacher_bev.data
+        bev[...] = problem.plan.pack(scene.teacher_bev.data)
         return problem, params
-    root = CounterRng(cfg.scene.seed).substream("student-init")
+    root = _student_stream(cfg)
     for rows, view, packed in zip(logits, views, problem.packed):
         sub = root.substream(f"logits-{view.cam_index}")
         noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
         rows[...] = cfg.optimizer.init_logit_scale * noise.T
-    bev[...] = cfg.optimizer.init_bev_scale * root.substream("bev").normal(bev.shape)
+    noise = root.substream("bev").normal_columns(scene.teacher_bev.data.shape, problem.plan.live)
+    bev[...] = cfg.optimizer.init_bev_scale * noise
     return problem, params
+
+
+def _starting_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool = False) -> np.ndarray:
+    """The full (C, H, W) BEV map of ``student_problem``'s starting
+    student, whose live columns are its BEV block: a copy of the
+    teacher's map, or the random student's whole normal draw."""
+    if identity:
+        return scene.teacher_bev.data.copy()
+    return cfg.optimizer.init_bev_scale * _student_stream(cfg).substream("bev").normal(scene.teacher_bev.data.shape)
 
 
 def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -> ViewGroundTruth:
@@ -530,13 +548,14 @@ def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -
 # ---------------------------------------------------------------------------
 
 
-def _dense_student(problem: SceneProblem, params: np.ndarray):
-    logits, bev = problem.split(params)
+def _dense_student(cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool):
+    problem, params = student_problem(cfg, scene, views, identity)
+    logits, _ = problem.split(params)
     maps = [
         CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
         for rows, p, v in zip(logits, problem.packed, problem.views)
     ]
-    return maps, problem.views, BevFeatureMap(data=bev, grid=problem.scene.grid)
+    return maps, problem.views, BevFeatureMap(data=_starting_bev(cfg, scene, identity), grid=scene.grid)
 
 
 def identity_student_inputs(
@@ -544,15 +563,16 @@ def identity_student_inputs(
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
     """Dense maps, views with their replaced gt depths, and student BEV
     map of the identity student of ``student_problem``."""
-    return _dense_student(*student_problem(cfg, scene, views, identity=True))
+    return _dense_student(cfg, scene, views, identity=True)
 
 
 def random_student_inputs(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]
 ) -> Tuple[List[CategoricalDepthMap], List[ViewGroundTruth], BevFeatureMap]:
     """Dense maps, views and student BEV map of the random student of
-    ``student_problem``; logits outside the valid pixels are 0."""
-    return _dense_student(*student_problem(cfg, scene, views))
+    ``student_problem``; logits outside the valid pixels are 0, and the
+    BEV map is the whole draw."""
+    return _dense_student(cfg, scene, views, identity=False)
 
 
 def evaluate_scene_losses(
@@ -561,14 +581,15 @@ def evaluate_scene_losses(
 ) -> LossResult:
     """The scene problem of ``views`` at dense student inputs, with the
     gradient as one (D, H, W) map per view ("depth_logits") and a (C, H, W)
-    map ("bev_features"); as in train-toy, a term of weight 0 reads 0.0."""
+    map ("bev_features", 0.0 off the live cells); as in train-toy, a term
+    of weight 0 reads 0.0."""
     problem = SceneProblem.build(cfg, scene, views)
     shapes = [(cfg.bins.count,) + v.depth.shape for v in views] + [scene.teacher_bev.data.shape]
     if [dm.logits.shape for dm in depth_maps] + [student_bev.data.shape] != shapes:
         raise ContractError("student inputs disagree with the views, the bins or the teacher map")
     params = np.concatenate(
         [logit_rows(dm.logits)[p.rows].ravel() for dm, p in zip(depth_maps, problem.packed)]
-        + [student_bev.data.ravel()]
+        + [problem.plan.pack(student_bev.data).ravel()]
     )
     grad = np.empty_like(params)
     res = problem.evaluate(params, grad)
@@ -577,7 +598,7 @@ def evaluate_scene_losses(
         "depth_logits": [
             packed_to_map(g, p.rows, *v.depth.shape) for g, p, v in zip(logit_grads, problem.packed, views)
         ],
-        "bev_features": bev_grad,
+        "bev_features": problem.plan.unpack(bev_grad),
     }
     return res
 
@@ -699,14 +720,14 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     ]
     # the teacher side is the same for every evaluation of this instance
     plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
-    (_, ic_grad), (_, ik_grad) = plan.terms(student, cfg.loss_reduction)
+    (_, ic_grad), (_, ik_grad) = plan.terms(plan.pack(student), cfg.loss_reduction)
 
     def values(xs):
         """ic + ik of each map of a stack."""
-        (ic, _), (ik, _) = plan.terms(xs, cfg.loss_reduction, with_grad=False)
+        (ic, _), (ik, _) = plan.terms(plan.pack(xs), cfg.loss_reduction, with_grad=False)
         return ic + ik
 
-    return _Instance(values=values, x0=student, analytic=ic_grad + ik_grad)
+    return _Instance(values=values, x0=student, analytic=plan.unpack(ic_grad + ik_grad))
 
 
 # each checked loss family: its instance builder, and the weights that
@@ -785,9 +806,10 @@ def _row_sq(stack: np.ndarray) -> np.ndarray:
 
 
 def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
-    """Per-target Frobenius distances between student and teacher Grams,
-    plus the raw keypoint-feature distance that is allowed to stay big.
-    The teacher features and Grams come from the scene's plan."""
+    """Per-target Frobenius distances between the Grams of the (C, L)
+    student block and the teacher's, plus the raw keypoint-feature
+    distance that is allowed to stay big.  The teacher features and
+    Grams come from the scene's plan."""
     fs = plan.sample(student)
     # name -> per-target squared distances and teacher squared norms
     columns = {}
@@ -814,12 +836,13 @@ def _distances(dist_sq: np.ndarray, norm_sq: np.ndarray) -> List[Tuple[float, fl
 
 
 def _worst_keypoint_rel(problem: SceneProblem, student: np.ndarray) -> float:
-    """Largest relative keypoint-Gram distance over targets of the BEV map
-    ``student`` that ``problem`` evaluated last, as ``_gram_distance_summary``
-    gives it.  The evaluation's own per-target sums are reused; only when it
-    skipped the BEV terms is the student sampled again."""
+    """Largest relative keypoint-Gram distance over targets of the BEV
+    block ``student`` that ``problem`` evaluated last, as
+    ``_gram_distance_summary`` gives it.  The evaluation's own per-target
+    sums are reused; only when it skipped the BEV terms is the student
+    sampled again."""
     plan = problem.plan
-    if problem.last_bev is None:
+    if not problem.keypoint_filled:
         _gram_losses(
             plan.sample(student), plan.teacher_keypoint, "keypoint", plan.normalization, "sum",
             with_grad=False, sq=problem.keypoint_sq,
@@ -903,7 +926,9 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 u = np.add(np.sqrt(np.divide(m2, bias2, out=g), out=g), opt.eps, out=g)
                 np.divide(np.divide(m1, bias1, out=t), u, out=t)
                 np.subtract(p, np.multiply(t, lr, out=t), out=p)
-        map_dist = math.sqrt(frobenius_sq_distance(student, teacher.data))
+        # the full map: the starting map with its live cells trained
+        full = problem.plan.unpack(student, _starting_bev(cfg, scene, identity_init))
+        map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
         gram_distances = _gram_distance_summary(student, problem.plan)
 
     final = series["total"][-1]

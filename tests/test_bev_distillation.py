@@ -31,7 +31,7 @@ from geodistill import (
     points_in_box,
     sample_keypoints,
 )
-from geodistill.bev_distillation import _gram_losses
+from geodistill.bev_distillation import _gram_losses, _scatter
 from geodistill.oracles import bilinear_scalar, gram_channel_loops, gram_keypoint_loops
 from geodistill.rng import CounterRng
 
@@ -710,3 +710,48 @@ class TestBatchedDistillProperty:
         assert ic.grad.tobytes() == grads[0].tobytes()
         assert ik.grad.tobytes() == grads[1].tobytes()
         assert ic.grad.tobytes() != staged.tobytes()
+
+
+# finite values with both signed zeros drawn often
+SIGNED = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-2.0, 2.0, allow_nan=False))
+
+
+class TestLiveCellPacking:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), t=st.integers(0, 3), n=st.integers(1, 5), c=st.integers(1, 4),
+           h=st.integers(1, 5), w=st.integers(1, 5))
+    def test_live_cell_scatter_expands_to_add_at(self, data, t, n, c, h, w):
+        """Scattering onto the distinct cells the corners touch, then
+        placing those columns in a zero map, gives np.add.at's map over
+        the whole grid bit for bit, signs of zeros included."""
+        cells = np.array(
+            data.draw(st.lists(st.integers(0, h * w - 1), min_size=t * 4 * n, max_size=t * 4 * n)), dtype=np.int64
+        ).reshape(t, 4, n)
+        weights = np.array(data.draw(st.lists(SIGNED, min_size=cells.size, max_size=cells.size))).reshape(t, 4, n)
+        up = np.array(data.draw(st.lists(SIGNED, min_size=t * n * c, max_size=t * n * c))).reshape(t, n, c)
+        live, at = np.unique(cells.ravel(), return_inverse=True)
+        packed = _scatter(up, at.reshape(cells.shape), weights, live.size)
+        expanded = np.zeros((c, h * w))
+        expanded[:, live] = packed
+        assert expanded.tobytes() == add_at_scatter((c, h, w), cells, weights, up).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(boxes=overlapping_boxes(), g=st.integers(2, 4), channels=st.integers(1, 5), seed=st.integers(0, 2**31))
+    def test_packed_sample_equals_full_map_sample(self, boxes, g, channels, seed):
+        """For odd and even channel counts, sampling a map's packed live
+        columns gives each target's full-map bilinear sample bit for bit,
+        and unpacking puts the columns back in place."""
+        rng = CounterRng(seed)
+        teacher = BevFeatureMap(rng.normal((channels, 6, 6)), GRID6)
+        student = rng.normal((channels, 6, 6))
+        plan = build_distill_plan(teacher, boxes, g, 1.25, "none")
+        assert np.array_equal(plan.live, np.unique(plan.live)) and plan.cells.max() < plan.live.size
+        block = plan.pack(student)
+        assert block.shape == (channels, plan.live.size)
+        got = plan.sample(block)
+        for j, kp in enumerate(keypoint_sets_for_boxes(boxes, GRID6, g=g)):
+            assert got[j].tobytes() == bilinear_sample(student, kp).tobytes()
+        unpacked = plan.unpack(block)
+        flat = unpacked.reshape(channels, -1)
+        assert flat[:, plan.live].tobytes() == block.tobytes()
+        assert np.all(np.delete(flat, plan.live, axis=1) == 0.0)

@@ -219,12 +219,13 @@ class TestUsageErrors:
         assert err == "error: bins.count must be an integer, got None\n"
 
     def test_non_finite_value_in_a_loss_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
-        """A NaN that enters after the config is read, here in the teacher
-        map the identity student copies, raises a NumericError in the
-        loss; it exits 1 with one line, like a contract error."""
+        """A NaN that enters after the config is read, here in channel 0
+        of the teacher map, whose live cells the identity student copies,
+        raises a NumericError in the loss; it exits 1 with one line, like
+        a contract error."""
         def nan_teacher(scene_cfg):
             scene = generate_scene(scene_cfg)
-            scene.teacher_bev.data[0, 0, 0] = np.nan
+            scene.teacher_bev.data[0] = np.nan
             return scene
 
         monkeypatch.setattr("geodistill.cli.generate_scene", nan_teacher)

@@ -343,7 +343,9 @@ class TestTotalLoss:
 
     def test_per_view_gradient_lists(self):
         """evaluate_scene_losses gives one dense (D, H, W) gradient per view:
-        the problem's packed rows at the valid pixels, 0 elsewhere."""
+        the problem's packed rows at the valid pixels, 0 elsewhere; and one
+        (C, H, W) BEV gradient: the problem's block at the live cells, 0
+        elsewhere."""
         cfg = small_harness_config()
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
@@ -358,7 +360,7 @@ class TestTotalLoss:
             assert dense.shape == (cfg.bins.count,) + view.depth.shape
             assert np.any(rows) and np.array_equal(dense[:, view.valid].T, rows)
             assert np.all(dense[:, ~view.valid] == 0.0)
-        assert np.array_equal(res.grad["bev_features"], bev_grad)
+        assert np.array_equal(res.grad["bev_features"], problem.plan.unpack(bev_grad))
 
     def test_mismatched_student_inputs_rejected(self):
         cfg = small_harness_config()
@@ -521,6 +523,74 @@ class TestIdentityStudent:
         res = evaluate_scene_losses(cfg, scene, eff_views, maps, student)
         assert res.components["inner_depth"] > 0.0
         assert res.components["inter_keypoint"] > 0.0
+
+
+def layout_config(which):
+    """The small config with an even or an odd channel count, or bev-heavy."""
+    if which == "bev-heavy":
+        cfg = config_from_dict(BEV_HEAVY)
+        cfg.scene.seed = 1
+        return cfg
+    cfg = small_harness_config(max_steps=3)
+    cfg.scene = dataclasses.replace(cfg.scene, channels=int(which.split("-")[1]))
+    return cfg
+
+
+class TestPackedLayout:
+    """The BEV side of the parameter vector holds only the live cells:
+    each view's valid-pixel logit rows, then a (C, L) block."""
+
+    @pytest.mark.parametrize("which", ["small-4", "small-5", "bev-heavy"])
+    def test_vector_and_moments_hold_valid_rows_then_live_cells(self, monkeypatch, which):
+        cfg = layout_config(which)
+        cfg.optimizer.max_steps = 3
+        scene = generate_scene(cfg.scene)
+        problem, params = student_problem(cfg, scene, render_gt_views(scene))
+        channels, live = cfg.scene.channels, problem.plan.live.size
+        want = sum(p.rows.size for p in problem.packed) * cfg.bins.count + channels * live
+        assert params.shape == (want,) and problem.ends[-1] == want
+        assert 0 < live < cfg.scene.grid.h_bev * cfg.scene.grid.w_bev
+        assert problem.split(params)[1].shape == (channels, live)
+        # train-toy's Adam moments are its zeros_like arrays
+        sizes = []
+        real = np.zeros_like
+
+        def spy(a, *args, **kw):
+            out = real(a, *args, **kw)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(np, "zeros_like", spy)
+        run_train_toy(cfg)
+        monkeypatch.undo()
+        assert sizes.count(want) == 2 and max(sizes) == want
+
+    @pytest.mark.parametrize("identity", [False, True])
+    @pytest.mark.parametrize("which", ["small-4", "small-5", "bev-heavy"])
+    def test_student_blocks_are_live_columns_of_the_dense_maps(self, which, identity):
+        """The random and identity students' BEV blocks are the live
+        columns of the dense API's maps bit for bit, for an even and an
+        odd channel count."""
+        cfg = layout_config(which)
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        problem, params = student_problem(cfg, scene, views, identity=identity)
+        inputs = identity_student_inputs if identity else random_student_inputs
+        _, _, student = inputs(cfg, scene, views)
+        columns = student.data.reshape(cfg.scene.channels, -1)[:, problem.plan.live]
+        assert problem.split(params)[1].tobytes() == np.ascontiguousarray(columns).tobytes()
+
+    def test_dense_bev_gradient_is_zero_off_the_live_cells(self):
+        cfg = layout_config("small-4")
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, eff_views, student = random_student_inputs(cfg, scene, views)
+        grad = evaluate_scene_losses(cfg, scene, eff_views, maps, student).grad["bev_features"]
+        live = student_problem(cfg, scene, views)[0].plan.live
+        flat = grad.reshape(cfg.scene.channels, -1)
+        off = np.delete(flat, live, axis=1)
+        assert off.size and np.all(off == 0.0) and not np.signbit(off).any()
+        assert np.all(np.any(flat[:, live] != 0.0, axis=0))
 
 
 class TestRunGradcheck:
@@ -834,7 +904,7 @@ class TestRunTrainToy:
         scene = generate_scene(cfg.scene)
         _, _, student = random_student_inputs(cfg, scene, render_gt_views(scene))
         plan = build_distill_plan(scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, norm)
-        fs = plan.sample(student.data)
+        fs = plan.sample(plan.pack(student.data))
         assert [e["target"] for e in entries] == list(range(len(scene.boxes)))
         for j, entry in enumerate(entries):
             ft = plan.teacher[j]
@@ -856,10 +926,14 @@ class TestRunTrainToy:
         report = run_train_toy(cfg)
         assert report.status == "max_steps" and report.data["loss_reduction"] == 0.0
         scene = generate_scene(cfg.scene)
-        problem, params = student_problem(cfg, scene, render_gt_views(scene))
+        views = render_gt_views(scene)
+        problem, params = student_problem(cfg, scene, views)
         _, student = problem.split(params)
         assert report.data["gram_distances"] == harness._gram_distance_summary(student, problem.plan)
-        want = math.sqrt(frobenius_sq_distance(student, scene.teacher_bev.data))
+        _, _, start = random_student_inputs(cfg, scene, views)
+        full = problem.plan.unpack(student, start.data)
+        assert full.tobytes() == start.data.tobytes()
+        want = math.sqrt(frobenius_sq_distance(full, scene.teacher_bev.data))
         assert report.data["bev_feature_distance"]["frobenius"] == want
 
     def test_loss_decreases_on_small_scene(self):
