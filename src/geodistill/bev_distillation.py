@@ -464,8 +464,11 @@ def build_distill_plan(
     normalization: str = "none",
 ) -> DistillPlan:
     """Keypoint lattices, bilinear corners, teacher features and teacher
-    Grams of every target, stacked in box order."""
+    Grams of every target, stacked in box order.  A non-finite value
+    anywhere in the teacher map raises ``NumericError``, also off the
+    live cells."""
     _check_norm(normalization)
+    check_finite(teacher_bev.data, "teacher BEV features")
     lattices = keypoint_sets_for_boxes(boxes, teacher_bev.grid, g=g, enlarge=enlarge)
     pts = np.array([kp.points for kp in lattices]).reshape(len(lattices), g * g, 2)
     cells, weights = _bilinear_corners(pts, *teacher_bev.data.shape[1:])
@@ -512,9 +515,10 @@ def bev_distill_terms(
     call.  All targets run as one stack through ``DistillPlan.terms``:
     values are the per-target values summed in input order, and each
     gradient is scattered in one pass in (target, corner, point) order
-    onto the plan's live cells, and is 0.0 elsewhere.  With no boxes the stack is empty: both results are 0.0, ``empty``,
-    with zero gradients.  ``keypoint_sq``, a (T,) array, receives each
-    target's squared keypoint-Gram distance, before the reduction.
+    onto the plan's live cells, and is 0.0 elsewhere.  With no boxes the
+    stack is empty: both results are 0.0, ``empty``, with zero
+    gradients.  ``keypoint_sq``, a (T,) array, receives each target's
+    squared keypoint-Gram distance, before the reduction.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)

@@ -143,11 +143,9 @@ def pixel_rows(fds: ForegroundDepthSet, width: int) -> np.ndarray:
     return fds.pixels[:, 1] * width + fds.pixels[:, 0]
 
 
-def expected_depths(probs: np.ndarray, centers: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
-    """Expected bin center of every probability row; ``work``, an
-    optional C-contiguous array of the probabilities' shape, holds the
-    products."""
-    return np.sum(np.multiply(probs, centers, out=work), axis=-1)
+def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """Expected bin center of every probability row."""
+    return np.sum(probs * centers, axis=-1)
 
 
 def reference_scores(
@@ -372,7 +370,6 @@ def relative_depth_rows(
     reduction: str,
     grad_rows: Optional[np.ndarray] = None,
     scale: float = 1.0,
-    work: Optional[np.ndarray] = None,
 ) -> float:
     """Relative-depth loss summed over targets, in target order.
 
@@ -380,32 +377,20 @@ def relative_depth_rows(
     its pixels among them.  Each target's reference is selected on the
     current prediction; with ``grad_rows``, ``scale`` times the logit
     gradient is added into it, overlapping targets in target order.
-    ``work`` is an optional (2, M, D) array, M at least every target's
-    pixel count, that holds each target's (M, D) temporaries in its
-    C-contiguous leading rows, so they round as fresh arrays do.
     """
-    if work is None:
-        work = np.empty((2, max((pos.size for _, pos in targets), default=0), probs.shape[1]))
     total = 0.0
     for fds, pos in targets:
-        p, t = work[:, : pos.size]
-        # mode="clip" writes straight into ``out``; the positions are in range
-        np.take(probs, pos, axis=0, out=p, mode="clip")
-        depths = expected_depths(p, centers, t)
+        p = probs[pos]
+        depths = expected_depths(p, centers)
         ref = None
         if sel.strategy != "one_to_one":
             conf = np.max(p, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
             ref = select_reference(fds, depths, sel, conf)
         value, grad_d = relative_residual(depths, fds.gt_depth, ref, reduction)
         if grad_rows is not None:
-            # chain through the softmax expectation d = sum_k p_k c_k:
-            # scale * (p * (grad_d * (centers - d))), formed in t; a
-            # target's pixels are distinct, so gathering, adding and
-            # writing back accumulates like np.add.at
-            np.subtract(centers, depths[:, None], out=t)
-            np.multiply(grad_d[:, None], t, out=t)
-            np.multiply(scale, np.multiply(p, t, out=t), out=t)
-            grad_rows[pos] = np.add(np.take(grad_rows, pos, axis=0, out=p, mode="clip"), t, out=p)
+            # chain through the softmax expectation d = sum_k p_k c_k; a
+            # target's pixels are distinct, so += accumulates like np.add.at
+            grad_rows[pos] += scale * (p * (grad_d[:, None] * (centers - depths[:, None])))
         total += value
     return total
 

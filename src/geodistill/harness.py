@@ -397,9 +397,6 @@ class SceneProblem:
     # probabilities and BCE's work array.  A view uses the leading rows,
     # which are C-contiguous, so its sums round as in fresh arrays.
     rows_buffers: np.ndarray = field(repr=False)
-    # (2, M, D) step buffers of the largest target, shared in the same way
-    # by every target's relative-depth temporaries
-    target_buffers: np.ndarray = field(repr=False)
     # each target's squared keypoint-Gram distance at the last evaluation
     # of the BEV terms, and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
@@ -417,11 +414,9 @@ class SceneProblem:
         d = cfg.bins.count
         sizes = [p.rows.size * d for p in packed] + [scene.teacher_bev.channels * plan.live.size]
         n_max = max((p.rows.size for p in packed), default=0)
-        m_max = max((pos.size for p in packed for _, pos in p.targets), default=0)
         return cls(
             cfg, scene, views, packed, plan, np.cumsum(sizes),
             rows_buffers=np.empty((2, n_max, d)),
-            target_buffers=np.empty((2, m_max, d)),
             keypoint_sq=np.empty(len(scene.boxes)),
             keypoint_norm_sq=_row_sq(plan.teacher_keypoint),
         )
@@ -463,8 +458,7 @@ class SceneProblem:
                 rows_grad.fill(0.0)
             if value_only or w.w_r > 0:
                 r_views.append(relative_depth_rows(
-                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r,
-                    self.target_buffers,
+                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
                 ))
         ic_val = ik_val = 0.0
         self.keypoint_filled = value_only or w.w_ic > 0 or w.w_ik > 0
@@ -486,10 +480,6 @@ class SceneProblem:
         return LossResult(total, None, empty=empty, components=dict(zip(TERMS, values), external_det=det))
 
 
-def _student_stream(cfg: HarnessConfig) -> CounterRng:
-    return CounterRng(cfg.scene.seed).substream("student-init")
-
-
 def student_problem(
     cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool = False
 ) -> Tuple[SceneProblem, np.ndarray]:
@@ -499,9 +489,16 @@ def student_problem(
     replaced by the continuous depth of those logits (bitwise, so
     relative residuals vanish exactly), and the teacher's BEV map.  The
     random student is small noise seeded from the scene seed; each
-    valid-pixel logit is its entry of the full (D, H, W) normal draw, and
-    each live BEV cell its column of the full (C, H, W) draw.
-    ``_starting_bev`` gives the full map of either student."""
+    valid-pixel logit is its entry of the full (D, H, W) normal draw.
+    Either student's BEV block is the live columns of ``_starting_bev``."""
+    problem, params, _ = _student(cfg, scene, views, identity)
+    return problem, params
+
+
+def _student(
+    cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool
+) -> Tuple[SceneProblem, np.ndarray, np.ndarray]:
+    """``student_problem`` and the full BEV map its block was packed from."""
     d = cfg.bins.count
     if identity:
         # continuous depth of the saturated one-hot logits of each bin
@@ -510,28 +507,28 @@ def student_problem(
     problem = SceneProblem.build(cfg, scene, views)
     params = np.zeros(problem.ends[-1])
     logits, bev = problem.split(params)
+    start = _starting_bev(cfg, scene, identity)
+    bev[...] = problem.plan.pack(start)
     if identity:
         for rows, view in zip(logits, problem.packed):
             rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
-        bev[...] = problem.plan.pack(scene.teacher_bev.data)
-        return problem, params
-    root = _student_stream(cfg)
+        return problem, params, start
+    root = CounterRng(cfg.scene.seed).substream("student-init")
     for rows, view, packed in zip(logits, views, problem.packed):
         sub = root.substream(f"logits-{view.cam_index}")
         noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
         rows[...] = cfg.optimizer.init_logit_scale * noise.T
-    noise = root.substream("bev").normal_columns(scene.teacher_bev.data.shape, problem.plan.live)
-    bev[...] = cfg.optimizer.init_bev_scale * noise
-    return problem, params
+    return problem, params, start
 
 
 def _starting_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool = False) -> np.ndarray:
-    """The full (C, H, W) BEV map of ``student_problem``'s starting
-    student, whose live columns are its BEV block: a copy of the
-    teacher's map, or the random student's whole normal draw."""
+    """The full (C, H, W) starting BEV map of ``student_problem``'s
+    student: a copy of the teacher's map, or the random student's normal
+    draw."""
     if identity:
         return scene.teacher_bev.data.copy()
-    return cfg.optimizer.init_bev_scale * _student_stream(cfg).substream("bev").normal(scene.teacher_bev.data.shape)
+    sub = CounterRng(cfg.scene.seed).substream("student-init").substream("bev")
+    return cfg.optimizer.init_bev_scale * sub.normal(scene.teacher_bev.data.shape)
 
 
 def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -> ViewGroundTruth:
@@ -549,13 +546,13 @@ def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -
 
 
 def _dense_student(cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool):
-    problem, params = student_problem(cfg, scene, views, identity)
+    problem, params, start = _student(cfg, scene, views, identity)
     logits, _ = problem.split(params)
     maps = [
         CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
         for rows, p, v in zip(logits, problem.packed, problem.views)
     ]
-    return maps, problem.views, BevFeatureMap(data=_starting_bev(cfg, scene, identity), grid=scene.grid)
+    return maps, problem.views, BevFeatureMap(data=start, grid=scene.grid)
 
 
 def identity_student_inputs(

@@ -15,6 +15,7 @@ from geodistill import (
     ConfigError,
     ContractError,
     KeypointSet,
+    NumericError,
     TargetKeypointFeatures,
     bev_distill_loss,
     bev_distill_terms,
@@ -755,3 +756,13 @@ class TestLiveCellPacking:
         flat = unpacked.reshape(channels, -1)
         assert flat[:, plan.live].tobytes() == block.tobytes()
         assert np.all(np.delete(flat, plan.live, axis=1) == 0.0)
+
+    def test_non_finite_teacher_off_the_live_cells_raises(self):
+        """The plan checks the whole teacher map, not just the cells its
+        keypoints read."""
+        box = Box3D(center=[0.5, -0.3, 0.0], size=[2.0, 2.0, 1.0], yaw=0.0)
+        teacher = BevFeatureMap(CounterRng(5).normal((3, 6, 6)), GRID6)
+        off = np.setdiff1d(np.arange(36), build_distill_plan(teacher, [box], 3).live)[0]
+        teacher.data.reshape(3, -1)[1, off] = np.nan
+        with pytest.raises(NumericError, match="teacher BEV features"):
+            build_distill_plan(teacher, [box], 3)

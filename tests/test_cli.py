@@ -219,13 +219,12 @@ class TestUsageErrors:
         assert err == "error: bins.count must be an integer, got None\n"
 
     def test_non_finite_value_in_a_loss_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
-        """A NaN that enters after the config is read, here in channel 0
-        of the teacher map, whose live cells the identity student copies,
-        raises a NumericError in the loss; it exits 1 with one line, like
-        a contract error."""
+        """A NaN that enters after the config is read, here in the teacher
+        map the identity student copies, raises a NumericError in the
+        loss; it exits 1 with one line, like a contract error."""
         def nan_teacher(scene_cfg):
             scene = generate_scene(scene_cfg)
-            scene.teacher_bev.data[0] = np.nan
+            scene.teacher_bev.data[0, 0, 0] = np.nan
             return scene
 
         monkeypatch.setattr("geodistill.cli.generate_scene", nan_teacher)
@@ -234,6 +233,25 @@ class TestUsageErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["eval-losses", "--student", "random"], ["train-toy"], ["train-toy", "--identity-init"],
+    ])
+    def test_non_finite_teacher_fails_every_student(self, small_cfg, tmp_path, capsys, monkeypatch, command):
+        """A NaN anywhere in the teacher map stops eval-losses and
+        train-toy with one line, whatever cells the student is trained
+        on."""
+        def nan_teacher(scene_cfg):
+            scene = generate_scene(scene_cfg)
+            scene.teacher_bev.data[-1, -1, -1] = np.nan
+            return scene
+
+        # eval-losses makes its scene in the CLI, train-toy in the harness
+        monkeypatch.setattr("geodistill.cli.generate_scene", nan_teacher)
+        monkeypatch.setattr("geodistill.harness.generate_scene", nan_teacher)
+        code = main(command + ["--config", small_cfg, "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: teacher BEV features contains non-finite values\n"
 
     def test_out_of_memory_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
         """A MemoryError, such as an allocation for a huge lattice, exits
