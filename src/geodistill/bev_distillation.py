@@ -388,9 +388,6 @@ class DistillPlan:
     """
 
     teacher_bev: BevFeatureMap
-    boxes: List[Box3D]
-    g: int
-    enlarge: float
     normalization: str
     live: np.ndarray  # (L,) sorted distinct flat BEV cells that any corner touches
     cells: np.ndarray  # (T, 4, N) index into ``live`` of each bilinear corner
@@ -402,16 +399,6 @@ class DistillPlan:
     # taken once: a fresh pair of (T, N, N) arrays on every step lets glibc
     # hand heap pages back that the next step faults in again
     gram_work: Dict[str, np.ndarray] = field(repr=False)
-
-    def built_from(self, teacher_bev, boxes, g, enlarge, normalization) -> bool:
-        """True when these ``bev_distill_terms`` arguments are the ones
-        the plan was built from: the same teacher and box objects."""
-        return (
-            teacher_bev is self.teacher_bev
-            and len(boxes) == len(self.boxes)
-            and all(a is b for a, b in zip(boxes, self.boxes))
-            and (g, enlarge, normalization) == (self.g, self.enlarge, self.normalization)
-        )
 
     def pack(self, bev: np.ndarray) -> np.ndarray:
         """The (C, L) live columns of a (C, H, W) map, or (B, C, L) of a
@@ -479,9 +466,6 @@ def build_distill_plan(
     grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}
     return DistillPlan(
         teacher_bev=teacher_bev,
-        boxes=list(boxes),
-        g=g,
-        enlarge=enlarge,
         normalization=normalization,
         live=live,
         cells=at,
@@ -501,24 +485,17 @@ def bev_distill_terms(
     enlarge: float = 1.25,
     normalization: str = "none",
     loss_reduction: str = "mean",
-    *,
-    plan: Optional[DistillPlan] = None,
-    with_grad: bool = True,
-    keypoint_sq: Optional[np.ndarray] = None,
 ) -> Tuple[LossResult, LossResult]:
     """Channel and keypoint Gram losses over all targets as separate
-    results, each with its own gradient on the student BEV tensor, or
-    None without ``with_grad``.
+    results, each with its own gradient on the student BEV tensor.
 
-    Both maps are sampled at identical keypoints.  ``plan`` is the
-    scene's prebuilt teacher side; without one it is built for this
-    call.  All targets run as one stack through ``DistillPlan.terms``:
-    values are the per-target values summed in input order, and each
-    gradient is scattered in one pass in (target, corner, point) order
-    onto the plan's live cells, and is 0.0 elsewhere.  With no boxes the
-    stack is empty: both results are 0.0, ``empty``, with zero
-    gradients.  ``keypoint_sq``, a (T,) array, receives each target's
-    squared keypoint-Gram distance, before the reduction.
+    Both maps are sampled at identical keypoints.  The teacher side is
+    built for this call, and all targets run as one stack through
+    ``DistillPlan.terms``: values are the per-target values summed in
+    input order, and each gradient is scattered in one pass in (target,
+    corner, point) order onto the plan's live cells, and is 0.0
+    elsewhere.  With no boxes the stack is empty: both results are 0.0,
+    ``empty``, with zero gradients.
     """
     _check_norm(normalization)
     _check_reduction(loss_reduction)
@@ -526,14 +503,9 @@ def bev_distill_terms(
         raise ContractError("student and teacher BEV shapes disagree")
     if student_bev.grid != teacher_bev.grid:
         raise ContractError("student and teacher grids disagree")
-    if plan is not None and not plan.built_from(teacher_bev, boxes, g, enlarge, normalization):
-        raise ContractError("distillation plan was built from different arguments")
-    if plan is None:
-        plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
-    terms = plan.terms(plan.pack(student_bev.data), loss_reduction, with_grad, keypoint_sq)
-    return tuple(
-        LossResult(value, None if grad is None else plan.unpack(grad), empty=not boxes) for value, grad in terms
-    )
+    plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
+    terms = plan.terms(plan.pack(student_bev.data), loss_reduction)
+    return tuple(LossResult(value, plan.unpack(grad), empty=not boxes) for value, grad in terms)
 
 
 def bev_distill_loss(

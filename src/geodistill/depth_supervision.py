@@ -15,6 +15,7 @@ carries gradient.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -205,28 +206,16 @@ def select_reference(
     return int(reference_scores(fds, pred_depth, sel, conf).argmin())
 
 
-def _ref_index(fds: ForegroundDepthSet, ref: Union[int, Sequence[int]]) -> int:
-    if isinstance(ref, (int, np.integer)):
-        idx = int(ref)
-        if not 0 <= idx < len(fds):
-            raise ValueError(f"reference index {idx} outside the pixel set")
-        return idx
-    x, y = int(ref[0]), int(ref[1])
-    hits = np.nonzero((fds.pixels[:, 0] == x) & (fds.pixels[:, 1] == y))[0]
-    if hits.size == 0:
-        raise ValueError(f"reference pixel ({x}, {y}) is not in the set")
-    return int(hits[0])
-
-
 def relative_depths(
-    fds: ForegroundDepthSet, pred_depth, ref
+    fds: ForegroundDepthSet, pred_depth, ref: int
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Depths of one target re-expressed relative to the reference pixel.
-
-    ``ref`` may be an index into the set or an (x, y) pixel pair.  Both
-    returned channels are exactly 0 at the reference pixel.
+    """Depths of one target re-expressed relative to the reference pixel,
+    given by its index ``ref`` into the set.  Both returned channels are
+    exactly 0 at the reference pixel.
     """
-    idx = _ref_index(fds, ref)
+    idx = operator.index(ref)
+    if not 0 <= idx < len(fds):
+        raise ValueError(f"reference index {idx} outside the pixel set")
     pred_depth = as_tensor(pred_depth).reshape(-1)
     if pred_depth.shape[0] != len(fds):
         raise ContractError("pred_depth length must match the pixel set")

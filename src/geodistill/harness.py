@@ -206,7 +206,7 @@ class HarnessConfig:
     enlarge: float = _ranged(1.25, ">= 1", lambda e: e >= 1.0)
     gram_normalization: str = "none"
     weights: LossWeights = field(default_factory=LossWeights)
-    external_det_loss: float = 0.0
+    external_det_loss: float = _ranged(0.0, ">= 0", lambda v: v >= 0)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
 
@@ -491,14 +491,6 @@ def student_problem(
     random student is small noise seeded from the scene seed; each
     valid-pixel logit is its entry of the full (D, H, W) normal draw.
     Either student's BEV block is the live columns of ``_starting_bev``."""
-    problem, params, _ = _student(cfg, scene, views, identity)
-    return problem, params
-
-
-def _student(
-    cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool
-) -> Tuple[SceneProblem, np.ndarray, np.ndarray]:
-    """``student_problem`` and the full BEV map its block was packed from."""
     d = cfg.bins.count
     if identity:
         # continuous depth of the saturated one-hot logits of each bin
@@ -507,21 +499,20 @@ def _student(
     problem = SceneProblem.build(cfg, scene, views)
     params = np.zeros(problem.ends[-1])
     logits, bev = problem.split(params)
-    start = _starting_bev(cfg, scene, identity)
-    bev[...] = problem.plan.pack(start)
+    bev[...] = problem.plan.pack(_starting_bev(cfg, scene, identity))
     if identity:
         for rows, view in zip(logits, problem.packed):
             rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
-        return problem, params, start
+        return problem, params
     root = CounterRng(cfg.scene.seed).substream("student-init")
     for rows, view, packed in zip(logits, views, problem.packed):
         sub = root.substream(f"logits-{view.cam_index}")
         noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
         rows[...] = cfg.optimizer.init_logit_scale * noise.T
-    return problem, params, start
+    return problem, params
 
 
-def _starting_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool = False) -> np.ndarray:
+def _starting_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool) -> np.ndarray:
     """The full (C, H, W) starting BEV map of ``student_problem``'s
     student: a copy of the teacher's map, or the random student's normal
     draw."""
@@ -546,13 +537,13 @@ def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -
 
 
 def _dense_student(cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth], identity: bool):
-    problem, params, start = _student(cfg, scene, views, identity)
+    problem, params = student_problem(cfg, scene, views, identity)
     logits, _ = problem.split(params)
     maps = [
         CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
         for rows, p, v in zip(logits, problem.packed, problem.views)
     ]
-    return maps, problem.views, BevFeatureMap(data=start, grid=scene.grid)
+    return maps, problem.views, BevFeatureMap(data=_starting_bev(cfg, scene, identity), grid=scene.grid)
 
 
 def identity_student_inputs(
@@ -814,7 +805,7 @@ def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[
         sq, _ = _gram_losses(fs, gram_t, kind, plan.normalization, "sum", with_grad=False)
         columns[f"inter_{kind}"] = (sq, _row_sq(gram_t))
     columns["raw_feature"] = (_row_sq(fs - plan.teacher), _row_sq(plan.teacher))
-    out = [{"target": j} for j in range(len(plan.boxes))]
+    out = [{"target": j} for j in range(plan.cells.shape[0])]
     for name, (dist_sq, norm_sq) in columns.items():
         for entry, (dist, rel) in zip(out, _distances(dist_sq, norm_sq)):
             entry[f"{name}_frob"] = dist

@@ -23,9 +23,12 @@ from .depth_supervision import (
     DepthBins,
     assign_depth_bins,
 )
-from .geometry import Box3D, CameraModel, points_in_box, project_points
+from .geometry import Box3D, CameraModel, RigidTransform, points_in_box, project_points
 from .numerics import matmul
 from .rng import CounterRng
+
+# random (N, C) feature stacks the Gram oracle compares
+GRAM_INSTANCES = 200
 
 
 def matmul_loops(a, b) -> List[List[float]]:
@@ -231,7 +234,7 @@ def _max_abs_diff(a, b) -> float:
     return float(np.max(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))))
 
 
-def run_oracle_suite(seed: int = 42, gram_instances: int = 200) -> Tuple[Dict, bool]:
+def run_oracle_suite(seed: int = 42) -> Tuple[Dict, bool]:
     """Run every oracle family on seeded inputs; returns (fixtures, ok).
 
     The fixtures dict is JSON-serializable and records the worst
@@ -266,19 +269,17 @@ def run_oracle_suite(seed: int = 42, gram_instances: int = 200) -> Tuple[Dict, b
     # small float tolerance applies.
     sub = root.substream("gram")
     worst = 0.0
-    for _ in range(gram_instances):
+    for _ in range(GRAM_INSTANCES):
         n = 2 + int(sub.uniform(1)[0] * 15)
         c = 2 + int(sub.uniform(1)[0] * 15)
         f = sub.normal((n, c))
         worst = max(worst, _max_abs_diff(inter_channel_gram(f), gram_channel_loops(f)))
         worst = max(worst, _max_abs_diff(inter_keypoint_gram(f), gram_keypoint_loops(f)))
-    fixtures["gram"] = {"instances": gram_instances, "max_abs_diff": worst, "tolerance": 1e-12}
+    fixtures["gram"] = {"instances": GRAM_INSTANCES, "max_abs_diff": worst, "tolerance": 1e-12}
     ok = ok and worst <= 1e-12
 
     # Vectorized projection against the scalar path.
     sub = root.substream("project")
-    from .geometry import RigidTransform  # local to keep module deps flat
-
     worst = 0.0
     kept_mismatch = 0
     checked = 0

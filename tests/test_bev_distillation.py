@@ -522,10 +522,13 @@ class TestBevDistillLoss:
                 assert np.all(res.grad == 0.0)
 
     def test_zero_boxes_without_gradient(self):
-        """No boxes and no gradient asked for: both terms are empty 0.0
-        results with no gradient, as a call with boxes gives none."""
-        for term in bev_distill_terms(self.student, self.teacher, [], with_grad=False):
-            assert term.empty and term.value == 0.0 and term.grad is None
+        """No boxes and no gradient asked for: the plan's stack is empty
+        and both terms are 0.0 with no gradient, as a call with boxes
+        gives none."""
+        plan = build_distill_plan(self.teacher, [], 6, 1.25, "none")
+        assert plan.cells.shape[0] == 0 and plan.live.size == 0
+        for value, grad in plan.terms(plan.pack(self.student.data), "mean", with_grad=False):
+            assert value == 0.0 and grad is None
 
     def test_identical_maps_zero(self):
         res = bev_distill_loss(self.student, self.student, self.boxes, g=3)
@@ -540,46 +543,17 @@ class TestBevDistillLoss:
         assert combined.components["inter_keypoint"] == ik.value
         assert np.allclose(combined.grad, ic.grad + ik.grad, rtol=0, atol=1e-15)
 
-    def test_plan_from_other_arguments_rejected(self):
-        """A plan only serves the teacher, boxes, lattice and normalization
-        it was built from."""
-        plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, "none")
-        other_teacher = BevFeatureMap(self.teacher.data.copy(), self.grid)
-        for teacher, boxes, g, norm in (
-            (other_teacher, self.boxes, 3, "none"),
-            (self.teacher, self.boxes[:1], 3, "none"),
-            (self.teacher, self.boxes[::-1], 3, "none"),
-            (self.teacher, self.boxes, 4, "none"),
-            (self.teacher, self.boxes, 3, "l2"),
-        ):
-            with pytest.raises(ContractError):
-                bev_distill_terms(self.student, teacher, boxes, g, 1.25, norm, plan=plan)
-        ic, ik = bev_distill_terms(self.student, self.teacher, self.boxes, 3, 1.25, plan=plan)
-        assert ic.value > 0.0 and ik.value > 0.0
-
     @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
     @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
     def test_combined_loss_with_plan_equals_without(self, norm, reduction):
-        """The terms of a prebuilt plan, added, give the bits of
-        bev_distill_loss, which builds its own plan; the prebuilt plan is
-        rejected for other arguments."""
+        """The terms of a prebuilt plan, unpacked and added, give the bits
+        of bev_distill_loss, which builds its own plan."""
         plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, norm)
         fresh = bev_distill_loss(self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction)
-        ic, ik = bev_distill_terms(
-            self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction, plan=plan
-        )
-        assert fresh.value == ic.value + ik.value
-        assert fresh.components == {"inter_channel": ic.value, "inter_keypoint": ik.value}
-        assert np.array_equal(fresh.grad, ic.grad + ik.grad)
-        other = "l2" if norm != "l2" else "none"
-        with pytest.raises(ContractError):
-            bev_distill_terms(
-                self.student, self.teacher, self.boxes, 3, 1.25, other, reduction, plan=plan
-            )
-        with pytest.raises(ContractError):
-            bev_distill_terms(
-                self.student, self.teacher, self.boxes[::-1], 3, 1.25, norm, reduction, plan=plan
-            )
+        (ic, ic_grad), (ik, ik_grad) = plan.terms(plan.pack(self.student.data), reduction)
+        assert fresh.value == ic + ik
+        assert fresh.components == {"inter_channel": ic, "inter_keypoint": ik}
+        assert np.array_equal(fresh.grad, plan.unpack(ic_grad) + plan.unpack(ik_grad))
 
     def test_grid_mismatch_rejected(self):
         other = BevFeatureMap(
@@ -682,13 +656,11 @@ class TestBatchedDistillProperty:
             for reduction in LOSS_REDUCTIONS:
                 for student in students:
                     fresh = bev_distill_terms(student, teacher, boxes, g, enlarge, norm, reduction)
-                    reused = bev_distill_terms(
-                        student, teacher, boxes, g, enlarge, norm, reduction, plan=plan
-                    )
+                    reused = plan.terms(plan.pack(student.data), reduction)
                     totals, grads = _per_target_terms(student, teacher, boxes, g, enlarge, norm, reduction)
-                    for got, again, total, grad in zip(fresh, reused, totals, grads):
-                        assert got.value == again.value == total
-                        assert got.grad.tobytes() == again.grad.tobytes() == grad.tobytes()
+                    for got, (value, block), total, grad in zip(fresh, reused, totals, grads):
+                        assert got.value == value == total
+                        assert got.grad.tobytes() == plan.unpack(block).tobytes() == grad.tobytes()
 
     def test_shared_cells_take_one_pass_order(self):
         """Two boxes whose corners share cells: the gradient is one pass in

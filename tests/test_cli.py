@@ -127,7 +127,7 @@ class TestUsageErrors:
         "key, value",
         [("keypoint_g", 2.5), ("keypoint_g", True), ("keypoint_g", 1), ("enlarge", float("nan")),
          ("enlarge", float("inf")), ("enlarge", 0.5), ("enlarge", "1.25"),
-         ("external_det_loss", float("nan")),
+         ("external_det_loss", float("nan")), ("external_det_loss", -1.0),
          ("optimizer", {"step_size": float("nan")}), ("optimizer", {"beta1": float("inf")}),
          ("optimizer", {"beta2": True}), ("optimizer", {"eps": float("-inf")}),
          ("optimizer", {"target_reduction": float("nan")}),
@@ -147,9 +147,9 @@ class TestUsageErrors:
     def test_bad_lattice_config_is_config_error(self, tmp_path, capsys, key, value):
         """A lattice extent that is not an integer >= 2, an enlargement
         that is not a finite number >= 1, a NaN, infinite or boolean
-        optimizer, weight, gradcheck, scene or bins number, and a
-        divergence factor below 1 exit 2 with a one-line error that names
-        the field."""
+        optimizer, weight, gradcheck, scene or bins number, a negative
+        detection loss and a divergence factor below 1 exit 2 with a
+        one-line error that names the field."""
         name = key
         if isinstance(value, dict):
             name = f"{key}.{next(iter(value))}"

@@ -258,10 +258,11 @@ class TestRelativeDepths:
         assert pred_rd[0] == 0.0 and gt_rd[0] == 0.0
         assert pred_rd[1] == 1.5 and gt_rd[1] == 2.5
 
-    def test_reference_by_pixel_coordinates(self):
+    def test_reference_index_outside_the_set(self):
         fds = make_fds([[0, 0], [1, 0]], [5.0, 7.5])
-        pred_rd, _ = relative_depths(fds, [2.0, 3.5], (1, 0))
-        assert pred_rd[1] == 0.0
+        for ref in (-1, 2):
+            with pytest.raises(ValueError, match="outside the pixel set"):
+                relative_depths(fds, [2.0, 3.5], ref)
 
     def test_additive_shift_exact_invariance(self):
         """Dyadic gt depths shifted by a dyadic constant leave relative

@@ -697,7 +697,7 @@ def _gram_value(loss_name):
 def _bev_value(cfg, args, kw, x):
     teacher, boxes, g, enlarge, norm = args
     ic, ik = bev_distill_terms(
-        BevFeatureMap(x, teacher.grid), teacher, boxes, g, enlarge, norm, cfg.loss_reduction, with_grad=False
+        BevFeatureMap(x, teacher.grid), teacher, boxes, g, enlarge, norm, cfg.loss_reduction
     )
     return ic.value + ik.value
 
