@@ -14,10 +14,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import math
 import os
 import sys
 import time
 from typing import List, Optional
+
+import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, GenerationError, NumericError
 from .harness import (
@@ -71,6 +74,8 @@ def _cmd_eval_losses(args, cfg) -> int:
     views = render_gt_views(scene)
     problem, params = student_problem(cfg, scene, views, identity=args.student == "identity")
     result = problem.evaluate(params)
+    if not math.isfinite(result.value):
+        raise NumericError(f"the total loss is not finite ({result.value})")
     report = RunReport(
         kind="eval-losses",
         config=config_to_dict(cfg),
@@ -97,9 +102,6 @@ def _cmd_gradcheck(args, cfg) -> int:
     path = os.path.join(args.out, "gradcheck_report.json")
     write_report(path, report)
     for name, entry in report.data["losses"].items():
-        if entry.get("skipped"):
-            print(f"{name}: skipped ({entry['reason']})")
-            continue
         print(
             f"{name}: {entry['instances']} instances, "
             f"max rel error {entry['max_rel_error']:.3e}, "
@@ -202,7 +204,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {args.out!r}: {exc}") from exc
         try:
-            return _COMMANDS[args.command][1](args, cfg)
+            # a value that overflows reaches a loss as a non-finite number,
+            # which the command reports as its one error line
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                return _COMMANDS[args.command][1](args, cfg)
         except OSError as exc:
             raise ConfigError(f"cannot write output in {args.out!r}: {exc}") from exc
     except (ConfigError, FormatError) as exc:

@@ -397,13 +397,10 @@ class SceneProblem:
     # probabilities and BCE's work array.  A view uses the leading rows,
     # which are C-contiguous, so its sums round as in fresh arrays.
     rows_buffers: np.ndarray = field(repr=False)
-    # each target's squared keypoint-Gram distance at the last evaluation
-    # of the BEV terms, and the teacher keypoint Gram's squared norm
+    # each target's squared keypoint-Gram distance at the last evaluation,
+    # and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
     keypoint_norm_sq: np.ndarray = field(repr=False)
-    # whether the last evaluation wrote keypoint_sq; a gradient call skips
-    # the BEV terms when both their weights are 0
-    keypoint_filled: bool = field(default=False, repr=False)
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
@@ -432,19 +429,19 @@ class SceneProblem:
         """Total loss at ``params`` with its components (``TERMS`` and
         "external_det", a constant without gradient).
 
-        With ``grad``, the weighted gradient is written into it and a term
-        of weight 0 is skipped and reads 0.0 (the BEV terms only both
-        together).  Without, every term is evaluated and no gradient is
-        formed.  View values are summed in camera order.  A non-finite
-        BEV block raises ``NumericError`` when the BEV terms run.
+        Every call evaluates every term; a weight only scales its term's
+        share of the total and, with ``grad``, of the weighted gradient
+        written into it.  Without ``grad`` no gradient is formed.  View
+        values are summed in camera order.  A non-finite BEV block raises
+        ``NumericError``.
 
         The first term that writes a block of ``grad`` assigns it, with
-        the bits of adding into zeros, and a block that no term writes is
-        zeroed, so ``grad`` may hold anything on entry."""
+        the bits of adding into zeros, so ``grad`` may hold anything on
+        entry."""
         cfg, w, scene = self.cfg, self.cfg.weights, self.scene
-        value_only = grad is None
+        with_grad = grad is not None
         logits, student = self.split(params)
-        logit_grads, student_grad = ([None] * len(logits), None) if value_only else self.split(grad)
+        logit_grads, student_grad = self.split(grad) if with_grad else ([None] * len(logits), None)
         a_views, r_views = [], []
         for view, rows, rows_grad in zip(self.packed, logits, logit_grads):
             n = view.rows.size
@@ -452,27 +449,18 @@ class SceneProblem:
                 continue
             probs_buf, work = self.rows_buffers[:, :n]
             probs = softmax_rows(rows, out=probs_buf)
-            if value_only or w.w_a > 0:
-                a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n, work) / n)
-            else:
-                rows_grad.fill(0.0)
-            if value_only or w.w_r > 0:
-                r_views.append(relative_depth_rows(
-                    probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
-                ))
-        ic_val = ik_val = 0.0
-        self.keypoint_filled = value_only or w.w_ic > 0 or w.w_ik > 0
-        if self.keypoint_filled:
-            check_finite(student, "BEV features")
-            (ic_val, ic_grad), (ik_val, ik_grad) = self.plan.terms(
-                student, cfg.loss_reduction, not value_only, self.keypoint_sq
-            )
-            if not value_only:
-                # w_ic * ic_grad + w_ik * ik_grad, formed in the BEV block
-                np.multiply(ic_grad, w.w_ic, out=student_grad)
-                student_grad += np.multiply(ik_grad, w.w_ik, out=ik_grad)
-        else:  # the weights skip the BEV terms, which only a gradient call does
-            student_grad.fill(0.0)
+            a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n, work) / n)
+            r_views.append(relative_depth_rows(
+                probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
+            ))
+        check_finite(student, "BEV features")
+        (ic_val, ic_grad), (ik_val, ik_grad) = self.plan.terms(
+            student, cfg.loss_reduction, with_grad, self.keypoint_sq
+        )
+        if with_grad:
+            # w_ic * ic_grad + w_ik * ik_grad, formed in the BEV block
+            np.multiply(ic_grad, w.w_ic, out=student_grad)
+            student_grad += np.multiply(ik_grad, w.w_ik, out=ik_grad)
         det = float(cfg.external_det_loss)
         values = (sum(a_views, 0.0), sum(r_views, 0.0), ic_val, ik_val)
         total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
@@ -569,8 +557,8 @@ def evaluate_scene_losses(
 ) -> LossResult:
     """The scene problem of ``views`` at dense student inputs, with the
     gradient as one (D, H, W) map per view ("depth_logits") and a (C, H, W)
-    map ("bev_features", 0.0 off the live cells); as in train-toy, a term
-    of weight 0 reads 0.0."""
+    map ("bev_features", 0.0 off the live cells).  Its components are
+    eval-losses' and train-toy's for the same student."""
     problem = SceneProblem.build(cfg, scene, views)
     shapes = [(cfg.bins.count,) + v.depth.shape for v in views] + [scene.teacher_bev.data.shape]
     if [dm.logits.shape for dm in depth_maps] + [student_bev.data.shape] != shapes:
@@ -718,31 +706,28 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     return _Instance(values=values, x0=student, analytic=plan.unpack(ic_grad + ik_grad))
 
 
-# each checked loss family: its instance builder, and the weights that
-# skip it when all are 0
+# each checked loss family's instance builder, by name
 _GRADCHECK_FAMILIES = {
-    "absolute_depth": (_absolute_instance, ("w_a",)),
-    "inner_depth": (_inner_instance, ("w_r",)),
-    "inter_channel": (functools.partial(_feature_gram_instance, kind="channel"), ("w_ic",)),
-    "inter_keypoint": (functools.partial(_feature_gram_instance, kind="keypoint"), ("w_ik",)),
-    "bev_distill": (_bev_instance, ("w_ic", "w_ik")),
+    "absolute_depth": _absolute_instance,
+    "inner_depth": _inner_instance,
+    "inter_channel": functools.partial(_feature_gram_instance, kind="channel"),
+    "inter_keypoint": functools.partial(_feature_gram_instance, kind="keypoint"),
+    "bev_distill": _bev_instance,
 }
 
 
 def run_gradcheck(cfg: HarnessConfig) -> RunReport:
-    """Compare every analytic gradient against central finite differences
-    on seeded random instances; tie-adjacent instances are excluded, and
-    at most 10 instances are drawn per one wanted."""
+    """Compare every family's analytic gradient, whatever the loss
+    weights, against central finite differences on seeded random
+    instances; tie-adjacent instances are excluded, and at most 10
+    instances are drawn per one wanted."""
     t0 = time.perf_counter()
     root = CounterRng(cfg.scene.seed)
     want = cfg.gradcheck.instances
     losses: Dict[str, Dict[str, Any]] = {}
     all_ok = True
     overall = 0.0
-    for name, (build, weights) in _GRADCHECK_FAMILIES.items():
-        if all(getattr(cfg.weights, w) == 0 for w in weights):
-            losses[name] = {"skipped": True, "reason": "zero weight"}
-            continue
+    for name, build in _GRADCHECK_FAMILIES.items():
         rels: List[float] = []
         excluded = overflow = 0
         for attempt in range(10 * want):
@@ -823,18 +808,10 @@ def _distances(dist_sq: np.ndarray, norm_sq: np.ndarray) -> List[Tuple[float, fl
     return out
 
 
-def _worst_keypoint_rel(problem: SceneProblem, student: np.ndarray) -> float:
+def _worst_keypoint_rel(problem: SceneProblem) -> float:
     """Largest relative keypoint-Gram distance over targets of the BEV
-    block ``student`` that ``problem`` evaluated last, as
-    ``_gram_distance_summary`` gives it.  The evaluation's own per-target
-    sums are reused; only when it skipped the BEV terms is the student
-    sampled again."""
-    plan = problem.plan
-    if not problem.keypoint_filled:
-        _gram_losses(
-            plan.sample(student), plan.teacher_keypoint, "keypoint", plan.normalization, "sum",
-            with_grad=False, sq=problem.keypoint_sq,
-        )
+    block that ``problem`` evaluated last, as ``_gram_distance_summary``
+    gives it, from the evaluation's own per-target sums."""
     return max((rel for _, rel in _distances(problem.keypoint_sq, problem.keypoint_norm_sq)), default=0.0)
 
 
@@ -885,7 +862,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             if total <= (1.0 - opt.target_reduction) * initial:
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
-                if _worst_keypoint_rel(problem, student) <= opt.ik_rel_target:
+                if _worst_keypoint_rel(problem) <= opt.ik_rel_target:
                     status = "converged"
                     break
             if total > opt.divergence_factor * max(initial, 1e-12):

@@ -162,6 +162,30 @@ class TestUsageErrors:
         assert err.startswith("error: ") and name in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
+        "command, key, value, code",
+        [("eval-losses", "optimizer", {"init_bev_scale": 1e80}, 1),
+         ("eval-losses", "optimizer", {"init_bev_scale": 1e300}, 1),
+         ("eval-losses", "scene", {"teacher_amplitude": 1e200}, 1),
+         ("eval-losses", "bins", {"d_max": 1e308}, 1),
+         ("eval-losses", "scene", {"focal": 1e308}, 0),
+         ("train-toy", "scene", {"teacher_amplitude": 1e200}, 1),
+         ("gradcheck", "gradcheck", {"h": 1e300}, 1)],
+        ids=["bev-1e80", "bev-1e300", "teacher-1e200", "d_max-1e308", "focal-1e308", "train-toy", "gradcheck-h"],
+    )
+    def test_overflow_exits_with_at_most_one_error_line(self, tmp_path, capsys, command, key, value, code):
+        """A config whose numbers overflow on the way to a loss leaks no
+        numpy warning: a non-finite eval-losses total exits 1 with one
+        error line, a diverged or failed check exits 1, and a total that
+        stays finite exits 0."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, **{key: dict(SMALL.get(key, {}), **value)})))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") <= 1 and "Warning" not in err
+        if command == "eval-losses":
+            assert err.startswith("error: the total loss is not finite") if code else not err
+
+    @pytest.mark.parametrize(
         "key, value, fragment",
         [("scene", {"length_range": [3.8]}, "scene.length_range"),
          ("scene", {"width_range": "1.6"}, "scene.width_range"),

@@ -56,7 +56,7 @@ from geodistill.depth_supervision import (
 )
 from geodistill.bev_distillation import TargetKeypointFeatures, bev_distill_terms
 from geodistill.numerics import finite_difference_gradient, softmax_rows
-from geodistill import harness
+from geodistill import cli, harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.rng import CounterRng
 
@@ -399,17 +399,32 @@ class TestTotalLoss:
                 if empty:
                     assert res.value == 5.0 and all(res.components[key] == 0.0 for key in TERMS)
 
+    @pytest.mark.parametrize(
+        "weights",
+        [
+            LossWeights(w_a=0.5, w_r=2.0, w_ic=1.5, w_ik=3.0),
+            LossWeights(w_a=0.0),
+            LossWeights(w_r=0.0),
+            LossWeights(w_ic=0.0),
+            LossWeights(w_ik=0.0),
+            LossWeights(w_ic=0.0, w_ik=0.0),
+            LossWeights(w_a=0.0, w_r=0.0, w_ic=0.0, w_ik=0.0),
+        ],
+        ids=["mixed", "w_a-0", "w_r-0", "w_ic-0", "w_ik-0", "bev-0", "all-0"],
+    )
     @pytest.mark.parametrize("seed", [5, 7])
-    def test_value_only_call_equals_gradient_call(self, seed):
-        """With every weight non-zero, eval-losses' call without a gradient
-        and the trainer's call with one give the same bits."""
+    def test_value_only_call_equals_gradient_call(self, seed, weights):
+        """For every weight pattern, eval-losses' call without a gradient
+        and the trainer's call with one give the same bits: every term is
+        evaluated, and a weight only scales it."""
         cfg = small_harness_config()
         cfg.scene.seed = seed
-        cfg.weights = LossWeights(w_a=0.5, w_r=2.0, w_ic=1.5, w_ik=3.0)
+        cfg.weights = weights
         problem, params = self.problem(cfg)
         grad = np.empty_like(params)
         plain, with_grad = problem.evaluate(params), problem.evaluate(params, grad)
-        assert plain.grad is None and np.any(grad)
+        assert plain.grad is None and np.any(grad) == any(dataclasses.astuple(weights))
+        assert all(plain.components[key] > 0.0 for key in TERMS)
         assert (plain.value, plain.components, plain.empty) == (
             with_grad.value, with_grad.components, with_grad.empty
         )
@@ -612,30 +627,23 @@ class TestRunGradcheck:
             assert entry["instances"] == 6
             assert "excluded_tie_adjacent" in entry
 
-    def test_zero_weight_losses_are_skipped(self):
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 2
-        cfg.weights = LossWeights(w_a=0.0, w_r=1.0, w_ic=0.0, w_ik=0.0)
-        report = run_gradcheck(cfg)
-        losses = report.data["losses"]
-        assert losses["absolute_depth"] == {"skipped": True, "reason": "zero weight"}
-        assert losses["inter_channel"]["skipped"] is True
-        assert losses["inter_keypoint"]["skipped"] is True
-        assert losses["bev_distill"]["skipped"] is True
-        assert losses["inner_depth"]["passed"]
-        assert report.status == "passed"
+    def test_weights_do_not_change_what_is_checked(self):
+        """Gradcheck checks every family whatever the weights: its
+        ``losses`` are byte-identical for unit weights, for each weight 0
+        on its own and for all weights 0."""
+        def losses(weights):
+            cfg = small_harness_config()
+            cfg.gradcheck.instances = 2
+            cfg.weights = weights
+            report = run_gradcheck(cfg)
+            assert report.status == "passed"
+            return json.dumps(report.data["losses"], sort_keys=True)
 
-    @pytest.mark.parametrize("w_ic, w_ik", [(0.0, 1.0), (1.0, 0.0)])
-    def test_one_zero_gram_weight_skips_only_its_family(self, w_ic, w_ik):
-        """The combined BEV family is skipped only when both Gram weights
-        are 0."""
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 2
-        cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=w_ic, w_ik=w_ik)
-        losses = run_gradcheck(cfg).data["losses"]
-        skipped = {name for name, entry in losses.items() if entry.get("skipped")}
-        assert skipped == {"inter_channel" if w_ic == 0 else "inter_keypoint"}
-        assert losses["bev_distill"]["instances"] == 2 and losses["bev_distill"]["passed"]
+        want = losses(LossWeights())
+        assert json.loads(want).keys() == set(harness._GRADCHECK_FAMILIES)
+        zeros = [LossWeights(**{name: 0.0}) for name in ("w_a", "w_r", "w_ic", "w_ik")]
+        for weights in zeros + [LossWeights(0.0, 0.0, 0.0, 0.0)]:
+            assert losses(weights) == want, weights
 
     def test_overflowing_instances_fail_every_family(self, monkeypatch):
         """An instance whose finite differences overflow is counted, not
@@ -733,7 +741,7 @@ class TestStackedFiniteDifferences:
                 return _real(*args, **kw)
             monkeypatch.setattr(harness, loss_name, record)
         root = CounterRng(cfg.scene.seed)
-        for family, (build, _) in harness._GRADCHECK_FAMILIES.items():
+        for family, build in harness._GRADCHECK_FAMILIES.items():
             loss_name, value = _PUBLIC_VALUES[family]
             for attempt in range(4):
                 inst = build(cfg, root.substream(f"gradcheck-{family}-{attempt}"))
@@ -854,8 +862,8 @@ class TestRunTrainToy:
     def test_convergence_check_equals_gram_distance_summary(self, monkeypatch, norm, reduction):
         """After every evaluation of a short run, the keypoint criterion,
         which reuses the step's own per-target Gram sums, is the worst
-        inter_keypoint_rel of _gram_distance_summary bit for bit; with
-        zero BEV weights it samples the student itself."""
+        inter_keypoint_rel of _gram_distance_summary bit for bit, also
+        with zero BEV weights."""
         pairs = []
         evaluate = SceneProblem.evaluate
 
@@ -864,7 +872,7 @@ class TestRunTrainToy:
             _, student = problem.split(params)
             summary = harness._gram_distance_summary(student, problem.plan)
             worst = max(e["inter_keypoint_rel"] for e in summary)
-            pairs.append((harness._worst_keypoint_rel(problem, student), worst))
+            pairs.append((harness._worst_keypoint_rel(problem), worst))
             return res
 
         monkeypatch.setattr(SceneProblem, "evaluate", checked)
@@ -876,15 +884,21 @@ class TestRunTrainToy:
             for got, want in pairs:
                 assert got.hex() == want.hex()
 
-    def test_distillation_weights_zero_leaves_bev_untouched(self):
-        """With w_ic = w_ik = 0 the BEV series stays exactly zero and the
-        student map never moves from its initialization."""
+    def test_distillation_weights_zero_leaves_bev_untouched(self, tmp_path):
+        """With w_ic = w_ik = 0 the BEV terms are still evaluated: each
+        BEV series is constant at eval-losses' value of the starting
+        student, and the student map never moves from it."""
         cfg = small_harness_config(max_steps=5)
         cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=0.0, w_ik=0.0)
         report = run_train_toy(cfg)
         series = report.data["loss_series"]
-        assert series["inter_channel"] == [0.0] * report.data["steps_run"]
-        assert series["inter_keypoint"] == [0.0] * report.data["steps_run"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli.main(["eval-losses", "--config", str(path), "--out", str(tmp_path)]) == 0
+        evaluated = json.loads((tmp_path / "eval_report.json").read_text())["losses"]
+        for key in ("inter_channel", "inter_keypoint"):
+            assert evaluated[key] > 0.0
+            assert series[key] == [evaluated[key]] * report.data["steps_run"]
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         _, _, student = random_student_inputs(cfg, scene, views)

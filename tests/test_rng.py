@@ -1,8 +1,6 @@
 """Counter-mode SplitMix64 generator: exact algorithm identity,
 substream independence, and distribution sanity."""
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
