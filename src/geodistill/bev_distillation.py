@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .geometry import BevGrid, Box3D, enlarge_box_bev, rot_z, world_to_bev
-from .numerics import LossResult, as_tensor, check_finite
+from .numerics import LossResult, as_tensor, check_finite, check_reduction
 from .numerics import matmul  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
 
 GRAM_NORMALIZATIONS = ("none", "count", "l2")
@@ -269,11 +269,6 @@ def _check_norm(normalization: str):
         raise ConfigError(f"unknown gram normalization {normalization!r}")
 
 
-def _check_reduction(reduction: str):
-    if reduction not in ("mean", "sum"):
-        raise ConfigError(f"unknown loss reduction {reduction!r}")
-
-
 def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) -> np.ndarray:
     """Backpropagate through row-L2 normalization f_hat = f / ||f||."""
     inner = np.sum(grad_eff * f_hat, axis=-1, keepdims=True)
@@ -327,7 +322,7 @@ def _gram_loss(
     targets: List[TargetKeypointFeatures], kind: str, normalization: str, reduction: str
 ) -> LossResult:
     _check_norm(normalization)
-    _check_reduction(reduction)
+    check_reduction(reduction)
     if not targets:
         return LossResult(0.0, [], empty=True)
     if len({tkf.student.shape for tkf in targets}) > 1:
@@ -498,7 +493,7 @@ def bev_distill_terms(
     ``empty``, with zero gradients.
     """
     _check_norm(normalization)
-    _check_reduction(loss_reduction)
+    check_reduction(loss_reduction)
     if student_bev.data.shape != teacher_bev.data.shape:
         raise ContractError("student and teacher BEV shapes disagree")
     if student_bev.grid != teacher_bev.grid:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SkippedTargetError
 from .geometry import ForegroundDepthSet
-from .numerics import LossResult, as_tensor, check_finite, softmax_rows
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows
 
 BCE_CLAMP = 1e-7
 
@@ -34,8 +34,6 @@ REFERENCE_STRATEGIES = (
     "all_to_certain_2d_center",
     "one_to_one",
 )
-
-LOSS_REDUCTIONS = ("mean", "sum")
 
 
 @dataclass
@@ -429,8 +427,7 @@ def inner_depth_loss(
     gradient is with respect to the full logits tensor; overlapping
     targets accumulate.  Softmax runs on the target pixels only.
     """
-    if loss_reduction not in LOSS_REDUCTIONS:
-        raise ConfigError(f"unknown loss reduction {loss_reduction!r}")
+    check_reduction(loss_reduction)
     if bins.count != depthmap.num_bins:
         raise ContractError("depth map bin count disagrees with bins")
     d, h, w = depthmap.logits.shape

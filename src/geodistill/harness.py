@@ -34,7 +34,6 @@ from .bev_distillation import (
     inter_keypoint_loss,
 )
 from .depth_supervision import (
-    LOSS_REDUCTIONS,
     CategoricalDepthMap,
     DepthBins,
     PackedView,
@@ -56,6 +55,7 @@ from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LossResult,
     check_finite,
+    check_reduction,
     finite_difference_gradient,
     frobenius_sq_distance,
     softmax_rows,
@@ -211,8 +211,7 @@ class HarnessConfig:
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
 
     def __post_init__(self):
-        if self.loss_reduction not in LOSS_REDUCTIONS:
-            raise ConfigError(f"unknown loss reduction {self.loss_reduction!r}")
+        check_reduction(self.loss_reduction)
         if self.gram_normalization not in GRAM_NORMALIZATIONS:
             raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
         _check_fields("", HarnessConfig, vars(self))
@@ -401,6 +400,9 @@ class SceneProblem:
     # and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
     keypoint_norm_sq: np.ndarray = field(repr=False)
+    # the full (C, H, W) BEV map of ``student_problem``'s starting student,
+    # whose live columns start the BEV block; None on a problem built alone
+    start_bev: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
@@ -477,8 +479,9 @@ def student_problem(
     replaced by the continuous depth of those logits (bitwise, so
     relative residuals vanish exactly), and the teacher's BEV map.  The
     random student is small noise seeded from the scene seed; each
-    valid-pixel logit is its entry of the full (D, H, W) normal draw.
-    Either student's BEV block is the live columns of ``_starting_bev``."""
+    valid-pixel logit is its entry of the full (D, H, W) normal draw,
+    and its BEV map is one normal draw.  Either student's full BEV map
+    is the problem's ``start_bev``, and its live columns the BEV block."""
     d = cfg.bins.count
     if identity:
         # continuous depth of the saturated one-hot logits of each bin
@@ -487,27 +490,20 @@ def student_problem(
     problem = SceneProblem.build(cfg, scene, views)
     params = np.zeros(problem.ends[-1])
     logits, bev = problem.split(params)
-    bev[...] = problem.plan.pack(_starting_bev(cfg, scene, identity))
     if identity:
+        problem.start_bev = scene.teacher_bev.data.copy()
         for rows, view in zip(logits, problem.packed):
             rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
-        return problem, params
-    root = CounterRng(cfg.scene.seed).substream("student-init")
-    for rows, view, packed in zip(logits, views, problem.packed):
-        sub = root.substream(f"logits-{view.cam_index}")
-        noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
-        rows[...] = cfg.optimizer.init_logit_scale * noise.T
+    else:
+        root = CounterRng(cfg.scene.seed).substream("student-init")
+        shape = scene.teacher_bev.data.shape
+        problem.start_bev = cfg.optimizer.init_bev_scale * root.substream("bev").normal(shape)
+        for rows, view, packed in zip(logits, views, problem.packed):
+            sub = root.substream(f"logits-{view.cam_index}")
+            noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
+            rows[...] = cfg.optimizer.init_logit_scale * noise.T
+    bev[...] = problem.plan.pack(problem.start_bev)
     return problem, params
-
-
-def _starting_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool) -> np.ndarray:
-    """The full (C, H, W) starting BEV map of ``student_problem``'s
-    student: a copy of the teacher's map, or the random student's normal
-    draw."""
-    if identity:
-        return scene.teacher_bev.data.copy()
-    sub = CounterRng(cfg.scene.seed).substream("student-init").substream("bev")
-    return cfg.optimizer.init_bev_scale * sub.normal(scene.teacher_bev.data.shape)
 
 
 def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -> ViewGroundTruth:
@@ -531,7 +527,7 @@ def _dense_student(cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGr
         CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
         for rows, p, v in zip(logits, problem.packed, problem.views)
     ]
-    return maps, problem.views, BevFeatureMap(data=_starting_bev(cfg, scene, identity), grid=scene.grid)
+    return maps, problem.views, BevFeatureMap(data=problem.start_bev, grid=scene.grid)
 
 
 def identity_student_inputs(
@@ -563,6 +559,8 @@ def evaluate_scene_losses(
     shapes = [(cfg.bins.count,) + v.depth.shape for v in views] + [scene.teacher_bev.data.shape]
     if [dm.logits.shape for dm in depth_maps] + [student_bev.data.shape] != shapes:
         raise ContractError("student inputs disagree with the views, the bins or the teacher map")
+    if student_bev.grid != scene.grid:
+        raise ContractError("student and teacher grids disagree")
     params = np.concatenate(
         [logit_rows(dm.logits)[p.rows].ravel() for dm, p in zip(depth_maps, problem.packed)]
         + [problem.plan.pack(student_bev.data).ravel()]
@@ -891,8 +889,8 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 u = np.add(np.sqrt(np.divide(m2, bias2, out=g), out=g), opt.eps, out=g)
                 np.divide(np.divide(m1, bias1, out=t), u, out=t)
                 np.subtract(p, np.multiply(t, lr, out=t), out=p)
-        # the full map: the starting map with its live cells trained
-        full = problem.plan.unpack(student, _starting_bev(cfg, scene, identity_init))
+        # the full map: the starting map with its live cells trained, in place
+        full = problem.plan.unpack(student, problem.start_bev)
         map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
         gram_distances = _gram_distance_summary(student, problem.plan)
 

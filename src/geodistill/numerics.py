@@ -15,7 +15,10 @@ from typing import Any, Callable, Dict, Iterator, Optional, TextIO
 
 import numpy as np
 
-from .errors import FormatError, NumericError, ShapeError
+from .errors import ConfigError, FormatError, NumericError, ShapeError
+
+# the values every loss accepts as its reduction
+LOSS_REDUCTIONS = ("mean", "sum")
 
 
 def as_tensor(x) -> np.ndarray:
@@ -26,6 +29,11 @@ def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise NumericError(f"{what} contains non-finite values")
     return arr
+
+
+def check_reduction(reduction: str) -> None:
+    if reduction not in LOSS_REDUCTIONS:
+        raise ConfigError(f"unknown loss reduction {reduction!r}")
 
 
 @dataclass

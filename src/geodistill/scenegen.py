@@ -260,8 +260,8 @@ def generate_scene(cfg: SceneConfig) -> SyntheticScene:
     ground = _sample_ground(cfg, boxes, root.substream("ground"))
     point_blocks.append(ground)
     label_blocks.append(np.full(len(ground), -1, dtype=np.int64))
-    points = np.concatenate(point_blocks, axis=0) if point_blocks else np.zeros((0, 3))
-    labels = np.concatenate(label_blocks, axis=0) if label_blocks else np.zeros(0, dtype=np.int64)
+    points = np.concatenate(point_blocks, axis=0)
+    labels = np.concatenate(label_blocks, axis=0)
     scene = SyntheticScene(
         grid=cfg.grid,
         boxes=boxes,

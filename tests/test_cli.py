@@ -19,7 +19,8 @@ import geodistill
 from geodistill import GRAM_NORMALIZATIONS, generate_scene, read_scene, read_tsr, render_gt_views
 from geodistill import cli
 from geodistill.cli import main
-from geodistill.depth_supervision import LOSS_REDUCTIONS, REFERENCE_STRATEGIES
+from geodistill.depth_supervision import REFERENCE_STRATEGIES
+from geodistill.numerics import LOSS_REDUCTIONS
 from geodistill.harness import config_from_dict
 
 

@@ -25,7 +25,6 @@ from geodistill import (
     select_reference,
 )
 from geodistill.depth_supervision import (
-    LOSS_REDUCTIONS,
     REFERENCE_STRATEGIES,
     bce_rows,
     expected_depths,
@@ -35,7 +34,7 @@ from geodistill.depth_supervision import (
     rows_to_map,
 )
 from geodistill.harness import SATURATION_LOGIT
-from geodistill.numerics import softmax_rows
+from geodistill.numerics import LOSS_REDUCTIONS, softmax_rows
 from geodistill.oracles import (
     bce_scalar,
     continuous_depth_scalar,

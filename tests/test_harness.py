@@ -44,7 +44,6 @@ from geodistill import (
     write_report,
 )
 from geodistill.depth_supervision import (
-    LOSS_REDUCTIONS,
     REFERENCE_STRATEGIES,
     DepthBins,
     absolute_depth_loss,
@@ -55,7 +54,7 @@ from geodistill.depth_supervision import (
     select_reference,
 )
 from geodistill.bev_distillation import TargetKeypointFeatures, bev_distill_terms
-from geodistill.numerics import finite_difference_gradient, softmax_rows
+from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows
 from geodistill import cli, harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.rng import CounterRng
@@ -363,14 +362,20 @@ class TestTotalLoss:
         assert np.array_equal(res.grad["bev_features"], problem.plan.unpack(bev_grad))
 
     def test_mismatched_student_inputs_rejected(self):
+        """Student inputs that disagree with the views, the bins or the
+        teacher map are rejected, including a BEV map with the scene's
+        cell counts on other extents."""
         cfg = small_harness_config()
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         maps, _, student = random_student_inputs(cfg, scene, views)
+        g = scene.grid
+        shifted = BevGrid(g.x_min + 1.0, g.x_max + 1.0, g.y_min, g.y_max, g.h_bev, g.w_bev)
         for bad_maps, bad_student in (
             (maps[:-1], student),
             ([CategoricalDepthMap(m.logits[:-1]) for m in maps], student),
             (maps, BevFeatureMap(data=student.data[:-1], grid=student.grid)),
+            (maps, BevFeatureMap(data=student.data, grid=shifted)),
         ):
             with pytest.raises(ContractError):
                 evaluate_scene_losses(cfg, scene, views, bad_maps, bad_student)
@@ -594,6 +599,34 @@ class TestPackedLayout:
         _, _, student = inputs(cfg, scene, views)
         columns = student.data.reshape(cfg.scene.channels, -1)[:, problem.plan.live]
         assert problem.split(params)[1].tobytes() == np.ascontiguousarray(columns).tobytes()
+
+    @pytest.mark.parametrize("entry", ["random_student_inputs", "run_train_toy"])
+    def test_starting_map_is_drawn_once(self, monkeypatch, entry):
+        """The random student's full starting BEV map is one normal draw of
+        the teacher map's shape, for the dense API and for train-toy; the
+        dense student's map is that whole draw, scaled."""
+        cfg = layout_config("small-4")
+        cfg.optimizer.max_steps = 3
+        scene = generate_scene(cfg.scene)
+        shape = scene.teacher_bev.data.shape
+        draws = []
+        real = CounterRng.normal
+
+        def counting(self, *args, **kw):
+            out = real(self, *args, **kw)
+            if out.shape == shape:
+                draws.append(out)
+            return out
+
+        monkeypatch.setattr(CounterRng, "normal", counting)
+        if entry == "run_train_toy":
+            monkeypatch.setattr(harness, "generate_scene", lambda _: scene)
+            run_train_toy(cfg)
+            assert len(draws) == 1
+        else:
+            _, _, student = random_student_inputs(cfg, scene, render_gt_views(scene))
+            assert len(draws) == 1
+            assert student.data.tobytes() == (cfg.optimizer.init_bev_scale * draws[0]).tobytes()
 
     def test_dense_bev_gradient_is_zero_off_the_live_cells(self):
         cfg = layout_config("small-4")

@@ -1,4 +1,4 @@
-"""Source hygiene: every import in the package and its tests is used."""
+"""Source hygiene: every import in the package, its tests and the benchmark is used."""
 
 import ast
 import pathlib
@@ -6,7 +6,9 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
-SOURCES = sorted((ROOT / "src" / "geodistill").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+SOURCES = [
+    path for part in ("src/geodistill", "tests", "perfbench") for path in sorted((ROOT / part).glob("*.py"))
+]
 
 
 def unused_imports(source: str):

@@ -10,13 +10,21 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from geodistill import (
+    LOSS_REDUCTIONS,
+    CategoricalDepthMap,
+    ConfigError,
+    DepthBins,
     FormatError,
     NumericError,
+    ReferenceSelection,
     ShapeError,
     as_tensor,
     check_finite,
     finite_difference_gradient,
     frobenius_sq_distance,
+    inner_depth_loss,
+    inter_channel_loss,
+    inter_keypoint_loss,
     matmul,
     read_tsr,
     softmax_rows,
@@ -47,6 +55,23 @@ class TestAsTensor:
         with pytest.raises(NumericError):
             check_finite(np.array([np.inf]), "x")
         check_finite(np.array([1.0, -2.0]), "x")
+
+
+class TestLossReductions:
+    def test_every_loss_accepts_the_listed_reductions_only(self):
+        """The depth and Gram losses take each of LOSS_REDUCTIONS and
+        reject any other name with one message."""
+        depth_map, bins = CategoricalDepthMap(np.zeros((2, 1, 1))), DepthBins(2)
+        losses = (
+            lambda r: inner_depth_loss([], depth_map, bins, ReferenceSelection(), r),
+            lambda r: inter_channel_loss([], "none", r),
+            lambda r: inter_keypoint_loss([], "none", r),
+        )
+        for loss in losses:
+            for reduction in LOSS_REDUCTIONS:
+                assert loss(reduction).empty
+            with pytest.raises(ConfigError, match="unknown loss reduction 'max'"):
+                loss("max")
 
 
 class TestMatmul:
