@@ -81,6 +81,12 @@ SATURATION_LOGIT = 40.0
 # update takes about twice as long on the default scene.
 ADAM_BLOCK = 32768
 
+# The trainer freezes the depth block once the total is at most this
+# fraction of the bound of the total-loss criterion (see run_train_toy).
+# Below 1, a BEV term that rises again cannot lift the total back over
+# the bound while the depth terms are held.
+DEPTH_FREEZE_FRACTION = 0.8
+
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -429,7 +435,8 @@ class SceneProblem:
 
     def evaluate(self, params: np.ndarray, grad: Optional[np.ndarray] = None) -> LossResult:
         """Total loss at ``params`` with its components (``TERMS`` and
-        "external_det", a constant without gradient).
+        "external_det", a constant without gradient): ``compose`` of the
+        depth terms and the BEV terms.
 
         Every call evaluates every term; a weight only scales its term's
         share of the total and, with ``grad``, of the weighted gradient
@@ -440,10 +447,15 @@ class SceneProblem:
         The first term that writes a block of ``grad`` assigns it, with
         the bits of adding into zeros, so ``grad`` may hold anything on
         entry."""
-        cfg, w, scene = self.cfg, self.cfg.weights, self.scene
-        with_grad = grad is not None
         logits, student = self.split(params)
-        logit_grads, student_grad = self.split(grad) if with_grad else ([None] * len(logits), None)
+        logit_grads, student_grad = self.split(grad) if grad is not None else ([None] * len(logits), None)
+        return self.compose(self.depth_terms(logits, logit_grads), self.bev_terms(student, student_grad))
+
+    def depth_terms(self, logits: List[np.ndarray], logit_grads: List[Optional[np.ndarray]]) -> Tuple[float, float]:
+        """The absolute and inner depth values of each view's logit rows,
+        summed in camera order; a view's weighted gradient is written into
+        its entry of ``logit_grads`` unless that is None."""
+        cfg, w = self.cfg, self.cfg.weights
         a_views, r_views = [], []
         for view, rows, rows_grad in zip(self.packed, logits, logit_grads):
             n = view.rows.size
@@ -455,18 +467,32 @@ class SceneProblem:
             r_views.append(relative_depth_rows(
                 probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
             ))
+        return sum(a_views, 0.0), sum(r_views, 0.0)
+
+    def bev_terms(self, student: np.ndarray, student_grad: Optional[np.ndarray]) -> Tuple[float, float]:
+        """The inter-channel and inter-keypoint values of the (C, L)
+        ``student`` block, filling ``keypoint_sq``; the weighted gradient
+        is written into ``student_grad`` unless it is None."""
+        w = self.cfg.weights
         check_finite(student, "BEV features")
+        with_grad = student_grad is not None
         (ic_val, ic_grad), (ik_val, ik_grad) = self.plan.terms(
-            student, cfg.loss_reduction, with_grad, self.keypoint_sq
+            student, self.cfg.loss_reduction, with_grad, self.keypoint_sq
         )
         if with_grad:
             # w_ic * ic_grad + w_ik * ik_grad, formed in the BEV block
             np.multiply(ic_grad, w.w_ic, out=student_grad)
             student_grad += np.multiply(ik_grad, w.w_ik, out=ik_grad)
-        det = float(cfg.external_det_loss)
-        values = (sum(a_views, 0.0), sum(r_views, 0.0), ic_val, ik_val)
+        return ic_val, ik_val
+
+    def compose(self, depth: Tuple[float, float], bev: Tuple[float, float]) -> LossResult:
+        """The weighted total of the depth and BEV terms' values and the
+        external scalar, with every value as a component."""
+        w = self.cfg.weights
+        det = float(self.cfg.external_det_loss)
+        values = depth + bev
         total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
-        empty = not scene.boxes and not any(p.rows.size for p in self.packed)
+        empty = not self.scene.boxes and not any(p.rows.size for p in self.packed)
         return LossResult(total, None, empty=empty, components=dict(zip(TERMS, values), external_det=det))
 
 
@@ -813,6 +839,37 @@ def _worst_keypoint_rel(problem: SceneProblem) -> float:
     return max((rel for _, rel in _distances(problem.keypoint_sq, problem.keypoint_norm_sq)), default=0.0)
 
 
+def lr_at(opt: OptimizerConfig, step: int) -> float:
+    """Step size of update ``step``: decayed exponentially from
+    ``step_size`` at step 0 to ``final_lr_fraction * step_size`` at step
+    ``max_steps - 1``."""
+    return opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
+
+
+def adam_update(
+    params: np.ndarray, grad: np.ndarray, m1: np.ndarray, m2: np.ndarray,
+    step: int, lr: float, opt: OptimizerConfig, tmp: np.ndarray,
+) -> None:
+    """Bias-corrected Adam update ``step`` (from 0) of flat ``params`` and
+    its moments ``m1`` and ``m2``, in place, in blocks of ``ADAM_BLOCK``.
+    ``tmp`` holds at least one block; ``grad`` is overwritten as the
+    second temporary, as the next evaluation writes it again."""
+    bias1 = 1.0 - opt.beta1 ** (step + 1)
+    bias2 = 1.0 - opt.beta2 ** (step + 1)
+    for start in range(0, params.size, ADAM_BLOCK):
+        block = slice(start, start + ADAM_BLOCK)
+        g, a, b, p = grad[block], m1[block], m2[block], params[block]
+        t = tmp[: g.size]
+        # m1 = b1 * m1 + c1 * g and m2 = b2 * m2 + (c2 * g) * g
+        np.add(np.multiply(a, opt.beta1, out=a), np.multiply(g, 1.0 - opt.beta1, out=t), out=a)
+        np.multiply(np.multiply(g, 1.0 - opt.beta2, out=t), g, out=t)
+        np.add(np.multiply(b, opt.beta2, out=b), t, out=b)
+        # p -= lr * ((m1 / bias1) / (sqrt(m2 / bias2) + eps))
+        u = np.add(np.sqrt(np.divide(b, bias2, out=g), out=g), opt.eps, out=g)
+        np.divide(np.divide(a, bias1, out=t), u, out=t)
+        np.subtract(p, np.multiply(t, lr, out=t), out=p)
+
+
 def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     """Optimize depth logits and the student BEV map against the total
     loss with bias-corrected Adam and an exponentially decayed step.
@@ -820,8 +877,16 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     Stops "converged" when the total loss has dropped by
     target_reduction AND every target's keypoint Gram is within
     ik_rel_target of the teacher's; otherwise on exhausting max_steps,
-    an exactly zero gradient (nothing left to improve), or divergence.
-    No update follows the last evaluation, so every figure of the report
+    an exactly zero gradient of the trained block (nothing left to
+    improve), or divergence.
+
+    Once the total is at most ``DEPTH_FREEZE_FRACTION`` of the first
+    criterion's bound, the depth block is frozen: later steps evaluate
+    and update only the BEV block and hold the depth terms' values.  The
+    depth terms read only the logits and Adam is per coordinate, so the
+    BEV block, the status and the step count are those of a run without
+    the freeze.  No update follows the last evaluation, and none touches
+    the depth block after the freeze, so every figure of the report
     describes the same parameters.
     """
     t0 = time.perf_counter()
@@ -836,17 +901,25 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     problem, params = student_problem(cfg, scene, render_gt_views(scene), identity_init)
     _, student = problem.split(params)
     grad = np.empty_like(params)
+    _, student_grad = problem.split(grad)
     moment1 = np.zeros_like(params)
     moment2 = np.zeros_like(params)
     series: Dict[str, List[float]] = {key: [] for key in ("total",) + TERMS}
     status = "max_steps"
     initial: Optional[float] = None
+    total_met_step: Optional[int] = None
+    frozen_at: Optional[int] = None
+    held: Tuple[float, float] = (0.0, 0.0)  # the depth terms' values once frozen
+    trained = slice(0, None)  # the part of the vector that Adam updates
 
     # A diverging run overflows on its way to the "diverged" status that
     # reports it, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(opt.max_steps):
-            res = problem.evaluate(params, grad)
+            if frozen_at is None:
+                res = problem.evaluate(params, grad)
+            else:
+                res = problem.compose(held, problem.bev_terms(student, student_grad))
             total = res.value
             series["total"].append(total)
             for key in TERMS:
@@ -857,38 +930,31 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 break
             if initial is None:
                 initial = total
-            if total <= (1.0 - opt.target_reduction) * initial:
+            bound = (1.0 - opt.target_reduction) * initial
+            if total <= bound:
+                if total_met_step is None:
+                    total_met_step = step
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
                 if _worst_keypoint_rel(problem) <= opt.ik_rel_target:
                     status = "converged"
                     break
+            if frozen_at is None and total <= DEPTH_FREEZE_FRACTION * bound:
+                frozen_at = step
+                held = (res.components["absolute_depth"], res.components["inner_depth"])
+                trained = slice(problem.ends[-2], None)
             if total > opt.divergence_factor * max(initial, 1e-12):
                 status = "diverged"
                 break
-            if not np.any(grad):
+            if not np.any(grad[trained]):
                 status = "stationary"
                 break
             if step + 1 == opt.max_steps:
                 break  # the report describes the parameters evaluated last
-            bias1 = 1.0 - opt.beta1 ** (step + 1)
-            bias2 = 1.0 - opt.beta2 ** (step + 1)
-            # exponential decay to final_lr_fraction * step_size at max_steps
-            lr = opt.step_size * opt.final_lr_fraction ** (step / max(opt.max_steps - 1, 1))
-            for start in range(0, params.size, ADAM_BLOCK):
-                block = slice(start, start + ADAM_BLOCK)
-                g, m1, m2, p = grad[block], moment1[block], moment2[block], params[block]
-                t = adam_tmp[: g.size]
-                # m1 = b1 * m1 + c1 * g and m2 = b2 * m2 + (c2 * g) * g
-                np.add(np.multiply(m1, opt.beta1, out=m1), np.multiply(g, 1.0 - opt.beta1, out=t), out=m1)
-                np.multiply(np.multiply(g, 1.0 - opt.beta2, out=t), g, out=t)
-                np.add(np.multiply(m2, opt.beta2, out=m2), t, out=m2)
-                # p -= lr * ((m1 / bias1) / (sqrt(m2 / bias2) + eps)); the
-                # gradient block is the second temporary, since the next
-                # evaluation writes every block of the gradient again
-                u = np.add(np.sqrt(np.divide(m2, bias2, out=g), out=g), opt.eps, out=g)
-                np.divide(np.divide(m1, bias1, out=t), u, out=t)
-                np.subtract(p, np.multiply(t, lr, out=t), out=p)
+            adam_update(
+                params[trained], grad[trained], moment1[trained], moment2[trained],
+                step, lr_at(opt, step), opt, adam_tmp,
+            )
         # the full map: the starting map with its live cells trained, in place
         full = problem.plan.unpack(student, problem.start_bev)
         map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
@@ -914,6 +980,8 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),
             },
             "valid_pixels_per_view": [p.rows.size for p in problem.packed],
+            "total_met_step": total_met_step,
+            "depth_frozen_at": frozen_at,
         },
     )
     return report

@@ -225,6 +225,25 @@ def nearest_bin_scan(value: float, centers: Sequence[float]) -> int:
     return best_idx
 
 
+def adam_scalar(
+    params: Sequence[float], grad: Sequence[float], m1: Sequence[float], m2: Sequence[float],
+    step: int, lr: float, beta1: float, beta2: float, eps: float,
+) -> Tuple[List[float], List[float], List[float]]:
+    """Textbook bias-corrected Adam update ``step`` (from 0), element by
+    element: the new parameters, first moments and second moments."""
+    bias1 = 1.0 - beta1 ** (step + 1)
+    bias2 = 1.0 - beta2 ** (step + 1)
+    new_p, new_m1, new_m2 = [], [], []
+    for p, g, a, b in zip(params, grad, m1, m2):
+        p, g, a, b = float(p), float(g), float(a), float(b)
+        a = beta1 * a + (1.0 - beta1) * g
+        b = beta2 * b + ((1.0 - beta2) * g) * g
+        new_p.append(p - lr * ((a / bias1) / (math.sqrt(b / bias2) + eps)))
+        new_m1.append(a)
+        new_m2.append(b)
+    return new_p, new_m1, new_m2
+
+
 # ---------------------------------------------------------------------------
 # Suite runner
 # ---------------------------------------------------------------------------

@@ -57,6 +57,7 @@ from geodistill.bev_distillation import TargetKeypointFeatures, bev_distill_term
 from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows
 from geodistill import cli, harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
+from geodistill.oracles import adam_scalar
 from geodistill.rng import CounterRng
 
 # 12 boxes, g = 10, 32 channels on two small cameras with 16 bins
@@ -333,6 +334,48 @@ class TestTotalLoss:
             for key, w in zip(TERMS, (weights.w_a, weights.w_r, weights.w_ic, weights.w_ik)):
                 want += w * c[key]
             assert res.value == want
+
+    def test_gradient_is_the_central_difference_of_the_total(self):
+        """With distinct positive weights, evaluate's gradient at two logits
+        of each view and four BEV-block entries matches central
+        differences of its own total: the weights, their per-view scale
+        and the split offsets are composed as the total is."""
+        cfg = small_harness_config()
+        cfg.weights = LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4)
+        problem, params = self.problem(cfg)
+        grad = np.empty_like(params)
+        problem.evaluate(params, grad)
+        # flat indices of the chosen coordinates, read off the layout itself
+        rows, block = problem.split(np.arange(params.size))
+        coords = [r[i, b] for r, p in zip(rows, problem.packed) for i, b in ((0, p.gt_bins[0]), (len(r) // 2, 3))]
+        coords += block[[0, 1, 2, 3], [0, block.shape[1] // 3, 2 * block.shape[1] // 3, -1]].tolist()
+        h = 1e-5
+        numeric = []
+        for i in coords:
+            shifted = [params.copy(), params.copy()]
+            shifted[0][i] += h
+            shifted[1][i] -= h
+            plus, minus = (problem.evaluate(x).value for x in shifted)
+            numeric.append((plus - minus) / (2.0 * h))
+        assert len(coords) == 8 and np.all(grad[coords] != 0.0)
+        np.testing.assert_allclose(grad[coords], numeric, rtol=1e-5, atol=0.0)
+
+    def test_parts_compose_to_evaluate(self):
+        """The depth part, the BEV part and compose give evaluate's total,
+        components and gradient bit for bit, with and without a gradient."""
+        cfg = small_harness_config()
+        cfg.weights = LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4)
+        cfg.external_det_loss = 0.5
+        problem, params = self.problem(cfg)
+        logits, student = problem.split(params)
+        for with_grad in (False, True):
+            grads = [np.empty_like(params) for _ in range(2)] if with_grad else [None, None]
+            whole = problem.evaluate(params, grads[0])
+            logit_grads, student_grad = problem.split(grads[1]) if with_grad else ([None] * len(logits), None)
+            parts = problem.compose(problem.depth_terms(logits, logit_grads), problem.bev_terms(student, student_grad))
+            assert (parts.value, parts.components, parts.empty) == (whole.value, whole.components, whole.empty)
+            if with_grad:
+                assert grads[0].tobytes() == grads[1].tobytes()
 
     def test_unit_weights_hand_value(self):
         self.check_total(LossWeights(), 5.0)
@@ -893,27 +936,35 @@ class TestRunTrainToy:
     @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
     @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
     def test_convergence_check_equals_gram_distance_summary(self, monkeypatch, norm, reduction):
-        """After every evaluation of a short run, the keypoint criterion,
-        which reuses the step's own per-target Gram sums, is the worst
-        inter_keypoint_rel of _gram_distance_summary bit for bit, also
-        with zero BEV weights."""
+        """After every evaluation of a short run, the BEV-only ones after
+        the freeze included, the keypoint criterion, which reuses the
+        step's own per-target Gram sums, is the worst inter_keypoint_rel
+        of _gram_distance_summary bit for bit, also with zero BEV
+        weights.  A freeze bound of 95 % of the initial total freezes the
+        depth block within the first steps."""
         pairs = []
-        evaluate = SceneProblem.evaluate
+        bev_terms = SceneProblem.bev_terms
 
-        def checked(problem, params, grad=None):
-            res = evaluate(problem, params, grad)
-            _, student = problem.split(params)
+        def checked(problem, student, student_grad):
+            values = bev_terms(problem, student, student_grad)
             summary = harness._gram_distance_summary(student, problem.plan)
             worst = max(e["inter_keypoint_rel"] for e in summary)
             pairs.append((harness._worst_keypoint_rel(problem), worst))
-            return res
+            return values
 
-        monkeypatch.setattr(SceneProblem, "evaluate", checked)
+        monkeypatch.setattr(SceneProblem, "bev_terms", checked)
+        monkeypatch.setattr(harness, "DEPTH_FREEZE_FRACTION", 0.95 / (1.0 - 0.99))
         for weights in (LossWeights(), LossWeights(w_ic=0.0, w_ik=0.0)):
             pairs.clear()
             cfg = small_harness_config(max_steps=6)
             cfg.gram_normalization, cfg.loss_reduction, cfg.weights = norm, reduction, weights
-            assert run_train_toy(cfg).data["steps_run"] == len(pairs) == 6
+            report = run_train_toy(cfg)
+            assert report.data["steps_run"] == len(pairs)
+            if weights.w_ik:
+                assert report.data["steps_run"] == 6 and report.data["depth_frozen_at"] <= 3
+            else:
+                # nothing is left to train once the depth block is frozen
+                assert report.status == "stationary"
             for got, want in pairs:
                 assert got.hex() == want.hex()
 
@@ -972,6 +1023,7 @@ class TestRunTrainToy:
         cfg = small_harness_config(max_steps=1)
         report = run_train_toy(cfg)
         assert report.status == "max_steps" and report.data["loss_reduction"] == 0.0
+        assert report.data["total_met_step"] is None and report.data["depth_frozen_at"] is None
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         problem, params = student_problem(cfg, scene, views)
@@ -999,3 +1051,95 @@ class TestRunTrainToy:
         base = run_train_toy(cfg2)
         diff = report.data["initial_total"] - base.data["initial_total"]
         assert diff == pytest.approx(2.5, abs=1e-12)
+
+
+class TestUpdateRule:
+    """The Adam kernel and the step schedule of the trainer."""
+
+    @pytest.mark.parametrize("step", [0, 4])
+    def test_adam_update_equals_the_scalar_oracle_bit_for_bit(self, step):
+        """Across a block boundary, with zero gradients and zero moments
+        among the entries, the blocked kernel gives the oracle's
+        parameters and moments at tolerance 0.0."""
+        opt = OptimizerConfig(beta1=0.8, beta2=0.99, eps=1e-3)
+        n = harness.ADAM_BLOCK + 37
+        sub = CounterRng(3).substream("adam")
+        params, grad, m1 = sub.normal(n), sub.normal(n), sub.normal(n)
+        m2 = sub.normal(n) ** 2
+        grad[::5] = 0.0
+        m1[::7] = m2[::7] = 0.0
+        want = adam_scalar(params, grad, m1, m2, step, 0.03, opt.beta1, opt.beta2, opt.eps)
+        harness.adam_update(params, grad, m1, m2, step, 0.03, opt, np.empty(harness.ADAM_BLOCK))
+        assert [params.tolist(), m1.tolist(), m2.tolist()] == list(want)
+
+    def test_lr_at_decays_from_step_size_to_its_final_fraction(self):
+        opt = OptimizerConfig(step_size=0.1, final_lr_fraction=0.05, max_steps=2000)
+        assert harness.lr_at(opt, 0) == 0.1
+        assert harness.lr_at(opt, 1999) == 0.1 * 0.05
+        assert 0.1 * 0.05 < harness.lr_at(opt, 1000) < 0.1
+        assert harness.lr_at(OptimizerConfig(step_size=0.1, max_steps=1), 0) == 0.1
+
+
+class TestDepthFreeze:
+    """The depth block is frozen once the total is at most
+    DEPTH_FREEZE_FRACTION of the total criterion's bound."""
+
+    @staticmethod
+    def traced_run(cfg, monkeypatch):
+        """The report of ``cfg`` and the problem and parameter vector it
+        trained, as they stand at the end of the run."""
+        made = []
+
+        def recorded(*args, **kw):
+            made.append(student_problem(*args, **kw))
+            return made[-1]
+
+        monkeypatch.setattr(harness, "student_problem", recorded)
+        report = run_train_toy(cfg)
+        monkeypatch.undo()
+        return report, made[0]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"max_steps": 300, "target_reduction": 0.7, "ik_rel_target": 0.1},
+            {"max_steps": 60, "target_reduction": 0.5},
+        ],
+        ids=["converged", "max_steps"],
+    )
+    def test_freeze_leaves_the_bev_side_unchanged(self, monkeypatch, overrides):
+        """Against the same run with the freeze off: the same status, step
+        count, Gram and BEV distances and BEV series; constant depth
+        series from the freeze on; and a final total that is a fresh
+        evaluation of the final parameters, bit for bit."""
+        cfg = small_harness_config(**overrides)
+        report, (problem, params) = self.traced_run(cfg, monkeypatch)
+        monkeypatch.setattr(harness, "DEPTH_FREEZE_FRACTION", 0.0)
+        free = run_train_toy(cfg)
+        d, f = report.data, free.data
+        frozen = d["depth_frozen_at"]
+        assert frozen is not None and f["depth_frozen_at"] is None
+        assert d["total_met_step"] == f["total_met_step"] <= frozen < d["steps_run"] - 1
+        assert (report.status, d["steps_run"]) == (free.status, f["steps_run"])
+        assert report.status == ("converged" if overrides["max_steps"] == 300 else "max_steps")
+        for key in ("gram_distances", "bev_feature_distance"):
+            assert json.dumps(d[key]) == json.dumps(f[key])
+        for key in ("inter_channel", "inter_keypoint"):
+            assert d["loss_series"][key] == f["loss_series"][key]
+        for key in ("absolute_depth", "inner_depth"):
+            held = d["loss_series"][key][frozen:]
+            assert held == [held[0]] * len(held)
+            assert d["loss_series"][key][:frozen + 1] == f["loss_series"][key][:frozen + 1]
+        scene = generate_scene(cfg.scene)
+        fresh, _ = student_problem(cfg, scene, render_gt_views(scene))
+        assert fresh.evaluate(params).value == d["final_total"] == d["loss_series"]["total"][-1]
+
+    def test_zero_bev_gradient_stops_a_frozen_run_stationary(self):
+        """With zero BEV weights the BEV block's gradient is exactly zero,
+        so the freeze leaves nothing to train: the run stops stationary at
+        the freezing step, although the depth gradient is not zero."""
+        cfg = small_harness_config(max_steps=300, target_reduction=0.5)
+        cfg.weights = LossWeights(w_ic=0.0, w_ik=0.0)
+        report = run_train_toy(cfg)
+        assert report.status == "stationary"
+        assert report.data["steps_run"] == report.data["depth_frozen_at"] + 1
