@@ -126,7 +126,9 @@ def _point_array(points) -> np.ndarray:
 def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
     """Flat cell indices and weights of border-clamped bilinear
     interpolation at (..., N, 2) points, each shaped (..., 4, N) with the
-    corners in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1)."""
+    corners in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1).  A
+    non-finite point raises ``NumericError``."""
+    check_finite(pts, "sample points")
     r = np.clip(pts[..., 0], 0.0, float(h - 1))
     c = np.clip(pts[..., 1], 0.0, float(w - 1))
     r0 = np.floor(r).astype(np.int64)

@@ -43,14 +43,15 @@ class DepthBins:
     ``uniform`` places centers at equal-width cell midpoints;
     ``spacing_increasing`` does the same in log-depth, so bin width
     grows with distance.  Centers are strictly increasing and lie
-    inside [d_min, d_max].
+    inside [d_min, d_max].  They are derived from the other fields,
+    which alone decide equality.
     """
 
     count: int
     mode: str = "uniform"
     d_min: float = 1.0
     d_max: float = 60.0
-    centers: np.ndarray = field(default=None, repr=False)
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count < 2:
@@ -59,17 +60,13 @@ class DepthBins:
             raise ContractError("require 0 < d_min < d_max")
         if self.mode not in ("uniform", "spacing_increasing"):
             raise ConfigError(f"unknown bin mode {self.mode!r}")
-        if self.centers is None:
-            half_steps = np.arange(self.count) + 0.5
-            if self.mode == "uniform":
-                width = (self.d_max - self.d_min) / self.count
-                self.centers = self.d_min + half_steps * width
-            else:
-                log_width = np.log(self.d_max / self.d_min) / self.count
-                self.centers = self.d_min * np.exp(half_steps * log_width)
-        self.centers = as_tensor(self.centers)
-        if self.centers.shape != (self.count,):
-            raise ContractError("centers length must equal the bin count")
+        half_steps = np.arange(self.count) + 0.5
+        if self.mode == "uniform":
+            width = (self.d_max - self.d_min) / self.count
+            self.centers = self.d_min + half_steps * width
+        else:
+            log_width = np.log(self.d_max / self.d_min) / self.count
+            self.centers = self.d_min * np.exp(half_steps * log_width)
         if not np.all(np.isfinite(self.centers)):
             raise ContractError("bin centers must be finite")
         if np.any(np.diff(self.centers) <= 0):

@@ -105,6 +105,8 @@ class Box3D:
         self.size = as_tensor(self.size)
         if self.center.shape != (3,) or self.size.shape != (3,):
             raise ContractError("box center and size must be 3-vectors")
+        if not (np.isfinite(self.center).all() and np.isfinite(self.size).all() and math.isfinite(self.yaw)):
+            raise ContractError("box center, size and yaw must be finite")
         if np.any(self.size <= 0):
             raise ContractError("box size components must be positive")
         self.yaw = normalize_yaw(float(self.yaw))

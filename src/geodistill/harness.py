@@ -15,6 +15,7 @@ import functools
 import json
 import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -22,27 +23,23 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bev_distillation import (
-    GRAM_NORMALIZATIONS,
     BevFeatureMap,
     DistillPlan,
-    TargetKeypointFeatures,
+    _check_norm,
     _gram_losses,
     _gram_of,
     bev_distill_terms,  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
     build_distill_plan,
-    inter_channel_loss,
-    inter_keypoint_loss,
 )
 from .depth_supervision import (
+    BCE_CLAMP,
     CategoricalDepthMap,
     DepthBins,
     PackedView,
     ReferenceSelection,
-    absolute_depth_loss,
     assign_depth_bins,
     bce_rows,
     expected_depths,
-    inner_depth_loss,
     logit_rows,
     pack_view,
     packed_to_map,
@@ -98,16 +95,16 @@ def _require(
 ) -> None:
     """Raise ConfigError unless ``value`` is a ``kind`` and ``ok(value)``
     holds when given; ``what`` describes the accepted values in the
-    message.  ``kind`` is ``numbers.Real`` (a finite number),
-    ``numbers.Integral`` (an integer) or ``bool``; a bool is never taken
-    for a number."""
+    message.  ``kind`` is ``numbers.Real`` (a finite number: not NaN,
+    infinite or an integer too large for a float), ``numbers.Integral``
+    (an integer) or ``bool``; a bool is never taken for a number."""
     if kind is bool:
         typed = isinstance(value, bool)
     else:
         typed = (
             not isinstance(value, bool)
             and isinstance(value, kind)
-            and (kind is numbers.Integral or math.isfinite(value))
+            and (kind is numbers.Integral or abs(value) <= sys.float_info.max)
         )
     if not typed or (ok is not None and not ok(value)):
         raise ConfigError(f"{name} must be {what}, got {value!r}")
@@ -218,8 +215,7 @@ class HarnessConfig:
 
     def __post_init__(self):
         check_reduction(self.loss_reduction)
-        if self.gram_normalization not in GRAM_NORMALIZATIONS:
-            raise ConfigError(f"unknown gram normalization {self.gram_normalization!r}")
+        _check_norm(self.gram_normalization)
         _check_fields("", HarnessConfig, vars(self))
 
 
@@ -610,10 +606,9 @@ def evaluate_scene_losses(
 
 @dataclass
 class _Instance:
-    """One drawn check: ``values`` maps a (B, *x0.shape) stack of inputs
-    to their B loss values through the loss's own forward kernels.  Logit
-    rows of a stack are gathered by ``np.take``, in C order like one map's
-    rows; indexing would stride them, and a strided sum rounds differently."""
+    """One drawn check on only the entries its loss reads: ``values``
+    maps a (B, *x0.shape) stack of inputs to their B loss values through
+    the kernel that also gives ``analytic``."""
 
     values: Callable[[np.ndarray], np.ndarray]
     x0: np.ndarray
@@ -637,17 +632,18 @@ def _absolute_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     gt = 1.0 + 9.0 * sub.uniform((h, w))
     midpoints = (bins.centers[:-1] + bins.centers[1:]) / 2.0
     tie = bool(np.min(np.abs(gt[valid][:, None] - midpoints[None, :])) < 1e-5)
-    dm = CategoricalDepthMap(logits)
-    probs = dm.probs
-    tie = tie or bool(np.any(np.abs(probs - 1e-7) < 1e-9) or np.any(np.abs(probs - (1 - 1e-7)) < 1e-9))
-    analytic = absolute_depth_loss(dm, gt, valid, bins).grad
     view = pack_view(gt, valid, bins)
+    rows = logit_rows(logits)[view.rows]
+    probs = softmax_rows(rows)
+    at_clamp = np.minimum(np.abs(probs - BCE_CLAMP), np.abs(probs - (1.0 - BCE_CLAMP)))
+    tie = tie or bool(np.any(at_clamp < 1e-9))
+    analytic = np.empty_like(probs)
+    bce_rows(probs, view.gt_bins, analytic)
+    n = view.rows.size
+    # the mean BCE over the valid rows, as absolute_depth_loss forms it
     return _Instance(
-        # each map's mean BCE over its valid pixels, as absolute_depth_loss forms it
-        values=lambda xs: bce_rows(
-            softmax_rows(np.take(logit_rows(xs), view.rows, axis=1)), view.gt_bins
-        ) / view.rows.size,
-        x0=logits, analytic=analytic, tie_adjacent=tie,
+        values=lambda xs: bce_rows(softmax_rows(xs), view.gt_bins) / n,
+        x0=rows, analytic=analytic / n, tie_adjacent=tie,
     )
 
 
@@ -661,15 +657,15 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     gt = 2.0 + 8.0 * sub.uniform(n)
     center = (sub.uniform(1)[0] * w, sub.uniform(1)[0] * h)
     fds = ForegroundDepthSet(target_index=0, pixels=pixels, gt_depth=gt, skipped=False, center_uv=center)
-    logits = 2.0 * sub.normal((d, h, w))
+    rows = logit_rows(2.0 * sub.normal((d, h, w)))[order]
     sel = cfg.reference
-    probs = softmax_rows(logit_rows(logits)[order])
-    depths = expected_depths(probs, bins.centers)
-    analytic = inner_depth_loss([fds], CategoricalDepthMap(logits), bins, sel, cfg.loss_reduction).grad
+    probs = softmax_rows(rows)
+    analytic = np.zeros_like(rows)
+    relative_depth_rows(probs, [(fds, np.arange(n))], bins.centers, sel, cfg.loss_reduction, analytic)
     ref, tie = None, False
     if sel.strategy != "one_to_one":
         conf = np.max(probs, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
-        scores = reference_scores(fds, depths, sel, conf)
+        scores = reference_scores(fds, expected_depths(probs, bins.centers), sel, conf)
         # the reference is chosen once at x0 and frozen, as in the backward pass
         ref = int(scores.argmin())
         best, second = np.sort(scores)[:2]
@@ -679,10 +675,9 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
             tie = bool(second - best < 1e-6)
     return _Instance(
         values=lambda xs: relative_residual(
-            expected_depths(softmax_rows(np.take(logit_rows(xs), order, axis=1)), bins.centers),
-            gt, ref, cfg.loss_reduction,
+            expected_depths(softmax_rows(xs), bins.centers), gt, ref, cfg.loss_reduction
         )[0],
-        x0=logits, analytic=analytic, tie_adjacent=tie,
+        x0=rows, analytic=analytic, tie_adjacent=tie,
     )
 
 
@@ -693,14 +688,14 @@ def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _I
     ft = sub.normal((n, c))
     both = np.concatenate([fs, ft])
     tie = cfg.gram_normalization == "l2" and bool(np.min(np.sqrt(np.sum(both * both, axis=1))) < 1e-3)
-    loss_fn = inter_channel_loss if kind == "channel" else inter_keypoint_loss
     norm, reduction = cfg.gram_normalization, cfg.loss_reduction
-    res = loss_fn([TargetKeypointFeatures(student=fs, teacher=ft)], norm, reduction)
-    # each student of a stack is one target against the instance's teacher Gram
+    # the student is one target, and so is each input of a stack, against
+    # the instance's teacher Gram
     gram_t = _gram_of(ft[None], kind, norm)
+    _, grads = _gram_losses(fs[None], gram_t, kind, norm, reduction)
     return _Instance(
         values=lambda xs: _gram_losses(xs, gram_t, kind, norm, reduction, with_grad=False)[0],
-        x0=fs, analytic=res.grad[0], tie_adjacent=tie,
+        x0=fs, analytic=grads[0], tie_adjacent=tie,
     )
 
 
@@ -720,14 +715,15 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     ]
     # the teacher side is the same for every evaluation of this instance
     plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
-    (_, ic_grad), (_, ik_grad) = plan.terms(plan.pack(student), cfg.loss_reduction)
+    block = plan.pack(student)
+    (_, ic_grad), (_, ik_grad) = plan.terms(block, cfg.loss_reduction)
 
     def values(xs):
-        """ic + ik of each map of a stack."""
-        (ic, _), (ik, _) = plan.terms(plan.pack(xs), cfg.loss_reduction, with_grad=False)
+        """ic + ik of each block of a stack."""
+        (ic, _), (ik, _) = plan.terms(xs, cfg.loss_reduction, with_grad=False)
         return ic + ik
 
-    return _Instance(values=values, x0=student, analytic=plan.unpack(ic_grad + ik_grad))
+    return _Instance(values=values, x0=block, analytic=ic_grad + ik_grad)
 
 
 # each checked loss family's instance builder, by name

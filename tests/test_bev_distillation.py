@@ -226,6 +226,16 @@ class TestBilinearSample:
         rhs = float(np.sum(feat * bilinear_sample_backward(feat.shape, pts, up)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_points_rejected(self, value):
+        """Forward and backward sampling raise NumericError on a
+        non-finite point rather than index with its integer cast."""
+        pts = np.array([[0.5, 0.5], [1.0, value]])
+        with pytest.raises(NumericError, match="sample points"):
+            bilinear_sample(np.zeros((2, 3, 3)), pts)
+        with pytest.raises(NumericError, match="sample points"):
+            bilinear_sample_backward((2, 3, 3), pts, np.ones((2, 2)))
+
     def test_backward_shape_contract(self):
         with pytest.raises(ContractError):
             bilinear_sample_backward((2, 3, 3), np.zeros((4, 2)), np.zeros((4, 3)))

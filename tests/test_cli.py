@@ -143,12 +143,13 @@ class TestUsageErrors:
          ("gradcheck", {"h": float("inf")}), ("gradcheck", {"h": float("nan")}),
          ("gradcheck", {"fail_threshold": float("nan")}), ("gradcheck", {"instances": True}),
          ("scene", {"num_cameras": True}), ("bins", {"count": True}),
-         ("optimizer", {"divergence_factor": 0.5})],
+         ("optimizer", {"divergence_factor": 0.5}), ("optimizer", {"step_size": 10**400})],
     )
     def test_bad_lattice_config_is_config_error(self, tmp_path, capsys, key, value):
         """A lattice extent that is not an integer >= 2, an enlargement
         that is not a finite number >= 1, a NaN, infinite or boolean
-        optimizer, weight, gradcheck, scene or bins number, a negative
+        optimizer, weight, gradcheck, scene or bins number, a float field
+        given an integer too large for a float, a negative
         detection loss and a divergence factor below 1 exit 2 with a
         one-line error that names the field."""
         name = key
@@ -185,6 +186,16 @@ class TestUsageErrors:
         assert err.count("\n") <= 1 and "Warning" not in err
         if command == "eval-losses":
             assert err.startswith("error: the total loss is not finite") if code else not err
+
+    @pytest.mark.parametrize("command", ["eval-losses", "train-toy", "gradcheck"])
+    def test_infinite_keypoint_footprint_is_one_line_error(self, tmp_path, capsys, command):
+        """An enlargement that takes a box footprint to infinity exits 1
+        with one error line, where NaN lattice points would end in an
+        IndexError traceback."""
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"enlarge": 1e308}))
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: box center, size and yaw must be finite\n"
 
     @pytest.mark.parametrize(
         "key, value, fragment",

@@ -1,6 +1,7 @@
 """Depth bins, continuous depth, reference selection, and both depth
 losses with their analytic gradients."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -92,6 +93,14 @@ class TestDepthBins:
             DepthBins(count=4, d_min=5.0, d_max=2.0)
         with pytest.raises(ConfigError):
             DepthBins(count=4, mode="nope")
+
+    def test_centers_are_derived_not_passed(self):
+        """The centers follow from count, mode and range; they are no
+        constructor argument and take no part in equality."""
+        assert "centers" not in {f.name for f in dataclasses.fields(DepthBins) if f.init}
+        with pytest.raises(TypeError):
+            DepthBins(count=2, centers=np.array([1.0, 2.0]))
+        assert DepthBins(4) == DepthBins(4) and DepthBins(4) != DepthBins(4, d_max=50.0)
 
     def test_default_range(self):
         bins = DepthBins(112)

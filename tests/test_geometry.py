@@ -299,6 +299,20 @@ class TestForegroundSets:
         assert len(fds) == 4
 
 
+class TestBox3D:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["center", "size", "yaw"])
+    def test_non_finite_geometry_rejected(self, field, value):
+        """An infinite or NaN center, size or yaw is a ContractError."""
+        kw = {"center": np.zeros(3), "size": np.ones(3), "yaw": 0.0}
+        if field == "yaw":
+            kw[field] = value
+        else:
+            kw[field][1] = value
+        with pytest.raises(ContractError, match="finite"):
+            Box3D(**kw)
+
+
 class TestBevGridMapping:
     def test_grid_center_maps_to_center_cell_corner(self):
         """The world center lands at (H/2 - 0.5, W/2 - 0.5)."""

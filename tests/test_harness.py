@@ -46,14 +46,12 @@ from geodistill import (
 from geodistill.depth_supervision import (
     REFERENCE_STRATEGIES,
     DepthBins,
-    absolute_depth_loss,
+    bce_rows,
     expected_depths,
-    logit_rows,
-    pixel_rows,
     relative_residual,
     select_reference,
 )
-from geodistill.bev_distillation import TargetKeypointFeatures, bev_distill_terms
+from geodistill.bev_distillation import _gram_losses
 from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows
 from geodistill import cli, harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
@@ -205,6 +203,26 @@ class TestConfigDicts:
             given = dict(echo[key], **value) if key in SECTION_CLASSES else value
             assert echo[key] == given
         assert config_to_dict(config_from_dict(echo)) == echo
+
+    def test_integer_too_large_for_a_float_is_config_error(self):
+        """A 400-digit integer, which no float holds, in any float field of
+        any section, at the top level, in a grid extent or a size range is
+        a ConfigError that names the field."""
+        huge = 10**400
+        cases = [({f.name: huge}, f.name) for f in dataclasses.fields(HarnessConfig) if f.type == "float"]
+        for key, cls in SECTION_CLASSES.items():
+            for f in dataclasses.fields(cls):
+                if f.type == "float":
+                    cases.append(({key: dict(DEFAULT_ECHO[key], **{f.name: huge})}, f"{key}.{f.name}"))
+        for name in ("grid", "length_range", "width_range", "height_range"):
+            for i in range(4 if name == "grid" else 2):
+                value = list(DEFAULT_ECHO["scene"][name])
+                value[i] = huge
+                cases.append(({"scene": {name: value}}, f"scene.{name}"))
+        assert len(cases) > 30
+        for d, name in cases:
+            with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
+                config_from_dict(d)
 
     def test_round_trip_is_identity(self):
         cfg = default_config()
@@ -750,50 +768,44 @@ class TestRunGradcheck:
         assert report.status == "failed"
 
 
-def _absolute_value(cfg, args, kw, x):
-    _, gt, valid, bins = args
-    return absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value
+def _absolute_value(cfg, call, x0, x):
+    """The mean BCE of one input's rows against the instance's bins."""
+    (_, gt_bins, _), _, _ = call
+    return bce_rows(softmax_rows(x), gt_bins) / gt_bins.size
 
 
-def _inner_value(cfg, args, kw, x):
+def _inner_value(cfg, call, x0, x):
     """relative_residual of one input against the reference chosen at the
     instance's start point, as the analytic gradient freezes it."""
-    (fds,), dm, bins, sel, reduction = args
-    rows = pixel_rows(fds, dm.logits.shape[2])
-
-    def probs(logits):
-        return softmax_rows(logit_rows(logits)[rows])
-
+    (_, [(fds, _)], centers, sel, reduction, _), _, _ = call
     ref = None
     if sel.strategy != "one_to_one":
-        p0 = probs(dm.logits)
-        ref = select_reference(fds, expected_depths(p0, bins.centers), sel, np.max(p0, axis=1))
-    return relative_residual(expected_depths(probs(x), bins.centers), fds.gt_depth, ref, reduction)[0]
+        p0 = softmax_rows(x0)
+        ref = select_reference(fds, expected_depths(p0, centers), sel, np.max(p0, axis=1))
+    return relative_residual(expected_depths(softmax_rows(x), centers), fds.gt_depth, ref, reduction)[0]
 
 
-def _gram_value(loss_name):
-    def value(cfg, args, kw, x):
-        (tkf,), norm, reduction = args
-        return getattr(harness, loss_name)([TargetKeypointFeatures(x, tkf.teacher)], norm, reduction).value
-    return value
+def _gram_value(cfg, call, x0, x):
+    """One input as a one-target stack against the instance's teacher Gram."""
+    (_, gram_t, kind, norm, reduction), _, _ = call
+    return _gram_losses(x[None], gram_t, kind, norm, reduction, with_grad=False)[0][0]
 
 
-def _bev_value(cfg, args, kw, x):
-    teacher, boxes, g, enlarge, norm = args
-    ic, ik = bev_distill_terms(
-        BevFeatureMap(x, teacher.grid), teacher, boxes, g, enlarge, norm, cfg.loss_reduction
-    )
-    return ic.value + ik.value
+def _bev_value(cfg, call, x0, x):
+    """ic + ik of one (C, L) block through the instance's plan."""
+    _, _, plan = call
+    (ic, _), (ik, _) = plan.terms(x, cfg.loss_reduction, with_grad=False)
+    return ic + ik
 
 
-# per gradcheck family: the public function its builder calls (for the BEV
-# family the plan builder), and the value of one input given the config and
-# that call's arguments
-_PUBLIC_VALUES = {
-    "absolute_depth": ("absolute_depth_loss", _absolute_value),
-    "inner_depth": ("inner_depth_loss", _inner_value),
-    "inter_channel": ("inter_channel_loss", _gram_value("inter_channel_loss")),
-    "inter_keypoint": ("inter_keypoint_loss", _gram_value("inter_keypoint_loss")),
+# per gradcheck family: the kernel its builder takes the analytic gradient
+# from (for the BEV family the plan builder), and the value of one input
+# given the config, that first call's (args, kwargs, result) and x0
+_KERNEL_VALUES = {
+    "absolute_depth": ("bce_rows", _absolute_value),
+    "inner_depth": ("relative_depth_rows", _inner_value),
+    "inter_channel": ("_gram_losses", _gram_value),
+    "inter_keypoint": ("_gram_losses", _gram_value),
     "bev_distill": ("build_distill_plan", _bev_value),
 }
 
@@ -808,19 +820,23 @@ class TestStackedFiniteDifferences:
     )
     def test_stacked_values_equal_the_public_loss_per_input(self, monkeypatch, overrides):
         """Each value of an instance's finite-difference stack equals, with
-        ==, the public loss evaluated on that one perturbed input."""
+        ==, its family's kernel on that one perturbed input alone, called
+        as the builder called it for the analytic gradient."""
         cfg = config_from_dict(overrides)
         calls = {}
-        for loss_name, _ in _PUBLIC_VALUES.values():
-            def record(*args, _real=getattr(harness, loss_name), _name=loss_name, **kw):
-                calls[_name] = (args, kw)
-                return _real(*args, **kw)
-            monkeypatch.setattr(harness, loss_name, record)
+        for name in {name for name, _ in _KERNEL_VALUES.values()}:
+            def record(*args, _real=getattr(harness, name), _name=name, **kw):
+                result = _real(*args, **kw)
+                calls.setdefault(_name, (args, kw, result))
+                return result
+            monkeypatch.setattr(harness, name, record)
         root = CounterRng(cfg.scene.seed)
         for family, build in harness._GRADCHECK_FAMILIES.items():
-            loss_name, value = _PUBLIC_VALUES[family]
+            name, value = _KERNEL_VALUES[family]
             for attempt in range(4):
+                calls.clear()
                 inst = build(cfg, root.substream(f"gradcheck-{family}-{attempt}"))
+                call = calls[name]
                 seen = []
 
                 def f(xs):
@@ -829,8 +845,7 @@ class TestStackedFiniteDifferences:
 
                 finite_difference_gradient(f, inst.x0, cfg.gradcheck.h)
                 (xs, stacked), = seen
-                args, kw = calls[loss_name]
-                assert stacked.tolist() == [value(cfg, args, kw, x) for x in xs], (family, attempt)
+                assert stacked.tolist() == [value(cfg, call, inst.x0, x) for x in xs], (family, attempt)
 
     def test_each_instance_is_one_stacked_value_call(self, monkeypatch):
         """finite_difference_gradient calls its function once per checked

@@ -372,6 +372,18 @@ class TestScnFormat:
         with pytest.raises(FormatError):
             read_scene(io.StringIO(text.replace(old, new, 1)))
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("position", [0, 4, 6], ids=["center", "size", "yaw"])
+    def test_non_finite_box_token_is_contract_error(self, token, position):
+        """A box line that parses but holds an infinite or NaN center,
+        size or yaw raises the box's ContractError."""
+        text = scene_string(generate_scene(small_config(num_boxes=1)))
+        line = next(row for row in text.splitlines() if row.startswith("box "))
+        toks = line.split()
+        toks[1 + position] = token
+        with pytest.raises(ContractError, match="finite"):
+            read_scene(io.StringIO(text.replace(line, " ".join(toks), 1)))
+
     def test_well_formed_bad_geometry_is_contract_error(self):
         """A stream that parses but describes an inverted grid keeps
         raising the grid's ContractError."""
