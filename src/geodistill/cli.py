@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, GenerationError, NumericError
 from .harness import (
+    REPORT_FORMAT_VERSION,
     RunReport,
     config_to_dict,
     load_config,
@@ -136,7 +137,7 @@ def _cmd_oracle(args, cfg) -> int:
     fixtures, ok = run_oracle_suite(seed=cfg.scene.seed)
     path = os.path.join(args.out, "oracle_fixtures.json")
     with open(path, "w") as fobj:
-        fobj.write(strict_json({"format_version": 1, "passed": ok, "families": fixtures}))
+        fobj.write(strict_json({"format_version": REPORT_FORMAT_VERSION, "passed": ok, "families": fixtures}))
     for name, entry in sorted(fixtures.items()):
         detail = ", ".join(
             f"{k}={v}" for k, v in sorted(entry.items()) if not isinstance(v, (list, dict))
@@ -145,6 +146,9 @@ def _cmd_oracle(args, cfg) -> int:
     print(f"oracle {'PASS' if ok else 'FAIL'}; fixtures -> {path}")
     return 0 if ok else 1
 
+
+# how numpy words a ValueError for an array larger than it can address
+_NUMPY_SIZE_LIMITS = ("Maximum allowed size exceeded", "array is too big")
 
 _COMMON_OPTIONS = (
     ("--config", {"default": "default", "help": 'config JSON path, or "default" for built-in defaults'}),
@@ -216,7 +220,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ContractError, GenerationError, NumericError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except MemoryError as exc:
+    except (MemoryError, ValueError) as exc:
+        if isinstance(exc, ValueError) and not str(exc).startswith(_NUMPY_SIZE_LIMITS):
+            raise
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 

@@ -77,10 +77,9 @@ class DepthBins:
 
 @dataclass
 class CategoricalDepthMap:
-    """Per-pixel logits over depth bins; probabilities derived on demand."""
+    """Per-pixel logits over depth bins."""
 
     logits: np.ndarray
-    _probs: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.logits = as_tensor(self.logits)
@@ -91,13 +90,6 @@ class CategoricalDepthMap:
     @property
     def num_bins(self) -> int:
         return self.logits.shape[0]
-
-    @property
-    def probs(self) -> np.ndarray:
-        if self._probs is None:
-            _, h, w = self.logits.shape
-            self._probs = rows_to_map(softmax_rows(logit_rows(self.logits)), h, w)
-        return self._probs
 
 
 @dataclass

@@ -59,7 +59,6 @@ from .numerics import (
 )
 from .rng import CounterRng
 from .scenegen import (
-    SceneConfig,
     SyntheticScene,
     ViewGroundTruth,
     generate_scene,
@@ -147,6 +146,56 @@ def _check_fields(where: str, cls, values: Dict[str, Any]) -> None:
             kind, noun = _KINDS[f.type]
             what, ok = f.metadata.get("range", ("", None))
             _require(where + f.name, values[f.name], f"{noun} {what}".rstrip(), ok, kind)
+
+
+@dataclass
+class SceneConfig:
+    """Knobs of the synthetic scene generator.
+
+    Boxes are placed on a ring around the origin between
+    ``place_radius_min`` and ``place_radius_max`` with non-overlapping
+    footprints; cameras sit near the origin facing outward and jointly
+    cover 360 degrees.
+    """
+
+    # CounterRng keeps 64 bits of the seed; a wider one would alias another
+    seed: int = _ranged(42, "in [0, 2**64)", lambda v: 0 <= v < 2**64)
+    num_boxes: int = _ranged(4, ">= 0", lambda v: v >= 0)
+    num_cameras: int = _ranged(6, ">= 1", lambda v: v >= 1)
+    points_per_box: int = _ranged(300, ">= 0", lambda v: v >= 0)
+    ground_points: int = _ranged(2048, ">= 0", lambda v: v >= 0)
+    # the teacher's front and rear signatures are orthogonal
+    channels: int = _ranged(16, ">= 2", lambda v: v >= 2)
+    grid: BevGrid = field(default_factory=lambda: BevGrid(-24.0, 24.0, -24.0, 24.0, 64, 64))
+    length_range: Tuple[float, float] = (3.8, 5.5)
+    width_range: Tuple[float, float] = (1.6, 2.2)
+    height_range: Tuple[float, float] = (1.4, 1.9)
+    place_radius_min: float = _ranged(8.0, "> 0", lambda v: v > 0)
+    place_radius_max: float = 18.0
+    place_clearance: float = _ranged(0.5, ">= 0", lambda v: v >= 0)
+    max_place_attempts: int = _ranged(1000, ">= 1", lambda v: v >= 1)
+    ground_radius: float = _ranged(22.0, "> 0", lambda v: v > 0)
+    image_width: int = _ranged(96, ">= 1", lambda v: v >= 1)
+    image_height: int = _ranged(64, ">= 1", lambda v: v >= 1)
+    focal: float = _ranged(70.0, "> 0", lambda v: v > 0)
+    cam_height: float = 1.6
+    cam_ring_radius: float = 0.5
+    z_near: float = _ranged(0.1, "> 0", lambda v: v > 0)
+    teacher_amplitude: float = 1.0
+    teacher_noise: float = _ranged(0.05, ">= 0", lambda v: v >= 0)
+    enlarge: float = _ranged(1.25, "> 0", lambda v: v > 0)
+
+    def __post_init__(self):
+        _check_fields("scene.", SceneConfig, vars(self))
+        for name in ("length_range", "width_range", "height_range"):
+            lo, hi = getattr(self, name)
+            if not 0 < lo <= hi:
+                raise ConfigError(f"scene.{name} must be [lo, hi] with 0 < lo <= hi, got {[lo, hi]!r}")
+        if not self.place_radius_min <= self.place_radius_max:
+            raise ConfigError(
+                f"scene.place_radius_max must be >= place_radius_min ({self.place_radius_min!r}), "
+                f"got {self.place_radius_max!r}"
+            )
 
 
 @dataclass
@@ -241,7 +290,6 @@ def _check_keys(d: Dict, allowed, where: str) -> None:
 
 def _scene_from_dict(d: Dict) -> SceneConfig:
     _check_keys(d, {f.name for f in dataclasses.fields(SceneConfig)}, "scene")
-    _check_fields("scene.", SceneConfig, d)
     kw = dict(d)
     if "grid" in kw:
         g = _require_list(
@@ -254,7 +302,7 @@ def _scene_from_dict(d: Dict) -> SceneConfig:
         if key in kw:
             lo, hi = _require_list(f"scene.{key}", kw[key], "[lo, hi]", (numbers.Real,) * 2)
             kw[key] = (float(lo), float(hi))
-    return _build("scene", SceneConfig, **kw)
+    return SceneConfig(**kw)
 
 
 def _scene_to_dict(s: SceneConfig) -> Dict:
@@ -630,13 +678,11 @@ def _absolute_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     if not valid.any():
         valid[0, 0] = True
     gt = 1.0 + 9.0 * sub.uniform((h, w))
-    midpoints = (bins.centers[:-1] + bins.centers[1:]) / 2.0
-    tie = bool(np.min(np.abs(gt[valid][:, None] - midpoints[None, :])) < 1e-5)
     view = pack_view(gt, valid, bins)
     rows = logit_rows(logits)[view.rows]
     probs = softmax_rows(rows)
     at_clamp = np.minimum(np.abs(probs - BCE_CLAMP), np.abs(probs - (1.0 - BCE_CLAMP)))
-    tie = tie or bool(np.any(at_clamp < 1e-9))
+    tie = bool(np.any(at_clamp < 1e-9))
     analytic = np.empty_like(probs)
     bce_rows(probs, view.gt_bins, analytic)
     n = view.rows.size

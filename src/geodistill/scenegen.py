@@ -10,13 +10,13 @@ generator in ``rng`` makes output bit-identical across runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, TextIO, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, List, Optional, TextIO
 
 import numpy as np
 
 from .bev_distillation import BevFeatureMap
-from .errors import ConfigError, ContractError, FormatError, GenerationError
+from .errors import FormatError, GenerationError
 from .geometry import (
     BevGrid,
     Box3D,
@@ -31,71 +31,13 @@ from .geometry import (
 from .numerics import as_tensor, open_text, read_tsr, write_tsr
 from .rng import CounterRng
 
+if TYPE_CHECKING:
+    from .harness import SceneConfig
+
 # Local face coordinates are shrunk by this relative factor so that the
 # rotate-into-world / rotate-back round trip cannot push a surface point
 # outside its own box by floating-point noise.
 FACE_INSET = 1e-12
-
-
-@dataclass
-class SceneConfig:
-    """Knobs of the synthetic scene generator.
-
-    Boxes are placed on a ring around the origin between
-    ``place_radius_min`` and ``place_radius_max`` with non-overlapping
-    footprints; cameras sit near the origin facing outward and jointly
-    cover 360 degrees.
-    """
-
-    seed: int = 42
-    num_boxes: int = 4
-    num_cameras: int = 6
-    points_per_box: int = 300
-    ground_points: int = 2048
-    channels: int = 16
-    grid: BevGrid = field(default_factory=lambda: BevGrid(-24.0, 24.0, -24.0, 24.0, 64, 64))
-    length_range: Tuple[float, float] = (3.8, 5.5)
-    width_range: Tuple[float, float] = (1.6, 2.2)
-    height_range: Tuple[float, float] = (1.4, 1.9)
-    place_radius_min: float = 8.0
-    place_radius_max: float = 18.0
-    place_clearance: float = 0.5
-    max_place_attempts: int = 1000
-    ground_radius: float = 22.0
-    image_width: int = 96
-    image_height: int = 64
-    focal: float = 70.0
-    cam_height: float = 1.6
-    cam_ring_radius: float = 0.5
-    z_near: float = 0.1
-    teacher_amplitude: float = 1.0
-    teacher_noise: float = 0.05
-    enlarge: float = 1.25
-
-    def __post_init__(self):
-        # CounterRng keeps 64 bits of the seed; a wider one would alias another
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError(f"scene.seed must be in [0, 2**64), got {self.seed!r}")
-        counts = (self.num_boxes, self.num_cameras, self.points_per_box, self.ground_points)
-        for ok, message in (
-            (min(counts) >= 0, "scene counts must be non-negative"),
-            (self.num_cameras >= 1, "need at least one camera"),
-            # the teacher's front and rear signatures are orthogonal
-            (self.channels >= 2, "need at least two feature channels"),
-            (min(self.image_width, self.image_height) >= 1, "image extents must be >= 1"),
-            (self.focal > 0, "focal must be positive"),
-            (self.z_near > 0, "z_near must be positive"),
-            (self.enlarge > 0, "enlarge must be positive"),
-            (self.max_place_attempts >= 1, "max_place_attempts must be >= 1"),
-            (self.teacher_noise >= 0, "teacher_noise must be >= 0"),
-            (self.place_clearance >= 0, "place_clearance must be >= 0"),
-            (self.ground_radius > 0, "ground_radius must be positive"),
-            (all(0 < lo <= hi for lo, hi in (self.length_range, self.width_range, self.height_range)),
-             "size ranges must satisfy 0 < lo <= hi"),
-            (0 < self.place_radius_min <= self.place_radius_max, "placement radii must satisfy 0 < min <= max"),
-        ):
-            if not ok:
-                raise ContractError(message)
 
 
 @dataclass

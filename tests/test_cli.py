@@ -202,9 +202,9 @@ class TestUsageErrors:
         [("scene", {"length_range": [3.8]}, "scene.length_range"),
          ("scene", {"width_range": "1.6"}, "scene.width_range"),
          ("scene", {"height_range": [1.4, float("nan")]}, "scene.height_range"),
-         ("scene", {"length_range": [5.5, 3.8]}, "scene: size ranges"),
-         ("scene", {"num_cameras": 0}, "scene: need at least one camera"),
-         ("scene", {"channels": 0}, "scene: need at least two feature channels"),
+         ("scene", {"length_range": [5.5, 3.8]}, "scene.length_range must be [lo, hi] with 0 < lo <= hi"),
+         ("scene", {"num_cameras": 0}, "scene.num_cameras must be an integer >= 1, got 0"),
+         ("scene", {"channels": 0}, "scene.channels must be an integer >= 2, got 0"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, "24", 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24.7, 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24]}, "scene.grid"),
@@ -219,19 +219,20 @@ class TestUsageErrors:
          ("scene", {"focal": float("nan")}, "scene.focal"),
          ("scene", {"teacher_amplitude": float("nan")}, "scene.teacher_amplitude"),
          ("scene", {"z_near": True}, "scene.z_near"),
-         ("scene", {"seed": -1}, "scene.seed must be in [0, 2**64)"),
-         ("scene", {"channels": 1}, "scene: need at least two feature channels"),
-         ("scene", {"focal": -1.0}, "scene: focal must be positive"),
-         ("scene", {"image_width": 0}, "scene: image extents must be >= 1"),
-         ("scene", {"image_height": 0}, "scene: image extents must be >= 1"),
-         ("scene", {"z_near": 0.0}, "scene: z_near must be positive"),
-         ("scene", {"enlarge": 0.0}, "scene: enlarge must be positive"),
-         ("scene", {"enlarge": -1.25}, "scene: enlarge must be positive"),
-         ("scene", {"max_place_attempts": 0}, "scene: max_place_attempts must be >= 1"),
-         ("scene", {"teacher_noise": -1.0}, "scene: teacher_noise must be >= 0"),
-         ("scene", {"place_clearance": -5.0}, "scene: place_clearance must be >= 0"),
-         ("scene", {"ground_radius": 0.0}, "scene: ground_radius must be positive"),
-         ("scene", {"ground_radius": -3.0}, "scene: ground_radius must be positive")],
+         ("scene", {"seed": -1}, "scene.seed must be an integer in [0, 2**64), got -1"),
+         ("scene", {"channels": 1}, "scene.channels must be an integer >= 2, got 1"),
+         ("scene", {"focal": -1.0}, "scene.focal must be a finite number > 0, got -1.0"),
+         ("scene", {"image_width": 0}, "scene.image_width must be an integer >= 1, got 0"),
+         ("scene", {"image_height": 0}, "scene.image_height must be an integer >= 1, got 0"),
+         ("scene", {"z_near": 0.0}, "scene.z_near must be a finite number > 0, got 0.0"),
+         ("scene", {"enlarge": 0.0}, "scene.enlarge must be a finite number > 0, got 0.0"),
+         ("scene", {"enlarge": -1.25}, "scene.enlarge must be a finite number > 0, got -1.25"),
+         ("scene", {"max_place_attempts": 0}, "scene.max_place_attempts must be an integer >= 1, got 0"),
+         ("scene", {"teacher_noise": -1.0}, "scene.teacher_noise must be a finite number >= 0, got -1.0"),
+         ("scene", {"place_clearance": -5.0}, "scene.place_clearance must be a finite number >= 0, got -5.0"),
+         ("scene", {"ground_radius": 0.0}, "scene.ground_radius must be a finite number > 0, got 0.0"),
+         ("scene", {"ground_radius": -3.0}, "scene.ground_radius must be a finite number > 0, got -3.0"),
+         ("scene", {"place_radius_max": 5.0}, "scene.place_radius_max must be >= place_radius_min (8.0), got 5.0")],
     )
     def test_bad_scene_or_bins_config_is_config_error(self, tmp_path, capsys, key, value, fragment):
         """Scene and bins fields of the wrong type or length, non-finite,
@@ -299,6 +300,29 @@ class TestUsageErrors:
         code = main(["eval-losses", "--config", small_cfg, "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == "error: out of memory: Unable to allocate 233. TiB\n"
+
+    @pytest.mark.parametrize("key, value", [
+        ("keypoint_g", 10**30), ("bins", {"count": 10**30}), ("scene", {"image_width": 2**62}),
+    ])
+    def test_array_past_numpy_size_limit_is_out_of_memory(self, tmp_path, capsys, key, value):
+        """An integer size that numpy refuses before allocating, with its
+        own ValueError, exits 1 with the one out-of-memory line."""
+        if isinstance(value, dict):
+            value = dict(SMALL.get(key, {}), **value)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(SMALL, **{key: value})))
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+
+    def test_other_value_error_still_surfaces(self, small_cfg, tmp_path, monkeypatch):
+        def bad_value(*args, **kwargs):
+            raise ValueError("operands could not be broadcast together")
+
+        monkeypatch.setattr("geodistill.cli.student_problem", bad_value)
+        with pytest.raises(ValueError, match="broadcast"):
+            main(["eval-losses", "--config", small_cfg, "--out", str(tmp_path / "out")])
 
     def test_module_entry_point_exits_2_without_traceback(self, tmp_path):
         """``python -m geodistill`` runs the CLI; keypoint_g 2.5 is a

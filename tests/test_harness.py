@@ -258,8 +258,46 @@ class TestConfigDicts:
         would alias another seed in the generator."""
         assert config_from_dict({"scene": {"seed": 2**64 - 1}}).scene.seed == 2**64 - 1
         for seed in (-1, 2**64):
-            with pytest.raises(ConfigError, match=r"scene\.seed must be in \[0, 2\*\*64\)"):
+            with pytest.raises(ConfigError, match=r"^scene\.seed must be an integer in \[0, 2\*\*64\), got "):
                 config_from_dict({"scene": {"seed": seed}})
+
+    @pytest.mark.parametrize("field, value", [("seed", 1.5), ("num_boxes", 2.5), ("focal", -1.0)])
+    def test_scene_config_built_in_code_checks_its_fields(self, field, value):
+        """A SceneConfig made in code gets the same kind and range checks
+        as one loaded from JSON: a float seed is not taken as the integer
+        below it."""
+        with pytest.raises(ConfigError, match=rf"^scene\.{field} must be "):
+            SceneConfig(**{field: value})
+
+    def test_every_declared_range_matches_its_check(self):
+        """The range text of each ``_ranged`` field, ``>= x``, ``> x`` or
+        ``in`` an interval, states what its predicate does: an inclusive
+        bound is accepted and the next float outside it rejected; an
+        exclusive bound is rejected and the next float inside it accepted."""
+        def number(text):
+            base, _, exponent = text.partition("**")
+            return float(base) ** int(exponent) if exponent else float(text)
+
+        ranged = [
+            (f"{cls.__name__}.{f.name}", *f.metadata["range"])
+            for cls in (HarnessConfig, *SECTION_CLASSES.values())
+            for f in dataclasses.fields(cls) if "range" in f.metadata
+        ]
+        assert len(ranged) > 30 and any(name.startswith("SceneConfig.") for name, _, _ in ranged)
+        for name, what, ok in ranged:
+            interval = re.fullmatch(r"in ([\[(])(\S+), (\S+)([\])])", what)
+            if interval:
+                bounds = [(number(interval[2]), interval[1] == "[", -math.inf),
+                          (number(interval[3]), interval[4] == "]", math.inf)]
+            else:
+                side = re.fullmatch(r"(>=|>) (\S+)", what)
+                assert side, (name, what)
+                bounds = [(number(side[2]), side[1] == ">=", -math.inf)]
+            for bound, inclusive, outside in bounds:
+                if inclusive:
+                    assert ok(bound) and not ok(math.nextafter(bound, outside)), (name, what)
+                else:
+                    assert not ok(bound) and ok(math.nextafter(bound, -outside)), (name, what)
 
     def test_overrides_apply(self):
         d = {
