@@ -15,6 +15,7 @@ carries gradient.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple, Union
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import ConfigError, ContractError, SkippedTargetError
 from .geometry import ForegroundDepthSet
 from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows
+from .numerics import _check_fields, _choice, _ranged
 
 BCE_CLAMP = 1e-7
 
@@ -34,6 +36,11 @@ REFERENCE_STRATEGIES = (
     "all_to_certain_2d_center",
     "one_to_one",
 )
+
+BIN_MODES = ("uniform", "spacing_increasing")
+
+# the config key of each ReferenceSelection field: both are top-level keys
+REFERENCE_KEYS = {"strategy": "reference_strategy", "signed_reference_error": "signed_reference_error"}
 
 
 @dataclass
@@ -47,19 +54,16 @@ class DepthBins:
     which alone decide equality.
     """
 
-    count: int
-    mode: str = "uniform"
-    d_min: float = 1.0
+    count: int = _ranged(dataclasses.MISSING, ">= 2", lambda v: v >= 2)
+    mode: str = _choice("uniform", BIN_MODES)
+    d_min: float = _ranged(1.0, "> 0", lambda v: v > 0)
     d_max: float = 60.0
     centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.count < 2:
-            raise ContractError("need at least 2 depth bins")
-        if not (0.0 < self.d_min < self.d_max):
-            raise ContractError("require 0 < d_min < d_max")
-        if self.mode not in ("uniform", "spacing_increasing"):
-            raise ConfigError(f"unknown bin mode {self.mode!r}")
+        _check_fields("bins.", DepthBins, vars(self))
+        if not self.d_min < self.d_max:
+            raise ConfigError(f"bins.d_max must be > d_min ({self.d_min!r}), got {self.d_max!r}")
         half_steps = np.arange(self.count) + 0.5
         if self.mode == "uniform":
             width = (self.d_max - self.d_min) / self.count
@@ -67,12 +71,10 @@ class DepthBins:
         else:
             log_width = np.log(self.d_max / self.d_min) / self.count
             self.centers = self.d_min * np.exp(half_steps * log_width)
-        if not np.all(np.isfinite(self.centers)):
-            raise ContractError("bin centers must be finite")
-        if np.any(np.diff(self.centers) <= 0):
-            raise ContractError("bin centers must be strictly increasing")
-        if self.centers[0] < self.d_min or self.centers[-1] > self.d_max:
-            raise ContractError("bin centers must lie within [d_min, d_max]")
+        c = self.centers
+        if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0) and self.d_min <= c[0] and c[-1] <= self.d_max):
+            lo, hi = float(c[0]), float(c[-1])
+            raise ConfigError(f"bins.centers must be finite, increasing and in [d_min, d_max], got {lo!r} to {hi!r}")
 
 
 @dataclass
@@ -100,12 +102,11 @@ class ReferenceSelection:
     argmin of |gt - pred| to argmin of the signed difference gt - pred.
     """
 
-    strategy: str = "all_to_adaptive_smallest_error"
+    strategy: str = _choice("all_to_adaptive_smallest_error", REFERENCE_STRATEGIES)
     signed_reference_error: bool = False
 
     def __post_init__(self):
-        if self.strategy not in REFERENCE_STRATEGIES:
-            raise ConfigError(f"unknown reference strategy {self.strategy!r}")
+        _check_fields(REFERENCE_KEYS, ReferenceSelection, vars(self))
 
 
 def logit_rows(logits: np.ndarray) -> np.ndarray:

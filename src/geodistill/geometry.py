@@ -15,14 +15,15 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import ContractError
-from .numerics import as_tensor, check_finite
+from .errors import ConfigError, ContractError
+from .numerics import _check_fields, _ranged, as_tensor, check_finite
 
 DEFAULT_Z_NEAR = 0.1
 
@@ -120,14 +121,16 @@ class BevGrid:
     x_max: float
     y_min: float
     y_max: float
-    h_bev: int
-    w_bev: int
+    h_bev: int = _ranged(dataclasses.MISSING, ">= 1", lambda v: v >= 1)
+    w_bev: int = _ranged(dataclasses.MISSING, ">= 1", lambda v: v >= 1)
 
     def __post_init__(self):
-        if not (self.x_max > self.x_min and self.y_max > self.y_min):
-            raise ContractError("grid extents must satisfy max > min")
-        if self.h_bev < 1 or self.w_bev < 1:
-            raise ContractError("grid cell counts must be >= 1")
+        _check_fields("scene.grid.", BevGrid, vars(self))
+        for axis in "xy":
+            lo, hi = float(getattr(self, f"{axis}_min")), float(getattr(self, f"{axis}_max"))
+            if not hi > lo:
+                raise ConfigError(f"scene.grid.{axis}_max must be > {axis}_min ({lo!r}), got {hi!r}")
+            vars(self).update({f"{axis}_min": lo, f"{axis}_max": hi})
 
 
 @dataclass

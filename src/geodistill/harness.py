@@ -14,8 +14,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
-import sys
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
@@ -23,9 +21,9 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .bev_distillation import (
+    GRAM_NORMALIZATIONS,
     BevFeatureMap,
     DistillPlan,
-    _check_norm,
     _gram_losses,
     _gram_of,
     bev_distill_terms,  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
@@ -33,6 +31,7 @@ from .bev_distillation import (
 )
 from .depth_supervision import (
     BCE_CLAMP,
+    REFERENCE_KEYS,
     CategoricalDepthMap,
     DepthBins,
     PackedView,
@@ -50,9 +49,13 @@ from .depth_supervision import (
 from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
+    LOSS_REDUCTIONS,
     LossResult,
+    _check_fields,
+    _choice,
+    _field_checks,
+    _ranged,
     check_finite,
-    check_reduction,
     finite_difference_gradient,
     frobenius_sq_distance,
     softmax_rows,
@@ -87,65 +90,6 @@ DEPTH_FREEZE_FRACTION = 0.8
 # ---------------------------------------------------------------------------
 # Configuration
 # ---------------------------------------------------------------------------
-
-
-def _require(
-    name: str, value, what: str, ok: Optional[Callable[[Any], bool]] = None, kind: type = numbers.Real
-) -> None:
-    """Raise ConfigError unless ``value`` is a ``kind`` and ``ok(value)``
-    holds when given; ``what`` describes the accepted values in the
-    message.  ``kind`` is ``numbers.Real`` (a finite number: not NaN,
-    infinite or an integer too large for a float), ``numbers.Integral``
-    (an integer) or ``bool``; a bool is never taken for a number."""
-    if kind is bool:
-        typed = isinstance(value, bool)
-    else:
-        typed = (
-            not isinstance(value, bool)
-            and isinstance(value, kind)
-            and (kind is numbers.Integral or abs(value) <= sys.float_info.max)
-        )
-    if not typed or (ok is not None and not ok(value)):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-
-
-def _require_list(name: str, value, what: str, kinds) -> list:
-    """``value`` as a JSON list with one entry per ``kinds``, entry ``i``
-    checked by ``_require`` as a ``kinds[i]``."""
-    if not (isinstance(value, list) and len(value) == len(kinds)):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
-    for v, kind in zip(value, kinds):
-        _require(name, v, what, kind=kind)
-    return value
-
-
-def _build(where: str, cls, *args, **kw):
-    """``cls(*args, **kw)`` with its range checks reported as config errors."""
-    try:
-        return cls(*args, **kw)
-    except ContractError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
-
-
-# the kind and its wording of a config number, by its field's annotation
-_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a finite number")}
-
-
-def _ranged(default, what: str, ok: Callable[[Any], bool]):
-    """A numeric config field with a range: ``ok`` accepts a value and
-    ``what`` states the range after the kind in error messages."""
-    return field(default=default, metadata={"range": (what, ok)})
-
-
-def _check_fields(where: str, cls, values: Dict[str, Any]) -> None:
-    """``_require`` each entry of ``values`` that names an ``int`` or
-    ``float`` field of ``cls``: the annotation gives the kind, the
-    field's metadata its range; ``where`` prefixes the name."""
-    for f in dataclasses.fields(cls):
-        if f.name in values and f.type in _KINDS:
-            kind, noun = _KINDS[f.type]
-            what, ok = f.metadata.get("range", ("", None))
-            _require(where + f.name, values[f.name], f"{noun} {what}".rstrip(), ok, kind)
 
 
 @dataclass
@@ -191,6 +135,7 @@ class SceneConfig:
             lo, hi = getattr(self, name)
             if not 0 < lo <= hi:
                 raise ConfigError(f"scene.{name} must be [lo, hi] with 0 < lo <= hi, got {[lo, hi]!r}")
+            setattr(self, name, (float(lo), float(hi)))
         if not self.place_radius_min <= self.place_radius_max:
             raise ConfigError(
                 f"scene.place_radius_max must be >= place_radius_min ({self.place_radius_min!r}), "
@@ -253,18 +198,16 @@ class HarnessConfig:
     scene: SceneConfig = field(default_factory=SceneConfig)
     bins: DepthBins = field(default_factory=lambda: DepthBins(112))
     reference: ReferenceSelection = field(default_factory=ReferenceSelection)
-    loss_reduction: str = "mean"
+    loss_reduction: str = _choice("mean", LOSS_REDUCTIONS)
     keypoint_g: int = _ranged(6, ">= 2", lambda g: g >= 2)
     enlarge: float = _ranged(1.25, ">= 1", lambda e: e >= 1.0)
-    gram_normalization: str = "none"
+    gram_normalization: str = _choice("none", GRAM_NORMALIZATIONS)
     weights: LossWeights = field(default_factory=LossWeights)
     external_det_loss: float = _ranged(0.0, ">= 0", lambda v: v >= 0)
     optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
     gradcheck: GradcheckConfig = field(default_factory=GradcheckConfig)
 
     def __post_init__(self):
-        check_reduction(self.loss_reduction)
-        _check_norm(self.gram_normalization)
         _check_fields("", HarnessConfig, vars(self))
 
 
@@ -272,89 +215,64 @@ def default_config() -> HarnessConfig:
     return HarnessConfig()
 
 
-# config sections that map one-to-one onto a HarnessConfig field, by key
-_SECTIONS = {"weights": LossWeights, "optimizer": OptimizerConfig, "gradcheck": GradcheckConfig}
-# top-level keys that hold a HarnessConfig field's plain value
-_PLAIN_KEYS = tuple(f.name for f in dataclasses.fields(HarnessConfig) if f.type in ("str", "int", "float"))
-_BINS_KEYS = ("count", "mode", "d_min", "d_max")
-_TOP_KEYS = ("scene", "bins", "reference_strategy", "signed_reference_error") + _PLAIN_KEYS + tuple(_SECTIONS)
+# the top-level config keys: the reference section's fields stand in for it
+_TOP_KEYS = [f.name for f in dataclasses.fields(HarnessConfig) if f.name != "reference"] + [*REFERENCE_KEYS.values()]
 
 
 def _check_keys(d: Dict, allowed, where: str) -> None:
     if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object")
+        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
     unknown = sorted(set(d) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
-def _scene_from_dict(d: Dict) -> SceneConfig:
-    _check_keys(d, {f.name for f in dataclasses.fields(SceneConfig)}, "scene")
-    kw = dict(d)
-    if "grid" in kw:
-        g = _require_list(
-            "scene.grid", kw["grid"],
-            "[x_min, x_max, y_min, y_max, h_bev, w_bev] with integer cell counts",
-            (numbers.Real,) * 4 + (numbers.Integral,) * 2,
-        )
-        kw["grid"] = _build("scene.grid", BevGrid, *(float(v) for v in g[:4]), *g[4:])
-    for key in ("length_range", "width_range", "height_range"):
-        if key in kw:
-            lo, hi = _require_list(f"scene.{key}", kw[key], "[lo, hi]", (numbers.Real,) * 2)
-            kw[key] = (float(lo), float(hi))
-    return SceneConfig(**kw)
+def _from_json(cls, d, where: str):
+    """A ``cls`` from its JSON object ``d``, whose keys are the init
+    fields of ``cls``: a nested config class is a JSON object, the grid a
+    six-entry list and a tuple a list.  A field not given keeps its
+    default, and a required one is None, which its check rejects."""
+    checks = _field_checks(cls)
+    _check_keys(d, checks, where or "config")
+    kw = {}
+    for f in dataclasses.fields(cls):
+        if f.name not in d:
+            if f.init and f.default is f.default_factory is dataclasses.MISSING:
+                kw[f.name] = None
+            continue
+        kind, value = checks[f.name][0], d[f.name]
+        if kind is BevGrid:
+            value = BevGrid(*value) if isinstance(value, list) and len(value) == 6 else value
+        elif dataclasses.is_dataclass(kind):
+            value = _from_json(kind, value, f"{where}.{f.name}".lstrip("."))
+        elif isinstance(kind, tuple) and isinstance(value, list):
+            value = tuple(value)
+        kw[f.name] = value
+    return cls(**kw)
 
 
-def _scene_to_dict(s: SceneConfig) -> Dict:
-    out = {}
-    for f in dataclasses.fields(SceneConfig):
-        value = getattr(s, f.name)
-        if f.name == "grid":
-            value = [value.x_min, value.x_max, value.y_min, value.y_max, value.h_bev, value.w_bev]
-        elif f.name in ("length_range", "width_range", "height_range"):
-            value = list(value)
-        out[f.name] = value
-    return out
+def _to_json(value):
+    """The JSON form of a config value, which ``_from_json`` reads back."""
+    if isinstance(value, BevGrid):
+        return list(dataclasses.astuple(value))
+    if dataclasses.is_dataclass(value):
+        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value) if f.init}
+    return list(value) if isinstance(value, tuple) else value
 
 
 def config_from_dict(d: Dict) -> HarnessConfig:
     """Build a config from a parsed JSON object; unknown keys anywhere
     are errors."""
-    if not isinstance(d, dict):
-        raise ConfigError("config root must be a JSON object")
     _check_keys(d, _TOP_KEYS, "config")
-    kw: Dict[str, Any] = {key: d[key] for key in _PLAIN_KEYS if key in d}
-    if "scene" in d:
-        kw["scene"] = _scene_from_dict(d["scene"])
-    if "bins" in d:
-        _check_keys(d["bins"], _BINS_KEYS, "bins")
-        _check_fields("bins.", DepthBins, {"count": None, **d["bins"]})  # count is required
-        kw["bins"] = _build("bins", DepthBins, **d["bins"])
-    ref_kw = {}
-    if "reference_strategy" in d:
-        ref_kw["strategy"] = d["reference_strategy"]
-    if "signed_reference_error" in d:
-        _require("signed_reference_error", d["signed_reference_error"], "true or false", kind=bool)
-        ref_kw["signed_reference_error"] = d["signed_reference_error"]
-    if ref_kw:
-        kw["reference"] = ReferenceSelection(**ref_kw)
-    for key, cls in _SECTIONS.items():
-        if key in d:
-            _check_keys(d[key], {f.name for f in dataclasses.fields(cls)}, key)
-            kw[key] = cls(**d[key])
-    return HarnessConfig(**kw)
+    top = {key: value for key, value in d.items() if key not in REFERENCE_KEYS.values()}
+    reference = {name: d[key] for name, key in REFERENCE_KEYS.items() if key in d}
+    return _from_json(HarnessConfig, dict(top, reference=reference), "")
 
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
     """Config echo in the same shape config_from_dict accepts."""
-    out = {
-        "scene": _scene_to_dict(cfg.scene),
-        "bins": {key: getattr(cfg.bins, key) for key in _BINS_KEYS},
-        "reference_strategy": cfg.reference.strategy,
-        "signed_reference_error": cfg.reference.signed_reference_error,
-    }
-    out.update((key, getattr(cfg, key)) for key in _PLAIN_KEYS)
-    out.update((key, dataclasses.asdict(getattr(cfg, key))) for key in _SECTIONS)
+    out = _to_json(cfg)
+    out.update((REFERENCE_KEYS[name], value) for name, value in out.pop("reference").items())
     return out
 
 
@@ -363,11 +281,13 @@ def load_config(source: str) -> HarnessConfig:
     if source == "default":
         return default_config()
     try:
-        with open(source) as fobj:
+        with open(source, encoding="utf-8") as fobj:
             data = json.load(fobj)
     except OSError as exc:
         raise ConfigError(f"cannot read config {source!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # a syntax error, bytes that are not UTF-8, nesting too deep for the
+    # parser, or an integer too long to convert
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"config {source!r} is not valid JSON: {exc}") from exc
     return config_from_dict(data)
 

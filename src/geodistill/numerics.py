@@ -8,10 +8,15 @@ bit-identical.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import math
+import numbers
 import os
+import sys
+import typing
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, Optional, TextIO
+from typing import Any, Callable, Dict, Iterator, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -34,6 +39,71 @@ def check_finite(arr: np.ndarray, what: str = "tensor") -> np.ndarray:
 def check_reduction(reduction: str) -> None:
     if reduction not in LOSS_REDUCTIONS:
         raise ConfigError(f"unknown loss reduction {reduction!r}")
+
+
+def _is(value, kind) -> bool:
+    """Whether ``value`` is of config kind ``kind``: a class, or a tuple
+    of kinds for a tuple of that many entries.  A number is never a bool
+    and a real one is finite (not NaN, infinite or an integer too large
+    for a float)."""
+    if isinstance(kind, tuple):
+        return isinstance(value, tuple) and len(value) == len(kind) and all(map(_is, value, kind))
+    if kind in (numbers.Real, numbers.Integral) and isinstance(value, bool):
+        return False
+    return isinstance(value, kind) and (kind is not numbers.Real or abs(value) <= sys.float_info.max)
+
+
+def _require(name: str, value, what: str, ok: Optional[Callable[[Any], bool]], kind) -> None:
+    """Raise ConfigError, whose message says ``what`` is accepted, unless
+    ``value`` is a ``kind`` (see ``_is``) and ``ok(value)`` holds if given."""
+    if not _is(value, kind) or (ok is not None and not ok(value)):
+        raise ConfigError(f"{name} must be {what}, got {value!r}")
+
+
+# the kind and its wording of a config value, by its field's annotation;
+# a string field is a choice, whose options say what it may be
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a finite number"),
+          bool: (bool, "true or false"), str: (str, "")}
+
+
+def _ranged(default, what: str, ok: Callable[[Any], bool]):
+    """A config field with a range: ``ok`` accepts a value and ``what``
+    states the range after the kind in error messages.  A ``default`` of
+    ``dataclasses.MISSING`` makes the field required."""
+    return field(default=default, metadata={"range": (what, ok)})
+
+
+def _choice(default: str, options: Tuple[str, ...]):
+    """A string config field that takes one of ``options``."""
+    return _ranged(default, "one of " + ", ".join(map(repr, options)), lambda v: v in options)
+
+
+@functools.lru_cache(maxsize=None)
+def _field_checks(cls) -> Dict[str, Tuple[Any, str, Optional[Callable[[Any], bool]]]]:
+    """``_require``'s (kind, what, ok) for each init field of config class
+    ``cls``: the kind from its annotation (a number, bool or string, a
+    tuple of numbers, or a nested config class), the range from its
+    declaration."""
+    hints = typing.get_type_hints(cls)
+    out = {}
+    for f in filter(lambda f: f.init, dataclasses.fields(cls)):
+        hint = hints[f.name]
+        if typing.get_origin(hint) is tuple:
+            n = len(typing.get_args(hint))
+            kind, noun = (numbers.Real,) * n, f"a list of {n} finite numbers"
+        else:
+            kind, noun = _KINDS.get(hint, (hint, ("an " if hint.__name__[0] in "AEIOU" else "a ") + hint.__name__))
+        what, ok = f.metadata.get("range", ("", None))
+        out[f.name] = (kind, f"{noun} {what}".strip(), ok)
+    return out
+
+
+def _check_fields(where, cls, values: Dict[str, Any]) -> None:
+    """``_require`` the value in ``values`` of each init field of config
+    class ``cls`` (see ``_field_checks``); ``where`` prefixes the field
+    names, or maps each to its config name."""
+    for name, (kind, what, ok) in _field_checks(cls).items():
+        _require(where[name] if isinstance(where, dict) else where + name, values[name], what, ok, kind)
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, List, Optional, TextIO
 import numpy as np
 
 from .bev_distillation import BevFeatureMap
-from .errors import FormatError, GenerationError
+from .errors import ConfigError, ContractError, FormatError, GenerationError
 from .geometry import (
     BevGrid,
     Box3D,
@@ -355,7 +355,10 @@ def read_scene(src) -> SyntheticScene:
         if header != "SCN 1":
             raise FormatError(f"expected 'SCN 1' header, got {header!r}")
         gtoks = _expect(fobj, "grid", 6)
-        grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
+        try:
+            grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
+        except ConfigError as exc:  # a bad grid in a data file is not a config error
+            raise ContractError(str(exc)) from exc
         cameras = []
         for _ in range(_count(fobj, "cameras")):
             ctoks = _expect(fobj, "camera", 7)

@@ -208,11 +208,11 @@ class TestUsageErrors:
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, "24", 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24.7, 24]}, "scene.grid"),
          ("scene", {"grid": [-24.0, 24.0, -24.0, 24.0, 24]}, "scene.grid"),
-         ("scene", {"grid": [24.0, -24.0, -24.0, 24.0, 24, 24]}, "scene.grid: grid extents"),
-         ("bins", {"count": 1}, "bins: need at least 2 depth bins"),
+         ("scene", {"grid": [24.0, -24.0, -24.0, 24.0, 24, 24]}, "scene.grid.x_max must be > x_min (24.0), got -24.0"),
+         ("bins", {"count": 1}, "bins.count must be an integer >= 2, got 1"),
          ("bins", {"d_min": float("nan")}, "bins.d_min"),
          ("bins", {"d_max": "60"}, "bins.d_max"),
-         ("bins", {"d_min": 5.0, "d_max": 2.0}, "bins: require 0 < d_min < d_max"),
+         ("bins", {"d_min": 5.0, "d_max": 2.0}, "bins.d_max must be > d_min (5.0), got 2.0"),
          ("signed_reference_error", "no", "signed_reference_error"),
          ("signed_reference_error", 1, "signed_reference_error"),
          ("scene", {"focal": "70"}, "scene.focal"),
@@ -253,7 +253,24 @@ class TestUsageErrors:
         code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
         assert code == 2
         err = capsys.readouterr().err
-        assert err == "error: bins.count must be an integer, got None\n"
+        assert err == "error: bins.count must be an integer >= 2, got None\n"
+
+    @pytest.mark.parametrize(
+        "content",
+        [b'{"keypoint_g": 6, "loss_reduction": "\xe9"}', b"[" * 100_000 + b"]" * 100_000,
+         b'{"keypoint_g": ' + b"9" * 5000 + b"}"],
+        ids=["not-utf8", "nested-100000", "5000-digits"],
+    )
+    def test_undecodable_config_file_is_config_error(self, tmp_path, capsys, content):
+        """A config file that is not UTF-8, nests arrays deeper than the
+        parser goes, or holds an integer too long to convert exits 2 with
+        the one-line invalid-JSON error, not a traceback."""
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        code = main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {str(path)!r} is not valid JSON: ") and err.count("\n") == 1
 
     def test_non_finite_value_in_a_loss_is_one_line_error(self, small_cfg, tmp_path, capsys, monkeypatch):
         """A NaN that enters after the config is read, here in the teacher

@@ -85,11 +85,11 @@ class TestDepthBins:
         assert np.allclose(ratios, ratios[0], rtol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             DepthBins(count=1)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             DepthBins(count=4, d_min=-1.0)
-        with pytest.raises(ContractError):
+        with pytest.raises(ConfigError):
             DepthBins(count=4, d_min=5.0, d_max=2.0)
         with pytest.raises(ConfigError):
             DepthBins(count=4, mode="nope")

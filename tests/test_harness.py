@@ -1,6 +1,7 @@
 """Config plumbing, loss composition, run reports, gradcheck, and the toy
 trainer."""
 
+import ast
 import dataclasses
 import json
 import math
@@ -46,6 +47,7 @@ from geodistill import (
 from geodistill.depth_supervision import (
     REFERENCE_STRATEGIES,
     DepthBins,
+    ReferenceSelection,
     bce_rows,
     expected_depths,
     relative_residual,
@@ -139,7 +141,10 @@ STRING_CHOICES = (
 )
 DEFAULT_ECHO = config_to_dict(default_config())
 # each section's keys, from its dataclass
-SECTION_CLASSES = {"scene": SceneConfig, "bins": DepthBins, **harness._SECTIONS}
+SECTION_CLASSES = {
+    "scene": SceneConfig, "bins": DepthBins,
+    "weights": LossWeights, "optimizer": OptimizerConfig, "gradcheck": GradcheckConfig,
+}
 
 
 def values_near(default):
@@ -184,6 +189,32 @@ def config_dicts(draw):
     return d
 
 
+# the config name of each config class's fields: a prefix, or a map
+CONFIG_NAMES = {
+    SceneConfig: "scene.", BevGrid: "scene.grid.", DepthBins: "bins.",
+    ReferenceSelection: {"strategy": "reference_strategy", "signed_reference_error": "signed_reference_error"},
+    LossWeights: "weights.", OptimizerConfig: "optimizer.", GradcheckConfig: "gradcheck.", HarnessConfig: "",
+}
+# valid values of the required fields
+REQUIRED = {BevGrid: dict(x_min=-24.0, x_max=24.0, y_min=-24.0, y_max=24.0, h_bev=64, w_bev=64), DepthBins: dict(count=16)}
+
+
+def wrong_kind_cases():
+    """(class, field, value, config name) for every init field of every
+    config class, with None, a numeric string unless the field is a
+    string, a float for an integer, an integer for a bool, and a short
+    tuple or one of strings for a tuple."""
+    extra = {"str": [], "int": [2.5], "bool": [1], "Tuple[float, float]": [(1.0,), ("a", "b")]}
+    cases = []
+    for cls, where in CONFIG_NAMES.items():
+        for f in dataclasses.fields(cls):
+            if f.init:
+                name = where[f.name] if isinstance(where, dict) else where + f.name
+                values = [None] + ["1.5"] * (f.type != "str") + extra.get(f.type, [])
+                cases += [pytest.param(cls, f.name, v, name, id=f"{name}={v!r}") for v in values]
+    return cases
+
+
 class TestConfigDicts:
     @settings(max_examples=150, deadline=None)
     @given(d=config_dicts())
@@ -218,7 +249,8 @@ class TestConfigDicts:
             for i in range(4 if name == "grid" else 2):
                 value = list(DEFAULT_ECHO["scene"][name])
                 value[i] = huge
-                cases.append(({"scene": {name: value}}, f"scene.{name}"))
+                where = f"scene.grid.{dataclasses.fields(BevGrid)[i].name}" if name == "grid" else f"scene.{name}"
+                cases.append(({"scene": {name: value}}, where))
         assert len(cases) > 30
         for d, name in cases:
             with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be"):
@@ -269,22 +301,43 @@ class TestConfigDicts:
         with pytest.raises(ConfigError, match=rf"^scene\.{field} must be "):
             SceneConfig(**{field: value})
 
+    @pytest.mark.parametrize("cls, field, value, name", wrong_kind_cases())
+    def test_config_built_in_code_checks_every_field(self, cls, field, value, name):
+        """A config object made in code rejects a value of the wrong kind
+        in any field, nested sections and tuples included, with a
+        ConfigError that starts with the field's config name."""
+        with pytest.raises(ConfigError, match=rf"^{re.escape(name)} must be "):
+            cls(**dict(REQUIRED.get(cls, {}), **{field: value}))
+
     def test_every_declared_range_matches_its_check(self):
         """The range text of each ``_ranged`` field, ``>= x``, ``> x`` or
         ``in`` an interval, states what its predicate does: an inclusive
         bound is accepted and the next float outside it rejected; an
-        exclusive bound is rejected and the next float inside it accepted."""
+        exclusive bound is rejected and the next float inside it accepted.
+        A ``_choice`` field's text, ``one of`` its options, accepts every
+        option it lists and no other string."""
         def number(text):
             base, _, exponent = text.partition("**")
             return float(base) ** int(exponent) if exponent else float(text)
 
         ranged = [
             (f"{cls.__name__}.{f.name}", *f.metadata["range"])
-            for cls in (HarnessConfig, *SECTION_CLASSES.values())
+            for cls in (HarnessConfig, *SECTION_CLASSES.values(), BevGrid, ReferenceSelection)
             for f in dataclasses.fields(cls) if "range" in f.metadata
         ]
-        assert len(ranged) > 30 and any(name.startswith("SceneConfig.") for name, _, _ in ranged)
+        names = {name for name, _, _ in ranged}
+        assert len(ranged) > 30 and any(name.startswith("SceneConfig.") for name in names)
+        assert {
+            "DepthBins.count", "DepthBins.mode", "DepthBins.d_min", "BevGrid.h_bev", "BevGrid.w_bev",
+            "ReferenceSelection.strategy", "HarnessConfig.loss_reduction", "HarnessConfig.gram_normalization",
+        } <= names
         for name, what, ok in ranged:
+            choice = re.fullmatch(r"one of (.+)", what)
+            if choice:
+                options = ast.literal_eval(f"({choice[1]},)")
+                assert len(options) >= 2 and all(isinstance(o, str) and ok(o) for o in options), (name, what)
+                assert not ok("".join(options)) and not ok(options[0].upper()), (name, what)
+                continue
             interval = re.fullmatch(r"in ([\[(])(\S+), (\S+)([\])])", what)
             if interval:
                 bounds = [(number(interval[2]), interval[1] == "[", -math.inf),
