@@ -55,7 +55,6 @@ class KeypointSet:
     than half a cell beyond the outermost cell centers); sampling then
     border-clamps."""
 
-    target_index: int
     points: np.ndarray
     g: int
     clipped: bool = False
@@ -108,7 +107,7 @@ def sample_keypoints(box: Box3D, grid: BevGrid, g: int = 6, enlarge: float = 1.2
         or np.any(pts[:, 1] < -0.5)
         or np.any(pts[:, 1] > grid.w_bev - 0.5)
     )
-    return KeypointSet(target_index=-1, points=pts, g=g, clipped=clipped)
+    return KeypointSet(points=pts, g=g, clipped=clipped)
 
 
 def _feat_data(feat) -> np.ndarray:
@@ -357,18 +356,6 @@ def inter_keypoint_loss(
     return _gram_loss(targets, "keypoint", normalization, loss_reduction)
 
 
-def keypoint_sets_for_boxes(
-    boxes: List[Box3D], grid: BevGrid, g: int = 6, enlarge: float = 1.25
-) -> List[KeypointSet]:
-    """Keypoint lattices for a list of targets, in input order."""
-    out = []
-    for j, box in enumerate(boxes):
-        kp = sample_keypoints(box, grid, g=g, enlarge=enlarge)
-        kp.target_index = j
-        out.append(kp)
-    return out
-
-
 @dataclass
 class DistillPlan:
     """The student-independent half of one scene's BEV distillation.
@@ -453,8 +440,8 @@ def build_distill_plan(
     live cells."""
     _check_norm(normalization)
     check_finite(teacher_bev.data, "teacher BEV features")
-    lattices = keypoint_sets_for_boxes(boxes, teacher_bev.grid, g=g, enlarge=enlarge)
-    pts = np.array([kp.points for kp in lattices]).reshape(len(lattices), g * g, 2)
+    lattices = [sample_keypoints(box, teacher_bev.grid, g, enlarge).points for box in boxes]
+    pts = np.array(lattices).reshape(len(boxes), g * g, 2)
     cells, weights = _bilinear_corners(pts, *teacher_bev.data.shape[1:])
     live, at = np.unique(cells.ravel(), return_inverse=True)
     at = at.reshape(cells.shape)

@@ -202,7 +202,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            cfg.scene = dataclasses.replace(cfg.scene, seed=args.seed)
+            cfg = dataclasses.replace(cfg, scene=dataclasses.replace(cfg.scene, seed=args.seed))
         try:
             os.makedirs(args.out, exist_ok=True)
         except OSError as exc:

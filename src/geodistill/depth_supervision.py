@@ -39,11 +39,8 @@ REFERENCE_STRATEGIES = (
 
 BIN_MODES = ("uniform", "spacing_increasing")
 
-# the config key of each ReferenceSelection field: both are top-level keys
-REFERENCE_KEYS = {"strategy": "reference_strategy", "signed_reference_error": "signed_reference_error"}
 
-
-@dataclass
+@dataclass(frozen=True)
 class DepthBins:
     """Discretization of the depth range into ``count`` ordered bins.
 
@@ -66,12 +63,10 @@ class DepthBins:
             raise ConfigError(f"bins.d_max must be > d_min ({self.d_min!r}), got {self.d_max!r}")
         half_steps = np.arange(self.count) + 0.5
         if self.mode == "uniform":
-            width = (self.d_max - self.d_min) / self.count
-            self.centers = self.d_min + half_steps * width
+            c = self.d_min + half_steps * ((self.d_max - self.d_min) / self.count)
         else:
-            log_width = np.log(self.d_max / self.d_min) / self.count
-            self.centers = self.d_min * np.exp(half_steps * log_width)
-        c = self.centers
+            c = self.d_min * np.exp(half_steps * (np.log(self.d_max / self.d_min) / self.count))
+        object.__setattr__(self, "centers", c)
         if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0) and self.d_min <= c[0] and c[-1] <= self.d_max):
             lo, hi = float(c[0]), float(c[-1])
             raise ConfigError(f"bins.centers must be finite, increasing and in [d_min, d_max], got {lo!r} to {hi!r}")
@@ -94,19 +89,21 @@ class CategoricalDepthMap:
         return self.logits.shape[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReferenceSelection:
     """How the anchor pixel of each target is chosen.
 
     ``signed_reference_error`` switches the smallest-error strategy from
     argmin of |gt - pred| to argmin of the signed difference gt - pred.
+    A config sets both as its top-level ``reference_strategy`` and
+    ``signed_reference_error`` and builds this as ``HarnessConfig.reference``.
     """
 
     strategy: str = _choice("all_to_adaptive_smallest_error", REFERENCE_STRATEGIES)
     signed_reference_error: bool = False
 
     def __post_init__(self):
-        _check_fields(REFERENCE_KEYS, ReferenceSelection, vars(self))
+        _check_fields("reference.", ReferenceSelection, vars(self))
 
 
 def logit_rows(logits: np.ndarray) -> np.ndarray:

@@ -113,7 +113,7 @@ class Box3D:
         self.yaw = normalize_yaw(float(self.yaw))
 
 
-@dataclass
+@dataclass(frozen=True)
 class BevGrid:
     """World extents and cell counts of the bird's-eye-view feature plane."""
 

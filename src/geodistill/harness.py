@@ -31,7 +31,7 @@ from .bev_distillation import (
 )
 from .depth_supervision import (
     BCE_CLAMP,
-    REFERENCE_KEYS,
+    REFERENCE_STRATEGIES,
     CategoricalDepthMap,
     DepthBins,
     PackedView,
@@ -50,6 +50,7 @@ from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
 from .numerics import (
     LOSS_REDUCTIONS,
+    _QUOTE,
     LossResult,
     _check_fields,
     _choice,
@@ -99,7 +100,8 @@ class SceneConfig:
     Boxes are placed on a ring around the origin between
     ``place_radius_min`` and ``place_radius_max`` with non-overlapping
     footprints; cameras sit near the origin facing outward and jointly
-    cover 360 degrees.
+    cover 360 degrees.  Unlike every other config section it is not
+    frozen, because ``perfbench`` sets ``seed`` in place.
     """
 
     # CounterRng keeps 64 bits of the seed; a wider one would alias another
@@ -143,7 +145,7 @@ class SceneConfig:
             )
 
 
-@dataclass
+@dataclass(frozen=True)
 class LossWeights:
     """Non-negative weights of the four differentiated loss terms."""
 
@@ -156,7 +158,7 @@ class LossWeights:
         _check_fields("weights.", LossWeights, vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class OptimizerConfig:
     """Adam update rule of the toy trainer.
 
@@ -181,7 +183,7 @@ class OptimizerConfig:
         _check_fields("optimizer.", OptimizerConfig, vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class GradcheckConfig:
     instances: int = _ranged(100, ">= 1", lambda v: v >= 1)
     h: float = _ranged(1e-6, "> 0", lambda v: v > 0)
@@ -191,13 +193,14 @@ class GradcheckConfig:
         _check_fields("gradcheck.", GradcheckConfig, vars(self))
 
 
-@dataclass
+@dataclass(frozen=True)
 class HarnessConfig:
     """Everything one run needs; see the README for the JSON schema."""
 
     scene: SceneConfig = field(default_factory=SceneConfig)
     bins: DepthBins = field(default_factory=lambda: DepthBins(112))
-    reference: ReferenceSelection = field(default_factory=ReferenceSelection)
+    reference_strategy: str = _choice(ReferenceSelection.strategy, REFERENCE_STRATEGIES)
+    signed_reference_error: bool = ReferenceSelection.signed_reference_error
     loss_reduction: str = _choice("mean", LOSS_REDUCTIONS)
     keypoint_g: int = _ranged(6, ">= 2", lambda g: g >= 2)
     enlarge: float = _ranged(1.25, ">= 1", lambda e: e >= 1.0)
@@ -210,21 +213,14 @@ class HarnessConfig:
     def __post_init__(self):
         _check_fields("", HarnessConfig, vars(self))
 
+    @functools.cached_property
+    def reference(self) -> ReferenceSelection:
+        """The reference-pixel choice the depth kernels take."""
+        return ReferenceSelection(self.reference_strategy, self.signed_reference_error)
+
 
 def default_config() -> HarnessConfig:
     return HarnessConfig()
-
-
-# the top-level config keys: the reference section's fields stand in for it
-_TOP_KEYS = [f.name for f in dataclasses.fields(HarnessConfig) if f.name != "reference"] + [*REFERENCE_KEYS.values()]
-
-
-def _check_keys(d: Dict, allowed, where: str) -> None:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{where} must be a JSON object, got {d!r}")
-    unknown = sorted(set(d) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {unknown}")
 
 
 def _from_json(cls, d, where: str):
@@ -233,7 +229,11 @@ def _from_json(cls, d, where: str):
     six-entry list and a tuple a list.  A field not given keeps its
     default, and a required one is None, which its check rejects."""
     checks = _field_checks(cls)
-    _check_keys(d, checks, where or "config")
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where or 'config'} must be a JSON object, got {_QUOTE.repr(d)}")
+    unknown = sorted(set(d) - set(checks))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'config'}: {_QUOTE.repr(unknown)}")
     kw = {}
     for f in dataclasses.fields(cls):
         if f.name not in d:
@@ -263,17 +263,12 @@ def _to_json(value):
 def config_from_dict(d: Dict) -> HarnessConfig:
     """Build a config from a parsed JSON object; unknown keys anywhere
     are errors."""
-    _check_keys(d, _TOP_KEYS, "config")
-    top = {key: value for key, value in d.items() if key not in REFERENCE_KEYS.values()}
-    reference = {name: d[key] for name, key in REFERENCE_KEYS.items() if key in d}
-    return _from_json(HarnessConfig, dict(top, reference=reference), "")
+    return _from_json(HarnessConfig, d, "")
 
 
 def config_to_dict(cfg: HarnessConfig) -> Dict:
     """Config echo in the same shape config_from_dict accepts."""
-    out = _to_json(cfg)
-    out.update((REFERENCE_KEYS[name], value) for name, value in out.pop("reference").items())
-    return out
+    return _to_json(cfg)
 
 
 def load_config(source: str) -> HarnessConfig:

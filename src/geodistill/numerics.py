@@ -13,6 +13,7 @@ import functools
 import math
 import numbers
 import os
+import reprlib
 import sys
 import typing
 from dataclasses import dataclass, field
@@ -53,11 +54,19 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is not numbers.Real or abs(value) <= sys.float_info.max)
 
 
+# quotes a bad value in a config error: a long string or number, a long
+# list or a nested one is cut short with "...", so the error stays one
+# short line whatever the value
+_QUOTE = reprlib.Repr()
+_QUOTE.maxlevel, _QUOTE.maxlist, _QUOTE.maxtuple = 1, 8, 8
+_QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 40
+
+
 def _require(name: str, value, what: str, ok: Optional[Callable[[Any], bool]], kind) -> None:
     """Raise ConfigError, whose message says ``what`` is accepted, unless
     ``value`` is a ``kind`` (see ``_is``) and ``ok(value)`` holds if given."""
     if not _is(value, kind) or (ok is not None and not ok(value)):
-        raise ConfigError(f"{name} must be {what}, got {value!r}")
+        raise ConfigError(f"{name} must be {what}, got {_QUOTE.repr(value)}")
 
 
 # the kind and its wording of a config value, by its field's annotation;
@@ -98,12 +107,12 @@ def _field_checks(cls) -> Dict[str, Tuple[Any, str, Optional[Callable[[Any], boo
     return out
 
 
-def _check_fields(where, cls, values: Dict[str, Any]) -> None:
+def _check_fields(where: str, cls, values: Dict[str, Any]) -> None:
     """``_require`` the value in ``values`` of each init field of config
     class ``cls`` (see ``_field_checks``); ``where`` prefixes the field
-    names, or maps each to its config name."""
+    names."""
     for name, (kind, what, ok) in _field_checks(cls).items():
-        _require(where[name] if isinstance(where, dict) else where + name, values[name], what, ok, kind)
+        _require(where + name, values[name], what, ok, kind)
 
 
 @dataclass

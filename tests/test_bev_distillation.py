@@ -28,7 +28,6 @@ from geodistill import (
     inter_channel_loss,
     inter_keypoint_gram,
     inter_keypoint_loss,
-    keypoint_sets_for_boxes,
     points_in_box,
     sample_keypoints,
 )
@@ -141,15 +140,21 @@ class TestSampleKeypoints:
         with pytest.raises(ValueError):
             sample_keypoints(box, GRID5, g=1)
         with pytest.raises(ContractError):
-            KeypointSet(target_index=0, points=np.zeros((3, 2)), g=2)
+            KeypointSet(points=np.zeros((3, 2)), g=2)
 
-    def test_target_indices_follow_input_order(self):
+    def test_plan_targets_follow_input_order(self):
+        """The plan stacks one lattice per box in input order: its target j
+        holds the teacher sampled at box j's keypoints, either way round."""
         boxes = [
             Box3D(center=[0.0, 0.0, 0.0], size=[1.0, 1.0, 1.0], yaw=0.0),
             Box3D(center=[1.0, 1.0, 0.0], size=[1.0, 2.0, 1.0], yaw=0.4),
         ]
-        sets = keypoint_sets_for_boxes(boxes, GRID5, g=2)
-        assert [kp.target_index for kp in sets] == [0, 1]
+        teacher = BevFeatureMap(CounterRng(3).normal((2, 5, 5)), GRID5)
+        for order in (boxes, boxes[::-1]):
+            plan = build_distill_plan(teacher, order, 2)
+            for j, box in enumerate(order):
+                want = bilinear_sample(teacher, sample_keypoints(box, GRID5, g=2))
+                assert plan.teacher[j].tobytes() == want.tobytes()
 
 
 class TestBilinearSample:
@@ -732,8 +737,8 @@ class TestLiveCellPacking:
         block = plan.pack(student)
         assert block.shape == (channels, plan.live.size)
         got = plan.sample(block)
-        for j, kp in enumerate(keypoint_sets_for_boxes(boxes, GRID6, g=g)):
-            assert got[j].tobytes() == bilinear_sample(student, kp).tobytes()
+        for j, box in enumerate(boxes):
+            assert got[j].tobytes() == bilinear_sample(student, sample_keypoints(box, GRID6, g=g)).tobytes()
         unpacked = plan.unpack(block)
         flat = unpacked.reshape(channels, -1)
         assert flat[:, plan.live].tobytes() == block.tobytes()

@@ -256,6 +256,27 @@ class TestUsageErrors:
         assert err == "error: bins.count must be an integer >= 2, got None\n"
 
     @pytest.mark.parametrize(
+        "text, fragment",
+        [('{"keypoint_g": ' + "[" * 400 + "]" * 400 + "}", "keypoint_g must be an integer >= 2, got [[...]]"),
+         ('{"scene": "' + "s" * 5000 + '"}', "scene must be a JSON object, got 'sss"),
+         ('{"' + "k" * 3000 + '": 1}', "unknown keys in config: ['kkk"),
+         ('{"scene": {"seed": -1}}', "scene.seed must be an integer in [0, 2**64), got -1\n"),
+         ('{"keypoint_g": 2.5}', "keypoint_g must be an integer >= 2, got 2.5\n"),
+         ('{"loss_reduction": "max"}', "loss_reduction must be one of 'mean', 'sum', got 'max'\n"),
+         ('{"scene": {"length_range": [5.5, 3.8]}}', "got [5.5, 3.8]\n")],
+        ids=["nested-400", "long-section", "long-key", "seed", "float", "string", "list"],
+    )
+    def test_quoted_value_is_bounded(self, tmp_path, capsys, text, fragment):
+        """A config error quotes the bad value in one line of at most 200
+        characters: a deep nesting, a long string or a long unknown key is
+        cut short, and an ordinary value is quoted whole."""
+        path = tmp_path / "config.json"
+        path.write_text(text)
+        assert main(["eval-losses", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 201 and fragment in err
+
+    @pytest.mark.parametrize(
         "content",
         [b'{"keypoint_g": 6, "loss_reduction": "\xe9"}', b"[" * 100_000 + b"]" * 100_000,
          b'{"keypoint_g": ' + b"9" * 5000 + b"}"],

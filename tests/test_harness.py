@@ -7,6 +7,7 @@ import json
 import math
 import pathlib
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -77,8 +78,7 @@ BEV_HEAVY = {
 
 def small_harness_config(**optimizer_overrides):
     """Scene and bins small enough for sub-second end-to-end runs."""
-    cfg = default_config()
-    cfg.scene = SceneConfig(
+    scene = SceneConfig(
         seed=5,
         num_boxes=2,
         num_cameras=2,
@@ -90,11 +90,8 @@ def small_harness_config(**optimizer_overrides):
         image_height=32,
         focal=40.0,
     )
-    cfg.bins = DepthBins(16)
-    cfg.keypoint_g = 3
-    if optimizer_overrides:
-        cfg.optimizer = OptimizerConfig(**optimizer_overrides)
-    return cfg
+    optimizer = OptimizerConfig(**optimizer_overrides)
+    return HarnessConfig(scene=scene, bins=DepthBins(16), keypoint_g=3, optimizer=optimizer)
 
 
 # a valid value other than the default of each string config key
@@ -180,7 +177,7 @@ def config_dicts(draw):
             out[draw(st.text(max_size=4))] = draw(ANY_VALUE)
         return out
 
-    plain = [key for key in harness._TOP_KEYS if key not in SECTION_CLASSES]
+    plain = [f.name for f in dataclasses.fields(HarnessConfig) if f.name not in SECTION_CLASSES]
     d = some(plain, DEFAULT_ECHO)
     for key, cls in SECTION_CLASSES.items():
         if draw(st.booleans()):
@@ -189,10 +186,9 @@ def config_dicts(draw):
     return d
 
 
-# the config name of each config class's fields: a prefix, or a map
+# the prefix of each config class's field names in its errors
 CONFIG_NAMES = {
-    SceneConfig: "scene.", BevGrid: "scene.grid.", DepthBins: "bins.",
-    ReferenceSelection: {"strategy": "reference_strategy", "signed_reference_error": "signed_reference_error"},
+    SceneConfig: "scene.", BevGrid: "scene.grid.", DepthBins: "bins.", ReferenceSelection: "reference.",
     LossWeights: "weights.", OptimizerConfig: "optimizer.", GradcheckConfig: "gradcheck.", HarnessConfig: "",
 }
 # valid values of the required fields
@@ -209,7 +205,7 @@ def wrong_kind_cases():
     for cls, where in CONFIG_NAMES.items():
         for f in dataclasses.fields(cls):
             if f.init:
-                name = where[f.name] if isinstance(where, dict) else where + f.name
+                name = where + f.name
                 values = [None] + ["1.5"] * (f.type != "str") + extra.get(f.type, [])
                 cases += [pytest.param(cls, f.name, v, name, id=f"{name}={v!r}") for v in values]
     return cases
@@ -275,8 +271,7 @@ class TestConfigDicts:
         ):
             assert list(d[key]) == [f.name for f in dataclasses.fields(cls)]
             assert all(d[key][name] != value for name, value in default[key].items())
-        plain = {f.name for f in dataclasses.fields(HarnessConfig)} - {"reference"}
-        assert plain | {"reference_strategy", "signed_reference_error"} == set(d)
+        assert list(d) == [f.name for f in dataclasses.fields(HarnessConfig)]
 
     def test_readme_defaults_block_is_the_default_echo(self):
         """README's jsonc defaults block, without its // comments, is the
@@ -420,6 +415,48 @@ class TestConfigDicts:
         assert cfg.reference.strategy == "all_to_adaptive_smallest_error"
 
 
+def section_classes(cls):
+    """``cls`` and every config class nested in its fields."""
+    hints = typing.get_type_hints(cls)
+    nested = [hints[f.name] for f in dataclasses.fields(cls) if dataclasses.is_dataclass(hints[f.name])]
+    return [cls] + [c for n in nested for c in section_classes(n)]
+
+
+class TestFrozenConfig:
+    """A config changes only through a constructor, which checks it; the
+    scene section alone stays mutable, because ``perfbench`` sets its
+    seed in place."""
+
+    def test_every_section_but_scene_is_frozen(self):
+        classes = section_classes(HarnessConfig)
+        assert set(classes) == {HarnessConfig, *SECTION_CLASSES.values(), BevGrid}
+        for cls in classes + [ReferenceSelection]:
+            assert cls.__dataclass_params__.frozen is (cls is not SceneConfig), cls
+
+    def test_assignment_raises_and_construction_checks(self):
+        cfg = default_config()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.bins.count = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.reference_strategy = "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.reference.strategy = "x"
+        with pytest.raises(ConfigError, match=r"^reference_strategy must be one of 'all_to_adaptive_smallest_error', "):
+            HarnessConfig(reference_strategy="x")
+        cfg.scene.seed = 7
+        assert config_to_dict(cfg)["scene"]["seed"] == 7
+
+    def test_reference_is_built_once_from_the_top_level_fields(self):
+        """``reference`` is the kernels' ReferenceSelection of the two
+        top-level fields, built once per config; a replaced config builds
+        its own."""
+        cfg = HarnessConfig(reference_strategy="one_to_one", signed_reference_error=True)
+        assert cfg.reference == ReferenceSelection("one_to_one", True) and cfg.reference is cfg.reference
+        assert HarnessConfig().reference == ReferenceSelection()
+        other = dataclasses.replace(cfg, reference_strategy="all_to_certain_2d_center")
+        assert other.reference == ReferenceSelection("all_to_certain_2d_center", True)
+
+
 class TestTotalLoss:
     """The total loss as SceneProblem.evaluate composes it."""
 
@@ -431,9 +468,7 @@ class TestTotalLoss:
     def check_total(self, weights, det):
         """total == det + sum of w_i * component_i in term order, with
         and without a gradient."""
-        cfg = small_harness_config()
-        cfg.weights = weights
-        cfg.external_det_loss = det
+        cfg = dataclasses.replace(small_harness_config(), weights=weights, external_det_loss=det)
         problem, params = self.problem(cfg)
         for grad in (None, np.empty_like(params)):
             res = problem.evaluate(params, grad)
@@ -449,8 +484,7 @@ class TestTotalLoss:
         of each view and four BEV-block entries matches central
         differences of its own total: the weights, their per-view scale
         and the split offsets are composed as the total is."""
-        cfg = small_harness_config()
-        cfg.weights = LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4)
+        cfg = dataclasses.replace(small_harness_config(), weights=LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4))
         problem, params = self.problem(cfg)
         grad = np.empty_like(params)
         problem.evaluate(params, grad)
@@ -472,9 +506,9 @@ class TestTotalLoss:
     def test_parts_compose_to_evaluate(self):
         """The depth part, the BEV part and compose give evaluate's total,
         components and gradient bit for bit, with and without a gradient."""
-        cfg = small_harness_config()
-        cfg.weights = LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4)
-        cfg.external_det_loss = 0.5
+        cfg = dataclasses.replace(
+            small_harness_config(), weights=LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4), external_det_loss=0.5
+        )
         problem, params = self.problem(cfg)
         logits, student = problem.split(params)
         for with_grad in (False, True):
@@ -540,8 +574,7 @@ class TestTotalLoss:
         """No valid pixel in any view and no box: every term is empty and
         the total is the external scalar; one box or one view with valid
         pixels makes the problem non-empty."""
-        cfg = small_harness_config()
-        cfg.external_det_loss = 5.0
+        cfg = dataclasses.replace(small_harness_config(), external_det_loss=5.0)
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         blind = [dataclasses.replace(v, valid=np.zeros_like(v.valid), targets=[]) for v in views]
@@ -575,8 +608,7 @@ class TestTotalLoss:
         and the trainer's call with one give the same bits: every term is
         evaluated, and a weight only scales it."""
         cfg = small_harness_config()
-        cfg.scene.seed = seed
-        cfg.weights = weights
+        cfg = dataclasses.replace(cfg, scene=dataclasses.replace(cfg.scene, seed=seed), weights=weights)
         problem, params = self.problem(cfg)
         grad = np.empty_like(params)
         plain, with_grad = problem.evaluate(params), problem.evaluate(params, grad)
@@ -602,8 +634,7 @@ class TestTotalLoss:
         write a block assigning it: a buffer filled with NaN and one of
         zeros give the same bits, signs of zeros included, also with a
         view that has no valid pixel."""
-        cfg = small_harness_config()
-        cfg.weights = weights
+        cfg = dataclasses.replace(small_harness_config(), weights=weights)
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         views[1] = dataclasses.replace(views[1], valid=np.zeros_like(views[1].valid), targets=[])
@@ -668,8 +699,7 @@ class TestIdentityStudent:
         elif which == "odd-bins-15":
             cfg = config_from_dict({"bins": {"count": 15}})
         else:
-            cfg = config_from_dict(BEV_HEAVY)
-            cfg.scene.seed = 1
+            cfg = config_from_dict(dict(BEV_HEAVY, scene=dict(BEV_HEAVY["scene"], seed=1)))
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
         maps, _, student = random_student_inputs(cfg, scene, views)
@@ -700,12 +730,9 @@ class TestIdentityStudent:
 def layout_config(which):
     """The small config with an even or an odd channel count, or bev-heavy."""
     if which == "bev-heavy":
-        cfg = config_from_dict(BEV_HEAVY)
-        cfg.scene.seed = 1
-        return cfg
+        return config_from_dict(dict(BEV_HEAVY, scene=dict(BEV_HEAVY["scene"], seed=1), optimizer={"max_steps": 3}))
     cfg = small_harness_config(max_steps=3)
-    cfg.scene = dataclasses.replace(cfg.scene, channels=int(which.split("-")[1]))
-    return cfg
+    return dataclasses.replace(cfg, scene=dataclasses.replace(cfg.scene, channels=int(which.split("-")[1])))
 
 
 class TestPackedLayout:
@@ -715,7 +742,6 @@ class TestPackedLayout:
     @pytest.mark.parametrize("which", ["small-4", "small-5", "bev-heavy"])
     def test_vector_and_moments_hold_valid_rows_then_live_cells(self, monkeypatch, which):
         cfg = layout_config(which)
-        cfg.optimizer.max_steps = 3
         scene = generate_scene(cfg.scene)
         problem, params = student_problem(cfg, scene, render_gt_views(scene))
         channels, live = cfg.scene.channels, problem.plan.live.size
@@ -758,7 +784,6 @@ class TestPackedLayout:
         the teacher map's shape, for the dense API and for train-toy; the
         dense student's map is that whole draw, scaled."""
         cfg = layout_config("small-4")
-        cfg.optimizer.max_steps = 3
         scene = generate_scene(cfg.scene)
         shape = scene.teacher_bev.data.shape
         draws = []
@@ -795,8 +820,7 @@ class TestPackedLayout:
 
 class TestRunGradcheck:
     def test_small_run_passes(self):
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 6
+        cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=6))
         report = run_gradcheck(cfg)
         assert report.status == "passed"
         assert report.data["max_rel_error"] <= cfg.gradcheck.fail_threshold
@@ -817,9 +841,7 @@ class TestRunGradcheck:
         ``losses`` are byte-identical for unit weights, for each weight 0
         on its own and for all weights 0."""
         def losses(weights):
-            cfg = small_harness_config()
-            cfg.gradcheck.instances = 2
-            cfg.weights = weights
+            cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=2), weights=weights)
             report = run_gradcheck(cfg)
             assert report.status == "passed"
             return json.dumps(report.data["losses"], sort_keys=True)
@@ -837,8 +859,7 @@ class TestRunGradcheck:
             raise NumericError("overflow")
 
         monkeypatch.setattr(harness, "finite_difference_gradient", overflow)
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 3
+        cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=3))
         report = run_gradcheck(cfg)
         for entry in report.data["losses"].values():
             assert entry["overflow"] == 3 and entry["instances"] == 0
@@ -850,8 +871,7 @@ class TestRunGradcheck:
         instance, checks none and fails."""
         instance = harness._Instance
         monkeypatch.setattr(harness, "_Instance", lambda **kw: instance(**dict(kw, tie_adjacent=True)))
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 2
+        cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=2))
         report = run_gradcheck(cfg)
         for entry in report.data["losses"].values():
             assert entry["excluded_tie_adjacent"] == 20 and entry["instances"] == 0
@@ -956,8 +976,7 @@ class TestStackedFiniteDifferences:
             return grad
 
         monkeypatch.setattr(harness, "finite_difference_gradient", counting)
-        cfg = small_harness_config()
-        cfg.gradcheck.instances = 3
+        cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=3))
         losses = run_gradcheck(cfg).data["losses"]
         assert all(entry["instances"] == 3 and entry["overflow"] == 0 for entry in losses.values())
         assert len(shapes) == 3 * len(losses) == 15
@@ -985,7 +1004,7 @@ class TestRunTrainToy:
         """The trainer's step-0 series entries equal, bit for bit, every
         component of evaluate_scene_losses and of eval-losses' value-only
         call on the same freshly built student."""
-        cfg.optimizer = OptimizerConfig(max_steps=1)
+        cfg = dataclasses.replace(cfg, optimizer=OptimizerConfig(max_steps=1))
         series = run_train_toy(cfg).data["loss_series"]
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
@@ -1008,8 +1027,7 @@ class TestRunTrainToy:
         views; step 0 still equals the one-shot evaluations in every
         component, since all of them sum per-view values in camera order.
         At seed 1 any other order differs in the last bit."""
-        cfg = config_from_dict(BEV_HEAVY)
-        cfg.scene.seed = seed
+        cfg = config_from_dict(dict(BEV_HEAVY, scene=dict(BEV_HEAVY["scene"], seed=seed)))
         self.assert_step_zero_matches_evaluation(cfg)
 
     def test_zero_teacher_report_is_strict_json(self, tmp_path):
@@ -1062,8 +1080,9 @@ class TestRunTrainToy:
         monkeypatch.setattr(harness, "DEPTH_FREEZE_FRACTION", 0.95 / (1.0 - 0.99))
         for weights in (LossWeights(), LossWeights(w_ic=0.0, w_ik=0.0)):
             pairs.clear()
-            cfg = small_harness_config(max_steps=6)
-            cfg.gram_normalization, cfg.loss_reduction, cfg.weights = norm, reduction, weights
+            cfg = dataclasses.replace(
+                small_harness_config(max_steps=6), gram_normalization=norm, loss_reduction=reduction, weights=weights
+            )
             report = run_train_toy(cfg)
             assert report.data["steps_run"] == len(pairs)
             if weights.w_ik:
@@ -1078,8 +1097,7 @@ class TestRunTrainToy:
         """With w_ic = w_ik = 0 the BEV terms are still evaluated: each
         BEV series is constant at eval-losses' value of the starting
         student, and the student map never moves from it."""
-        cfg = small_harness_config(max_steps=5)
-        cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=0.0, w_ik=0.0)
+        cfg = dataclasses.replace(small_harness_config(max_steps=5), weights=LossWeights(w_ic=0.0, w_ik=0.0))
         report = run_train_toy(cfg)
         series = report.data["loss_series"]
         path = tmp_path / "config.json"
@@ -1101,9 +1119,9 @@ class TestRunTrainToy:
         bit, a recomputation through the public Gram functions and
         frobenius_sq_distance.  Zero BEV weights keep the student map at
         its starting draw."""
-        cfg = small_harness_config(max_steps=3)
-        cfg.weights = LossWeights(w_a=1.0, w_r=1.0, w_ic=0.0, w_ik=0.0)
-        cfg.gram_normalization = norm
+        cfg = dataclasses.replace(
+            small_harness_config(max_steps=3), weights=LossWeights(w_ic=0.0, w_ik=0.0), gram_normalization=norm
+        )
         entries = run_train_toy(cfg).data["gram_distances"]
         scene = generate_scene(cfg.scene)
         _, _, student = random_student_inputs(cfg, scene, render_gt_views(scene))
@@ -1150,8 +1168,7 @@ class TestRunTrainToy:
         assert len(report.data["valid_pixels_per_view"]) == cfg.scene.num_cameras
 
     def test_external_det_loss_rides_along(self):
-        cfg = small_harness_config(max_steps=1)
-        cfg.external_det_loss = 2.5
+        cfg = dataclasses.replace(small_harness_config(max_steps=1), external_det_loss=2.5)
         report = run_train_toy(cfg)
         cfg2 = small_harness_config(max_steps=1)
         base = run_train_toy(cfg2)
@@ -1244,8 +1261,9 @@ class TestDepthFreeze:
         """With zero BEV weights the BEV block's gradient is exactly zero,
         so the freeze leaves nothing to train: the run stops stationary at
         the freezing step, although the depth gradient is not zero."""
-        cfg = small_harness_config(max_steps=300, target_reduction=0.5)
-        cfg.weights = LossWeights(w_ic=0.0, w_ik=0.0)
+        cfg = dataclasses.replace(
+            small_harness_config(max_steps=300, target_reduction=0.5), weights=LossWeights(w_ic=0.0, w_ik=0.0)
+        )
         report = run_train_toy(cfg)
         assert report.status == "stationary"
         assert report.data["steps_run"] == report.data["depth_frozen_at"] + 1
