@@ -48,7 +48,8 @@ class DepthBins:
     ``spacing_increasing`` does the same in log-depth, so bin width
     grows with distance.  Centers are strictly increasing and lie
     inside [d_min, d_max].  They are derived from the other fields,
-    which alone decide equality.
+    which alone decide equality, and are read-only like the frozen
+    fields.
     """
 
     count: int = _ranged(dataclasses.MISSING, ">= 2", lambda v: v >= 2)
@@ -66,6 +67,7 @@ class DepthBins:
             c = self.d_min + half_steps * ((self.d_max - self.d_min) / self.count)
         else:
             c = self.d_min * np.exp(half_steps * (np.log(self.d_max / self.d_min) / self.count))
+        c.flags.writeable = False
         object.__setattr__(self, "centers", c)
         if not (np.all(np.isfinite(c)) and np.all(np.diff(c) > 0) and self.d_min <= c[0] and c[-1] <= self.d_max):
             lo, hi = float(c[0]), float(c[-1])

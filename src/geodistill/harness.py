@@ -81,12 +81,6 @@ SATURATION_LOGIT = 40.0
 # update takes about twice as long on the default scene.
 ADAM_BLOCK = 32768
 
-# The trainer freezes the depth block once the total is at most this
-# fraction of the bound of the total-loss criterion (see run_train_toy).
-# Below 1, a BEV term that rises again cannot lift the total back over
-# the bound while the depth terms are held.
-DEPTH_FREEZE_FRACTION = 0.8
-
 
 # ---------------------------------------------------------------------------
 # Configuration
@@ -365,9 +359,6 @@ class SceneProblem:
     # and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
     keypoint_norm_sq: np.ndarray = field(repr=False)
-    # the full (C, H, W) BEV map of ``student_problem``'s starting student,
-    # whose live columns start the BEV block; None on a problem built alone
-    start_bev: Optional[np.ndarray] = field(default=None, repr=False)
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
@@ -465,8 +456,9 @@ def student_problem(
     relative residuals vanish exactly), and the teacher's BEV map.  The
     random student is small noise seeded from the scene seed; each
     valid-pixel logit is its entry of the full (D, H, W) normal draw,
-    and its BEV map is one normal draw.  Either student's full BEV map
-    is the problem's ``start_bev``, and its live columns the BEV block."""
+    and each BEV block entry its entry of the full (C, H, W) draw.
+    Either student's BEV block is the live columns of ``_start_bev``'s
+    full map, which is drawn only where it is read."""
     d = cfg.bins.count
     if identity:
         # continuous depth of the saturated one-hot logits of each bin
@@ -476,19 +468,29 @@ def student_problem(
     params = np.zeros(problem.ends[-1])
     logits, bev = problem.split(params)
     if identity:
-        problem.start_bev = scene.teacher_bev.data.copy()
+        bev[...] = problem.plan.pack(scene.teacher_bev.data)
         for rows, view in zip(logits, problem.packed):
             rows[np.arange(view.rows.size), view.gt_bins] = SATURATION_LOGIT
     else:
-        root = CounterRng(cfg.scene.seed).substream("student-init")
-        shape = scene.teacher_bev.data.shape
-        problem.start_bev = cfg.optimizer.init_bev_scale * root.substream("bev").normal(shape)
+        noise = _init_stream(cfg, "bev").normal_columns(scene.teacher_bev.data.shape, problem.plan.live)
+        bev[...] = cfg.optimizer.init_bev_scale * noise
         for rows, view, packed in zip(logits, views, problem.packed):
-            sub = root.substream(f"logits-{view.cam_index}")
-            noise = sub.normal_columns((d,) + view.depth.shape, packed.rows)
-            rows[...] = cfg.optimizer.init_logit_scale * noise.T
-    bev[...] = problem.plan.pack(problem.start_bev)
+            sub = _init_stream(cfg, f"logits-{view.cam_index}")
+            rows[...] = cfg.optimizer.init_logit_scale * sub.normal_columns((d,) + view.depth.shape, packed.rows).T
     return problem, params
+
+
+def _init_stream(cfg: HarnessConfig, label: str) -> CounterRng:
+    """The random student's stream of draws ``label``."""
+    return CounterRng(cfg.scene.seed).substream("student-init").substream(label)
+
+
+def _start_bev(cfg: HarnessConfig, scene: SyntheticScene, identity: bool) -> np.ndarray:
+    """The full (C, H, W) BEV map of ``student_problem``'s starting
+    student: the teacher's map, or one scaled normal draw."""
+    if identity:
+        return scene.teacher_bev.data.copy()
+    return cfg.optimizer.init_bev_scale * _init_stream(cfg, "bev").normal(scene.teacher_bev.data.shape)
 
 
 def _identity_view(view: ViewGroundTruth, at_bin: np.ndarray, bins: DepthBins) -> ViewGroundTruth:
@@ -512,7 +514,7 @@ def _dense_student(cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGr
         CategoricalDepthMap(packed_to_map(rows, p.rows, *v.depth.shape))
         for rows, p, v in zip(logits, problem.packed, problem.views)
     ]
-    return maps, problem.views, BevFeatureMap(data=problem.start_bev, grid=scene.grid)
+    return maps, problem.views, BevFeatureMap(data=_start_bev(cfg, scene, identity), grid=scene.grid)
 
 
 def identity_student_inputs(
@@ -837,14 +839,15 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     an exactly zero gradient of the trained block (nothing left to
     improve), or divergence.
 
-    Once the total is at most ``DEPTH_FREEZE_FRACTION`` of the first
-    criterion's bound, the depth block is frozen: later steps evaluate
-    and update only the BEV block and hold the depth terms' values.  The
-    depth terms read only the logits and Adam is per coordinate, so the
-    BEV block, the status and the step count are those of a run without
-    the freeze.  No update follows the last evaluation, and none touches
-    the depth block after the freeze, so every figure of the report
-    describes the same parameters.
+    The depth block is frozen at the first step whose total meets the
+    first criterion (``total_met_step``): later steps evaluate and update
+    only the BEV block and hold the depth terms' values.  The depth terms
+    read only the logits and Adam is per coordinate, so the BEV block is
+    that of a run without the freeze; so are the status and the step
+    count while the total stays within the criterion's bound.  No update
+    follows the last evaluation, and none touches the depth block after
+    the freeze, so every figure of the report describes the same
+    parameters.
     """
     t0 = time.perf_counter()
     opt = cfg.optimizer
@@ -856,6 +859,10 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     teacher = scene.teacher_bev
     # eval-losses builds the same problem and student, so step-0 losses agree
     problem, params = student_problem(cfg, scene, render_gt_views(scene), identity_init)
+    # the full starting map, for the final BEV distance; drawn before the
+    # loop, its transients reuse memory the steps take later, and drawn at
+    # the end they raise bev-heavy's peak RSS by about 0.4 MB
+    start_bev = _start_bev(cfg, scene, identity_init)
     _, student = problem.split(params)
     grad = np.empty_like(params)
     _, student_grad = problem.split(grad)
@@ -864,8 +871,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     series: Dict[str, List[float]] = {key: [] for key in ("total",) + TERMS}
     status = "max_steps"
     initial: Optional[float] = None
-    total_met_step: Optional[int] = None
-    frozen_at: Optional[int] = None
+    total_met_step: Optional[int] = None  # also the step that froze the depth block
     held: Tuple[float, float] = (0.0, 0.0)  # the depth terms' values once frozen
     trained = slice(0, None)  # the part of the vector that Adam updates
 
@@ -873,7 +879,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # reports it, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(opt.max_steps):
-            if frozen_at is None:
+            if total_met_step is None:
                 res = problem.evaluate(params, grad)
             else:
                 res = problem.compose(held, problem.bev_terms(student, student_grad))
@@ -891,15 +897,13 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             if total <= bound:
                 if total_met_step is None:
                     total_met_step = step
+                    held = (res.components["absolute_depth"], res.components["inner_depth"])
+                    trained = slice(problem.ends[-2], None)
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
                 if _worst_keypoint_rel(problem) <= opt.ik_rel_target:
                     status = "converged"
                     break
-            if frozen_at is None and total <= DEPTH_FREEZE_FRACTION * bound:
-                frozen_at = step
-                held = (res.components["absolute_depth"], res.components["inner_depth"])
-                trained = slice(problem.ends[-2], None)
             if total > opt.divergence_factor * max(initial, 1e-12):
                 status = "diverged"
                 break
@@ -913,7 +917,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 step, lr_at(opt, step), opt, adam_tmp,
             )
         # the full map: the starting map with its live cells trained, in place
-        full = problem.plan.unpack(student, problem.start_bev)
+        full = problem.plan.unpack(student, start_bev)
         map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
         gram_distances = _gram_distance_summary(student, problem.plan)
 
@@ -938,7 +942,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             },
             "valid_pixels_per_view": [p.rows.size for p in problem.packed],
             "total_met_step": total_met_step,
-            "depth_frozen_at": frozen_at,
+            "depth_frozen_at": total_met_step,
         },
     )
     return report

@@ -54,10 +54,18 @@ def _is(value, kind) -> bool:
     return isinstance(value, kind) and (kind is not numbers.Real or abs(value) <= sys.float_info.max)
 
 
+class _Quote(reprlib.Repr):
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # too many digits to convert to a string at all
+            return f"<integer of about {int(math.log10(abs(x))) + 1} digits>"
+
+
 # quotes a bad value in a config error: a long string or number, a long
 # list or a nested one is cut short with "...", so the error stays one
 # short line whatever the value
-_QUOTE = reprlib.Repr()
+_QUOTE = _Quote()
 _QUOTE.maxlevel, _QUOTE.maxlist, _QUOTE.maxtuple = 1, 8, 8
 _QUOTE.maxstring = _QUOTE.maxlong = _QUOTE.maxother = 40
 

@@ -52,13 +52,14 @@ def matmul_loops(a, b) -> List[List[float]]:
 def gram_channel_loops(f) -> np.ndarray:
     """Entry (a, b) sums F[i, a] * F[i, b] over keypoints i."""
     f = np.asarray(f, dtype=float)
-    n, c = f.shape
+    _, c = f.shape
+    rows = f.tolist()
     out = np.zeros((c, c))
     for a in range(c):
         for b in range(c):
             acc = 0.0
-            for i in range(n):
-                acc += float(f[i, a]) * float(f[i, b])
+            for row in rows:
+                acc += row[a] * row[b]
             out[a, b] = acc
     return out
 
@@ -66,13 +67,14 @@ def gram_channel_loops(f) -> np.ndarray:
 def gram_keypoint_loops(f) -> np.ndarray:
     """Entry (p, q) sums F[p, c] * F[q, c] over channels c."""
     f = np.asarray(f, dtype=float)
-    n, c = f.shape
+    n, _ = f.shape
+    rows = f.tolist()
     out = np.zeros((n, n))
     for p in range(n):
         for q in range(n):
             acc = 0.0
-            for ch in range(c):
-                acc += float(f[p, ch]) * float(f[q, ch])
+            for fp, fq in zip(rows[p], rows[q]):
+                acc += fp * fq
             out[p, q] = acc
     return out
 

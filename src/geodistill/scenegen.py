@@ -358,7 +358,7 @@ def read_scene(src) -> SyntheticScene:
         try:
             grid = BevGrid(*_numbers(float, gtoks[:4]), *_numbers(int, gtoks[4:]))
         except ConfigError as exc:  # a bad grid in a data file is not a config error
-            raise ContractError(str(exc)) from exc
+            raise ContractError(f"SCN 'grid' line: {str(exc).removeprefix('scene.grid.')}") from exc
         cameras = []
         for _ in range(_count(fobj, "cameras")):
             ctoks = _expect(fobj, "camera", 7)

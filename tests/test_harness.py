@@ -296,6 +296,15 @@ class TestConfigDicts:
         with pytest.raises(ConfigError, match=rf"^scene\.{field} must be "):
             SceneConfig(**{field: value})
 
+    def test_integer_too_long_to_print_is_quoted_by_its_digits(self):
+        """An integer with more digits than Python converts to a string is
+        a ConfigError quoting its length, not a traceback from quoting it."""
+        for value in (10**5000, -(10**5000), [10**5000]):
+            with pytest.raises(ConfigError) as err:
+                HarnessConfig(enlarge=value)
+            assert "got " in str(err.value) and "<integer of about 5001 digits>" in str(err.value)
+            assert len(str(err.value)) <= 200
+
     @pytest.mark.parametrize("cls, field, value, name", wrong_kind_cases())
     def test_config_built_in_code_checks_every_field(self, cls, field, value, name):
         """A config object made in code rejects a value of the wrong kind
@@ -443,6 +452,9 @@ class TestFrozenConfig:
             cfg.reference.strategy = "x"
         with pytest.raises(ConfigError, match=r"^reference_strategy must be one of 'all_to_adaptive_smallest_error', "):
             HarnessConfig(reference_strategy="x")
+        with pytest.raises(ValueError, match="read-only"):
+            cfg.bins.centers[0] = 99.0
+        assert cfg.bins.centers.tobytes() == DepthBins(112).centers.tobytes()
         cfg.scene.seed = 7
         assert config_to_dict(cfg)["scene"]["seed"] == 7
 
@@ -778,11 +790,12 @@ class TestPackedLayout:
         columns = student.data.reshape(cfg.scene.channels, -1)[:, problem.plan.live]
         assert problem.split(params)[1].tobytes() == np.ascontiguousarray(columns).tobytes()
 
-    @pytest.mark.parametrize("entry", ["random_student_inputs", "run_train_toy"])
+    @pytest.mark.parametrize("entry", ["random_student_inputs", "run_train_toy", "student_problem"])
     def test_starting_map_is_drawn_once(self, monkeypatch, entry):
         """The random student's full starting BEV map is one normal draw of
         the teacher map's shape, for the dense API and for train-toy; the
-        dense student's map is that whole draw, scaled."""
+        dense student's map is that whole draw, scaled.  The scene problem
+        alone draws only the live cells."""
         cfg = layout_config("small-4")
         scene = generate_scene(cfg.scene)
         shape = scene.teacher_bev.data.shape
@@ -800,6 +813,9 @@ class TestPackedLayout:
             monkeypatch.setattr(harness, "generate_scene", lambda _: scene)
             run_train_toy(cfg)
             assert len(draws) == 1
+        elif entry == "student_problem":
+            student_problem(cfg, scene, render_gt_views(scene))
+            assert not draws
         else:
             _, _, student = random_student_inputs(cfg, scene, render_gt_views(scene))
             assert len(draws) == 1
@@ -1064,8 +1080,8 @@ class TestRunTrainToy:
         the freeze included, the keypoint criterion, which reuses the
         step's own per-target Gram sums, is the worst inter_keypoint_rel
         of _gram_distance_summary bit for bit, also with zero BEV
-        weights.  A freeze bound of 95 % of the initial total freezes the
-        depth block within the first steps."""
+        weights.  A total criterion of a 5 % reduction freezes the depth
+        block within the first steps."""
         pairs = []
         bev_terms = SceneProblem.bev_terms
 
@@ -1077,11 +1093,11 @@ class TestRunTrainToy:
             return values
 
         monkeypatch.setattr(SceneProblem, "bev_terms", checked)
-        monkeypatch.setattr(harness, "DEPTH_FREEZE_FRACTION", 0.95 / (1.0 - 0.99))
         for weights in (LossWeights(), LossWeights(w_ic=0.0, w_ik=0.0)):
             pairs.clear()
             cfg = dataclasses.replace(
-                small_harness_config(max_steps=6), gram_normalization=norm, loss_reduction=reduction, weights=weights
+                small_harness_config(max_steps=6, target_reduction=0.05),
+                gram_normalization=norm, loss_reduction=reduction, weights=weights,
             )
             report = run_train_toy(cfg)
             assert report.data["steps_run"] == len(pairs)
@@ -1204,8 +1220,8 @@ class TestUpdateRule:
 
 
 class TestDepthFreeze:
-    """The depth block is frozen once the total is at most
-    DEPTH_FREEZE_FRACTION of the total criterion's bound."""
+    """The depth block is frozen at the first step whose total meets the
+    total criterion, ``total_met_step``."""
 
     @staticmethod
     def traced_run(cfg, monkeypatch):
@@ -1222,6 +1238,39 @@ class TestDepthFreeze:
         monkeypatch.undo()
         return report, made[0]
 
+    @staticmethod
+    def unfrozen_run(cfg):
+        """The trainer's loop with no freeze, replayed from its parts: each
+        step evaluates the whole objective, checks both criteria and
+        updates the whole vector.  Returns the status, each term's series,
+        the step that first met the total criterion, and the final Gram
+        distances and BEV map distance."""
+        opt = cfg.optimizer
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        problem, params = student_problem(cfg, scene, views)
+        _, student = problem.split(params)
+        grad, moment1, moment2 = np.empty_like(params), np.zeros_like(params), np.zeros_like(params)
+        status, met, totals = "max_steps", None, []
+        series = {key: [] for key in TERMS}
+        for step in range(opt.max_steps):
+            res = problem.evaluate(params, grad)
+            totals.append(res.value)
+            for key in TERMS:
+                series[key].append(res.components[key])
+            if res.value <= (1.0 - opt.target_reduction) * totals[0]:
+                met = step if met is None else met
+                if harness._worst_keypoint_rel(problem) <= opt.ik_rel_target:
+                    status = "converged"
+                    break
+            if step + 1 < opt.max_steps:
+                lr = harness.lr_at(opt, step)
+                harness.adam_update(params, grad, moment1, moment2, step, lr, opt, np.empty(harness.ADAM_BLOCK))
+        _, _, start = random_student_inputs(cfg, scene, views)
+        full = problem.plan.unpack(student, start.data)
+        map_dist = math.sqrt(frobenius_sq_distance(full, scene.teacher_bev.data))
+        return status, series, met, harness._gram_distance_summary(student, problem.plan), map_dist
+
     @pytest.mark.parametrize(
         "overrides",
         [
@@ -1231,28 +1280,27 @@ class TestDepthFreeze:
         ids=["converged", "max_steps"],
     )
     def test_freeze_leaves_the_bev_side_unchanged(self, monkeypatch, overrides):
-        """Against the same run with the freeze off: the same status, step
+        """Against the same run with no freeze: the same status, step
         count, Gram and BEV distances and BEV series; constant depth
         series from the freeze on; and a final total that is a fresh
         evaluation of the final parameters, bit for bit."""
         cfg = small_harness_config(**overrides)
         report, (problem, params) = self.traced_run(cfg, monkeypatch)
-        monkeypatch.setattr(harness, "DEPTH_FREEZE_FRACTION", 0.0)
-        free = run_train_toy(cfg)
-        d, f = report.data, free.data
+        status, series, met, gram_distances, map_dist = self.unfrozen_run(cfg)
+        d = report.data
         frozen = d["depth_frozen_at"]
-        assert frozen is not None and f["depth_frozen_at"] is None
-        assert d["total_met_step"] == f["total_met_step"] <= frozen < d["steps_run"] - 1
-        assert (report.status, d["steps_run"]) == (free.status, f["steps_run"])
+        assert frozen is not None and frozen == d["total_met_step"] == met < d["steps_run"] - 1
+        assert (report.status, d["steps_run"]) == (status, len(series["inter_keypoint"]))
         assert report.status == ("converged" if overrides["max_steps"] == 300 else "max_steps")
-        for key in ("gram_distances", "bev_feature_distance"):
-            assert json.dumps(d[key]) == json.dumps(f[key])
+        assert json.dumps(d["gram_distances"]) == json.dumps(gram_distances)
+        assert d["bev_feature_distance"]["frobenius"] == map_dist
         for key in ("inter_channel", "inter_keypoint"):
-            assert d["loss_series"][key] == f["loss_series"][key]
+            assert d["loss_series"][key] == series[key]
         for key in ("absolute_depth", "inner_depth"):
             held = d["loss_series"][key][frozen:]
             assert held == [held[0]] * len(held)
-            assert d["loss_series"][key][:frozen + 1] == f["loss_series"][key][:frozen + 1]
+            assert d["loss_series"][key][:frozen + 1] == series[key][:frozen + 1]
+            assert d["loss_series"][key][frozen + 1:] != series[key][frozen + 1:]
         scene = generate_scene(cfg.scene)
         fresh, _ = student_problem(cfg, scene, render_gt_views(scene))
         assert fresh.evaluate(params).value == d["final_total"] == d["loss_series"]["total"][-1]

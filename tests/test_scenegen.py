@@ -385,11 +385,17 @@ class TestScnFormat:
             read_scene(io.StringIO(text.replace(line, " ".join(toks), 1)))
 
     def test_well_formed_bad_geometry_is_contract_error(self):
-        """A stream that parses but describes an inverted grid keeps
-        raising the grid's ContractError."""
+        """A stream that parses but describes a bad grid raises a
+        ContractError that names the SCN grid line, not a config field."""
         text = scene_string(generate_scene(small_config(num_boxes=1)))
-        with pytest.raises(ContractError):
-            read_scene(io.StringIO(text.replace("grid -24.0 24.0", "grid 24.0 -24.0", 1)))
+        for old, new, message in [
+            ("grid -24.0 24.0", "grid 24.0 -24.0", "x_max must be > x_min (24.0), got -24.0"),
+            (" 32 32\n", " 0 32\n", "h_bev must be an integer >= 1, got 0"),
+        ]:
+            assert text.count(old) == 1
+            with pytest.raises(ContractError) as err:
+                read_scene(io.StringIO(text.replace(old, new, 1)))
+            assert str(err.value) == f"SCN 'grid' line: {message}"
 
 
 @st.composite
