@@ -174,18 +174,6 @@ def bilinear_sample(feat, points) -> np.ndarray:
     return _gather(data.reshape(data.shape[0], -1), cells, weights)
 
 
-def bilinear_sample_backward(feat_shape, points, upstream) -> np.ndarray:
-    """Adjoint of bilinear_sample: scatter-add (N, C) upstream gradients
-    back onto the 4 neighbor cells of each point."""
-    c_dim, h, w = feat_shape
-    pts = _point_array(points)
-    upstream = as_tensor(upstream)
-    if upstream.shape != (pts.shape[0], c_dim):
-        raise ContractError("upstream gradient must be (N, C)")
-    cells, weights = _bilinear_corners(pts, h, w)
-    return _scatter(upstream[None], cells[None], weights[None], h * w).reshape(c_dim, h, w)
-
-
 def _effective_features(f: np.ndarray, normalization: str):
     """Features the Grams are taken of, with the row scale for "l2".
 
@@ -391,10 +379,13 @@ class DistillPlan:
 
     def unpack(self, block: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
         """The (C, H, W) map holding the (C, L) ``block`` at the live
-        cells and, elsewhere, zeros or the C-contiguous map ``base``,
-        which is written in place."""
-        out = np.zeros(self.teacher_bev.data.shape) if base is None else base
-        out.reshape(out.shape[0], -1)[:, self.live] = block
+        cells and, elsewhere, zeros or the (C, H, W) map ``base``, which
+        is written in place whatever its memory order."""
+        shape = self.teacher_bev.data.shape
+        if base is not None and np.shape(base) != shape:
+            raise ContractError(f"unpack base must be {shape}, got {np.shape(base)}")
+        out = np.zeros(shape) if base is None else base
+        out[:, self.live // shape[2], self.live % shape[2]] = block
         return out
 
     def sample(self, block: np.ndarray) -> np.ndarray:

@@ -355,9 +355,13 @@ def relative_depth_rows(
     gradient is added into it, overlapping targets in target order.
     """
     total = 0.0
+    # one (M, D) scratch for every target's products; its leading rows are
+    # C-contiguous, so each row sum rounds as on a fresh array
+    work = np.empty((max((pos.size for _, pos in targets), default=0), probs.shape[-1]))
     for fds, pos in targets:
         p = probs[pos]
-        depths = expected_depths(p, centers)
+        buf = work[: pos.size]
+        depths = np.sum(np.multiply(p, centers, out=buf), axis=-1)
         ref = None
         if sel.strategy != "one_to_one":
             conf = np.max(p, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
@@ -366,38 +370,18 @@ def relative_depth_rows(
         if grad_rows is not None:
             # chain through the softmax expectation d = sum_k p_k c_k; a
             # target's pixels are distinct, so += accumulates like np.add.at
-            grad_rows[pos] += scale * (p * (grad_d[:, None] * (centers - depths[:, None])))
+            np.subtract(centers, depths[:, None], out=buf)
+            buf *= grad_d[:, None]
+            buf *= p
+            buf *= scale
+            grad_rows[pos] += buf
         total += value
     return total
 
 
 # ---------------------------------------------------------------------------
-# Dense (D, H, W) wrappers
+# Dense (D, H, W) wrapper
 # ---------------------------------------------------------------------------
-
-
-def absolute_depth_loss(
-    depthmap: CategoricalDepthMap,
-    gt,
-    valid,
-    bins: DepthBins,
-) -> LossResult:
-    """Dense per-pixel BCE between the categorical map and binned ground
-    truth, averaged over valid pixels; gradient w.r.t. the logits."""
-    if bins.count != depthmap.num_bins:
-        raise ContractError("depth map bin count disagrees with bins")
-    _, h, w = depthmap.logits.shape
-    if np.shape(gt) != (h, w) or np.shape(valid) != (h, w):
-        raise ContractError("gt and valid must both be (H, W)")
-    view = pack_view(gt, valid, bins)
-    if view.rows.size == 0:
-        return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
-    probs = softmax_rows(logit_rows(depthmap.logits)[view.rows])
-    grad_rows = np.empty_like(probs)
-    value = bce_rows(probs, view.gt_bins, grad_rows)
-    n = float(view.rows.size)
-    grad = packed_to_map(grad_rows / n, view.rows, h, w)
-    return LossResult(value / n, grad, components={"valid_pixels": n})
 
 
 def inner_depth_loss(

@@ -235,21 +235,6 @@ def _dedup_min_depth(cols: np.ndarray, rows: np.ndarray, depth: np.ndarray):
     return cols[first], rows[first], depth[first]
 
 
-def foreground_pixel_sets(
-    cam: CameraModel,
-    boxes: List[Box3D],
-    points,
-    cam_index: int = 0,
-) -> List[ForegroundDepthSet]:
-    """Per-box ground-truth depth sets from points contained in each box.
-
-    Output order follows the input box order.  Membership is evaluated
-    per box independently, so a point inside two overlapping boxes
-    contributes to both sets.
-    """
-    return render_view(cam, boxes, points, cam_index=cam_index)[2]
-
-
 def render_view(
     cam: CameraModel,
     boxes: List[Box3D],
@@ -257,8 +242,10 @@ def render_view(
     inside: Optional[List[np.ndarray]] = None,
     cam_index: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray, List[ForegroundDepthSet]]:
-    """``build_gt_depth_map`` and ``foreground_pixel_sets`` of one camera
-    from one projection of the points and the box centers.  ``inside[j]``
+    """``build_gt_depth_map`` of one camera and its per-box foreground
+    sets, in box order, from one projection of the points and the box
+    centers.  Membership is evaluated per box independently, so a point
+    inside two overlapping boxes contributes to both sets.  ``inside[j]``
     is ``points_in_box(boxes[j], points)``; pass it to share it between
     cameras."""
     pts = as_tensor(points).reshape(-1, 3)

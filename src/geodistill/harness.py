@@ -603,7 +603,7 @@ def _absolute_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     analytic = np.empty_like(probs)
     bce_rows(probs, view.gt_bins, analytic)
     n = view.rows.size
-    # the mean BCE over the valid rows, as absolute_depth_loss forms it
+    # the mean BCE over the valid rows, as SceneProblem.depth_terms forms it
     return _Instance(
         values=lambda xs: bce_rows(softmax_rows(xs), view.gt_bins) / n,
         x0=rows, analytic=analytic / n, tie_adjacent=tie,

@@ -227,8 +227,8 @@ def open_text(target, mode: str = "r") -> Iterator[TextIO]:
 def write_tsr(dest, arr) -> None:
     """Write a tensor in TSR v1 format to a path or text file object."""
     arr = as_tensor(arr)
-    if arr.ndim < 1:
-        raise ShapeError("TSR tensors need at least one extent")
+    if arr.ndim < 1 or 0 in arr.shape:
+        raise ShapeError(f"TSR tensors need at least one extent, each positive, got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise FormatError("TSR tensors must be finite")
     rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)

@@ -390,6 +390,8 @@ def read_scene(src) -> SyntheticScene:
             labels.extend(_numbers(int, line.split()))
         if len(labels) != n_points:
             raise FormatError(f"expected {n_points} labels, got {len(labels)}")
+        if labels and not -1 <= min(labels) <= max(labels) < len(boxes):
+            raise FormatError(f"labels must lie in [-1, {len(boxes)})")
         _expect(fobj, "end", 0)
     return SyntheticScene(
         grid=grid,

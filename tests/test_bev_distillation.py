@@ -20,7 +20,6 @@ from geodistill import (
     bev_distill_loss,
     bev_distill_terms,
     bilinear_sample,
-    bilinear_sample_backward,
     build_distill_plan,
     enlarge_box_bev,
     finite_difference_gradient,
@@ -31,7 +30,7 @@ from geodistill import (
     points_in_box,
     sample_keypoints,
 )
-from geodistill.bev_distillation import _gram_losses, _scatter
+from geodistill.bev_distillation import _bilinear_corners, _gram_losses, _scatter
 from geodistill.oracles import bilinear_scalar, gram_channel_loops, gram_keypoint_loops
 from geodistill.rng import CounterRng
 
@@ -60,6 +59,14 @@ def add_at_scatter(shape, cells, weights, upstream):
     out = np.zeros((h * w, c))
     np.add.at(out, cells.ravel(), (weights[..., None] * upstream[:, None]).reshape(-1, c))
     return np.ascontiguousarray(out.T.reshape(c, h, w))
+
+
+def scatter_map(shape, points, upstream):
+    """(C, H, W) adjoint of ``bilinear_sample`` at (N, 2) points: the
+    product's corners and its ``_scatter`` over every cell of the grid."""
+    c, h, w = shape
+    cells, weights = _bilinear_corners(points, h, w)
+    return _scatter(upstream[None], cells[None], weights[None], h * w).reshape(c, h, w)
 
 
 def random_orthogonal(rng, n):
@@ -196,7 +203,7 @@ class TestBilinearSample:
             pts = np.column_stack([sub.uniform(6, -0.8, 4.8), sub.uniform(6, -0.8, 3.8)])
             up = sub.normal((6, 3))
             lhs = float(np.sum(bilinear_sample(data, pts) * up))
-            rhs = float(np.sum(data * bilinear_sample_backward(data.shape, pts, up)))
+            rhs = float(np.sum(data * scatter_map(data.shape, pts, up)))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     def test_backward_equals_add_at_loop_bitwise(self):
@@ -212,7 +219,7 @@ class TestBilinearSample:
             up = sub.normal((9, c))
             cells, weights = hand_corners(pts, h, w)
             want = add_at_scatter((c, h, w), cells[None], weights[None], up[None])
-            got = bilinear_sample_backward((c, h, w), pts, up)
+            got = scatter_map((c, h, w), pts, up)
             assert np.ascontiguousarray(got).tobytes() == want.tobytes()
 
     @settings(max_examples=200, deadline=None)
@@ -228,22 +235,19 @@ class TestBilinearSample:
         feat = rng.normal((c, h, w))
         up = rng.normal((n, c))
         lhs = float(np.sum(bilinear_sample(feat, pts) * up))
-        rhs = float(np.sum(feat * bilinear_sample_backward(feat.shape, pts, up)))
+        rhs = float(np.sum(feat * scatter_map(feat.shape, pts, up)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_points_rejected(self, value):
-        """Forward and backward sampling raise NumericError on a
-        non-finite point rather than index with its integer cast."""
+        """Sampling and the bilinear corners that the plan's scatter uses
+        raise NumericError on a non-finite point rather than index with
+        its integer cast."""
         pts = np.array([[0.5, 0.5], [1.0, value]])
         with pytest.raises(NumericError, match="sample points"):
             bilinear_sample(np.zeros((2, 3, 3)), pts)
         with pytest.raises(NumericError, match="sample points"):
-            bilinear_sample_backward((2, 3, 3), pts, np.ones((2, 2)))
-
-    def test_backward_shape_contract(self):
-        with pytest.raises(ContractError):
-            bilinear_sample_backward((2, 3, 3), np.zeros((4, 2)), np.zeros((4, 3)))
+            _bilinear_corners(pts, 3, 3)
 
 
 class TestGramMatrices:
@@ -694,7 +698,7 @@ class TestBatchedDistillProperty:
         for box in boxes:
             kp = sample_keypoints(box, GRID6, g=3)
             pair = [TargetKeypointFeatures(bilinear_sample(student, kp), bilinear_sample(teacher, kp))]
-            staged += bilinear_sample_backward(student.data.shape, kp, inter_channel_loss(pair).grad[0])
+            staged += scatter_map(student.data.shape, kp.points, inter_channel_loss(pair).grad[0])
         assert ic.grad.tobytes() == grads[0].tobytes()
         assert ik.grad.tobytes() == grads[1].tobytes()
         assert ic.grad.tobytes() != staged.tobytes()
@@ -753,3 +757,28 @@ class TestLiveCellPacking:
         teacher.data.reshape(3, -1)[1, off] = np.nan
         with pytest.raises(NumericError, match="teacher BEV features"):
             build_distill_plan(teacher, [box], 3)
+
+    def test_unpack_writes_a_base_of_any_memory_order(self):
+        """``unpack`` writes the block into a (C, H, W) base in place,
+        C-ordered, Fortran-ordered or a strided view, and keeps the other
+        cells."""
+        box = Box3D(center=[0.5, -0.3, 0.0], size=[2.0, 2.0, 1.0], yaw=0.0)
+        rng = CounterRng(11)
+        plan = build_distill_plan(BevFeatureMap(rng.normal((3, 6, 6)), GRID6), [box], 3)
+        block = rng.normal((3, plan.live.size))
+        start = rng.normal((3, 6, 6))
+        want = start.copy()
+        want.reshape(3, -1)[:, plan.live] = block
+        strided = np.zeros((3, 6, 12))[:, :, ::2]
+        strided[...] = start
+        for base in (start.copy(), np.asfortranarray(start), strided):
+            assert plan.unpack(block, base) is base
+            assert np.ascontiguousarray(base).tobytes() == want.tobytes()
+
+    def test_unpack_rejects_a_base_of_another_shape(self):
+        box = Box3D(center=[0.5, -0.3, 0.0], size=[2.0, 2.0, 1.0], yaw=0.0)
+        plan = build_distill_plan(BevFeatureMap(np.zeros((3, 6, 6)), GRID6), [box], 3)
+        block = np.ones((3, plan.live.size))
+        for shape in ((3, 6, 5), (3, 36), (2, 6, 6)):
+            with pytest.raises(ContractError, match="unpack base"):
+                plan.unpack(block, np.zeros(shape))

@@ -18,7 +18,6 @@ from geodistill import (
     ForegroundDepthSet,
     ReferenceSelection,
     SkippedTargetError,
-    absolute_depth_loss,
     assign_depth_bins,
     finite_difference_gradient,
     inner_depth_loss,
@@ -31,8 +30,8 @@ from geodistill.depth_supervision import (
     expected_depths,
     logit_rows,
     pack_view,
+    packed_to_map,
     relative_depth_rows,
-    rows_to_map,
 )
 from geodistill.harness import SATURATION_LOGIT
 from geodistill.numerics import LOSS_REDUCTIONS, softmax_rows
@@ -415,33 +414,45 @@ class TestInnerDepthLoss:
         assert float(np.max(np.abs(res.grad - fd))) / denom <= 1e-6
 
 
+def valid_mean_bce(logits, gt, valid, bins):
+    """The trainer's absolute term on a (D, H, W) map with a valid pixel:
+    ``bce_rows`` over the ``pack_view`` rows divided by the valid count,
+    with its logit gradient placed in a zero map; (value, gradient,
+    valid count)."""
+    _, h, w = logits.shape
+    view = pack_view(gt, valid, bins)
+    n = view.rows.size
+    probs = softmax_rows(logit_rows(logits)[view.rows])
+    grad_rows = np.empty_like(probs)
+    value = bce_rows(probs, view.gt_bins, grad_rows, 1.0 / n)
+    return value / n, packed_to_map(grad_rows, view.rows, h, w), n
+
+
 class TestAbsoluteDepthLoss:
     def test_single_pixel_matches_scalar_bce(self):
-        """One pixel, D=2: the library equals the scalar BCE oracle."""
+        """One pixel, D=2: the packed BCE equals the scalar BCE oracle."""
         bins = DepthBins(count=2, d_min=1.0, d_max=5.0)  # centers 2, 4
         logits = np.array([0.7, -0.3]).reshape(2, 1, 1)
-        dm = CategoricalDepthMap(logits)
-        gt = np.array([[3.9]])
-        valid = np.array([[True]])
-        res = absolute_depth_loss(dm, gt, valid, bins)
+        value, _, _ = valid_mean_bce(logits, np.array([[3.9]]), np.array([[True]]), bins)
         probs = softmax_scalar([0.7, -0.3])
-        assert res.value == pytest.approx(bce_scalar(probs, 1), rel=1e-12)
+        assert value == pytest.approx(bce_scalar(probs, 1), rel=1e-12)
 
     def test_mean_over_valid_pixels_only(self):
-        """Invalid pixels contribute nothing; the mean uses the valid count."""
+        """Invalid pixels are not packed and get no gradient; the mean
+        uses the valid count."""
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
         logits = CounterRng(59).normal((3, 2, 2))
-        dm = CategoricalDepthMap(logits)
         gt = np.array([[1.0, 2.0], [3.0, 1.0]])
         valid = np.array([[True, False], [True, False]])
-        res = absolute_depth_loss(dm, gt, valid, bins)
+        value, grad, n = valid_mean_bce(logits, gt, valid, bins)
         per_pixel = []
         for r, c in [(0, 0), (1, 0)]:
             probs = softmax_scalar(list(logits[:, r, c]))
             k = nearest_bin_scan(gt[r, c], list(bins.centers))
             per_pixel.append(bce_scalar(probs, k))
-        assert res.value == pytest.approx(sum(per_pixel) / 2.0, rel=1e-12)
-        assert np.all(res.grad[:, valid == False] == 0.0)  # noqa: E712
+        assert n == 2
+        assert value == pytest.approx(sum(per_pixel) / 2.0, rel=1e-12)
+        assert np.all(grad[:, valid == False] == 0.0)  # noqa: E712
 
     def test_saturated_one_hot_hits_clamp_floor(self):
         """Saturated predictions reach the analytic clamp floor with an
@@ -450,38 +461,41 @@ class TestAbsoluteDepthLoss:
         bins = DepthBins(count=d, d_min=1.0, d_max=11.0)
         logits = np.zeros((d, 1, 1))
         logits[2, 0, 0] = 900.0
-        dm = CategoricalDepthMap(logits)
-        res = absolute_depth_loss(dm, np.array([[bins.centers[2]]]), np.ones((1, 1), bool), bins)
+        value, grad, _ = valid_mean_bce(logits, np.array([[bins.centers[2]]]), np.ones((1, 1), bool), bins)
         floor = -math.log(1.0 - BCE_CLAMP) - (d - 1) * math.log1p(-BCE_CLAMP)
-        assert res.value == pytest.approx(floor, rel=1e-12)
-        assert np.all(res.grad == 0.0)
+        assert value == pytest.approx(floor, rel=1e-12)
+        assert np.all(grad == 0.0)
 
     def test_no_valid_pixels_is_empty(self):
+        """A view without valid pixels packs no rows; their sum is +0.0
+        with an empty gradient."""
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
-        dm = CategoricalDepthMap(np.zeros((3, 2, 2)))
-        res = absolute_depth_loss(dm, np.ones((2, 2)), np.zeros((2, 2), bool), bins)
-        assert res.empty and res.value == 0.0
+        view = pack_view(np.ones((2, 2)), np.zeros((2, 2), bool), bins)
+        assert view.rows.size == 0 and view.gt_bins.size == 0
+        grad_rows = np.empty((0, 3))
+        value = bce_rows(np.empty((0, 3)), view.gt_bins, grad_rows)
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
     def test_rejects_nonpositive_gt(self):
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
-        dm = CategoricalDepthMap(np.zeros((3, 1, 1)))
         with pytest.raises(ContractError):
-            absolute_depth_loss(dm, np.array([[0.0]]), np.ones((1, 1), bool), bins)
+            pack_view(np.array([[0.0]]), np.ones((1, 1), bool), bins)
 
     def test_gradient_matches_finite_differences(self):
+        """Through packing, the scaled gradient is the mean's gradient
+        with respect to the whole (D, H, W) map."""
         bins = DepthBins(count=4, d_min=1.0, d_max=9.0)
         logits = 2.0 * CounterRng(61).normal((4, 2, 3))
         gt = CounterRng(67).uniform((2, 3), 1.5, 8.5)
         valid = np.array([[True, True, False], [True, False, True]])
-        dm = CategoricalDepthMap(logits)
-        res = absolute_depth_loss(dm, gt, valid, bins)
+        _, grad, _ = valid_mean_bce(logits, gt, valid, bins)
 
         def f(xs):
-            return [absolute_depth_loss(CategoricalDepthMap(x), gt, valid, bins).value for x in xs]
+            return [valid_mean_bce(x, gt, valid, bins)[0] for x in xs]
 
         fd = finite_difference_gradient(f, logits)
         denom = max(float(np.max(np.abs(fd))), 1e-10)
-        assert float(np.max(np.abs(res.grad - fd))) / denom <= 1e-6
+        assert float(np.max(np.abs(grad - fd))) / denom <= 1e-6
 
 
 @st.composite
@@ -522,39 +536,25 @@ class TestPackedEngine:
         reduction=st.sampled_from(LOSS_REDUCTIONS),
         signed=st.booleans(),
     )
-    def test_dense_wrappers_equal_scattered_engine(self, scene, strategy, reduction, signed):
-        """Both dense losses equal the packed engine run once over the
-        view's valid rows and scattered back, values and gradients bit
-        for bit; the engine's value-only calls give the same values."""
+    def test_dense_inner_loss_equals_scattered_engine(self, scene, strategy, reduction, signed):
+        """The dense inner-depth loss equals the packed engine run once
+        over the view's valid rows and scattered back, value and gradient
+        bit for bit; the engine's value-only calls give the same values."""
         logits, valid, gt, targets = scene
         d, h, w = logits.shape
         bins = DepthBins(count=d, d_min=0.5, d_max=12.0)
         sel = ReferenceSelection(strategy, signed_reference_error=signed)
         dm = CategoricalDepthMap(logits)
-        dense_a = absolute_depth_loss(dm, gt, valid, bins)
         dense_r = inner_depth_loss(targets, dm, bins, sel, reduction)
 
         view = pack_view(gt, valid, bins, targets)
-        n = view.rows.size
         probs = softmax_rows(logit_rows(logits)[view.rows])
-        bce_grad = np.zeros_like(probs)
-        bce_sum = bce_rows(probs, view.gt_bins, bce_grad)
-        assert bce_rows(probs, view.gt_bins) == bce_sum
         grad_rows = np.zeros_like(probs)
         inner = relative_depth_rows(probs, view.targets, bins.centers, sel, reduction, grad_rows)
         assert relative_depth_rows(probs, view.targets, bins.centers, sel, reduction) == inner
-        a_grad = np.zeros((h * w, d))
-        r_grad = np.zeros((h * w, d))
-        if n:
-            a_grad[view.rows] = bce_grad / n
-            r_grad[view.rows] = grad_rows
-            assert dense_a.value == bce_sum / n
-        else:
-            assert dense_a.empty and dense_a.value == 0.0
-        assert np.array_equal(dense_a.grad, rows_to_map(a_grad, h, w))
         assert dense_r.value == inner
         assert dense_r.empty == (not view.targets)
-        assert np.array_equal(dense_r.grad, rows_to_map(r_grad, h, w))
+        assert np.array_equal(dense_r.grad, packed_to_map(grad_rows, view.rows, h, w))
 
 
 def clip_and_mask_bce(probs, gt_bins, grad_rows, scale):

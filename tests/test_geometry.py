@@ -16,7 +16,6 @@ from geodistill import (
     bev_to_world,
     build_gt_depth_map,
     enlarge_box_bev,
-    foreground_pixel_sets,
     normalize_yaw,
     points_in_box,
     project_points,
@@ -24,6 +23,7 @@ from geodistill import (
     unproject_pixel,
     world_to_bev,
 )
+from geodistill.geometry import render_view
 from geodistill.oracles import point_in_box_corners, project_point_scalar
 from geodistill.rng import CounterRng
 
@@ -218,14 +218,14 @@ class TestForegroundSets:
         cam = make_camera()
         box = Box3D(center=np.array([50.0, 40.0, 0.0]), size=np.ones(3), yaw=0.0)
         pts = np.array([[10.0, 0.0, 0.0]])
-        sets = foreground_pixel_sets(cam, [box], pts)
+        sets = render_view(cam, [box], pts)[2]
         assert len(sets) == 1 and sets[0].skipped
 
     def test_single_pixel_box_is_skipped(self):
         """Fewer than 2 distinct pixels cannot anchor relative depth."""
         cam = make_camera()
         box = Box3D(center=np.array([10.0, 0.0, 0.0]), size=np.array([2.0, 2.0, 2.0]), yaw=0.0)
-        sets = foreground_pixel_sets(cam, [box], np.array([[10.0, 0.0, 0.0]]))
+        sets = render_view(cam, [box], np.array([[10.0, 0.0, 0.0]]))[2]
         assert sets[0].skipped
 
     def test_entries_match_projection(self):
@@ -235,7 +235,7 @@ class TestForegroundSets:
         pts = np.array(
             [[9.0, -0.8, 0.3], [10.5, 0.9, -0.4], [11.0, 0.0, 0.6], [10.0, 1.5, 0.0]]
         )
-        sets = foreground_pixel_sets(cam, [box], pts)
+        sets = render_view(cam, [box], pts)[2]
         fds = sets[0]
         assert not fds.skipped
         assert len(fds) == 4
@@ -252,7 +252,7 @@ class TestForegroundSets:
         cam = make_camera()
         box = Box3D(center=np.array([10.0, 0.0, 0.0]), size=np.array([6.0, 6.0, 4.0]), yaw=0.0)
         pts = CounterRng(9).normal((40, 3), sigma=1.0) + np.array([10.0, 0.0, 0.0])
-        fds = foreground_pixel_sets(cam, [box], pts)[0]
+        fds = render_view(cam, [box], pts)[2][0]
         keys = fds.pixels[:, 1] * cam.width + fds.pixels[:, 0]
         assert np.all(np.diff(keys) > 0)
 
@@ -262,7 +262,7 @@ class TestForegroundSets:
         b1 = Box3D(center=np.array([10.0, 0.0, 0.0]), size=np.array([4.0, 4.0, 4.0]), yaw=0.0)
         b2 = Box3D(center=np.array([11.0, 0.0, 0.0]), size=np.array([4.0, 4.0, 4.0]), yaw=0.0)
         pts = np.array([[10.5, 0.5, 0.0], [10.5, -0.5, 0.3], [10.4, 0.1, -0.5]])
-        sets = foreground_pixel_sets(cam, [b1, b2], pts)
+        sets = render_view(cam, [b1, b2], pts)[2]
         assert not sets[0].skipped and not sets[1].skipped
         assert len(sets[0]) == len(sets[1]) == 3
 

@@ -258,6 +258,27 @@ class TestTsrFormat:
             write_tsr(io.StringIO(), np.array([1.0, np.nan]))
         with pytest.raises(FormatError):
             read_tsr(io.StringIO("TSR 1\n2\nnan 1.0\n"))
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.lists(st.integers(0, 4), min_size=1, max_size=3).map(tuple))
+    @example(shape=(0, 3))
+    @example(shape=(0,))
+    @example(shape=(2, 0))
+    def test_writer_round_trips_or_refuses_every_shape(self, shape, tmp_path_factory):
+        """Every shape of 1-3 extents in 0-4 either reads back bit for bit
+        or is refused by the writer with ShapeError, before a file is
+        made; a tensor with a zero extent is refused."""
+        path = tmp_path_factory.mktemp("tsr") / "t.tsr"
+        arr = CounterRng(sum(shape)).normal(shape)
+        if 0 in shape:
+            with pytest.raises(ShapeError):
+                write_tsr(path, arr)
+            assert not path.exists()
+            return
+        write_tsr(path, arr)
+        back = read_tsr(path)
+        assert back.shape == shape and back.tobytes() == arr.tobytes()
+
     @settings(max_examples=200, deadline=None)
     @given(
         arr=hnp.arrays(

@@ -22,7 +22,6 @@ from geodistill import (
     RigidTransform,
     SyntheticScene,
     build_gt_depth_map,
-    foreground_pixel_sets,
     generate_scene,
     generate_teacher_bev,
     points_in_box,
@@ -34,6 +33,7 @@ from geodistill import (
     write_scene,
     write_tsr,
 )
+from geodistill.geometry import render_view
 from geodistill.rng import CounterRng
 
 
@@ -284,7 +284,8 @@ class TestRenderMatchesSingleCameraEntryPoints:
     @given(scene=hand_built_scenes())
     def test_bitwise(self, scene):
         """render_gt_views equals build_gt_depth_map per camera and
-        foreground_pixel_sets per camera and box, bit for bit."""
+        render_view's set per camera and box, each box rendered on its
+        own, bit for bit."""
         views = render_gt_views(scene)
         assert len(views) == len(scene.cameras)
         for i, (cam, view) in enumerate(zip(scene.cameras, views)):
@@ -294,7 +295,7 @@ class TestRenderMatchesSingleCameraEntryPoints:
             assert view.valid.tobytes() == valid.tobytes()
             assert len(view.targets) == len(scene.boxes)
             for j, (box, got) in enumerate(zip(scene.boxes, view.targets)):
-                (want,) = foreground_pixel_sets(cam, [box], scene.points, cam_index=i)
+                (want,) = render_view(cam, [box], scene.points, cam_index=i)[2]
                 assert (got.target_index, got.cam_index) == (j, i)
                 assert got.pixels.tobytes() == want.pixels.tobytes()
                 assert got.gt_depth.tobytes() == want.gt_depth.tobytes()
@@ -448,6 +449,18 @@ class TestMutatedStreams:
             return
         assert isinstance(scene, SyntheticScene)
         assert scene.points.shape == (len(scene.labels), 3)
+        assert np.all((scene.labels >= -1) & (scene.labels < len(scene.boxes)))
+
+    @pytest.mark.parametrize("label", ["7", "1", "-2", "99999999999999999999999"])
+    def test_label_outside_the_boxes_is_format_error(self, label):
+        """A label that names no box of the stream, or is below -1, raises
+        FormatError, also one too large for int64."""
+        text = scn_texts()[1]
+        head, tail = text.split("labels\n")
+        first, rest = tail.split(" ", 1)
+        assert first in ("-1", "0")
+        with pytest.raises(FormatError, match="labels must lie in"):
+            read_scene(io.StringIO(f"{head}labels\n{label} {rest}"))
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), shape=st.sampled_from([(3,), (2, 3), (2, 1, 2)]), seed=st.integers(0, 2**32))
