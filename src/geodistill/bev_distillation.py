@@ -112,21 +112,26 @@ def sample_keypoints(box: Box3D, grid: BevGrid, g: int = 6, enlarge: float = 1.2
 
 def _feat_data(feat) -> np.ndarray:
     data = feat.data if isinstance(feat, BevFeatureMap) else as_tensor(feat)
-    if data.ndim != 3:
-        raise ContractError("features must be (C, H, W)")
+    if data.ndim != 3 or 0 in data.shape[1:]:
+        raise ContractError(f"features must be (C, H, W) with H, W >= 1, got {data.shape}")
     return data
 
 
 def _point_array(points) -> np.ndarray:
     pts = points.points if isinstance(points, KeypointSet) else as_tensor(points)
+    if pts.ndim == 0 or pts.shape[-1] != 2:
+        raise ContractError(f"sample points must be (row, col) pairs on the last axis, got {pts.shape}")
     return pts.reshape(-1, 2)
 
 
-def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Flat cell indices and weights of border-clamped bilinear
-    interpolation at (..., N, 2) points, each shaped (..., 4, N) with the
-    corners in the order (r0, c0), (r0, c1), (r1, c0), (r1, c1).  A
-    non-finite point raises ``NumericError``."""
+def _interpolation(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Border-clamped bilinear interpolation at (T, N, 2) points of an h x
+    w grid: the (L,) sorted flat cells that some corner touches; ``win``
+    (T, W), each target's window, the indices into those of its touched
+    cells in order, -1-padded to the widest; and ``mat`` (T, N, W), each
+    point's weights over its target's window, zero at the padding.  A
+    point has 4 corners, so W <= min(4N, L).  A non-finite point raises
+    ``NumericError``."""
     check_finite(pts, "sample points")
     r = np.clip(pts[..., 0], 0.0, float(h - 1))
     c = np.clip(pts[..., 1], 0.0, float(w - 1))
@@ -136,42 +141,40 @@ def _bilinear_corners(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.n
     c1 = np.minimum(c0 + 1, w - 1)
     fr = r - r0
     fc = c - c0
-    cells = np.stack([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1], axis=-2)
-    weights = np.stack(
-        [(1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc], axis=-2
-    )
-    return cells, weights
+    # (T, 4N): the corners (r0, c0), (r0, c1), (r1, c0), (r1, c1) of every point
+    cells = np.concatenate([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1], axis=-1)
+    weights = np.concatenate([(1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc], axis=-1)
+    live, at = np.unique(cells, return_inverse=True)
+    t, n = pts.shape[:2]
+    # the distinct (target, live cell) pairs in order, and each corner's pair
+    pairs, pair = np.unique(np.arange(t)[:, None] * live.size + at.reshape(cells.shape), return_inverse=True)
+    owner = pairs // live.size
+    slot = np.arange(pairs.size) - np.searchsorted(owner, owner)  # window column of each pair
+    width = int(slot.max(initial=-1)) + 1
+    win = np.full((t, width), -1)
+    win[owner, slot] = pairs - owner * live.size
+    # coinciding corners are clamped ones, and all but one of them weigh 0
+    flat = (np.arange(t)[:, None] * n + np.tile(np.arange(n), 4)) * width + slot[pair].reshape(cells.shape)
+    mat = np.bincount(flat.ravel(), weights.ravel(), minlength=t * n * width).reshape(t, n, width)
+    return live, win, mat
 
 
-def _gather(flat: np.ndarray, cells: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """(..., N, C) bilinear samples of (C, K) cell columns at (..., 4, N)
-    corners indexing those columns, the four corner terms added to zero
-    in corner order; a (B, C, K) stack gives (B, ..., N, C)."""
-    out = np.zeros(flat.shape[:-2] + cells.shape[:-2] + (cells.shape[-1], flat.shape[-2]))
-    for k in range(4):
-        out += weights[..., k, :, None] * np.moveaxis(flat[..., cells[..., k, :]], flat.ndim - 2, -1)
-    return out
-
-
-def _scatter(upstream: np.ndarray, cells: np.ndarray, weights: np.ndarray, size: int) -> np.ndarray:
-    """Adjoint of ``_gather``: the (C, size) cell columns of (T, N, C)
-    point gradients at (T, 4, N) corners and weights.  Per channel, one
-    bincount adds every contribution to zero in (target, corner, point)
-    order, bit for bit what ``np.add.at`` over the flat corners gives."""
-    flat = cells.ravel()
-    out = np.empty((upstream.shape[-1], size))
-    for channel, up in zip(out, np.moveaxis(upstream, -1, 0)):
-        channel[:] = np.bincount(flat, weights=(up[:, None, :] * weights).ravel(), minlength=size)
-    return out
+def _sample(block: np.ndarray, win: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """(T, N, C) BLAS products of (T, N, W) matrices with a (C, L) block's
+    columns at (T, W) windows; a (B, C, L) stack gives (B, T, N, C)."""
+    return mat @ np.swapaxes(block, -1, -2)[..., win, :]
 
 
 def bilinear_sample(feat, points) -> np.ndarray:
     """4-neighbor interpolation of (C, H, W) features at continuous (row,
-    col) points; returns (N, C).  Integer coordinates reproduce the cell
-    value exactly; out-of-range points clamp to the border."""
+    col) points, an (N, 2) array or a ``KeypointSet``; returns (N, C),
+    the product of the matrix a plan would build for one target of these
+    points.  Integer coordinates reproduce the cell value exactly;
+    out-of-range points clamp to the border."""
     data = _feat_data(feat)
-    cells, weights = _bilinear_corners(_point_array(points), *data.shape[1:])
-    return _gather(data.reshape(data.shape[0], -1), cells, weights)
+    c, h, w = data.shape
+    live, win, mat = _interpolation(_point_array(points)[None], h, w)
+    return _sample(np.take(data.reshape(c, h * w), live, axis=-1), win, mat)[0]
 
 
 def _effective_features(f: np.ndarray, normalization: str):
@@ -350,9 +353,9 @@ class DistillPlan:
 
     The teacher map is a constant, so for fixed boxes, lattice extent
     ``g``, ``enlarge`` and normalization its keypoint features, both
-    teacher Grams and the bilinear corners never change.  Build it once
-    with ``build_distill_plan`` and reuse it for every student of the
-    scene.
+    teacher Grams and the interpolation matrices never change.  Build it
+    once with ``build_distill_plan`` and reuse it for every student of
+    the scene.
 
     Only the live cells, those some corner touches, are ever read, so
     the student side runs on a packed (C, L) block of their columns:
@@ -362,8 +365,10 @@ class DistillPlan:
     teacher_bev: BevFeatureMap
     normalization: str
     live: np.ndarray  # (L,) sorted distinct flat BEV cells that any corner touches
-    cells: np.ndarray  # (T, 4, N) index into ``live`` of each bilinear corner
-    weights: np.ndarray  # (T, 4, N) bilinear weight of each corner
+    win: np.ndarray  # (T, W) each target's window of ``live`` indices, see ``_interpolation``
+    mat: np.ndarray  # (T, N, W) each keypoint's bilinear weights over its window, W <= min(4N, L)
+    firsts: np.ndarray  # (L,) the flat window entry of the first target touching each live cell
+    repeats: np.ndarray  # (2, S) the live cell and flat window entry of each later touch, in target order
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
@@ -375,6 +380,9 @@ class DistillPlan:
     def pack(self, bev: np.ndarray) -> np.ndarray:
         """The (C, L) live columns of a (C, H, W) map, or (B, C, L) of a
         (B, C, H, W) stack of maps."""
+        shape = self.teacher_bev.data.shape
+        if np.ndim(bev) not in (3, 4) or np.shape(bev)[-3:] != shape:
+            raise ContractError(f"pack needs a {shape} (C, H, W) map or a stack of them, got {np.shape(bev)}")
         return np.take(bev.reshape(bev.shape[:-2] + (-1,)), self.live, axis=-1)
 
     def unpack(self, block: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
@@ -391,7 +399,15 @@ class DistillPlan:
     def sample(self, block: np.ndarray) -> np.ndarray:
         """(T, N, C) features of a (C, L) block at every target's
         keypoints, or (B, T, N, C) of a (B, C, L) stack of blocks."""
-        return _gather(block, self.cells, self.weights)
+        return _sample(block, self.win, self.mat)
+
+    def scatter(self, grad_fs: np.ndarray) -> np.ndarray:
+        """Adjoint of ``sample``: the (C, L) block of (T, N, C) keypoint gradients, the
+        transposed products' window rows added onto the live cells in target order."""
+        rows = (np.swapaxes(self.mat, -1, -2) @ grad_fs).reshape(self.win.size, grad_fs.shape[-1])
+        out = rows[self.firsts]
+        np.add.at(out, self.repeats[0], rows[self.repeats[1]])
+        return out.T
 
     def terms(
         self, block: np.ndarray, reduction: str, with_grad: bool = True, keypoint_sq: Optional[np.ndarray] = None
@@ -399,10 +415,11 @@ class DistillPlan:
         """(value, gradient) of the channel and then the keypoint Gram
         loss of a (C, L) student block.  Each value is the per-target
         values summed in target order; each gradient is the (C, L) block
-        of one scatter pass, None without ``with_grad``.  A (B, C, L)
+        that ``scatter`` gives, None without ``with_grad``.  A (B, C, L)
         stack gives (B,) values and no gradients.  ``keypoint_sq``
         receives the keypoint kind's per-target squared distances (see
         ``_gram_losses``)."""
+        check_reduction(reduction)
         fs = self.sample(block)
         single = block.ndim == 2
         out = []
@@ -413,8 +430,7 @@ class DistillPlan:
                 fs, gram_t, kind, self.normalization, reduction, with_grad and single, sq,
                 self.gram_work[kind] if single else None,
             )
-            grad = None if grad_fs is None else _scatter(grad_fs, self.cells, self.weights, self.live.size)
-            out.append((_sum_in_order(values), grad))
+            out.append((_sum_in_order(values), None if grad_fs is None else self.scatter(grad_fs)))
         return out
 
 
@@ -425,26 +441,30 @@ def build_distill_plan(
     enlarge: float = 1.25,
     normalization: str = "none",
 ) -> DistillPlan:
-    """Keypoint lattices, bilinear corners, teacher features and teacher
-    Grams of every target, stacked in box order.  A non-finite value
-    anywhere in the teacher map raises ``NumericError``, also off the
-    live cells."""
+    """Keypoint lattices, interpolation matrices, teacher features and
+    teacher Grams of every target, stacked in box order; the teacher
+    features are the teacher's live columns sampled like any student
+    block.  A non-finite value anywhere in the teacher map raises
+    ``NumericError``, also off the live cells."""
     _check_norm(normalization)
     check_finite(teacher_bev.data, "teacher BEV features")
     lattices = [sample_keypoints(box, teacher_bev.grid, g, enlarge).points for box in boxes]
     pts = np.array(lattices).reshape(len(boxes), g * g, 2)
-    cells, weights = _bilinear_corners(pts, *teacher_bev.data.shape[1:])
-    live, at = np.unique(cells.ravel(), return_inverse=True)
-    at = at.reshape(cells.shape)
-    teacher = _gather(np.take(teacher_bev.data.reshape(teacher_bev.channels, -1), live, axis=-1), at, weights)
+    live, win, mat = _interpolation(pts, *teacher_bev.data.shape[1:])
+    touched = np.flatnonzero(win >= 0)  # window rows in target order
+    _, first = np.unique(win.flat[touched], return_index=True)
+    later = np.delete(touched, first)
+    teacher = _sample(np.take(teacher_bev.data.reshape(teacher_bev.channels, -1), live, axis=-1), win, mat)
     t_eff, _ = _effective_features(teacher, normalization)
     grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}
     return DistillPlan(
         teacher_bev=teacher_bev,
         normalization=normalization,
         live=live,
-        cells=at,
-        weights=weights,
+        win=win,
+        mat=mat,
+        firsts=touched[first],
+        repeats=np.stack([win.flat[later], later]),
         teacher=teacher,
         teacher_channel=grams["channel"],
         teacher_keypoint=grams["keypoint"],
@@ -467,8 +487,8 @@ def bev_distill_terms(
     Both maps are sampled at identical keypoints.  The teacher side is
     built for this call, and all targets run as one stack through
     ``DistillPlan.terms``: values are the per-target values summed in
-    input order, and each gradient is scattered in one pass in (target,
-    corner, point) order onto the plan's live cells, and is 0.0
+    input order, and each gradient is ``DistillPlan.scatter`` onto the
+    plan's live cells, adding targets in input order, and is 0.0
     elsewhere.  With no boxes the stack is empty: both results are 0.0,
     ``empty``, with zero gradients.
     """

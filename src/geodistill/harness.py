@@ -773,7 +773,7 @@ def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[
         sq, _ = _gram_losses(fs, gram_t, kind, plan.normalization, "sum", with_grad=False)
         columns[f"inter_{kind}"] = (sq, _row_sq(gram_t))
     columns["raw_feature"] = (_row_sq(fs - plan.teacher), _row_sq(plan.teacher))
-    out = [{"target": j} for j in range(plan.cells.shape[0])]
+    out = [{"target": j} for j in range(len(plan.teacher))]
     for name, (dist_sq, norm_sq) in columns.items():
         for entry, (dist, rel) in zip(out, _distances(dist_sq, norm_sq)):
             entry[f"{name}_frob"] = dist
