@@ -15,13 +15,13 @@ sampling; the teacher is a constant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConfigError, ContractError
 from .geometry import BevGrid, Box3D, enlarge_box_bev, rot_z, world_to_bev
-from .numerics import LossResult, as_tensor, check_finite, check_reduction
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, sq_sums
 from .numerics import matmul  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
 
 GRAM_NORMALIZATIONS = ("none", "count", "l2")
@@ -60,9 +60,9 @@ class KeypointSet:
     clipped: bool = False
 
     def __post_init__(self):
-        self.points = as_tensor(self.points).reshape(-1, 2)
-        if self.g < 2 or self.points.shape[0] != self.g * self.g:
-            raise ContractError("keypoints must form a g x g lattice with g >= 2")
+        self.points = as_tensor(self.points)
+        if self.g < 2 or self.points.shape != (self.g * self.g, 2):
+            raise ContractError(f"keypoints must be (g*g, 2) points of a lattice with g >= 2, got {self.points.shape}")
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -197,17 +197,18 @@ def _row_canonical(f: np.ndarray) -> np.ndarray:
     accumulating in a canonical order makes it bitwise invariant to
     keypoint permutations too.
 
-    Rows are sorted by (target, first column); only runs that tie there
-    are then sorted by the remaining columns.  Both sorts are stable, so
-    the order is exactly that of a full lexsort of each target's rows.
+    One stable argsort of the first column along the keypoint axis,
+    offset by each target's first row, orders each target's rows; only
+    runs that tie there are then sorted by the remaining columns.  Both
+    sorts are stable, so the order is that of a full lexsort per target.
     """
     n, c = f.shape[-2:]
     t = int(np.prod(f.shape[:-2]))
     flat = f.reshape(t * n, c)
-    target = np.repeat(np.arange(t), n)
-    order = np.lexsort((flat[:, 0], target))
+    order = (np.argsort(flat[:, 0].reshape(t, n), axis=-1, kind="stable") + np.arange(0, t * n, n)[:, None]).ravel()
     first = flat[order, 0]
-    tie = (first[1:] == first[:-1]) & (target[1:] == target[:-1])
+    tie = first[1:] == first[:-1]
+    tie[n - 1::max(n, 1)] = False  # a target's last row and the next one's first
     if tie.any():
         # positions in runs of two or more rows, and the run of each
         tied = np.flatnonzero(np.concatenate([tie, [False]]) | np.concatenate([[False], tie]))
@@ -268,45 +269,44 @@ def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) 
 
 
 def _gram_losses(
-    fs: np.ndarray, gram_t: np.ndarray, kind: str, normalization: str, reduction: str,
-    with_grad: bool = True, sq: Optional[np.ndarray] = None, work: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Values (T,) and student-feature gradients (T, N, C), None without
-    ``with_grad``, of T >= 0 targets' Gram losses against fixed teacher
-    Grams.  With ``sq``, a (T,) array, each target's sum of squared Gram
-    differences is written into it before the reduction's division.
-    ``work``, an optional C-contiguous array of shape (2,) + the Grams'
-    shape, holds the Gram differences and their squares.
+    fs: np.ndarray, teacher: Sequence[Tuple[str, np.ndarray]], normalization: str, reduction: str,
+    weights: Optional[Sequence[float]] = None, sq: Sequence[Optional[np.ndarray]] = (),
+    work: Sequence[np.ndarray] = (),
+) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
+    """Values (T,) of T >= 0 targets' Gram losses, one array per
+    (kind, teacher Grams) entry of ``teacher``, with ``kind`` "channel"
+    (C x C) or "keypoint" (N x N), and with ``weights``, one per entry,
+    the (T, N, C) student-feature gradient of their weighted sum.
 
-    ``kind`` selects the channel (C x C) or keypoint (N x N) Gram.  A
-    (B, T, N, C) stack gives (B, T) values against the same teacher
-    Grams, each row bit for bit that of its (T, N, C) slice alone.
+    A value is the target's Gram difference reduced by ``sq_sums``, one
+    dot product, over the entry count under "mean"; an entry
+    of ``sq``, (T,) or None, receives the product, and one of ``work``,
+    C-contiguous, the Gram differences.  Each kind's feature gradient is
+    scaled once, by 4 w / denom (over the count under "count"), and the
+    sum takes the row-norm chain once.  A (B, T, N, C) stack gives (B, T)
+    values, each row bit for bit that of its (T, N, C) slice alone.
     """
-    diff_out, sq_out = (None, None) if work is None else work
     fs_eff, fs_scale = _effective_features(fs, normalization)
-    diff = _grams(fs_eff, kind, normalization, diff_out)
-    diff -= gram_t
-    k_sq = diff.shape[-2] * diff.shape[-1]
-    denom = float(k_sq) if reduction == "mean" else 1.0
-    squares = np.multiply(diff, diff, out=sq_out)
-    values = np.sum(squares.reshape(diff.shape[:-2] + (k_sq,)), axis=-1, out=sq) / denom
-    if not with_grad:
-        return values, None
-    g_mat = diff
-    g_mat *= 2.0 / denom
-    grad_eff = fs_eff @ g_mat if kind == "channel" else g_mat @ fs_eff
-    grad_eff *= 2.0
-    if normalization == "count":
-        grad_eff /= _gram_count(fs, kind)
-    if normalization == "l2":
-        return values, _chain_row_norm(grad_eff, fs_eff, fs_scale)
-    return values, grad_eff
+    values, grad = [], None
+    for i, (kind, gram_t) in enumerate(teacher):
+        diff = _grams(fs_eff, kind, normalization, work[i] if work else None)
+        diff -= gram_t
+        denom = float(diff.shape[-2] * diff.shape[-1]) if reduction == "mean" else 1.0
+        values.append(sq_sums(diff, sq[i] if sq else None) / denom)
+        if weights is None:
+            continue
+        part = fs_eff @ diff if kind == "channel" else diff @ fs_eff
+        part *= 4.0 * weights[i] / denom / (_gram_count(fs, kind) if normalization == "count" else 1)
+        grad = part if grad is None else np.add(grad, part, out=grad)
+    if grad is not None and normalization == "l2":
+        grad = _chain_row_norm(grad, fs_eff, fs_scale)
+    return values, grad
 
 
 def _sum_in_order(values: np.ndarray):
     """Left-to-right float sum over the last (target) axis, in target
-    order: a float for (T,) values, one sum per row for (B, T)."""
-    total = sum(values.T, 0.0)
+    order: a float for (T,) values, one sum per row for (B, T), T >= 0."""
+    total = sum(values.T, np.zeros(values.shape[:-1]))
     return total if np.ndim(total) else float(total)
 
 
@@ -319,9 +319,9 @@ def _gram_loss(
         return LossResult(0.0, [], empty=True)
     if len({tkf.student.shape for tkf in targets}) > 1:
         raise ContractError("every target's keypoint features must share one (N, C)")
-    gram_t = _gram_of(np.array([tkf.teacher for tkf in targets]), kind, normalization)
+    teacher = ((kind, _gram_of(np.array([tkf.teacher for tkf in targets]), kind, normalization)),)
     fs = np.array([tkf.student for tkf in targets])
-    values, grads = _gram_losses(fs, gram_t, kind, normalization, reduction)
+    (values,), grads = _gram_losses(fs, teacher, normalization, reduction, (1.0,))
     return LossResult(_sum_in_order(values), list(grads))
 
 
@@ -360,6 +360,8 @@ class DistillPlan:
     Only the live cells, those some corner touches, are ever read, so
     the student side runs on a packed (C, L) block of their columns:
     ``pack`` takes it from a (C, H, W) map and ``unpack`` puts it back.
+    ``terms`` is its one composition: one ``sample``, both Gram losses
+    and one ``scatter`` of their weighted gradient.
     """
 
     teacher_bev: BevFeatureMap
@@ -372,10 +374,10 @@ class DistillPlan:
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
-    # per Gram kind, the ``_gram_losses`` work array of one (C, L) student,
-    # taken once: a fresh pair of (T, N, N) arrays on every step lets glibc
-    # hand heap pages back that the next step faults in again
-    gram_work: Dict[str, np.ndarray] = field(repr=False)
+    # the channel and the keypoint Gram differences of one (C, L) student,
+    # taken once: a fresh (T, N, N) array on every step lets glibc hand
+    # heap pages back that the next step faults in again
+    gram_work: Tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     def pack(self, bev: np.ndarray) -> np.ndarray:
         """The (C, L) live columns of a (C, H, W) map, or (B, C, L) of a
@@ -410,28 +412,24 @@ class DistillPlan:
         return out.T
 
     def terms(
-        self, block: np.ndarray, reduction: str, with_grad: bool = True, keypoint_sq: Optional[np.ndarray] = None
+        self, block: np.ndarray, reduction: str, weights: Optional[Tuple[float, float]] = None, keypoint_sq=None
     ):
-        """(value, gradient) of the channel and then the keypoint Gram
-        loss of a (C, L) student block.  Each value is the per-target
-        values summed in target order; each gradient is the (C, L) block
-        that ``scatter`` gives, None without ``with_grad``.  A (B, C, L)
-        stack gives (B,) values and no gradients.  ``keypoint_sq``
-        receives the keypoint kind's per-target squared distances (see
-        ``_gram_losses``)."""
+        """(ic, ik, gradient): the channel and the keypoint Gram loss of a
+        (C, L) student block, each the per-target values summed in target
+        order, and with ``weights`` = (w_ic, w_ik) the (C, L) gradient of
+        w_ic * ic + w_ik * ik, the kinds' keypoint gradients summed and
+        scattered once (None without; a weight of 0 only scales its
+        term).  A (B, C, L) stack gives (B,) values and no gradient.
+        ``keypoint_sq`` receives the keypoint kind's squared distances."""
         check_reduction(reduction)
-        fs = self.sample(block)
         single = block.ndim == 2
-        out = []
-        for kind, gram_t, sq in (
-            ("channel", self.teacher_channel, None), ("keypoint", self.teacher_keypoint, keypoint_sq)
-        ):
-            values, grad_fs = _gram_losses(
-                fs, gram_t, kind, self.normalization, reduction, with_grad and single, sq,
-                self.gram_work[kind] if single else None,
-            )
-            out.append((_sum_in_order(values), None if grad_fs is None else self.scatter(grad_fs)))
-        return out
+        values, grad_fs = _gram_losses(
+            self.sample(block), (("channel", self.teacher_channel), ("keypoint", self.teacher_keypoint)),
+            self.normalization, reduction, weights if single else None, (None, keypoint_sq),
+            self.gram_work if single else (),
+        )
+        ic, ik = (_sum_in_order(v) for v in values)
+        return ic, ik, None if grad_fs is None else self.scatter(grad_fs)
 
 
 def build_distill_plan(
@@ -468,8 +466,20 @@ def build_distill_plan(
         teacher=teacher,
         teacher_channel=grams["channel"],
         teacher_keypoint=grams["keypoint"],
-        gram_work={kind: np.empty((2,) + gram.shape) for kind, gram in grams.items()},
+        gram_work=(np.empty(grams["channel"].shape), np.empty(grams["keypoint"].shape)),
     )
+
+
+def _dense_plan(student_bev, teacher_bev, boxes, g, enlarge, normalization, loss_reduction):
+    """The plan of a one-shot call and the student's packed block."""
+    _check_norm(normalization)
+    check_reduction(loss_reduction)
+    if student_bev.data.shape != teacher_bev.data.shape:
+        raise ContractError("student and teacher BEV shapes disagree")
+    if student_bev.grid != teacher_bev.grid:
+        raise ContractError("student and teacher grids disagree")
+    plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
+    return plan, plan.pack(student_bev.data)
 
 
 def bev_distill_terms(
@@ -486,21 +496,16 @@ def bev_distill_terms(
 
     Both maps are sampled at identical keypoints.  The teacher side is
     built for this call, and all targets run as one stack through
-    ``DistillPlan.terms``: values are the per-target values summed in
-    input order, and each gradient is ``DistillPlan.scatter`` onto the
-    plan's live cells, adding targets in input order, and is 0.0
-    elsewhere.  With no boxes the stack is empty: both results are 0.0,
-    ``empty``, with zero gradients.
+    ``DistillPlan.terms`` with weights (1, 0) and with (0, 1): values
+    are the per-target values summed in input order, and each gradient
+    is ``DistillPlan.scatter`` onto the plan's live cells, adding targets
+    in input order, and is 0.0 elsewhere.  With no boxes the stack is
+    empty: both results are 0.0, ``empty``, with zero gradients.
     """
-    _check_norm(normalization)
-    check_reduction(loss_reduction)
-    if student_bev.data.shape != teacher_bev.data.shape:
-        raise ContractError("student and teacher BEV shapes disagree")
-    if student_bev.grid != teacher_bev.grid:
-        raise ContractError("student and teacher grids disagree")
-    plan = build_distill_plan(teacher_bev, boxes, g, enlarge, normalization)
-    terms = plan.terms(plan.pack(student_bev.data), loss_reduction)
-    return tuple(LossResult(value, plan.unpack(grad), empty=not boxes) for value, grad in terms)
+    plan, block = _dense_plan(student_bev, teacher_bev, boxes, g, enlarge, normalization, loss_reduction)
+    ic, _, ic_grad = plan.terms(block, loss_reduction, (1.0, 0.0))
+    _, ik, ik_grad = plan.terms(block, loss_reduction, (0.0, 1.0))
+    return LossResult(ic, plan.unpack(ic_grad), empty=not boxes), LossResult(ik, plan.unpack(ik_grad), empty=not boxes)
 
 
 def bev_distill_loss(
@@ -513,15 +518,10 @@ def bev_distill_loss(
     loss_reduction: str = "mean",
 ) -> LossResult:
     """Combined channel + keypoint Gram loss with the gradient mapped back
-    onto the student BEV tensor; teacher features carry no gradient."""
-    ic, ik = bev_distill_terms(
-        student_bev, teacher_bev, boxes,
-        g=g, enlarge=enlarge, normalization=normalization, loss_reduction=loss_reduction,
-    )
-    if ic.empty:
-        return LossResult(0.0, ic.grad, empty=True)
-    return LossResult(
-        ic.value + ik.value,
-        ic.grad + ik.grad,
-        components={"inter_channel": ic.value, "inter_keypoint": ik.value},
-    )
+    onto the student BEV tensor, from one ``DistillPlan.terms`` call with
+    weights (1, 1); teacher features carry no gradient."""
+    plan, block = _dense_plan(student_bev, teacher_bev, boxes, g, enlarge, normalization, loss_reduction)
+    ic, ik, grad = plan.terms(block, loss_reduction, (1.0, 1.0))
+    if not boxes:
+        return LossResult(0.0, plan.unpack(grad), empty=True)
+    return LossResult(ic + ik, plan.unpack(grad), components={"inter_channel": ic, "inter_keypoint": ik})

@@ -60,6 +60,7 @@ from .numerics import (
     finite_difference_gradient,
     frobenius_sq_distance,
     softmax_rows,
+    sq_sums,
 )
 from .rng import CounterRng
 from .scenegen import (
@@ -373,7 +374,7 @@ class SceneProblem:
             cfg, scene, views, packed, plan, np.cumsum(sizes),
             rows_buffers=np.empty((2, n_max, d)),
             keypoint_sq=np.empty(len(scene.boxes)),
-            keypoint_norm_sq=_row_sq(plan.teacher_keypoint),
+            keypoint_norm_sq=sq_sums(plan.teacher_keypoint),
         )
 
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
@@ -421,19 +422,15 @@ class SceneProblem:
 
     def bev_terms(self, student: np.ndarray, student_grad: Optional[np.ndarray]) -> Tuple[float, float]:
         """The inter-channel and inter-keypoint values of the (C, L)
-        ``student`` block, filling ``keypoint_sq``; the weighted gradient
-        is written into ``student_grad`` unless it is None."""
-        w = self.cfg.weights
+        ``student`` block, filling ``keypoint_sq``; unless
+        ``student_grad`` is None, the plan's one weighted scatter of
+        w_ic * ic + w_ik * ik is written into it."""
         check_finite(student, "BEV features")
-        with_grad = student_grad is not None
-        (ic_val, ic_grad), (ik_val, ik_grad) = self.plan.terms(
-            student, self.cfg.loss_reduction, with_grad, self.keypoint_sq
-        )
-        if with_grad:
-            # w_ic * ic_grad + w_ik * ik_grad, formed in the BEV block
-            np.multiply(ic_grad, w.w_ic, out=student_grad)
-            student_grad += np.multiply(ik_grad, w.w_ik, out=ik_grad)
-        return ic_val, ik_val
+        weights = None if student_grad is None else (self.cfg.weights.w_ic, self.cfg.weights.w_ik)
+        ic, ik, grad = self.plan.terms(student, self.cfg.loss_reduction, weights, self.keypoint_sq)
+        if grad is not None:
+            student_grad[...] = grad
+        return ic, ik
 
     def compose(self, depth: Tuple[float, float], bev: Tuple[float, float]) -> LossResult:
         """The weighted total of the depth and BEV terms' values and the
@@ -654,10 +651,10 @@ def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _I
     norm, reduction = cfg.gram_normalization, cfg.loss_reduction
     # the student is one target, and so is each input of a stack, against
     # the instance's teacher Gram
-    gram_t = _gram_of(ft[None], kind, norm)
-    _, grads = _gram_losses(fs[None], gram_t, kind, norm, reduction)
+    teacher = ((kind, _gram_of(ft[None], kind, norm)),)
+    _, grads = _gram_losses(fs[None], teacher, norm, reduction, (1.0,))
     return _Instance(
-        values=lambda xs: _gram_losses(xs, gram_t, kind, norm, reduction, with_grad=False)[0],
+        values=lambda xs: _gram_losses(xs, teacher, norm, reduction)[0][0],
         x0=fs, analytic=grads[0], tie_adjacent=tie,
     )
 
@@ -679,14 +676,14 @@ def _bev_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     # the teacher side is the same for every evaluation of this instance
     plan = build_distill_plan(teacher, boxes, 2, cfg.enlarge, cfg.gram_normalization)
     block = plan.pack(student)
-    (_, ic_grad), (_, ik_grad) = plan.terms(block, cfg.loss_reduction)
+    _, _, grad = plan.terms(block, cfg.loss_reduction, (1.0, 1.0))
 
     def values(xs):
         """ic + ik of each block of a stack."""
-        (ic, _), (ik, _) = plan.terms(xs, cfg.loss_reduction, with_grad=False)
+        ic, ik, _ = plan.terms(xs, cfg.loss_reduction)
         return ic + ik
 
-    return _Instance(values=values, x0=block, analytic=ic_grad + ik_grad)
+    return _Instance(values=values, x0=block, analytic=grad)
 
 
 # each checked loss family's instance builder, by name
@@ -756,23 +753,19 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _row_sq(stack: np.ndarray) -> np.ndarray:
-    """Sum of squares of each target's slice of a (T, A, B) stack, T >= 0."""
-    return np.sum((stack * stack).reshape(stack.shape[0], stack.shape[1] * stack.shape[2]), axis=1)
-
-
 def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
     """Per-target Frobenius distances between the Grams of the (C, L)
     student block and the teacher's, plus the raw keypoint-feature
     distance that is allowed to stay big.  The teacher features and
     Grams come from the scene's plan."""
     fs = plan.sample(student)
+    kinds = (("keypoint", plan.teacher_keypoint), ("channel", plan.teacher_channel))
     # name -> per-target squared distances and teacher squared norms
-    columns = {}
-    for kind, gram_t in (("keypoint", plan.teacher_keypoint), ("channel", plan.teacher_channel)):
-        sq, _ = _gram_losses(fs, gram_t, kind, plan.normalization, "sum", with_grad=False)
-        columns[f"inter_{kind}"] = (sq, _row_sq(gram_t))
-    columns["raw_feature"] = (_row_sq(fs - plan.teacher), _row_sq(plan.teacher))
+    columns = {
+        f"inter_{kind}": (sq, sq_sums(gram_t))
+        for (kind, gram_t), sq in zip(kinds, _gram_losses(fs, kinds, plan.normalization, "sum")[0])
+    }
+    columns["raw_feature"] = (sq_sums(fs - plan.teacher), sq_sums(plan.teacher))
     out = [{"target": j} for j in range(len(plan.teacher))]
     for name, (dist_sq, norm_sq) in columns.items():
         for entry, (dist, rel) in zip(out, _distances(dist_sq, norm_sq)):

@@ -159,14 +159,20 @@ def matmul(a, b) -> np.ndarray:
     return out
 
 
+def sq_sums(stack: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Sum of squares of each (A, B) matrix of a (..., A, B) stack, the dot
+    product of its flattened entries with themselves, into ``out`` (...,) if given."""
+    flat = stack.reshape(stack.shape[:-2] + (1, stack.shape[-2] * stack.shape[-1]))
+    return np.matmul(flat, np.swapaxes(flat, -1, -2), out=None if out is None else out[..., None, None])[..., 0, 0]
+
+
 def frobenius_sq_distance(a, b) -> float:
-    """Sum of squared elementwise differences."""
+    """Sum of squared elementwise differences, reduced as ``sq_sums`` does."""
     a = as_tensor(a)
     b = as_tensor(b)
     if a.shape != b.shape:
         raise ShapeError(f"shape mismatch: {a.shape} vs {b.shape}")
-    d = a - b
-    return float(np.sum(d * d))
+    return float(sq_sums((a - b).reshape(1, -1)))
 
 
 def softmax_rows(logits, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -30,7 +30,7 @@ from geodistill import (
     points_in_box,
     sample_keypoints,
 )
-from geodistill.bev_distillation import _gram_losses, _interpolation
+from geodistill.bev_distillation import _gram_losses, _interpolation, _row_canonical
 from geodistill.oracles import bilinear_scalar, gram_channel_loops, gram_keypoint_loops
 from geodistill.rng import CounterRng
 
@@ -168,6 +168,15 @@ class TestSampleKeypoints:
             sample_keypoints(box, GRID5, g=1)
         with pytest.raises(ContractError):
             KeypointSet(points=np.zeros((3, 2)), g=2)
+
+    @pytest.mark.parametrize("shape", [(2, 4), (8,), (4, 1), (2, 2, 2)])
+    def test_points_not_g_squared_pairs_rejected(self, shape):
+        """A lattice is exactly (g*g, 2) points; an array of another shape
+        is a ContractError, not a reshape into g*g points, even when it
+        holds 2*g*g values."""
+        assert KeypointSet(points=np.zeros((4, 2)), g=2).points.shape == (4, 2)
+        with pytest.raises(ContractError, match=r"\(g\*g, 2\) points"):
+            KeypointSet(points=np.zeros(shape), g=2)
 
     def test_plan_targets_follow_input_order(self):
         """The plan stacks one lattice per box in input order: its target j
@@ -372,6 +381,25 @@ class TestGramMatrices:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        lead=st.lists(st.integers(0, 4), min_size=1, max_size=2),
+        n=st.integers(1, 10),
+        c=st.integers(1, 4),
+        alphabet=st.lists(st.sampled_from([-3.0, -1.0, -0.0, 0.0, 1.0, 2.0]), min_size=1, max_size=4),
+        seed=st.integers(0, 2**31),
+    )
+    @example(lead=[2, 3], n=5, c=3, alphabet=[-0.0, 0.0, 1.0], seed=1)
+    def test_canonical_order_is_each_targets_full_lexsort(self, lead, n, c, alphabet, seed):
+        """Integer-valued (T, N, C) and (B, T, N, C) stacks with many
+        ties and both signed zeros: the per-target argsort order puts
+        each target's rows in the order of a full lexsort of that
+        target's rows alone, bit for bit."""
+        shape = tuple(lead) + (n, c)
+        f = np.array(alphabet)[(CounterRng(seed).uniform(shape) * len(alphabet)).astype(int)]
+        want = [rows[np.lexsort(rows.T[::-1])] for rows in f.reshape(-1, n, c)]
+        assert _row_canonical(f).tobytes() == np.array(want).reshape(shape).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
         shape=st.tuples(st.integers(1, 4), st.integers(1, 10), st.integers(1, 4)),
         alphabet=st.lists(st.sampled_from([-0.7, -0.0, 0.0, 0.1, 0.3, 1e8]), min_size=1, max_size=4),
         seed=st.integers(0, 2**31),
@@ -520,17 +548,19 @@ class TestGramLosses:
 
     def test_zero_target_stack(self):
         """A (0, N, C) stack against (0, K, K) teacher Grams gives (0,)
-        values and (0, N, C) gradients, or none without with_grad, for
-        both kinds, every normalization and reduction."""
+        values and (0, N, C) gradients, or none without weights, for
+        either kind alone and both together, every normalization and
+        reduction."""
         n, c = 9, 4
-        for kind, k in (("channel", c), ("keypoint", n)):
+        kinds = (("channel", np.zeros((0, c, c))), ("keypoint", np.zeros((0, n, n))))
+        for teacher in ((kinds[0],), (kinds[1],), kinds):
             for norm in GRAM_NORMALIZATIONS:
                 for reduction in LOSS_REDUCTIONS:
-                    args = (np.zeros((0, n, c)), np.zeros((0, k, k)), kind, norm, reduction)
+                    args = (np.zeros((0, n, c)), teacher, norm, reduction)
+                    values, grads = _gram_losses(*args, (1.0,) * len(teacher))
+                    assert [v.shape for v in values] == [(0,)] * len(teacher) and grads.shape == (0, n, c)
                     values, grads = _gram_losses(*args)
-                    assert values.shape == (0,) and grads.shape == (0, n, c)
-                    values, grads = _gram_losses(*args, with_grad=False)
-                    assert values.shape == (0,) and grads is None
+                    assert [v.shape for v in values] == [(0,)] * len(teacher) and grads is None
 
     def test_gradients_match_finite_differences(self):
         """Analytic student gradients agree with central differences for
@@ -584,8 +614,8 @@ class TestBevDistillLoss:
         gives none."""
         plan = build_distill_plan(self.teacher, [], 6, 1.25, "none")
         assert plan.mat.shape[0] == 0 and plan.live.size == 0
-        for value, grad in plan.terms(plan.pack(self.student.data), "mean", with_grad=False):
-            assert value == 0.0 and grad is None
+        ic, ik, grad = plan.terms(plan.pack(self.student.data), "mean")
+        assert ic == ik == 0.0 and grad is None
 
     def test_identical_maps_zero(self):
         res = bev_distill_loss(self.student, self.student, self.boxes, g=3)
@@ -598,19 +628,19 @@ class TestBevDistillLoss:
         assert combined.value == pytest.approx(ic.value + ik.value, rel=1e-12)
         assert combined.components["inter_channel"] == ic.value
         assert combined.components["inter_keypoint"] == ik.value
-        assert np.allclose(combined.grad, ic.grad + ik.grad, rtol=0, atol=1e-15)
+        assert_close(combined.grad, ic.grad + ik.grad)
 
     @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
     @pytest.mark.parametrize("reduction", LOSS_REDUCTIONS)
     def test_combined_loss_with_plan_equals_without(self, norm, reduction):
-        """The terms of a prebuilt plan, unpacked and added, give the bits
-        of bev_distill_loss, which builds its own plan."""
+        """The unit-weight terms of a prebuilt plan, unpacked, give the
+        bits of bev_distill_loss, which builds its own plan."""
         plan = build_distill_plan(self.teacher, self.boxes, 3, 1.25, norm)
         fresh = bev_distill_loss(self.student, self.teacher, self.boxes, 3, 1.25, norm, reduction)
-        (ic, ic_grad), (ik, ik_grad) = plan.terms(plan.pack(self.student.data), reduction)
+        ic, ik, grad = plan.terms(plan.pack(self.student.data), reduction, (1.0, 1.0))
         assert fresh.value == ic + ik
         assert fresh.components == {"inter_channel": ic, "inter_keypoint": ik}
-        assert np.array_equal(fresh.grad, plan.unpack(ic_grad) + plan.unpack(ik_grad))
+        assert fresh.grad.tobytes() == plan.unpack(grad).tobytes()
 
     def test_grid_mismatch_rejected(self):
         other = BevFeatureMap(
@@ -712,11 +742,14 @@ class TestBatchedDistillProperty:
             for reduction in LOSS_REDUCTIONS:
                 for student in students:
                     fresh = bev_distill_terms(student, teacher, boxes, g, enlarge, norm, reduction)
-                    reused = plan.terms(plan.pack(student.data), reduction)
+                    block = plan.pack(student.data)
+                    ic, _, ic_grad = plan.terms(block, reduction, (1.0, 0.0))
+                    _, ik, ik_grad = plan.terms(block, reduction, (0.0, 1.0))
+                    reused = [(ic, ic_grad), (ik, ik_grad)]
                     totals, grads = _per_target_terms(student, teacher, boxes, g, enlarge, norm, reduction)
-                    for got, (value, block), total, grad in zip(fresh, reused, totals, grads):
+                    for got, (value, packed), total, grad in zip(fresh, reused, totals, grads):
                         assert got.value == value == pytest.approx(total, rel=1e-12, abs=1e-300)
-                        assert got.grad.tobytes() == plan.unpack(block).tobytes()
+                        assert got.grad.tobytes() == plan.unpack(packed).tobytes()
                         assert_close(got.grad, grad)
 
     def test_shared_cells_sum_in_target_order(self):
@@ -742,6 +775,72 @@ class TestBatchedDistillProperty:
         assert_close(ic.grad, staged)
         assert_close(ic.grad, grads[0])
         assert_close(ik.grad, grads[1])
+
+
+def two_scatter_gradient(plan, block, reduction, weights):
+    """The reference for ``DistillPlan.terms``' weighted gradient: each
+    Gram kind's keypoint gradient formed from the public Grams and
+    scattered on its own (2/denom on the Gram difference, 2 on the
+    product, the count, the row-norm chain), then the two (C, L) blocks
+    weighted and added."""
+    fs = plan.sample(block)
+    norm = plan.normalization
+    scale = np.maximum(np.sqrt(np.sum(fs * fs, axis=-1, keepdims=True)), 1e-12) if norm == "l2" else 1.0
+    f = fs / scale
+    out = np.zeros_like(block)
+    kinds = (
+        (inter_channel_gram, plan.teacher_channel, fs.shape[-2]),
+        (inter_keypoint_gram, plan.teacher_keypoint, fs.shape[-1]),
+    )
+    for w, (gram, gram_t, count) in zip(weights, kinds):
+        diff = gram(fs, norm) - gram_t
+        diff *= 2.0 / (diff.shape[-1] ** 2 if reduction == "mean" else 1.0)
+        grad = 2.0 * (f @ diff if gram is inter_channel_gram else diff @ f)
+        if norm == "count":
+            grad /= count
+        if norm == "l2":
+            grad = (grad - np.sum(grad * f, axis=-1, keepdims=True) * f) / scale
+        out += w * plan.scatter(grad)
+    return out
+
+
+WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 4.0))
+
+
+class TestWeightedTerms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        boxes=st.one_of(st.just([]), overlapping_boxes()),
+        g=st.integers(2, 4),
+        channels=st.integers(1, 4),
+        weights=st.tuples(WEIGHT, WEIGHT),
+        seed=st.integers(0, 2**31),
+    )
+    @example(boxes=[Box3D(center=[0.5, -0.3, 0.5], size=[3.0, 2.0, 1.0], yaw=0.4)], g=3, channels=2,
+             weights=(0.3, 2.5), seed=3)
+    @example(boxes=[], g=2, channels=3, weights=(1.0, 0.0), seed=5)
+    def test_one_weighted_scatter_equals_two_scatter_composition(self, boxes, g, channels, weights, seed):
+        """Every normalization and reduction, the zero-box plan included:
+        the one weighted gradient equals w_ic * (ic alone) + w_ik * (ik
+        alone), each scattered on its own, to 1e-12, and the values equal
+        those of a call without weights.  The identity student gives
+        exactly 0.0 and an all-zero gradient, bit for bit.  A (B, C, L)
+        stack gives each block's values bit for bit and no gradient."""
+        rng = CounterRng(seed)
+        teacher = BevFeatureMap(rng.normal((channels, 6, 6)), GRID6)
+        student = rng.normal((channels, 6, 6))
+        for norm in GRAM_NORMALIZATIONS:
+            plan = build_distill_plan(teacher, boxes, g, 1.25, norm)
+            blocks = [plan.pack(student), plan.pack(teacher.data)]
+            for reduction in LOSS_REDUCTIONS:
+                ic, ik, grad = plan.terms(blocks[0], reduction, weights)
+                assert (ic, ik, None) == plan.terms(blocks[0], reduction)
+                assert_close(grad, two_scatter_gradient(plan, blocks[0], reduction, weights))
+                ic0, ik0, grad0 = plan.terms(blocks[1], reduction, weights)
+                assert ic0 == ik0 == 0.0 and grad0.tobytes() == np.zeros_like(grad0).tobytes()
+                stack_ic, stack_ik, none = plan.terms(np.stack(blocks), reduction, weights)
+                assert none is None and stack_ic.shape == stack_ik.shape == (2,)
+                assert stack_ic.tolist() == [ic, ic0] and stack_ik.tolist() == [ik, ik0]
 
 
 class TestInterpolationMatrices:
@@ -791,9 +890,9 @@ class TestInterpolationMatrices:
         block = plan.pack(rng.normal((3, 6, 6)))
         assert plan.sample(block).shape == (0, 9, 3)
         assert plan.scatter(np.zeros((0, 9, 3))).shape == (3, 0)
-        for value, grad in plan.terms(block, "sum"):
-            assert value == 0.0 and grad.shape == (3, 0)
-            assert np.array_equal(plan.unpack(grad), np.zeros((3, 6, 6)))
+        ic, ik, grad = plan.terms(block, "sum", (1.0, 1.0))
+        assert ic == ik == 0.0 and grad.shape == (3, 0)
+        assert np.array_equal(plan.unpack(grad), np.zeros((3, 6, 6)))
 
 
 class TestLiveCellPacking:

@@ -914,14 +914,14 @@ def _inner_value(cfg, call, x0, x):
 
 def _gram_value(cfg, call, x0, x):
     """One input as a one-target stack against the instance's teacher Gram."""
-    (_, gram_t, kind, norm, reduction), _, _ = call
-    return _gram_losses(x[None], gram_t, kind, norm, reduction, with_grad=False)[0][0]
+    (_, teacher, norm, reduction, _), _, _ = call
+    return _gram_losses(x[None], teacher, norm, reduction)[0][0][0]
 
 
 def _bev_value(cfg, call, x0, x):
     """ic + ik of one (C, L) block through the instance's plan."""
     _, _, plan = call
-    (ic, _), (ik, _) = plan.terms(x, cfg.loss_reduction, with_grad=False)
+    ic, ik, _ = plan.terms(x, cfg.loss_reduction)
     return ic + ik
 
 

@@ -30,6 +30,7 @@ from geodistill import (
     softmax_rows,
     write_tsr,
 )
+from geodistill.numerics import sq_sums
 from geodistill.rng import CounterRng
 
 
@@ -128,6 +129,21 @@ class TestFrobenius:
     def test_shape_error(self):
         with pytest.raises(ShapeError):
             frobenius_sq_distance(np.zeros(2), np.zeros(3))
+
+    def test_sq_sums_of_stacks(self):
+        """Each matrix of a (2, 3, 4, 7) stack reduces to its own
+        frobenius_sq_distance from zero, bit for bit, and within 1e-12 of
+        numpy's sum of squares; ``out`` receives the sums, and a stack of
+        no matrices or of empty ones gives zeros."""
+        x = CounterRng(5).substream("sq").normal((2, 3, 4, 7))
+        out = np.empty((2, 3))
+        got = sq_sums(x, out)
+        assert np.shares_memory(got, out)
+        for idx in np.ndindex(2, 3):
+            assert out[idx] == frobenius_sq_distance(x[idx], np.zeros((4, 7)))
+            assert out[idx] == pytest.approx(np.sum(x[idx] ** 2), rel=1e-12)
+        assert sq_sums(np.zeros((0, 4, 7))).shape == (0,)
+        assert np.array_equal(sq_sums(np.zeros((3, 0, 7))), np.zeros(3))
 
 
 class TestSoftmaxRows:
