@@ -221,14 +221,14 @@ def _row_canonical(f: np.ndarray) -> np.ndarray:
 def _grams(f_eff: np.ndarray, kind: str, normalization: str, out: Optional[np.ndarray] = None) -> np.ndarray:
     """(..., C, C) channel or (..., N, N) keypoint Grams of a (..., N, C)
     stack of effective features, one BLAS product per target, written
-    into ``out`` when given.  Each slice's product depends only on that
-    slice's values, so a target's Gram has the same bits in a stack as on
-    its own."""
+    into ``out`` when given; BLAS takes the transposed operand faster as a
+    C-contiguous copy.  Each slice's product depends only on that slice's
+    values, so a target's Gram has the same bits in a stack as on its own."""
     if kind == "channel":
         f_can = _row_canonical(f_eff)
-        gram = np.matmul(np.swapaxes(f_can, -1, -2), f_can, out=out)
+        gram = np.matmul(np.ascontiguousarray(np.swapaxes(f_can, -1, -2)), f_can, out=out)
     else:
-        gram = np.matmul(f_eff, np.swapaxes(f_eff, -1, -2), out=out)
+        gram = np.matmul(f_eff, np.ascontiguousarray(np.swapaxes(f_eff, -1, -2)), out=out)
     if normalization == "count":
         gram /= _gram_count(f_eff, kind)
     return gram
@@ -495,17 +495,20 @@ def bev_distill_terms(
     results, each with its own gradient on the student BEV tensor.
 
     Both maps are sampled at identical keypoints.  The teacher side is
-    built for this call, and all targets run as one stack through
-    ``DistillPlan.terms`` with weights (1, 0) and with (0, 1): values
-    are the per-target values summed in input order, and each gradient
-    is ``DistillPlan.scatter`` onto the plan's live cells, adding targets
-    in input order, and is 0.0 elsewhere.  With no boxes the stack is
-    empty: both results are 0.0, ``empty``, with zero gradients.
+    built for this call, and the student block is sampled once; all
+    targets run as one stack through ``_gram_losses`` once per kind with
+    weight 1: values are the per-target values summed in input order, and
+    each gradient is ``DistillPlan.scatter`` onto the plan's live cells,
+    adding targets in input order, and 0.0 elsewhere.  With no boxes the
+    stack is empty: both results are 0.0, ``empty``, with zero gradients.
     """
     plan, block = _dense_plan(student_bev, teacher_bev, boxes, g, enlarge, normalization, loss_reduction)
-    ic, _, ic_grad = plan.terms(block, loss_reduction, (1.0, 0.0))
-    _, ik, ik_grad = plan.terms(block, loss_reduction, (0.0, 1.0))
-    return LossResult(ic, plan.unpack(ic_grad), empty=not boxes), LossResult(ik, plan.unpack(ik_grad), empty=not boxes)
+    fs = plan.sample(block)
+    results = []
+    for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
+        (values,), grad_fs = _gram_losses(fs, ((kind, gram_t),), normalization, loss_reduction, (1.0,))
+        results.append(LossResult(_sum_in_order(values), plan.unpack(plan.scatter(grad_fs)), empty=not boxes))
+    return tuple(results)
 
 
 def bev_distill_loss(

@@ -18,7 +18,7 @@ from __future__ import annotations
 import dataclasses
 import operator
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -113,17 +113,12 @@ def logit_rows(logits: np.ndarray) -> np.ndarray:
     return np.moveaxis(logits, -3, -1).reshape(logits.shape[:-3] + (-1, logits.shape[-3]))
 
 
-def rows_to_map(rows: np.ndarray, h: int, w: int) -> np.ndarray:
-    """Inverse of logit_rows: (H*W, D) rows back to a (D, H, W) map."""
-    return np.moveaxis(rows.reshape(h, w, -1), -1, 0)
-
-
 def packed_to_map(rows: np.ndarray, at: np.ndarray, h: int, w: int) -> np.ndarray:
     """(D, H, W) map holding (N, D) ``rows`` at flat pixel indices ``at``
-    and 0 elsewhere."""
+    and 0 elsewhere; the inverse of ``logit_rows`` on those pixels."""
     out = np.zeros((h * w, rows.shape[1]))
     out[at] = rows
-    return rows_to_map(out, h, w)
+    return np.moveaxis(out.reshape(h, w, -1), -1, 0)
 
 
 def pixel_rows(fds: ForegroundDepthSet, width: int) -> np.ndarray:
@@ -136,61 +131,28 @@ def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
     return np.sum(probs * centers, axis=-1)
 
 
-def reference_scores(
-    fds: ForegroundDepthSet,
-    pred_depth,
-    sel: ReferenceSelection,
-    conf=None,
-) -> np.ndarray:
-    """Score of every pixel of one target as its reference; lower is
-    better.
-
-    ``pred_depth`` holds the predicted continuous depth per set pixel,
-    ``conf`` the per-pixel peak bin probability (only needed by the
-    highest-confidence strategy).  The score is the depth error
-    ``gt - pred`` (its magnitude unless ``signed_reference_error``), the
-    negated confidence, or the squared distance to the target's center.
-    """
+def select_reference(fds: ForegroundDepthSet, pred_depth, sel: ReferenceSelection, conf=None) -> int:
+    """Pick the reference pixel of one target from the predicted depth per
+    set pixel and, for the highest-confidence strategy only, the peak bin
+    probability ``conf`` per pixel; returns its index into ``fds.pixels``:
+    the first pixel of smallest score (``select_references`` of the target
+    laid out alone), so ties go to the first pixel in the set's order."""
     if fds.skipped:
         raise SkippedTargetError(f"target {fds.target_index} has fewer than 2 pixels")
+    h, w = np.max(fds.pixels, axis=0, initial=0)[::-1] + 1
+    layout = target_layout([(pixel_rows(fds, w), [fds], (h, w))])
     if sel.strategy == "one_to_one":
         raise ValueError("the pairwise strategy uses no reference pixel")
-    pred_depth = as_tensor(pred_depth).reshape(-1)
-    if pred_depth.shape[0] != len(fds):
+    pred_depth = as_tensor(pred_depth).reshape(1, -1)
+    if pred_depth.shape[1] != len(fds):
         raise ContractError("pred_depth length must match the pixel set")
-
-    if sel.strategy == "all_to_adaptive_smallest_error":
-        err = fds.gt_depth - pred_depth
-        return err if sel.signed_reference_error else np.abs(err)
     if sel.strategy == "all_to_adaptive_highest_conf":
         if conf is None:
             raise ValueError("highest-confidence selection needs per-pixel conf")
-        conf = as_tensor(conf).reshape(-1)
+        conf = as_tensor(conf).reshape(-1, 1)  # one-entry rows, each its own maximum
         if conf.shape[0] != len(fds):
             raise ContractError("conf length must match the pixel set")
-        return -conf
-    if sel.strategy == "all_to_certain_3d_center" and fds.center_uv is not None:
-        # pixel (x, y) covers [x, x+1) x [y, y+1); measure from its center
-        cx, cy = fds.center_uv[0] - 0.5, fds.center_uv[1] - 0.5
-    else:  # the 2d center, and the 3d one of a target without a projected center
-        cx, cy = fds.pixels[:, 0].mean(), fds.pixels[:, 1].mean()
-    dx = fds.pixels[:, 0] - cx
-    dy = fds.pixels[:, 1] - cy
-    return dx * dx + dy * dy
-
-
-def select_reference(
-    fds: ForegroundDepthSet,
-    pred_depth,
-    sel: ReferenceSelection,
-    conf=None,
-) -> int:
-    """Pick the reference pixel of one target; returns its index into
-    ``fds.pixels``: the first pixel of smallest ``reference_scores``, so
-    ties resolve to the first pixel in row-major order, which is the
-    storage order of the set."""
-    # the method, not np.argmin: its dispatch costs more than a short scan
-    return int(reference_scores(fds, pred_depth, sel, conf).argmin())
+    return int(select_references(layout, pred_depth, conf, sel)[0])
 
 
 def relative_depths(
@@ -225,68 +187,41 @@ def assign_depth_bins(gt_values, bins: DepthBins) -> np.ndarray:
 class PackedView:
     """One camera's supervised rows; the trainer builds it once per scene.
 
-    ``rows`` holds the flat pixel index of each valid pixel, ``gt_bins``
-    its ground-truth bin, and ``targets`` pairs every non-skipped
-    foreground set with the positions of its pixels within ``rows``.
+    ``rows`` holds the flat pixel index of each valid pixel, and
+    ``gt_bins`` its ground-truth bin; ``target_layout`` places the
+    targets among the rows.
     """
 
     rows: np.ndarray
     gt_bins: np.ndarray
-    targets: List[Tuple[ForegroundDepthSet, np.ndarray]]
 
 
-def pack_view(
-    gt, valid, bins: DepthBins, targets: Sequence[ForegroundDepthSet] = ()
-) -> PackedView:
-    """Gather plan of one camera: valid rows, their bins, and each
-    target's rows; every target pixel must be valid."""
+def pack_view(gt, valid, bins: DepthBins) -> PackedView:
+    """Gather plan of one camera: valid rows and their bins."""
     valid = np.asarray(valid, dtype=bool)
     rows = np.nonzero(valid.reshape(-1))[0]
     gt_valid = as_tensor(gt).reshape(-1)[rows]
     if np.any(gt_valid <= 0):
         raise ContractError("gt depth must be positive on valid pixels")
-    return PackedView(
-        rows=rows,
-        gt_bins=assign_depth_bins(gt_valid, bins),
-        targets=_target_positions(rows, targets, valid.shape),
-    )
-
-
-def _target_positions(
-    rows: np.ndarray, targets: Sequence[ForegroundDepthSet], shape: Tuple[int, int]
-) -> List[Tuple[ForegroundDepthSet, np.ndarray]]:
-    """Each non-skipped target with the positions of its pixels in ``rows``."""
-    lookup = np.full(shape[0] * shape[1], -1, dtype=np.int64)
-    lookup[rows] = np.arange(rows.size)
-    packed = []
-    for fds in targets:
-        if fds.skipped:
-            continue
-        pos = lookup[pixel_rows(fds, shape[1])]
-        if np.any(pos < 0):
-            raise ContractError("foreground pixel outside the valid mask")
-        packed.append((fds, pos))
-    return packed
+    return PackedView(rows=rows, gt_bins=assign_depth_bins(gt_valid, bins))
 
 
 def bce_rows(
-    probs: np.ndarray,
-    gt_bins: np.ndarray,
-    grad_rows: Optional[np.ndarray] = None,
-    scale: float = 1.0,
+    probs: np.ndarray, gt_bins: np.ndarray, grad_rows: Optional[np.ndarray] = None, scale: float = 1.0,
     work: Optional[np.ndarray] = None,
 ) -> Union[float, np.ndarray]:
     """Summed one-hot BCE of (N, D) softmax rows against their gt bins.
 
     Probabilities are clamped to [BCE_CLAMP, 1 - BCE_CLAMP]; clamped
     entries pass no gradient, matching the piecewise-constant clip.  When
-    ``grad_rows`` is given, ``scale`` times the gradient w.r.t. the
-    underlying logits is written into it, with the bits of adding it to
-    zeros; it also holds the gradient's temporaries.  ``work`` is an
-    optional C-contiguous array of the probabilities' shape that holds
-    the others.  A C-ordered (B, N, D) stack of row sets against the
-    same bins gives B sums, each bit for bit that of its (N, D) slice on
-    its own.
+    ``grad_rows`` is given, ``scale`` (>= 0) times the gradient w.r.t.
+    the underlying logits, ``scale * r - p * sum_k (scale * r_k)`` with r
+    = p / (1 - p), -1 at the gt bin and 0 where clamped, is written into
+    it with the bits of adding it to zeros; it also holds the gradient's
+    temporaries, and ``work``, an optional C-contiguous array of the
+    probabilities' shape, the others.  A C-ordered (B, N, D) stack of row
+    sets against the same bins gives B sums, each bit for bit that of its
+    (N, D) slice on its own.
     """
     hit = (..., np.arange(probs.shape[-2]), gt_bins)
     work = np.empty_like(probs) if work is None else work
@@ -301,82 +236,168 @@ def bce_rows(
     # summing the negated terms; 0.0 - keeps an empty sum at +0.0
     total = 0.0 - np.sum(logs.reshape(logs.shape[:-2] + (-1,)), axis=-1)
     if grad_rows is not None:
-        grad_p = np.divide(1.0, np.subtract(1.0, clamped, out=grad_rows), out=grad_rows)
-        grad_p[hit] = -1.0 / at_gt
+        r = np.divide(probs, np.subtract(1.0, clamped, out=grad_rows), out=grad_rows)
+        r *= scale
+        r[hit] = 0.0 - scale
         if not inside:
-            grad_p *= (probs > BCE_CLAMP) & (probs < 1.0 - BCE_CLAMP)
-        inner = np.sum(np.multiply(grad_p, probs, out=work), axis=-1, keepdims=True)
-        g = np.multiply(probs, np.subtract(grad_p, inner, out=grad_rows), out=grad_rows)
-        np.add(np.multiply(g, scale, out=g), 0.0, out=g)
+            np.copyto(r, 0.0, where=(probs <= BCE_CLAMP) | (probs >= 1.0 - BCE_CLAMP))
+        # r holds no -0.0, and a difference is -0.0 only from a -0.0 minuend
+        np.subtract(r, np.multiply(probs, np.sum(r, axis=-1, keepdims=True), out=work), out=r)
     return total if total.ndim else float(total)
 
 
-def relative_residual(
-    d: np.ndarray, gt: np.ndarray, ref: Optional[int], reduction: str
-) -> Tuple[Union[float, np.ndarray], np.ndarray]:
-    """Loss and d-gradient of one target's squared relative residuals.
+@dataclass
+class TargetLayout:
+    """Every target of a packed depth block (each view's (N, D) rows in
+    camera order), laid out once.  ``rows`` (U,) holds the sorted block
+    rows that targets touch, ``local`` their positions in their views,
+    and ``views`` each view's (block rows, ``rows``, targets) slices.
+    Target j's pixels are the rows ``index[j, mask[j]]``, with gt depths
+    ``gt[j, mask[j]]``; the (T, K) padding repeats its first row and holds
+    gt 0.0.  ``fixed_refs`` holds each target's reference column under the
+    two center strategies, whose scores do not depend on the prediction.
+    ``first`` (U,) holds the flat (T, K) position of each row's first
+    touch in (camera, target) order, and ``later`` (2, S) the row and
+    position of each later touch."""
 
-    With a reference index, depths are anchored at that pixel; the index
-    is a constant of the backward pass, while d[ref] still receives
-    gradient through every residual it appears in.  With ``ref`` None,
-    residuals run over all ordered pixel pairs (p, q), p != q.  A
-    C-ordered (B, n) stack of depth vectors gives B losses and
-    gradients, each bit for bit that of its row on its own.
-    """
-    n = d.shape[-1]
-    if ref is None:
-        e = (d[..., :, None] - d[..., None, :]) - (gt[:, None] - gt[None, :])
-        denom = float(n * (n - 1)) if reduction == "mean" else 1.0
-        grad_d = 4.0 * np.sum(e, axis=-1) / denom
-        e = e.reshape(d.shape[:-1] + (n * n,))
+    rows: np.ndarray
+    local: np.ndarray
+    views: List[Tuple[slice, slice, slice]]
+    index: np.ndarray
+    mask: np.ndarray
+    counts: np.ndarray
+    gt: np.ndarray
+    fixed_refs: Dict[str, np.ndarray]
+    first: np.ndarray
+    later: np.ndarray
+
+
+def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet], Tuple[int, int]]]) -> TargetLayout:
+    """The layout of the non-skipped targets of views given as (flat
+    pixel index of each row, targets, (H, W)) in camera order; a target
+    pixel that is no row of its view raises."""
+    offsets, pairs, targets_of_view = [0], [], []
+    for rows, targets, (h, w) in views:
+        lookup = np.full(h * w, -1, dtype=np.int64)
+        lookup[rows] = np.arange(offsets[-1], offsets[-1] + rows.size)
+        used = [fds for fds in targets if not fds.skipped]
+        targets_of_view.append(slice(len(pairs), len(pairs) + len(used)))
+        pairs += [(fds, lookup[pixel_rows(fds, w)]) for fds in used]
+        offsets.append(offsets[-1] + rows.size)
+    counts = np.array([len(fds) for fds, _ in pairs], dtype=float)
+    # at least one column, so that every per-target reduction has an axis
+    mask = np.arange(max(counts.max(initial=0), 1)) < counts[:, None]
+    # each touch's block row, pixel x and y and gt depth, zero in the padding
+    touch = np.zeros((4,) + mask.shape)
+    touch[:, mask] = np.concatenate([np.column_stack([pos, fds.pixels, fds.gt_depth]) for fds, pos in pairs]
+                                    + [np.zeros((0, 4))]).T
+    block_rows, px, py, gt = touch
+    if block_rows.min(initial=0.0) < 0:
+        raise ContractError("foreground pixel outside the valid mask")
+    touches = np.flatnonzero(mask)  # in (camera, target, pixel) order
+    rows, first, at = np.unique(block_rows[mask].astype(np.int64), return_index=True, return_inverse=True)
+    index = np.zeros(mask.shape, np.int64)
+    index[mask] = at
+    is_later = np.ones(touches.size, bool)
+    is_later[first] = False
+    later = np.flatnonzero(is_later)
+    bounds = np.searchsorted(rows, offsets).tolist()
+    centroid = touch[1:3].sum(axis=-1) / np.maximum(counts, 1)
+    # pixel (x, y) covers [x, x+1) x [y, y+1); measure from its center
+    projected = np.array([centroid[:, j] if fds.center_uv is None else np.subtract(fds.center_uv, 0.5)
+                          for j, (fds, _) in enumerate(pairs)]).reshape(-1, 2).T
+    cx, cy = np.array([projected, centroid]).transpose(1, 0, 2)[..., None]  # (2 strategies, T, 1) each
+    refs = np.where(mask, (px - cx) ** 2 + (py - cy) ** 2, np.inf).argmin(axis=-1)
+    return TargetLayout(
+        rows=rows, local=rows - np.repeat(offsets[:-1], [b - a for a, b in zip(bounds, bounds[1:])]),
+        views=[(slice(*offsets[v:v + 2]), slice(*bounds[v:v + 2]), t) for v, t in enumerate(targets_of_view)],
+        index=np.where(mask, index, index[:, :1]), mask=mask, counts=counts, gt=gt,
+        fixed_refs=dict(zip(("all_to_certain_3d_center", "all_to_certain_2d_center"), refs)),
+        first=touches[first], later=np.array([at[later], touches[later]]),
+    )
+
+
+def layout_scores(layout: TargetLayout, d: np.ndarray, probs: np.ndarray, sel: ReferenceSelection) -> np.ndarray:
+    """(..., T, K) scores of an adaptive strategy for every target of
+    ``layout``, lower is better and +inf at the padding, from (..., T, K)
+    padded depths ``d`` and (U, D) probabilities: the error ``gt - d``
+    (its magnitude unless ``signed_reference_error``), or the negated
+    row maximum."""
+    if sel.strategy == "all_to_adaptive_smallest_error":
+        scores = layout.gt - d
+        if not sel.signed_reference_error:
+            np.abs(scores, out=scores)
     else:
-        e = (d - d[..., ref, None]) - (gt - gt[ref])
-        denom = float(n) if reduction == "mean" else 1.0
-        grad_d = 2.0 * e / denom
-        grad_d[..., ref] -= 2.0 * np.sum(e, axis=-1) / denom
-    value = np.sum(e * e, axis=-1) / denom
-    return (value if value.ndim else float(value)), grad_d
+        scores = -np.max(probs, axis=-1)[layout.index]
+    scores[..., ~layout.mask] = np.inf
+    return scores
+
+
+def select_references(layout: TargetLayout, d: np.ndarray, probs: np.ndarray, sel: ReferenceSelection):
+    """Each target's reference column: its fixed one under a center
+    strategy, else the first of its smallest ``layout_scores``; None for
+    the pairwise strategy."""
+    if sel.strategy == "one_to_one" or sel.strategy in layout.fixed_refs:
+        return layout.fixed_refs.get(sel.strategy)
+    return layout_scores(layout, d, probs, sel).argmin(axis=-1)
+
+
+def relative_residual(
+    d: np.ndarray, layout: TargetLayout, ref: Optional[np.ndarray], reduction: str
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Values (T,) and d-gradients (T, K) of every target's squared relative
+    residuals from its (T, K) padded depths ``d``; the padding adds 0 and
+    gets 0.  With (T,) reference columns, each target is anchored at its
+    reference pixel, a constant of the backward pass, while d[ref] still
+    gets gradient through every residual; with ``ref`` None, residuals run
+    over all ordered pixel pairs (p, q), p != q.  A C-ordered (B, T, K)
+    stack gives (B, T) values, each row bit for bit its slice's alone."""
+    n, mask = layout.counts, layout.mask
+    if ref is None:
+        e = (d[..., :, None] - d[..., None, :]) - (layout.gt[:, :, None] - layout.gt[:, None, :])
+        e *= mask[:, :, None] & mask[:, None, :]
+        denom = n * (n - 1.0) if reduction == "mean" else np.ones_like(n)
+        grad_d = 4.0 * np.sum(e, axis=-1) / denom[:, None]
+        e = e.reshape(e.shape[:-2] + (e.shape[-1] ** 2,))
+    else:
+        t = np.arange(ref.size)
+        e = ((d - d[..., t, ref][..., None]) - (layout.gt - layout.gt[t, ref][:, None])) * mask
+        denom = n if reduction == "mean" else np.ones_like(n)
+        grad_d = 2.0 * e / denom[:, None]
+        grad_d[..., t, ref] -= 2.0 * np.sum(e, axis=-1) / denom
+    return np.sum(e * e, axis=-1) / denom, grad_d
 
 
 def relative_depth_rows(
-    probs: np.ndarray,
-    targets: Sequence[Tuple[ForegroundDepthSet, np.ndarray]],
-    centers: np.ndarray,
-    sel: ReferenceSelection,
-    reduction: str,
-    grad_rows: Optional[np.ndarray] = None,
-    scale: float = 1.0,
+    probs: np.ndarray, layout: TargetLayout, centers: np.ndarray, sel: ReferenceSelection, reduction: str,
+    grad_rows: Optional[np.ndarray] = None, scale: float = 1.0, work: Optional[np.ndarray] = None,
 ) -> float:
-    """Relative-depth loss summed over targets, in target order.
-
-    ``probs`` are softmax rows and each target carries the positions of
-    its pixels among them.  Each target's reference is selected on the
-    current prediction; with ``grad_rows``, ``scale`` times the logit
-    gradient is added into it, overlapping targets in target order.
-    """
-    total = 0.0
-    # one (M, D) scratch for every target's products; its leading rows are
-    # C-contiguous, so each row sum rounds as on a fresh array
-    work = np.empty((max((pos.size for _, pos in targets), default=0), probs.shape[-1]))
-    for fds, pos in targets:
-        p = probs[pos]
-        buf = work[: pos.size]
-        depths = np.sum(np.multiply(p, centers, out=buf), axis=-1)
-        ref = None
-        if sel.strategy != "one_to_one":
-            conf = np.max(p, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
-            ref = select_reference(fds, depths, sel, conf)
-        value, grad_d = relative_residual(depths, fds.gt_depth, ref, reduction)
-        if grad_rows is not None:
-            # chain through the softmax expectation d = sum_k p_k c_k; a
-            # target's pixels are distinct, so += accumulates like np.add.at
-            np.subtract(centers, depths[:, None], out=buf)
-            buf *= grad_d[:, None]
-            buf *= p
-            buf *= scale
-            grad_rows[pos] += buf
-        total += value
-    return total
+    """Relative-depth loss of every target of ``layout`` in one pass over
+    the (U, D) softmax rows of ``layout.rows``, each target's reference
+    selected on the current prediction; values are summed in target
+    order within a view, and the views in camera order.  With
+    ``grad_rows``, the block's rows, ``scale`` times the logit gradient is
+    added into it touch by touch: first touches by one fancy add per view,
+    later ones by ``np.add.at`` in target order.  ``work`` is an optional
+    C-contiguous array of the probabilities' shape for the temporaries."""
+    work = np.empty_like(probs) if work is None else work
+    # each row sum of C-contiguous rows rounds as on a fresh array
+    depths = np.sum(np.multiply(probs, centers, out=work), axis=-1)
+    d = depths[layout.index]
+    values, grad_d = relative_residual(d, layout, select_references(layout, d, probs, sel), reduction)
+    if grad_rows is not None:
+        # chain through d = sum_k p_k c_k: scale * g * p_k * (c_k - d)
+        shared, touch = layout.later
+        np.subtract(centers, depths[:, None], out=work)
+        later = work[shared]
+        for chain, at, p in ((work, layout.first, probs), (later, touch, probs[shared])):
+            chain *= scale * grad_d.flat[at][:, None]
+            chain *= p
+        for _, entries, _ in layout.views:  # a view at a time, to keep the gathered copy small
+            grad_rows[layout.rows[entries]] += work[entries]
+        np.add.at(grad_rows, layout.rows[shared], later)
+    per_target = values.tolist()
+    return sum((sum(per_target[targets], 0.0) for _, _, targets in layout.views), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -408,14 +429,9 @@ def inner_depth_loss(
     if not used:
         return LossResult(0.0, np.zeros_like(depthmap.logits), empty=True)
     rows = np.unique(np.concatenate([pixel_rows(fds, w) for fds in used]))
+    layout = target_layout([(rows, used, (h, w))])
     grad_rows = np.zeros((rows.size, d))
-    value = relative_depth_rows(
-        softmax_rows(logit_rows(depthmap.logits)[rows]),
-        _target_positions(rows, used, (h, w)),
-        bins.centers,
-        sel,
-        loss_reduction,
-        grad_rows,
-    )
+    probs = softmax_rows(logit_rows(depthmap.logits)[rows])
+    value = relative_depth_rows(probs[layout.rows], layout, bins.centers, sel, loss_reduction, grad_rows)
     grad = packed_to_map(grad_rows, rows, h, w)
     return LossResult(value, grad, components={"targets_used": float(len(used))})

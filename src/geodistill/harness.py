@@ -36,15 +36,18 @@ from .depth_supervision import (
     DepthBins,
     PackedView,
     ReferenceSelection,
+    TargetLayout,
     assign_depth_bins,
     bce_rows,
     expected_depths,
+    layout_scores,
     logit_rows,
     pack_view,
     packed_to_map,
-    reference_scores,
     relative_depth_rows,
     relative_residual,
+    select_references,
+    target_layout,
 )
 from .errors import ConfigError, ContractError, NumericError
 from .geometry import BevGrid, Box3D, ForegroundDepthSet
@@ -341,21 +344,24 @@ TERMS = ("absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")  # 
 @dataclass
 class SceneProblem:
     """The weighted objective of one scene over a flat parameter vector
-    (each view's valid-pixel logit rows, then the (C, L) block of the
-    student BEV map's live cells, see ``DistillPlan``; a gradient has the
-    same layout).  ``build`` packs the views and the BEV teacher side
-    once; only ``evaluate`` composes the objective."""
+    (the (N, D) depth block of each view's valid-pixel logit rows, then
+    the (C, L) block of the student BEV map's live cells, see
+    ``DistillPlan``; a gradient has the same layout).  ``build`` packs the
+    views, their ``TargetLayout`` and the BEV teacher side once; only
+    ``evaluate`` composes the objective."""
 
     cfg: HarnessConfig
     scene: SyntheticScene
     views: List[ViewGroundTruth]
     packed: List[PackedView]
     plan: DistillPlan
+    layout: TargetLayout
     ends: np.ndarray  # end offset of each view's rows, then of the BEV block
-    # (2, N, D) step buffers of the largest view, shared by every view:
-    # probabilities and BCE's work array.  A view uses the leading rows,
-    # which are C-contiguous, so its sums round as in fresh arrays.
+    # (2, R, D) step buffers, a view's probabilities and work, which hold
+    # the layout's rows as the inner-depth pass's (U, D) work; a call uses
+    # leading rows, which are C-contiguous, so its sums round as in fresh arrays.
     rows_buffers: np.ndarray = field(repr=False)
+    target_rows: np.ndarray = field(repr=False)  # (U, D) probabilities of the layout's rows
     # each target's squared keypoint-Gram distance at the last evaluation,
     # and the teacher keypoint Gram's squared norm
     keypoint_sq: np.ndarray = field(repr=False)
@@ -363,26 +369,31 @@ class SceneProblem:
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
-        packed = [pack_view(v.depth, v.valid, cfg.bins, v.targets) for v in views]
+        packed = [pack_view(v.depth, v.valid, cfg.bins) for v in views]
         plan = build_distill_plan(
             scene.teacher_bev, scene.boxes, cfg.keypoint_g, cfg.enlarge, cfg.gram_normalization
         )
+        layout = target_layout([(p.rows, v.targets, v.depth.shape) for p, v in zip(packed, views)])
         d = cfg.bins.count
         sizes = [p.rows.size * d for p in packed] + [scene.teacher_bev.channels * plan.live.size]
-        n_max = max((p.rows.size for p in packed), default=0)
+        n_max = max([p.rows.size for p in packed] + [(layout.rows.size + 1) // 2])
         return cls(
-            cfg, scene, views, packed, plan, np.cumsum(sizes),
+            cfg, scene, views, packed, plan, layout, np.cumsum(sizes),
             rows_buffers=np.empty((2, n_max, d)),
+            target_rows=np.empty((layout.rows.size, d)),
             keypoint_sq=np.empty(len(scene.boxes)),
             keypoint_norm_sq=sq_sums(plan.teacher_keypoint),
         )
 
+    def blocks(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The (N, D) depth block and the (C, L) BEV block, as views into a parameter or gradient vector."""
+        cut = self.ends[-2]
+        return vec[:cut].reshape(-1, self.cfg.bins.count), vec[cut:].reshape(self.scene.teacher_bev.channels, -1)
+
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
-        """Each view's (N, D) logit rows and the (C, L) BEV block, as
-        views into a parameter or gradient vector."""
-        parts = np.split(vec, self.ends[:-1])
-        rows = [part.reshape(-1, self.cfg.bins.count) for part in parts[:-1]]
-        return rows, parts[-1].reshape(self.scene.teacher_bev.channels, -1)
+        """Each view's (N, D) rows of the depth block, and the BEV block."""
+        depth, bev = self.blocks(vec)
+        return [depth[rows] for rows, _, _ in self.layout.views], bev
 
     def evaluate(self, params: np.ndarray, grad: Optional[np.ndarray] = None) -> LossResult:
         """Total loss at ``params`` with its components (``TERMS`` and
@@ -398,27 +409,31 @@ class SceneProblem:
         The first term that writes a block of ``grad`` assigns it, with
         the bits of adding into zeros, so ``grad`` may hold anything on
         entry."""
-        logits, student = self.split(params)
-        logit_grads, student_grad = self.split(grad) if grad is not None else ([None] * len(logits), None)
-        return self.compose(self.depth_terms(logits, logit_grads), self.bev_terms(student, student_grad))
+        logits, student = self.blocks(params)
+        logit_grad, student_grad = self.blocks(grad) if grad is not None else (None, None)
+        return self.compose(self.depth_terms(logits, logit_grad), self.bev_terms(student, student_grad))
 
-    def depth_terms(self, logits: List[np.ndarray], logit_grads: List[Optional[np.ndarray]]) -> Tuple[float, float]:
-        """The absolute and inner depth values of each view's logit rows,
-        summed in camera order; a view's weighted gradient is written into
-        its entry of ``logit_grads`` unless that is None."""
-        cfg, w = self.cfg, self.cfg.weights
-        a_views, r_views = [], []
-        for view, rows, rows_grad in zip(self.packed, logits, logit_grads):
+    def depth_terms(self, logits: np.ndarray, logit_grad: Optional[np.ndarray]) -> Tuple[float, float]:
+        """The absolute and inner depth values of the (N, D) depth block, and
+        its weighted gradient written into ``logit_grad`` unless that is None:
+        softmax and BCE view by view, summed in camera order, each view's
+        target rows copied into ``target_rows``, then one inner-depth pass."""
+        cfg, w, layout = self.cfg, self.cfg.weights, self.layout
+        a_views = []
+        for (rows, entries, _), view in zip(layout.views, self.packed):
             n = view.rows.size
             if not n:
                 continue
             probs_buf, work = self.rows_buffers[:, :n]
-            probs = softmax_rows(rows, out=probs_buf)
+            probs = softmax_rows(logits[rows], out=probs_buf)
+            rows_grad = None if logit_grad is None else logit_grad[rows]
             a_views.append(bce_rows(probs, view.gt_bins, rows_grad, w.w_a / n, work) / n)
-            r_views.append(relative_depth_rows(
-                probs, view.targets, cfg.bins.centers, cfg.reference, cfg.loss_reduction, rows_grad, w.w_r
-            ))
-        return sum(a_views, 0.0), sum(r_views, 0.0)
+            np.take(probs, layout.local[entries], axis=0, out=self.target_rows[entries], mode="clip")
+        inner = relative_depth_rows(
+            self.target_rows, layout, cfg.bins.centers, cfg.reference, cfg.loss_reduction,
+            logit_grad, w.w_r, self.rows_buffers.reshape(-1, cfg.bins.count)[:layout.rows.size],
+        )
+        return sum(a_views, 0.0), inner
 
     def bev_terms(self, student: np.ndarray, student_grad: Optional[np.ndarray]) -> Tuple[float, float]:
         """The inter-channel and inter-keypoint values of the (C, L)
@@ -618,25 +633,26 @@ def _inner_instance(cfg: HarnessConfig, sub: CounterRng) -> _Instance:
     center = (sub.uniform(1)[0] * w, sub.uniform(1)[0] * h)
     fds = ForegroundDepthSet(target_index=0, pixels=pixels, gt_depth=gt, skipped=False, center_uv=center)
     rows = logit_rows(2.0 * sub.normal((d, h, w)))[order]
+    layout = target_layout([(order, [fds], (h, w))])
     sel = cfg.reference
     probs = softmax_rows(rows)
     analytic = np.zeros_like(rows)
-    relative_depth_rows(probs, [(fds, np.arange(n))], bins.centers, sel, cfg.loss_reduction, analytic)
-    ref, tie = None, False
-    if sel.strategy != "one_to_one":
-        conf = np.max(probs, axis=1) if sel.strategy == "all_to_adaptive_highest_conf" else None
-        scores = reference_scores(fds, expected_depths(probs, bins.centers), sel, conf)
-        # the reference is chosen once at x0 and frozen, as in the backward pass
-        ref = int(scores.argmin())
-        best, second = np.sort(scores)[:2]
+    relative_depth_rows(probs, layout, bins.centers, sel, cfg.loss_reduction, analytic)
+    # the reference is chosen once at x0 and frozen, as in the backward pass
+    d0 = expected_depths(probs, bins.centers)[layout.index]
+    ref = select_references(layout, d0, probs, sel)
+    tie = False
+    if sel.strategy.startswith("all_to_adaptive"):
+        best, second = np.sort(layout_scores(layout, d0, probs, sel)[0])[:2]
         if sel.strategy == "all_to_adaptive_smallest_error":
             tie = bool(second - best < 1e-5 * (1.0 + abs(best)))
-        elif sel.strategy == "all_to_adaptive_highest_conf":
+        else:
             tie = bool(second - best < 1e-6)
     return _Instance(
         values=lambda xs: relative_residual(
-            expected_depths(softmax_rows(xs), bins.centers), gt, ref, cfg.loss_reduction
-        )[0],
+            np.take(expected_depths(softmax_rows(xs), bins.centers), layout.index, axis=-1), layout, ref,
+            cfg.loss_reduction,
+        )[0][..., 0],
         x0=rows, analytic=analytic, tie_adjacent=tie,
     )
 
@@ -803,11 +819,15 @@ def adam_update(
     step: int, lr: float, opt: OptimizerConfig, tmp: np.ndarray,
 ) -> None:
     """Bias-corrected Adam update ``step`` (from 0) of flat ``params`` and
-    its moments ``m1`` and ``m2``, in place, in blocks of ``ADAM_BLOCK``.
-    ``tmp`` holds at least one block; ``grad`` is overwritten as the
-    second temporary, as the next evaluation writes it again."""
-    bias1 = 1.0 - opt.beta1 ** (step + 1)
-    bias2 = 1.0 - opt.beta2 ** (step + 1)
+    its moments ``m1`` and ``m2``, in place, in blocks of ``ADAM_BLOCK``, in
+    Kingma and Ba's efficient form (arXiv 1412.6980, Section 2): ``params -=
+    (lr_t * m1) / (sqrt(m2) + eps_hat)``, see ``lr_t`` and ``eps_hat`` below.
+    ``tmp`` holds at least one block; ``grad`` is overwritten as the second
+    temporary, as the next evaluation writes it again."""
+    # both bias corrections folded in, with t = step + 1
+    root2 = math.sqrt(1.0 - opt.beta2 ** (step + 1))
+    lr_t = lr * root2 / (1.0 - opt.beta1 ** (step + 1))
+    eps_hat = opt.eps * root2
     for start in range(0, params.size, ADAM_BLOCK):
         block = slice(start, start + ADAM_BLOCK)
         g, a, b, p = grad[block], m1[block], m2[block], params[block]
@@ -816,10 +836,8 @@ def adam_update(
         np.add(np.multiply(a, opt.beta1, out=a), np.multiply(g, 1.0 - opt.beta1, out=t), out=a)
         np.multiply(np.multiply(g, 1.0 - opt.beta2, out=t), g, out=t)
         np.add(np.multiply(b, opt.beta2, out=b), t, out=b)
-        # p -= lr * ((m1 / bias1) / (sqrt(m2 / bias2) + eps))
-        u = np.add(np.sqrt(np.divide(b, bias2, out=g), out=g), opt.eps, out=g)
-        np.divide(np.divide(a, bias1, out=t), u, out=t)
-        np.subtract(p, np.multiply(t, lr, out=t), out=p)
+        u = np.add(np.sqrt(b, out=g), eps_hat, out=g)
+        np.subtract(p, np.divide(np.multiply(a, lr_t, out=t), u, out=t), out=p)
 
 
 def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
@@ -856,9 +874,10 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # loop, its transients reuse memory the steps take later, and drawn at
     # the end they raise bev-heavy's peak RSS by about 0.4 MB
     start_bev = _start_bev(cfg, scene, identity_init)
-    _, student = problem.split(params)
     grad = np.empty_like(params)
-    _, student_grad = problem.split(grad)
+    # the blocks of the parameters and the gradient, as views taken once
+    logits, student = problem.blocks(params)
+    logit_grad, student_grad = problem.blocks(grad)
     moment1 = np.zeros_like(params)
     moment2 = np.zeros_like(params)
     series: Dict[str, List[float]] = {key: [] for key in ("total",) + TERMS}
@@ -872,10 +891,8 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # reports it, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(opt.max_steps):
-            if total_met_step is None:
-                res = problem.evaluate(params, grad)
-            else:
-                res = problem.compose(held, problem.bev_terms(student, student_grad))
+            depth = problem.depth_terms(logits, logit_grad) if total_met_step is None else held
+            res = problem.compose(depth, problem.bev_terms(student, student_grad))
             total = res.value
             series["total"].append(total)
             for key in TERMS:

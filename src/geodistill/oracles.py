@@ -231,16 +231,18 @@ def adam_scalar(
     params: Sequence[float], grad: Sequence[float], m1: Sequence[float], m2: Sequence[float],
     step: int, lr: float, beta1: float, beta2: float, eps: float,
 ) -> Tuple[List[float], List[float], List[float]]:
-    """Textbook bias-corrected Adam update ``step`` (from 0), element by
-    element: the new parameters, first moments and second moments."""
-    bias1 = 1.0 - beta1 ** (step + 1)
-    bias2 = 1.0 - beta2 ** (step + 1)
+    """Bias-corrected Adam update ``step`` (from 0) element by element, in
+    Kingma and Ba's efficient form (arXiv 1412.6980, Section 2): the new
+    parameters p - lr_t * m1 / (sqrt(m2) + eps_hat), and both moments."""
+    root2 = math.sqrt(1.0 - beta2 ** (step + 1))
+    lr_t = lr * root2 / (1.0 - beta1 ** (step + 1))
+    eps_hat = eps * root2
     new_p, new_m1, new_m2 = [], [], []
     for p, g, a, b in zip(params, grad, m1, m2):
         p, g, a, b = float(p), float(g), float(a), float(b)
         a = beta1 * a + (1.0 - beta1) * g
         b = beta2 * b + ((1.0 - beta2) * g) * g
-        new_p.append(p - lr * ((a / bias1) / (math.sqrt(b / bias2) + eps)))
+        new_p.append(p - (lr_t * a) / (math.sqrt(b) + eps_hat))
         new_m1.append(a)
         new_m2.append(b)
     return new_p, new_m1, new_m2

@@ -32,6 +32,8 @@ from geodistill.depth_supervision import (
     pack_view,
     packed_to_map,
     relative_depth_rows,
+    select_references,
+    target_layout,
 )
 from geodistill.harness import SATURATION_LOGIT
 from geodistill.numerics import LOSS_REDUCTIONS, softmax_rows
@@ -44,6 +46,13 @@ from geodistill.oracles import (
     softmax_scalar,
 )
 from geodistill.rng import CounterRng
+
+
+def assert_close(got, want, tol=1e-12):
+    """Entries agree within ``tol`` of the larger of 1 and want's largest
+    magnitude."""
+    scale = max(1.0, float(np.max(np.abs(want), initial=0.0)))
+    assert float(np.max(np.abs(np.asarray(got) - want), initial=0.0)) <= tol * scale
 
 
 def make_fds(pixels, gt, center_uv=None):
@@ -499,10 +508,10 @@ class TestAbsoluteDepthLoss:
 
 
 @st.composite
-def packed_scenes(draw):
+def packed_scenes(draw, bins=st.integers(2, 6)):
     """Random (D, H, W) logits, a valid mask, positive gt depths and up
     to four possibly overlapping targets drawn from the valid pixels."""
-    d = draw(st.integers(2, 6))
+    d = draw(bins)
     h = draw(st.integers(1, 4))
     w = draw(st.integers(1, 5))
     rng = CounterRng(draw(st.integers(0, 2**32)))
@@ -547,14 +556,108 @@ class TestPackedEngine:
         dm = CategoricalDepthMap(logits)
         dense_r = inner_depth_loss(targets, dm, bins, sel, reduction)
 
-        view = pack_view(gt, valid, bins, targets)
-        probs = softmax_rows(logit_rows(logits)[view.rows])
-        grad_rows = np.zeros_like(probs)
-        inner = relative_depth_rows(probs, view.targets, bins.centers, sel, reduction, grad_rows)
-        assert relative_depth_rows(probs, view.targets, bins.centers, sel, reduction) == inner
+        view = pack_view(gt, valid, bins)
+        layout = target_layout([(view.rows, targets, (h, w))])
+        probs = softmax_rows(logit_rows(logits)[view.rows])[layout.rows]
+        grad_rows = np.zeros((view.rows.size, d))
+        inner = relative_depth_rows(probs, layout, bins.centers, sel, reduction, grad_rows)
+        assert relative_depth_rows(probs, layout, bins.centers, sel, reduction) == inner
         assert dense_r.value == inner
-        assert dense_r.empty == (not view.targets)
+        assert dense_r.empty == (not layout.counts.size)
         assert np.array_equal(dense_r.grad, packed_to_map(grad_rows, view.rows, h, w))
+
+
+def loop_relative_depth(view_probs, packed, scenes, centers, sel, reduction, scale):
+    """The per-target loop over a scene's views: each non-skipped target's
+    rows gathered on their own, its reference from ``select_reference``
+    and its residuals written out; returns the value (targets summed in
+    order within a view, views in camera order), each view's gradient
+    rows with overlapping targets added in target order, and every
+    target's reference (None for the pairwise strategy)."""
+    total, grads, refs = 0.0, [], []
+    for probs, view, (logits, _, _, targets) in zip(view_probs, packed, scenes):
+        grad, view_total = np.zeros_like(probs), 0.0
+        for fds in (fds for fds in targets if not fds.skipped):
+            pos = np.searchsorted(view.rows, fds.pixels[:, 1] * logits.shape[2] + fds.pixels[:, 0])
+            p = probs[pos]
+            d = np.sum(p * centers, axis=-1)
+            n = d.size
+            if sel.strategy == "one_to_one":
+                ref = None
+                e = (d[:, None] - d[None, :]) - (fds.gt_depth[:, None] - fds.gt_depth[None, :])
+                denom = n * (n - 1.0) if reduction == "mean" else 1.0
+                grad_d = 4.0 * np.sum(e, axis=-1) / denom
+            else:
+                ref = select_reference(fds, d, sel, np.max(p, axis=1))
+                e = (d - d[ref]) - (fds.gt_depth - fds.gt_depth[ref])
+                denom = float(n) if reduction == "mean" else 1.0
+                grad_d = 2.0 * e / denom
+                grad_d[ref] -= 2.0 * np.sum(e) / denom
+            refs.append(ref)
+            view_total += float(np.sum(e * e)) / denom
+            grad[pos] += scale * (grad_d[:, None] * p * (centers - d[:, None]))
+        total += view_total
+        grads.append(grad)
+    return total, grads, refs
+
+
+class TestScenePass:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 6),
+        data=st.data(),
+        strategy=st.sampled_from(REFERENCE_STRATEGIES),
+        reduction=st.sampled_from(LOSS_REDUCTIONS),
+        signed=st.booleans(),
+        scale=st.sampled_from([1.0, 0.7]),
+    )
+    def test_equals_the_per_target_loop(self, d, data, strategy, reduction, signed, scale):
+        """Over views with overlapping, skipped or no targets, and scenes
+        with none, one pass over the scene's layout picks the loop's
+        references, and gives its value and gradient to 1e-12; with each
+        target's gt depths replaced by its own predicted depths, the
+        value is exactly 0.0."""
+        scenes = data.draw(st.lists(packed_scenes(st.just(d)), min_size=1, max_size=3))
+        bins = DepthBins(count=d, d_min=0.5, d_max=12.0)
+        sel = ReferenceSelection(strategy, signed_reference_error=signed)
+        packed = [pack_view(gt, valid, bins) for _, valid, gt, _ in scenes]
+        view_probs = [softmax_rows(logit_rows(s[0])[v.rows]) for s, v in zip(scenes, packed)]
+        layout = target_layout([(v.rows, s[3], s[1].shape) for s, v in zip(scenes, packed)])
+        rows = np.concatenate(view_probs)[layout.rows]
+        grad = np.zeros((sum(v.rows.size for v in packed), d))
+        value = relative_depth_rows(rows, layout, bins.centers, sel, reduction, grad, scale)
+
+        want, want_grads, want_refs = loop_relative_depth(view_probs, packed, scenes, bins.centers, sel, reduction, scale)
+        refs = select_references(layout, expected_depths(rows, bins.centers)[layout.index], rows, sel)
+        assert (None if refs is None else refs.tolist()) == (None if strategy == "one_to_one" else want_refs)
+        assert_close(value, want)
+        assert_close(grad, np.concatenate(want_grads))
+        assert value == 0.0 or layout.rows.size
+
+        # each target's gt depths replaced by the expected depths of its own rows
+        depths = expected_depths(rows, bins.centers)
+        offsets = np.cumsum([0] + [v.rows.size for v in packed])
+        for (logits, _, _, targets), v, offset in zip(scenes, packed, offsets):
+            for i, fds in enumerate(targets):
+                if not fds.skipped:
+                    block = offset + np.searchsorted(v.rows, fds.pixels[:, 1] * logits.shape[2] + fds.pixels[:, 0])
+                    targets[i] = dataclasses.replace(fds, gt_depth=depths[np.searchsorted(layout.rows, block)])
+        layout = target_layout([(v.rows, s[3], s[1].shape) for s, v in zip(scenes, packed)])
+        assert relative_depth_rows(rows, layout, bins.centers, sel, reduction) == 0.0
+
+    def test_layout_build_leaves_out_skipped_targets_and_checks_pixels(self):
+        """The layout leaves skipped targets out and places the others in
+        the block, view by view; a target pixel that is no row of its view
+        fails when the layout is built."""
+        fds = make_fds([[0, 0], [1, 0]], [5.0, 6.0])
+        skipped = ForegroundDepthSet(target_index=3, pixels=[[1, 0]], gt_depth=[5.0], skipped=True)
+        with pytest.raises(ContractError, match="outside the valid mask"):
+            target_layout([(np.array([1, 2]), [fds], (1, 3))])
+        layout = target_layout([(np.arange(4), [], (2, 2)), (np.array([0, 1]), [skipped, fds], (1, 2)),
+                                (np.zeros(0, np.int64), [], (1, 1))])
+        assert layout.rows.tolist() == [4, 5] and layout.local.tolist() == [0, 1]
+        assert layout.views == [(slice(0, 4), slice(0, 0), slice(0, 0)), (slice(4, 6), slice(0, 2), slice(0, 1)),
+                                (slice(6, 6), slice(2, 2), slice(1, 1))]
 
 
 def clip_and_mask_bce(probs, gt_bins, grad_rows, scale):
@@ -614,20 +717,25 @@ class TestBceRows:
     @example(rows=(_edge_rows()[1], np.arange(4) % 3), scale=0.5)
     @example(rows=(np.zeros((0, 3)), np.zeros(0, dtype=np.int64)), scale=0.5)
     @example(rows=(np.zeros((2, 0, 3)), np.zeros(0, dtype=np.int64)), scale=0.5)
-    def test_equals_clip_and_mask_bitwise(self, rows, scale):
-        """bce_rows gives the clip-and-mask formulation's value and
-        gradient bit for bit, signed zeros included, whether or not any
-        probability reaches the clamp, with or without a work buffer; the
-        gradient is written, so whatever ``grad_rows`` held is gone."""
+    def test_equals_clip_and_mask(self, rows, scale):
+        """bce_rows gives the clip-and-mask formulation's value bit for
+        bit and its gradient to 1e-12 of its largest term p / (1 - p),
+        whether or not any probability reaches the clamp, with or without
+        a work buffer; the gradient is written, so whatever ``grad_rows``
+        held is gone, and it has the bits of adding it to zeros: no -0.0.
+        Near p = 1 both forms cancel terms up to 1e7 to an entry of about
+        1, so neither rounds closer than that term allows."""
         probs, gt_bins = rows
         want_grad = np.zeros_like(probs)
         want = clip_and_mask_bce(probs, gt_bins, want_grad, scale)
+        clamped = np.clip(probs, BCE_CLAMP, 1.0 - BCE_CLAMP)
+        term = float(np.max(clamped / (1.0 - clamped), initial=1.0))
         for work in (None, np.empty_like(probs)):
             got_grad = np.full_like(probs, np.nan)
             got = bce_rows(probs, gt_bins, got_grad, scale, work)
             assert type(got) is type(want)
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-            assert got_grad.tobytes() == want_grad.tobytes()
-            assert np.array_equal(np.signbit(got_grad), np.signbit(want_grad))
+            assert_close(got_grad, want_grad, 1e-12 * term)
+            assert got_grad.tobytes() == (got_grad + 0.0).tobytes()
             value_only = bce_rows(probs, gt_bins, work=work)
             assert np.asarray(value_only).tobytes() == np.asarray(want).tobytes()

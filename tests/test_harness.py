@@ -52,7 +52,7 @@ from geodistill.depth_supervision import (
     bce_rows,
     expected_depths,
     relative_residual,
-    select_reference,
+    select_references,
 )
 from geodistill.bev_distillation import _gram_losses
 from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows
@@ -522,12 +522,12 @@ class TestTotalLoss:
             small_harness_config(), weights=LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4), external_det_loss=0.5
         )
         problem, params = self.problem(cfg)
-        logits, student = problem.split(params)
+        logits, student = problem.blocks(params)
         for with_grad in (False, True):
             grads = [np.empty_like(params) for _ in range(2)] if with_grad else [None, None]
             whole = problem.evaluate(params, grads[0])
-            logit_grads, student_grad = problem.split(grads[1]) if with_grad else ([None] * len(logits), None)
-            parts = problem.compose(problem.depth_terms(logits, logit_grads), problem.bev_terms(student, student_grad))
+            logit_grad, student_grad = problem.blocks(grads[1]) if with_grad else (None, None)
+            parts = problem.compose(problem.depth_terms(logits, logit_grad), problem.bev_terms(student, student_grad))
             assert (parts.value, parts.components, parts.empty) == (whole.value, whole.components, whole.empty)
             if with_grad:
                 assert grads[0].tobytes() == grads[1].tobytes()
@@ -902,14 +902,13 @@ def _absolute_value(cfg, call, x0, x):
 
 
 def _inner_value(cfg, call, x0, x):
-    """relative_residual of one input against the reference chosen at the
-    instance's start point, as the analytic gradient freezes it."""
-    (_, [(fds, _)], centers, sel, reduction, _), _, _ = call
-    ref = None
-    if sel.strategy != "one_to_one":
-        p0 = softmax_rows(x0)
-        ref = select_reference(fds, expected_depths(p0, centers), sel, np.max(p0, axis=1))
-    return relative_residual(expected_depths(softmax_rows(x), centers), fds.gt_depth, ref, reduction)[0]
+    """relative_residual of one input's one-target layout against the
+    reference chosen at the instance's start point, as the analytic
+    gradient freezes it."""
+    (_, layout, centers, sel, reduction, _), _, _ = call
+    p0 = softmax_rows(x0)
+    ref = select_references(layout, expected_depths(p0, centers)[layout.index], p0, sel)
+    return relative_residual(expected_depths(softmax_rows(x), centers)[layout.index], layout, ref, reduction)[0][0]
 
 
 def _gram_value(cfg, call, x0, x):
@@ -1210,6 +1209,36 @@ class TestUpdateRule:
         want = adam_scalar(params, grad, m1, m2, step, 0.03, opt.beta1, opt.beta2, opt.eps)
         harness.adam_update(params, grad, m1, m2, step, 0.03, opt, np.empty(harness.ADAM_BLOCK))
         assert [params.tolist(), m1.tolist(), m2.tolist()] == list(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32),
+        n=st.integers(1, 40),
+        step=st.integers(0, 3000),
+        beta1=st.floats(0.0, 0.999),
+        beta2=st.floats(0.0, 0.9999),
+        eps=st.sampled_from([1e-8, 1e-3, 1.0]),
+        lr=st.floats(1e-4, 1.0),
+    )
+    def test_efficient_form_equals_the_textbook_form(self, seed, n, step, beta1, beta2, eps, lr):
+        """Kingma and Ba's efficient form, one step size and eps_hat with
+        both bias corrections folded in, gives each entry of the textbook
+        update lr * (m1 / (1 - beta1^t)) / (sqrt(m2 / (1 - beta2^t)) +
+        eps) to 1e-12 relative (1e-300 absolute, for updates so small that
+        they are subnormal), and its moments bit for bit."""
+        opt = OptimizerConfig(beta1=beta1, beta2=beta2, eps=eps)
+        sub = CounterRng(seed)
+        grad, m1, m2 = sub.normal(n), sub.normal(n), sub.normal(n) ** 2
+        grad[::3] = 0.0
+        a = beta1 * m1 + (1.0 - beta1) * grad
+        b = beta2 * m2 + ((1.0 - beta2) * grad) * grad
+        bias1, bias2 = 1.0 - beta1 ** (step + 1), 1.0 - beta2 ** (step + 1)
+        want = lr * (a / bias1) / (np.sqrt(b / bias2) + eps)
+        # from zero parameters, the new parameters are the negated update exactly
+        params = np.zeros(n)
+        harness.adam_update(params, grad, m1, m2, step, lr, opt, np.empty(harness.ADAM_BLOCK))
+        assert m1.tobytes() == a.tobytes() and m2.tobytes() == b.tobytes()
+        np.testing.assert_allclose(-params, want, rtol=1e-12, atol=1e-300)
 
     def test_lr_at_decays_from_step_size_to_its_final_fraction(self):
         opt = OptimizerConfig(step_size=0.1, final_lr_fraction=0.05, max_steps=2000)
