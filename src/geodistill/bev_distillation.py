@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .geometry import BevGrid, Box3D, enlarge_box_bev, rot_z, world_to_bev
-from .numerics import LossResult, as_tensor, check_finite, check_reduction, sq_sums
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, sq_sums, touch_order
 from .numerics import matmul  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
 
 GRAM_NORMALIZATIONS = ("none", "count", "l2")
@@ -270,7 +270,7 @@ def _chain_row_norm(grad_eff: np.ndarray, f_hat: np.ndarray, scale: np.ndarray) 
 
 def _gram_losses(
     fs: np.ndarray, teacher: Sequence[Tuple[str, np.ndarray]], normalization: str, reduction: str,
-    weights: Optional[Sequence[float]] = None, sq: Sequence[Optional[np.ndarray]] = (),
+    weights: Optional[Sequence[float]] = None, sq: Optional[np.ndarray] = None,
     work: Sequence[np.ndarray] = (),
 ) -> Tuple[List[np.ndarray], Optional[np.ndarray]]:
     """Values (T,) of T >= 0 targets' Gram losses, one array per
@@ -279,11 +279,11 @@ def _gram_losses(
     the (T, N, C) student-feature gradient of their weighted sum.
 
     A value is the target's Gram difference reduced by ``sq_sums``, one
-    dot product, over the entry count under "mean"; an entry
-    of ``sq``, (T,) or None, receives the product, and one of ``work``,
-    C-contiguous, the Gram differences.  Each kind's feature gradient is
-    scaled once, by 4 w / denom (over the count under "count"), and the
-    sum takes the row-norm chain once.  A (B, T, N, C) stack gives (B, T)
+    dot product, over the entry count under "mean"; row i of ``sq``, a
+    (K, T) array for K entries, receives entry i's products, and entry i
+    of ``work``, C-contiguous, its Gram differences.  Each kind's feature
+    gradient is scaled once, by 4 w / denom (over the count under
+    "count"), and the sum takes the row-norm chain once.  A (B, T, N, C) stack gives (B, T)
     values, each row bit for bit that of its (T, N, C) slice alone.
     """
     fs_eff, fs_scale = _effective_features(fs, normalization)
@@ -292,7 +292,7 @@ def _gram_losses(
         diff = _grams(fs_eff, kind, normalization, work[i] if work else None)
         diff -= gram_t
         denom = float(diff.shape[-2] * diff.shape[-1]) if reduction == "mean" else 1.0
-        values.append(sq_sums(diff, sq[i] if sq else None) / denom)
+        values.append(sq_sums(diff, None if sq is None else sq[i]) / denom)
         if weights is None:
             continue
         part = fs_eff @ diff if kind == "channel" else diff @ fs_eff
@@ -374,6 +374,7 @@ class DistillPlan:
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
+    teacher_sq: np.ndarray  # (2, T) squared norms of the channel and the keypoint teacher Grams
     # the channel and the keypoint Gram differences of one (C, L) student,
     # taken once: a fresh (T, N, N) array on every step lets glibc hand
     # heap pages back that the next step faults in again
@@ -411,21 +412,20 @@ class DistillPlan:
         np.add.at(out, self.repeats[0], rows[self.repeats[1]])
         return out.T
 
-    def terms(
-        self, block: np.ndarray, reduction: str, weights: Optional[Tuple[float, float]] = None, keypoint_sq=None
-    ):
+    def terms(self, block: np.ndarray, reduction: str, weights: Optional[Tuple[float, float]] = None, gram_sq=None):
         """(ic, ik, gradient): the channel and the keypoint Gram loss of a
         (C, L) student block, each the per-target values summed in target
         order, and with ``weights`` = (w_ic, w_ik) the (C, L) gradient of
         w_ic * ic + w_ik * ik, the kinds' keypoint gradients summed and
         scattered once (None without; a weight of 0 only scales its
         term).  A (B, C, L) stack gives (B,) values and no gradient.
-        ``keypoint_sq`` receives the keypoint kind's squared distances."""
+        ``gram_sq``, a (2, T) array, receives a single block's squared
+        channel and keypoint Gram distances of each target."""
         check_reduction(reduction)
         single = block.ndim == 2
         values, grad_fs = _gram_losses(
             self.sample(block), (("channel", self.teacher_channel), ("keypoint", self.teacher_keypoint)),
-            self.normalization, reduction, weights if single else None, (None, keypoint_sq),
+            self.normalization, reduction, weights if single else None, gram_sq,
             self.gram_work if single else (),
         )
         ic, ik = (_sum_in_order(v) for v in values)
@@ -449,9 +449,8 @@ def build_distill_plan(
     lattices = [sample_keypoints(box, teacher_bev.grid, g, enlarge).points for box in boxes]
     pts = np.array(lattices).reshape(len(boxes), g * g, 2)
     live, win, mat = _interpolation(pts, *teacher_bev.data.shape[1:])
-    touched = np.flatnonzero(win >= 0)  # window rows in target order
-    _, first = np.unique(win.flat[touched], return_index=True)
-    later = np.delete(touched, first)
+    # every live cell is touched, so its index into the distinct keys is itself
+    _, _, firsts, repeats = touch_order(win, win >= 0)
     teacher = _sample(np.take(teacher_bev.data.reshape(teacher_bev.channels, -1), live, axis=-1), win, mat)
     t_eff, _ = _effective_features(teacher, normalization)
     grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}
@@ -461,11 +460,12 @@ def build_distill_plan(
         live=live,
         win=win,
         mat=mat,
-        firsts=touched[first],
-        repeats=np.stack([win.flat[later], later]),
+        firsts=firsts,
+        repeats=repeats,
         teacher=teacher,
         teacher_channel=grams["channel"],
         teacher_keypoint=grams["keypoint"],
+        teacher_sq=np.array([sq_sums(grams["channel"]), sq_sums(grams["keypoint"])]),
         gram_work=(np.empty(grams["channel"].shape), np.empty(grams["keypoint"].shape)),
     )
 

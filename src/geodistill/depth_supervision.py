@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SkippedTargetError
 from .geometry import ForegroundDepthSet
-from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows, touch_order
 from .numerics import _check_fields, _choice, _ranged
 
 BCE_CLAMP = 1e-7
@@ -126,9 +126,11 @@ def pixel_rows(fds: ForegroundDepthSet, width: int) -> np.ndarray:
     return fds.pixels[:, 1] * width + fds.pixels[:, 0]
 
 
-def expected_depths(probs: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Expected bin center of every probability row."""
-    return np.sum(probs * centers, axis=-1)
+def expected_depths(probs: np.ndarray, centers: np.ndarray, work: Optional[np.ndarray] = None) -> np.ndarray:
+    """Expected bin center of every probability row; ``work``, an optional
+    C-contiguous array of the probabilities' shape, holds the products.
+    Each row sum of C-contiguous rows rounds as on a fresh array."""
+    return np.sum(np.multiply(probs, centers, out=work), axis=-1)
 
 
 def select_reference(fds: ForegroundDepthSet, pred_depth, sel: ReferenceSelection, conf=None) -> int:
@@ -256,9 +258,7 @@ class TargetLayout:
     ``gt[j, mask[j]]``; the (T, K) padding repeats its first row and holds
     gt 0.0.  ``fixed_refs`` holds each target's reference column under the
     two center strategies, whose scores do not depend on the prediction.
-    ``first`` (U,) holds the flat (T, K) position of each row's first
-    touch in (camera, target) order, and ``later`` (2, S) the row and
-    position of each later touch."""
+    ``first`` and ``later`` are ``touch_order``'s for the rows."""
 
     rows: np.ndarray
     local: np.ndarray
@@ -294,13 +294,9 @@ def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet]
     block_rows, px, py, gt = touch
     if block_rows.min(initial=0.0) < 0:
         raise ContractError("foreground pixel outside the valid mask")
-    touches = np.flatnonzero(mask)  # in (camera, target, pixel) order
-    rows, first, at = np.unique(block_rows[mask].astype(np.int64), return_index=True, return_inverse=True)
+    rows, at, first, later = touch_order(block_rows.astype(np.int64), mask)  # in (camera, target, pixel) order
     index = np.zeros(mask.shape, np.int64)
     index[mask] = at
-    is_later = np.ones(touches.size, bool)
-    is_later[first] = False
-    later = np.flatnonzero(is_later)
     bounds = np.searchsorted(rows, offsets).tolist()
     centroid = touch[1:3].sum(axis=-1) / np.maximum(counts, 1)
     # pixel (x, y) covers [x, x+1) x [y, y+1); measure from its center
@@ -313,7 +309,7 @@ def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet]
         views=[(slice(*offsets[v:v + 2]), slice(*bounds[v:v + 2]), t) for v, t in enumerate(targets_of_view)],
         index=np.where(mask, index, index[:, :1]), mask=mask, counts=counts, gt=gt,
         fixed_refs=dict(zip(("all_to_certain_3d_center", "all_to_certain_2d_center"), refs)),
-        first=touches[first], later=np.array([at[later], touches[later]]),
+        first=first, later=later,
     )
 
 
@@ -381,8 +377,7 @@ def relative_depth_rows(
     later ones by ``np.add.at`` in target order.  ``work`` is an optional
     C-contiguous array of the probabilities' shape for the temporaries."""
     work = np.empty_like(probs) if work is None else work
-    # each row sum of C-contiguous rows rounds as on a fresh array
-    depths = np.sum(np.multiply(probs, centers, out=work), axis=-1)
+    depths = expected_depths(probs, centers, work)
     d = depths[layout.index]
     values, grad_d = relative_residual(d, layout, select_references(layout, d, probs, sel), reduction)
     if grad_rows is not None:

@@ -174,11 +174,16 @@ def unproject_pixel(cam: CameraModel, u: float, v: float, depth: float) -> np.nd
     return cam.world_to_cam.inverse().apply(np.array([x, y, depth]))
 
 
+def box_frame(box: Box3D, points: np.ndarray) -> np.ndarray:
+    """World points, (P, 3) or (P, 2) in the ground plane, in the box's
+    local frame: centered on the box and rotated by -yaw."""
+    k = points.shape[-1]
+    return (points - box.center[:k]) @ rot_z(-box.yaw)[:k, :k].T
+
+
 def points_in_box(box: Box3D, points) -> np.ndarray:
     """Boundary-inclusive containment test in the box's local frame."""
-    pts = as_tensor(points).reshape(-1, 3)
-    local = (pts - box.center) @ rot_z(-box.yaw).T
-    return np.all(np.abs(local) <= box.size / 2.0, axis=1)
+    return np.all(np.abs(box_frame(box, as_tensor(points).reshape(-1, 3))) <= box.size / 2.0, axis=1)
 
 
 def build_gt_depth_map(cam: CameraModel, points) -> Tuple[np.ndarray, np.ndarray]:

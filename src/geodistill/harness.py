@@ -362,10 +362,7 @@ class SceneProblem:
     # leading rows, which are C-contiguous, so its sums round as in fresh arrays.
     rows_buffers: np.ndarray = field(repr=False)
     target_rows: np.ndarray = field(repr=False)  # (U, D) probabilities of the layout's rows
-    # each target's squared keypoint-Gram distance at the last evaluation,
-    # and the teacher keypoint Gram's squared norm
-    keypoint_sq: np.ndarray = field(repr=False)
-    keypoint_norm_sq: np.ndarray = field(repr=False)
+    empty: bool  # no target and no valid pixel: nothing to supervise
 
     @classmethod
     def build(cls, cfg: HarnessConfig, scene: SyntheticScene, views: List[ViewGroundTruth]) -> "SceneProblem":
@@ -381,8 +378,7 @@ class SceneProblem:
             cfg, scene, views, packed, plan, layout, np.cumsum(sizes),
             rows_buffers=np.empty((2, n_max, d)),
             target_rows=np.empty((layout.rows.size, d)),
-            keypoint_sq=np.empty(len(scene.boxes)),
-            keypoint_norm_sq=sq_sums(plan.teacher_keypoint),
+            empty=not scene.boxes and not any(p.rows.size for p in packed),
         )
 
     def blocks(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -435,14 +431,17 @@ class SceneProblem:
         )
         return sum(a_views, 0.0), inner
 
-    def bev_terms(self, student: np.ndarray, student_grad: Optional[np.ndarray]) -> Tuple[float, float]:
+    def bev_terms(
+        self, student: np.ndarray, student_grad: Optional[np.ndarray], gram_sq: Optional[np.ndarray] = None
+    ) -> Tuple[float, float]:
         """The inter-channel and inter-keypoint values of the (C, L)
-        ``student`` block, filling ``keypoint_sq``; unless
-        ``student_grad`` is None, the plan's one weighted scatter of
-        w_ic * ic + w_ik * ik is written into it."""
+        ``student`` block, with each target's squared Gram distances
+        written into the (2, T) ``gram_sq`` if given (see
+        ``DistillPlan.terms``); unless ``student_grad`` is None, the plan's
+        one weighted scatter of w_ic * ic + w_ik * ik is written into it."""
         check_finite(student, "BEV features")
         weights = None if student_grad is None else (self.cfg.weights.w_ic, self.cfg.weights.w_ik)
-        ic, ik, grad = self.plan.terms(student, self.cfg.loss_reduction, weights, self.keypoint_sq)
+        ic, ik, grad = self.plan.terms(student, self.cfg.loss_reduction, weights, gram_sq)
         if grad is not None:
             student_grad[...] = grad
         return ic, ik
@@ -454,8 +453,7 @@ class SceneProblem:
         det = float(self.cfg.external_det_loss)
         values = depth + bev
         total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
-        empty = not self.scene.boxes and not any(p.rows.size for p in self.packed)
-        return LossResult(total, None, empty=empty, components=dict(zip(TERMS, values), external_det=det))
+        return LossResult(total, None, empty=self.empty, components=dict(zip(TERMS, values), external_det=det))
 
 
 def student_problem(
@@ -769,19 +767,19 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _gram_distance_summary(student: np.ndarray, plan: DistillPlan) -> List[Dict[str, float]]:
+def _gram_distance_summary(student: np.ndarray, plan: DistillPlan, gram_sq: np.ndarray) -> List[Dict[str, float]]:
     """Per-target Frobenius distances between the Grams of the (C, L)
-    student block and the teacher's, plus the raw keypoint-feature
-    distance that is allowed to stay big.  The teacher features and
-    Grams come from the scene's plan."""
+    student block and the teacher's, from ``gram_sq``, the (2, T) squared
+    distances that the evaluation of ``student`` recorded (NaN where none
+    did), plus the raw keypoint-feature distance that is allowed to stay
+    big.  The teacher features and Grams come from the scene's plan."""
     fs = plan.sample(student)
-    kinds = (("keypoint", plan.teacher_keypoint), ("channel", plan.teacher_channel))
     # name -> per-target squared distances and teacher squared norms
     columns = {
-        f"inter_{kind}": (sq, sq_sums(gram_t))
-        for (kind, gram_t), sq in zip(kinds, _gram_losses(fs, kinds, plan.normalization, "sum")[0])
+        "inter_channel": (gram_sq[0], plan.teacher_sq[0]),
+        "inter_keypoint": (gram_sq[1], plan.teacher_sq[1]),
+        "raw_feature": (sq_sums(fs - plan.teacher), sq_sums(plan.teacher)),
     }
-    columns["raw_feature"] = (sq_sums(fs - plan.teacher), sq_sums(plan.teacher))
     out = [{"target": j} for j in range(len(plan.teacher))]
     for name, (dist_sq, norm_sq) in columns.items():
         for entry, (dist, rel) in zip(out, _distances(dist_sq, norm_sq)):
@@ -800,11 +798,10 @@ def _distances(dist_sq: np.ndarray, norm_sq: np.ndarray) -> List[Tuple[float, fl
     return out
 
 
-def _worst_keypoint_rel(problem: SceneProblem) -> float:
-    """Largest relative keypoint-Gram distance over targets of the BEV
-    block that ``problem`` evaluated last, as ``_gram_distance_summary``
-    gives it, from the evaluation's own per-target sums."""
-    return max((rel for _, rel in _distances(problem.keypoint_sq, problem.keypoint_norm_sq)), default=0.0)
+def _worst_keypoint_rel(gram_sq: np.ndarray, plan: DistillPlan) -> float:
+    """Largest relative keypoint-Gram distance over targets, as the summary
+    gives it, from a (2, T) record of squared Gram distances."""
+    return max((rel for _, rel in _distances(gram_sq[1], plan.teacher_sq[1])), default=0.0)
 
 
 def lr_at(opt: OptimizerConfig, step: int) -> float:
@@ -886,13 +883,15 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     total_met_step: Optional[int] = None  # also the step that froze the depth block
     held: Tuple[float, float] = (0.0, 0.0)  # the depth terms' values once frozen
     trained = slice(0, None)  # the part of the vector that Adam updates
+    # each target's squared channel and keypoint Gram distances, NaN until evaluated
+    gram_sq = np.full((2, len(scene.boxes)), np.nan)
 
     # A diverging run overflows on its way to the "diverged" status that
     # reports it, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(opt.max_steps):
             depth = problem.depth_terms(logits, logit_grad) if total_met_step is None else held
-            res = problem.compose(depth, problem.bev_terms(student, student_grad))
+            res = problem.compose(depth, problem.bev_terms(student, student_grad, gram_sq))
             total = res.value
             series["total"].append(total)
             for key in TERMS:
@@ -911,7 +910,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                     trained = slice(problem.ends[-2], None)
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
-                if _worst_keypoint_rel(problem) <= opt.ik_rel_target:
+                if _worst_keypoint_rel(gram_sq, problem.plan) <= opt.ik_rel_target:
                     status = "converged"
                     break
             if total > opt.divergence_factor * max(initial, 1e-12):
@@ -929,7 +928,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
         # the full map: the starting map with its live cells trained, in place
         full = problem.plan.unpack(student, start_bev)
         map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
-        gram_distances = _gram_distance_summary(student, problem.plan)
+        gram_distances = _gram_distance_summary(student, problem.plan, gram_sq)
 
     final = series["total"][-1]
     reduction = 1.0 - final / initial if initial else 0.0

@@ -99,23 +99,11 @@ class CounterRng:
         u = (self.next_u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (lo + (hi - lo) * u).reshape(shape)
 
-    def _polar(self, pairs: np.ndarray, m: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Box-Muller radius and angle of the pairs ``pairs`` of a draw of
-        ``m`` pairs that starts at the current counter."""
-        ks = pairs.astype(np.uint64) + np.uint64(self.counter + 1)
-        # Radii from (0, 1] so log() stays finite; angles from [0, 1).
-        u1 = ((self._outputs(ks) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-        u2 = (self._outputs(ks + np.uint64(m)) >> np.uint64(11)).astype(np.float64) * 2.0**-53
-        return np.sqrt(-2.0 * np.log(u1)), 2.0 * np.pi * u2
-
     def normal(self, shape, mu: float = 0.0, sigma: float = 1.0) -> np.ndarray:
-        """Standard Box-Muller normals scaled to N(mu, sigma^2)."""
+        """Standard Box-Muller normals scaled to N(mu, sigma^2): the one
+        column of an (n, 1) draw."""
         shape, n = _shape_size(shape)
-        m = (n + 1) // 2
-        r, theta = self._polar(np.arange(m), m)
-        self.counter += 2 * m
-        z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:n]
-        return (mu + sigma * z).reshape(shape)
+        return (mu + sigma * self._columns(n, 1, np.zeros((1, 1), np.int64))).reshape(shape)
 
     def normal_columns(self, shape, columns) -> np.ndarray:
         """Columns ``columns`` of ``normal(shape)`` seen as a (shape[0], -1)
@@ -123,33 +111,39 @@ class CounterRng:
 
         Only the requested entries are computed, but the stream advances
         by the whole draw's 2 * ceil(n / 2) outputs, so later draws are
-        the same either way.  With an even shape[0] = 2h, rows k and k + h
-        of a column share one Box-Muller pair, whose radius and angle are
-        computed once.
+        the same either way.
         """
-        shape, n = _shape_size(shape)
+        shape, _ = _shape_size(shape)
         if not shape:
             raise ContractError("normal_columns needs a shape with at least one axis")
-        lead, width = shape[0], int(np.prod(shape[1:]))
+        width = int(np.prod(shape[1:]))
         columns = np.asarray(columns)
         if columns.size and columns.dtype.kind not in "iu":
             raise ContractError(f"normal_columns index must hold integers, got {columns.dtype}")
         if columns.size and (columns.min() < 0 or columns.max() >= width):
             raise ContractError(f"normal_columns index outside [0, {width})")
-        m = (n + 1) // 2
-        cols = columns.reshape(1, -1).astype(np.int64)
+        z = self._columns(shape[0], width, columns.reshape(1, -1).astype(np.int64))
+        return z.reshape((shape[0],) + columns.shape)
+
+    def _columns(self, lead: int, width: int, cols: np.ndarray) -> np.ndarray:
+        """The (lead, k) entries at the (1, k) int64 columns ``cols`` of a
+        (lead, width) normal draw in the module docstring's arrangement,
+        each pair computed once; the stream advances by the whole draw."""
+        m = (lead * width + 1) // 2
+        start = np.uint64(self.counter + 1)
         if lead % 2:  # pairs straddle rows: each entry takes its own pair
             flat = cols + width * np.arange(lead)[:, None]
             sine = flat >= m
-            r, theta = self._polar(np.where(sine, flat - m, flat), m)
-            z = np.cos(theta, out=np.empty_like(theta), where=~sine)
-            np.sin(theta, out=z, where=sine)
-            z *= r
+            ks = np.where(sine, flat - m, flat).astype(np.uint64) + start
         else:
-            r, theta = self._polar(cols + width * np.arange(lead // 2)[:, None], m)
-            z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
+            ks = (cols.astype(np.uint64) + start) + np.uint64(width) * np.arange(lead // 2, dtype=np.uint64)[:, None]
         self.counter += 2 * m
-        return z.reshape((lead,) + columns.shape)
+        # radii from (0, 1] so log() stays finite; angles from [0, 1)
+        r = np.sqrt(-2.0 * np.log(((self._outputs(ks) >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53))
+        theta = 2.0 * np.pi * ((self._outputs(ks + np.uint64(m)) >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        if lead % 2:
+            return r * np.where(sine, np.sin(theta), np.cos(theta))
+        return np.concatenate([r * np.cos(theta), r * np.sin(theta)])
 
 
 def _shape_size(shape) -> Tuple[Tuple[int, ...], int]:

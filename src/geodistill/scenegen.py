@@ -24,6 +24,7 @@ from .geometry import (
     ForegroundDepthSet,
     RigidTransform,
     bev_to_world,
+    box_frame,
     points_in_box,
     render_view,
     rot_z,
@@ -63,15 +64,6 @@ class ViewGroundTruth:
     depth: np.ndarray
     valid: np.ndarray
     targets: List[ForegroundDepthSet]
-
-
-def _bev_footprint_mask(xy: np.ndarray, box: Box3D, margin: float = 0.0) -> np.ndarray:
-    """2D footprint containment of world (x, y) points, with margin."""
-    rot = rot_z(-box.yaw)[:2, :2]
-    local = (xy - box.center[:2]) @ rot.T
-    return (np.abs(local[:, 0]) <= box.size[0] / 2.0 + margin) & (
-        np.abs(local[:, 1]) <= box.size[1] / 2.0 + margin
-    )
 
 
 def _place_boxes(cfg: SceneConfig, sub: CounterRng) -> List[Box3D]:
@@ -145,8 +137,9 @@ def _sample_ground(cfg: SceneConfig, boxes: List[Box3D], sub: CounterRng) -> np.
         theta = 2.0 * math.pi * draw[:, 1]
         xy = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=1)
         keep = np.ones(len(xy), dtype=bool)
-        for box in boxes:
-            keep &= ~_bev_footprint_mask(xy, box, margin=0.05)
+        for box in boxes:  # off each footprint and a 5 cm margin
+            local = np.abs(box_frame(box, xy))
+            keep &= ~((local[:, 0] <= box.size[0] / 2.0 + 0.05) & (local[:, 1] <= box.size[1] / 2.0 + 0.05))
         xy = xy[keep][:need]
         chunks.append(xy)
         need -= len(xy)
@@ -234,12 +227,9 @@ def generate_teacher_bev(scene: SyntheticScene, cfg: SceneConfig) -> BevFeatureM
         w = sub.normal(c)
         for vec in (u, v, w):
             vec *= cfg.teacher_amplitude / np.linalg.norm(vec)
-        rot = rot_z(-box.yaw)[:2, :2]
-        local = (cell_xy - box.center[:2]) @ rot.T
-        half_l = box.size[0] * cfg.enlarge / 2.0
-        half_w = box.size[1] * cfg.enlarge / 2.0
-        a = local[:, 0] / half_l
-        b = local[:, 1] / half_w
+        local = box_frame(box, cell_xy)
+        a = local[:, 0] / (box.size[0] * cfg.enlarge / 2.0)
+        b = local[:, 1] / (box.size[1] * cfg.enlarge / 2.0)
         mask = (np.abs(a) < 1.0) & (np.abs(b) < 1.0)
         idx = np.nonzero(mask)[0]
         if idx.size == 0:

@@ -7,7 +7,7 @@ prints a single PASS/FAIL line (run with ``pytest -s`` to see them all).
 
 Pinned convergence fixture (default config, seed 42, observed on the
 reference machine): initial total 67.3014281939027, converged after
-1657 of 2000 steps in about 6 seconds, with a 99.0007 percent loss
+1657 of 2000 steps in about 3.5 seconds, with a 99.0007 percent loss
 reduction, every per-target inter-keypoint Gram within 1 percent of the
 teacher's, and raw per-target feature distances of 0.8 to 2.0 times the
 teacher norm (relations match, raw features do not).  The total

@@ -55,7 +55,7 @@ from geodistill.depth_supervision import (
     select_references,
 )
 from geodistill.bev_distillation import _gram_losses
-from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows
+from geodistill.numerics import LOSS_REDUCTIONS, finite_difference_gradient, softmax_rows, sq_sums
 from geodistill import cli, harness
 from geodistill.harness import TERMS, SceneProblem, student_problem
 from geodistill.oracles import adam_scalar
@@ -92,6 +92,33 @@ def small_harness_config(**optimizer_overrides):
     )
     optimizer = OptimizerConfig(**optimizer_overrides)
     return HarnessConfig(scene=scene, bins=DepthBins(16), keypoint_g=3, optimizer=optimizer)
+
+
+def reference_gram_sq(student, plan):
+    """The (2, T) squared channel and keypoint Gram distances of each
+    target of a (C, L) student block, from a fresh ``_gram_losses`` pass
+    over its keypoint features: the reference for the record that an
+    evaluation leaves."""
+    kinds = (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint))
+    return np.array(_gram_losses(plan.sample(student), kinds, plan.normalization, "sum")[0])
+
+
+def reference_gram_summary(student, plan):
+    """The entries of ``_gram_distance_summary`` for a (C, L) student
+    block, from ``reference_gram_sq`` and teacher norms taken afresh."""
+    fs = plan.sample(student)
+    channel, keypoint = reference_gram_sq(student, plan)
+    columns = {
+        "inter_channel": (channel, sq_sums(plan.teacher_channel)),
+        "inter_keypoint": (keypoint, sq_sums(plan.teacher_keypoint)),
+        "raw_feature": (sq_sums(fs - plan.teacher), sq_sums(plan.teacher)),
+    }
+    out = [{"target": j} for j in range(len(plan.teacher))]
+    for name, (dist_sq, norm_sq) in columns.items():
+        for entry, (dist, rel) in zip(out, harness._distances(dist_sq, norm_sq)):
+            entry[f"{name}_frob"] = dist
+            entry[f"{name}_rel"] = rel
+    return out
 
 
 # a valid value other than the default of each string config key
@@ -1076,19 +1103,23 @@ class TestRunTrainToy:
     @pytest.mark.parametrize("norm", GRAM_NORMALIZATIONS)
     def test_convergence_check_equals_gram_distance_summary(self, monkeypatch, norm, reduction):
         """After every evaluation of a short run, the BEV-only ones after
-        the freeze included, the keypoint criterion, which reuses the
-        step's own per-target Gram sums, is the worst inter_keypoint_rel
-        of _gram_distance_summary bit for bit, also with zero BEV
-        weights.  A total criterion of a 5 % reduction freezes the depth
-        block within the first steps."""
+        the freeze included, the record of squared Gram distances that the
+        step leaves equals a fresh pass over the evaluated block
+        (``reference_gram_sq``) bit for bit, and the keypoint criterion
+        read from it is the worst inter_keypoint_rel of the reference
+        summary, also with zero BEV weights; the report's distances are
+        the reference summary of the last block.  A total criterion of a
+        5 % reduction freezes the depth block within the first steps."""
         pairs = []
+        last = []
         bev_terms = SceneProblem.bev_terms
 
-        def checked(problem, student, student_grad):
-            values = bev_terms(problem, student, student_grad)
-            summary = harness._gram_distance_summary(student, problem.plan)
-            worst = max(e["inter_keypoint_rel"] for e in summary)
-            pairs.append((harness._worst_keypoint_rel(problem), worst))
+        def checked(problem, student, student_grad, gram_sq):
+            values = bev_terms(problem, student, student_grad, gram_sq)
+            worst = max(e["inter_keypoint_rel"] for e in reference_gram_summary(student, problem.plan))
+            pairs.append((gram_sq.tobytes(), reference_gram_sq(student, problem.plan).tobytes()))
+            pairs.append((harness._worst_keypoint_rel(gram_sq, problem.plan).hex(), worst.hex()))
+            last[:] = [student.copy(), problem.plan]
             return values
 
         monkeypatch.setattr(SceneProblem, "bev_terms", checked)
@@ -1099,14 +1130,39 @@ class TestRunTrainToy:
                 gram_normalization=norm, loss_reduction=reduction, weights=weights,
             )
             report = run_train_toy(cfg)
-            assert report.data["steps_run"] == len(pairs)
+            assert 2 * report.data["steps_run"] == len(pairs)
+            assert report.data["gram_distances"] == reference_gram_summary(*last)
             if weights.w_ik:
                 assert report.data["steps_run"] == 6 and report.data["depth_frozen_at"] <= 3
             else:
                 # nothing is left to train once the depth block is frozen
                 assert report.status == "stationary"
             for got, want in pairs:
-                assert got.hex() == want.hex()
+                assert got == want
+
+    def test_summary_reads_only_the_record_it_is_given(self):
+        """A summary reads the record of squared Gram distances that it is
+        passed and no other: evaluating other blocks of the same plan,
+        alone or stacked, leaves a filled record as it was, and a record
+        that no evaluation filled gives NaN Gram distances (null in a
+        report), never left-over memory."""
+        cfg = small_harness_config(max_steps=1)
+        scene = generate_scene(cfg.scene)
+        problem, params = student_problem(cfg, scene, render_gt_views(scene))
+        _, student = problem.split(params)
+        want = reference_gram_summary(student, problem.plan)
+        record = np.full((2, len(scene.boxes)), np.nan)
+        unset = harness._gram_distance_summary(student, problem.plan, record)
+        for got, entry in zip(unset, want):
+            for key, value in got.items():
+                assert math.isnan(value) if key.startswith("inter_") else value == entry[key]
+        problem.bev_terms(student, None, record)
+        filled = record.tobytes()
+        other = student + 1.0
+        problem.bev_terms(other, np.empty_like(other))
+        problem.plan.terms(np.stack([other, 2.0 * student]), cfg.loss_reduction)
+        assert record.tobytes() == filled
+        assert harness._gram_distance_summary(student, problem.plan, record) == want
 
     def test_distillation_weights_zero_leaves_bev_untouched(self, tmp_path):
         """With w_ic = w_ik = 0 the BEV terms are still evaluated: each
@@ -1167,7 +1223,7 @@ class TestRunTrainToy:
         views = render_gt_views(scene)
         problem, params = student_problem(cfg, scene, views)
         _, student = problem.split(params)
-        assert report.data["gram_distances"] == harness._gram_distance_summary(student, problem.plan)
+        assert report.data["gram_distances"] == reference_gram_summary(student, problem.plan)
         _, _, start = random_student_inputs(cfg, scene, views)
         full = problem.plan.unpack(student, start.data)
         assert full.tobytes() == start.data.tobytes()
@@ -1273,7 +1329,7 @@ class TestDepthFreeze:
         step evaluates the whole objective, checks both criteria and
         updates the whole vector.  Returns the status, each term's series,
         the step that first met the total criterion, and the final Gram
-        distances and BEV map distance."""
+        distances (``reference_gram_summary``) and BEV map distance."""
         opt = cfg.optimizer
         scene = generate_scene(cfg.scene)
         views = render_gt_views(scene)
@@ -1289,7 +1345,8 @@ class TestDepthFreeze:
                 series[key].append(res.components[key])
             if res.value <= (1.0 - opt.target_reduction) * totals[0]:
                 met = step if met is None else met
-                if harness._worst_keypoint_rel(problem) <= opt.ik_rel_target:
+                worst = max(e["inter_keypoint_rel"] for e in reference_gram_summary(student, problem.plan))
+                if worst <= opt.ik_rel_target:
                     status = "converged"
                     break
             if step + 1 < opt.max_steps:
@@ -1298,7 +1355,7 @@ class TestDepthFreeze:
         _, _, start = random_student_inputs(cfg, scene, views)
         full = problem.plan.unpack(student, start.data)
         map_dist = math.sqrt(frobenius_sq_distance(full, scene.teacher_bev.data))
-        return status, series, met, harness._gram_distance_summary(student, problem.plan), map_dist
+        return status, series, met, reference_gram_summary(student, problem.plan), map_dist
 
     @pytest.mark.parametrize(
         "overrides",

@@ -127,6 +127,36 @@ class TestDistributions:
             rng.normal(n)
             assert rng.counter == budget
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 41), skip=st.integers(0, 9), seed=st.integers(0, MASK),
+        mu_sigma=st.sampled_from([(0.0, 1.0), (1.5, 0.25)]),
+    )
+    @example(n=1, skip=0, seed=0, mu_sigma=(0.0, 1.0))
+    @example(n=2, skip=3, seed=1, mu_sigma=(0.0, 1.0))
+    @example(n=7, skip=1, seed=2, mu_sigma=(1.5, 0.25))
+    def test_normal_is_the_documented_box_muller_draw(self, n, skip, seed, mu_sigma):
+        """normal(n) is, bit for bit, the module docstring's formula on
+        the raw outputs that next_u64 gives at the same counter: m =
+        ceil(n / 2) radii from the first m outputs shifted into (0, 1], m
+        angles from the next m, and entry j the radius j mod m times the
+        cosine (j < m) or the sine of angle j mod m + m; the counter then
+        advances by 2m.  Odd and even n, shifted counters."""
+        mu, sigma = mu_sigma
+        rng, raw = CounterRng(seed), CounterRng(seed)
+        rng.next_u64(skip)
+        raw.next_u64(skip)
+        got = rng.normal(n, mu, sigma)
+        m = (n + 1) // 2
+        top = raw.next_u64(2 * m) >> np.uint64(11)
+        radius = np.sqrt(-2.0 * np.log((top[:m].astype(np.float64) + 1.0) * 2.0**-53))
+        angle = 2.0 * np.pi * (top[m:].astype(np.float64) * 2.0**-53)
+        j = np.arange(n)
+        pair = j % max(m, 1)
+        z = radius[pair] * np.where(j < m, np.cos(angle[pair]), np.sin(angle[pair]))
+        assert got.tobytes() == (mu + sigma * z).tobytes()
+        assert rng.counter == raw.counter
+
     def test_normal_finite_everywhere(self):
         z = CounterRng(23).normal((100, 100))
         assert np.all(np.isfinite(z))
