@@ -494,21 +494,16 @@ def bev_distill_terms(
     """Channel and keypoint Gram losses over all targets as separate
     results, each with its own gradient on the student BEV tensor.
 
-    Both maps are sampled at identical keypoints.  The teacher side is
-    built for this call, and the student block is sampled once; all
-    targets run as one stack through ``_gram_losses`` once per kind with
-    weight 1: values are the per-target values summed in input order, and
-    each gradient is ``DistillPlan.scatter`` onto the plan's live cells,
-    adding targets in input order, and 0.0 elsewhere.  With no boxes the
-    stack is empty: both results are 0.0, ``empty``, with zero gradients.
+    The teacher side is built for this call.  Each result comes from its
+    own ``DistillPlan.terms`` call, with weights (1, 0) for the channel
+    loss and (0, 1) for the keypoint loss, so each call also evaluates the
+    other kind; its gradient is unpacked with 0.0 off the live cells.
+    With no boxes both results are 0.0, ``empty``, with zero gradients.
     """
     plan, block = _dense_plan(student_bev, teacher_bev, boxes, g, enlarge, normalization, loss_reduction)
-    fs = plan.sample(block)
-    results = []
-    for kind, gram_t in (("channel", plan.teacher_channel), ("keypoint", plan.teacher_keypoint)):
-        (values,), grad_fs = _gram_losses(fs, ((kind, gram_t),), normalization, loss_reduction, (1.0,))
-        results.append(LossResult(_sum_in_order(values), plan.unpack(plan.scatter(grad_fs)), empty=not boxes))
-    return tuple(results)
+    ic, _, ic_grad = plan.terms(block, loss_reduction, (1.0, 0.0))
+    _, ik, ik_grad = plan.terms(block, loss_reduction, (0.0, 1.0))
+    return tuple(LossResult(v, plan.unpack(grad), empty=not boxes) for v, grad in ((ic, ic_grad), (ik, ik_grad)))
 
 
 def bev_distill_loss(

@@ -24,6 +24,7 @@ from .bev_distillation import (
     GRAM_NORMALIZATIONS,
     BevFeatureMap,
     DistillPlan,
+    _effective_features,
     _gram_losses,
     _gram_of,
     bev_distill_terms,  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
@@ -344,11 +345,11 @@ TERMS = ("absolute_depth", "inner_depth", "inter_channel", "inter_keypoint")  # 
 @dataclass
 class SceneProblem:
     """The weighted objective of one scene over a flat parameter vector
-    (the (N, D) depth block of each view's valid-pixel logit rows, then
-    the (C, L) block of the student BEV map's live cells, see
-    ``DistillPlan``; a gradient has the same layout).  ``build`` packs the
-    views, their ``TargetLayout`` and the BEV teacher side once; only
-    ``evaluate`` composes the objective."""
+    of ``size`` entries: the (N, D) depth block of each view's valid-pixel
+    logit rows in camera order, then, from ``cut`` on, the (C, L) block of
+    the student BEV map's live cells (see ``DistillPlan``); a gradient has
+    the same layout.  ``build`` packs the views, their ``TargetLayout`` and
+    the BEV teacher side once; only ``evaluate`` composes the objective."""
 
     cfg: HarnessConfig
     scene: SyntheticScene
@@ -356,7 +357,8 @@ class SceneProblem:
     packed: List[PackedView]
     plan: DistillPlan
     layout: TargetLayout
-    ends: np.ndarray  # end offset of each view's rows, then of the BEV block
+    cut: int  # where the BEV block starts
+    size: int  # entries of the parameter vector
     # (2, R, D) step buffers, a view's probabilities and work, which hold
     # the layout's rows as the inner-depth pass's (U, D) work; a call uses
     # leading rows, which are C-contiguous, so its sums round as in fresh arrays.
@@ -372,10 +374,10 @@ class SceneProblem:
         )
         layout = target_layout([(p.rows, v.targets, v.depth.shape) for p, v in zip(packed, views)])
         d = cfg.bins.count
-        sizes = [p.rows.size * d for p in packed] + [scene.teacher_bev.channels * plan.live.size]
+        cut = sum(p.rows.size for p in packed) * d
         n_max = max([p.rows.size for p in packed] + [(layout.rows.size + 1) // 2])
         return cls(
-            cfg, scene, views, packed, plan, layout, np.cumsum(sizes),
+            cfg, scene, views, packed, plan, layout, cut, cut + scene.teacher_bev.channels * plan.live.size,
             rows_buffers=np.empty((2, n_max, d)),
             target_rows=np.empty((layout.rows.size, d)),
             empty=not scene.boxes and not any(p.rows.size for p in packed),
@@ -383,8 +385,8 @@ class SceneProblem:
 
     def blocks(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The (N, D) depth block and the (C, L) BEV block, as views into a parameter or gradient vector."""
-        cut = self.ends[-2]
-        return vec[:cut].reshape(-1, self.cfg.bins.count), vec[cut:].reshape(self.scene.teacher_bev.channels, -1)
+        depth, bev = vec[:self.cut], vec[self.cut:]
+        return depth.reshape(-1, self.cfg.bins.count), bev.reshape(self.scene.teacher_bev.channels, -1)
 
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Each view's (N, D) rows of the depth block, and the BEV block."""
@@ -475,7 +477,7 @@ def student_problem(
         at_bin = expected_depths(softmax_rows(SATURATION_LOGIT * np.eye(d)), cfg.bins.centers)
         views = [_identity_view(v, at_bin, cfg.bins) for v in views]
     problem = SceneProblem.build(cfg, scene, views)
-    params = np.zeros(problem.ends[-1])
+    params = np.zeros(problem.size)
     logits, bev = problem.split(params)
     if identity:
         bev[...] = problem.plan.pack(scene.teacher_bev.data)
@@ -558,10 +560,11 @@ def evaluate_scene_losses(
         raise ContractError("student inputs disagree with the views, the bins or the teacher map")
     if student_bev.grid != scene.grid:
         raise ContractError("student and teacher grids disagree")
-    params = np.concatenate(
-        [logit_rows(dm.logits)[p.rows].ravel() for dm, p in zip(depth_maps, problem.packed)]
-        + [problem.plan.pack(student_bev.data).ravel()]
-    )
+    params = np.empty(problem.size)
+    logits, bev = problem.split(params)
+    for rows, dm, p in zip(logits, depth_maps, problem.packed):
+        rows[...] = logit_rows(dm.logits)[p.rows]
+    bev[...] = problem.plan.pack(student_bev.data)
     grad = np.empty_like(params)
     res = problem.evaluate(params, grad)
     logit_grads, bev_grad = problem.split(grad)
@@ -661,8 +664,8 @@ def _feature_gram_instance(cfg: HarnessConfig, sub: CounterRng, kind: str) -> _I
     fs = sub.normal((n, c))
     ft = sub.normal((n, c))
     both = np.concatenate([fs, ft])
-    tie = cfg.gram_normalization == "l2" and bool(np.min(np.sqrt(np.sum(both * both, axis=1))) < 1e-3)
     norm, reduction = cfg.gram_normalization, cfg.loss_reduction
+    tie = norm == "l2" and bool(np.min(_effective_features(both, norm)[1]) < 1e-3)
     # the student is one target, and so is each input of a stack, against
     # the instance's teacher Gram
     teacher = ((kind, _gram_of(ft[None], kind, norm)),)
@@ -907,7 +910,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 if total_met_step is None:
                     total_met_step = step
                     held = (res.components["absolute_depth"], res.components["inner_depth"])
-                    trained = slice(problem.ends[-2], None)
+                    trained = slice(problem.cut, None)
                 # declare convergence only once every target's keypoint Gram
                 # is also within ik_rel_target of the teacher's
                 if _worst_keypoint_rel(gram_sq, problem.plan) <= opt.ik_rel_target:
@@ -932,7 +935,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
 
     final = series["total"][-1]
     reduction = 1.0 - final / initial if initial else 0.0
-    teacher_norm = math.sqrt(float(np.sum(teacher.data * teacher.data)))
+    teacher_norm = math.sqrt(float(sq_sums(teacher.data.reshape(1, -1))))
     report = RunReport(
         kind="train-toy",
         config=config_to_dict(cfg),

@@ -40,6 +40,11 @@ if TYPE_CHECKING:
 # outside its own box by floating-point noise.
 FACE_INSET = 1e-12
 
+# The sampled faces, top, +length, -length, +width and -width, each as its
+# fixed local axis and side; the other two axes take the draws a and b in
+# axis order.  There is no bottom face.
+FACES = ((2, 1.0), (0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0))
+
 
 @dataclass
 class SyntheticScene:
@@ -100,27 +105,20 @@ def _place_boxes(cfg: SceneConfig, sub: CounterRng) -> List[Box3D]:
 
 
 def _sample_box_surface(box: Box3D, n: int, sub: CounterRng) -> np.ndarray:
-    """Area-weighted samples on the top and 4 side faces (no bottom)."""
-    length, width, height = box.size
-    areas = np.array(
-        [length * width, width * height, width * height, length * height, length * height]
-    )
+    """Area-weighted samples on the ``FACES`` of a box."""
+    size = box.size
+    # each face's fixed axis, then the axes that a and b span
+    axes = np.array([[axis] + [k for k in range(3) if k != axis] for axis, _ in FACES])
+    areas = size[axes[:, 1]] * size[axes[:, 2]]
     cum = np.cumsum(areas) / np.sum(areas)
     draw = sub.uniform((n, 3))
     face = np.searchsorted(cum, draw[:, 0], side="right")
-    a = draw[:, 1] - 0.5
-    b = draw[:, 2] - 0.5
+    on = axes[face]
+    sides = np.array([side for _, side in FACES])[face]
     local = np.empty((n, 3))
-    m = face == 0  # top
-    local[m] = np.stack([a[m] * length, b[m] * width, np.full(m.sum(), height / 2.0)], axis=1)
-    m = face == 1  # +length face
-    local[m] = np.stack([np.full(m.sum(), length / 2.0), a[m] * width, b[m] * height], axis=1)
-    m = face == 2  # -length face
-    local[m] = np.stack([np.full(m.sum(), -length / 2.0), a[m] * width, b[m] * height], axis=1)
-    m = face == 3  # +width face
-    local[m] = np.stack([a[m] * length, np.full(m.sum(), width / 2.0), b[m] * height], axis=1)
-    m = face == 4  # -width face
-    local[m] = np.stack([a[m] * length, np.full(m.sum(), -width / 2.0), b[m] * height], axis=1)
+    local[np.arange(n)[:, None], on] = np.concatenate(
+        [(sides * size[on[:, 0]] / 2.0)[:, None], (draw[:, 1:] - 0.5) * size[on[:, 1:]]], axis=1
+    )
     local *= 1.0 - FACE_INSET
     return local @ rot_z(box.yaw).T + box.center
 

@@ -50,7 +50,26 @@ SMALL = {
     "optimizer": {"max_steps": 40},
 }
 
-# run name -> CLI arguments; "small" stands for the SMALL config file
+# the bev-heavy benchmark scene (perfbench/workloads.py), whose depth side
+# adds later touches of shared rows, stopped after 3 steps
+BEV_HEAVY = {
+    "scene": {
+        "num_boxes": 12,
+        "num_cameras": 2,
+        "channels": 32,
+        "image_width": 48,
+        "image_height": 32,
+        "focal": 40.0,
+    },
+    "bins": {"count": 16},
+    "keypoint_g": 10,
+    "optimizer": {"max_steps": 3},
+}
+
+# config file name -> config; a run argument naming one stands for its file
+CONFIGS = {"small": SMALL, "bev-heavy": BEV_HEAVY, "default-3": {"optimizer": {"max_steps": 3}}}
+
+# run name -> CLI arguments
 RUNS = {
     "eval-losses-random": ["eval-losses"],
     "eval-losses-identity": ["eval-losses", "--student", "identity"],
@@ -60,6 +79,9 @@ RUNS = {
     "render-depth-small": ["render-depth", "--config", "small"],
     "train-toy-small": ["train-toy", "--config", "small"],
     "train-toy-small-identity": ["train-toy", "--config", "small", "--identity-init"],
+    "train-toy-default-3": ["train-toy", "--config", "default-3"],
+    "eval-losses-bev-heavy": ["eval-losses", "--config", "bev-heavy"],
+    "train-toy-bev-heavy-3": ["train-toy", "--config", "bev-heavy"],
 }
 
 
@@ -93,15 +115,17 @@ def file_digest(path: pathlib.Path) -> str:
 
 def digests(workdir: pathlib.Path):
     """run name -> {output file name: digest} of every run of ``RUNS``."""
-    small = workdir / "small.json"
-    small.write_text(json.dumps(SMALL))
+    files = {}
+    for key, cfg in CONFIGS.items():
+        files[key] = str(workdir / f"{key}.json")
+        pathlib.Path(files[key]).write_text(json.dumps(cfg))
     out = {}
     for name, args in RUNS.items():
         where = workdir / name
-        argv = [str(small) if a == "small" else a for a in args] + ["--out", str(where)]
+        argv = [files.get(a, a) for a in args] + ["--out", str(where)]
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli_main(argv)
-        assert code in (0, 1), name  # the small train-toy stops at max_steps
+        assert code in (0, 1), name  # a train-toy may stop at max_steps
         out[name] = {p.name: file_digest(p) for p in sorted(where.iterdir())}
     return out
 

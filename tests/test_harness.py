@@ -622,8 +622,8 @@ class TestTotalLoss:
             (no_boxes, blind, True), (scene, blind, False), (no_boxes, [views[0]] + blind[1:], False)
         ):
             problem = SceneProblem.build(cfg, scn, vws)
-            for grad in (None, np.zeros(problem.ends[-1])):
-                res = problem.evaluate(np.zeros(problem.ends[-1]), grad)
+            for grad in (None, np.zeros(problem.size)):
+                res = problem.evaluate(np.zeros(problem.size), grad)
                 assert res.empty == empty
                 if empty:
                     assert res.value == 5.0 and all(res.components[key] == 0.0 for key in TERMS)
@@ -785,7 +785,8 @@ class TestPackedLayout:
         problem, params = student_problem(cfg, scene, render_gt_views(scene))
         channels, live = cfg.scene.channels, problem.plan.live.size
         want = sum(p.rows.size for p in problem.packed) * cfg.bins.count + channels * live
-        assert params.shape == (want,) and problem.ends[-1] == want
+        assert params.shape == (want,) and problem.size == want
+        assert problem.cut == want - channels * live
         assert 0 < live < cfg.scene.grid.h_bev * cfg.scene.grid.w_bev
         assert problem.split(params)[1].shape == (channels, live)
         # train-toy's Adam moments are its zeros_like arrays
@@ -920,6 +921,29 @@ class TestRunGradcheck:
             assert entry["excluded_tie_adjacent"] == 20 and entry["instances"] == 0
             assert entry["overflow"] == 0 and entry["passed"] is False
         assert report.status == "failed"
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("norm, scale, tie", [
+        ("l2", 0.0, True), ("l2", 5e-4, True), ("l2", 2e-3, False), ("l2", 0.02, False), ("none", 0.0, False),
+    ])
+    def test_feature_instance_is_tie_adjacent_below_a_row_norm_of_1e3(self, side, norm, scale, tie):
+        """Under l2 a Gram instance is tie-adjacent exactly when a student
+        or teacher row's L2 norm, not its square, is below 1e-3."""
+        class Stream:
+            """n = c = 2, then the student's and the teacher's rows."""
+            def __init__(self, rows):
+                self.rows = rows
+
+            def uniform(self, size):
+                return np.zeros(size)
+
+            def normal(self, shape):
+                return self.rows.pop(0)
+
+        rows = [np.array([[1.0, 2.0], [0.5, -1.0]]), np.array([[-1.0, 0.5], [2.0, 1.0]])]
+        rows[side][1] = [0.6 * scale, -0.8 * scale]
+        cfg = dataclasses.replace(small_harness_config(), gram_normalization=norm)
+        assert harness._feature_gram_instance(cfg, Stream(rows), "keypoint").tie_adjacent is tie
 
 
 def _absolute_value(cfg, call, x0, x):

@@ -35,6 +35,7 @@ from geodistill import (
 )
 from geodistill.geometry import render_view
 from geodistill.rng import CounterRng
+from geodistill.scenegen import FACE_INSET, FACES, _sample_box_surface
 
 
 def small_config(**overrides):
@@ -149,6 +150,61 @@ class TestGenerateScene:
             r = math.hypot(box.center[0], box.center[1])
             assert cfg.place_radius_min <= r <= cfg.place_radius_max
             assert box.center[2] == box.size[2] / 2.0
+
+
+def explicit_box_surface(box, n, sub):
+    """The surface sampler with each face's formula written out."""
+    length, width, height = box.size
+    areas = np.array([length * width, width * height, width * height, length * height, length * height])
+    cum = np.cumsum(areas) / np.sum(areas)
+    draw = sub.uniform((n, 3))
+    face = np.searchsorted(cum, draw[:, 0], side="right")
+    a = draw[:, 1] - 0.5
+    b = draw[:, 2] - 0.5
+    local = np.empty((n, 3))
+    m = face == 0  # top
+    local[m] = np.stack([a[m] * length, b[m] * width, np.full(m.sum(), height / 2.0)], axis=1)
+    m = face == 1  # +length
+    local[m] = np.stack([np.full(m.sum(), length / 2.0), a[m] * width, b[m] * height], axis=1)
+    m = face == 2  # -length
+    local[m] = np.stack([np.full(m.sum(), -length / 2.0), a[m] * width, b[m] * height], axis=1)
+    m = face == 3  # +width
+    local[m] = np.stack([a[m] * length, np.full(m.sum(), width / 2.0), b[m] * height], axis=1)
+    m = face == 4  # -width
+    local[m] = np.stack([a[m] * length, np.full(m.sum(), -width / 2.0), b[m] * height], axis=1)
+    local *= 1.0 - FACE_INSET
+    return local @ rot_z(box.yaw).T + box.center
+
+
+class TestBoxSurface:
+    @pytest.mark.parametrize("size", [(4.5, 1.9, 1.6), (1.0, 3.0, 0.25), (2.0, 2.0, 2.0)])
+    def test_each_sample_lies_on_exactly_one_face(self, size):
+        """At yaw 0 and the origin the samples are the local coordinates:
+        on exactly one face, one coordinate sits at +- half the extent
+        shrunk by FACE_INSET and the others within it; none is on the
+        bottom, and every face is sampled."""
+        box = Box3D(center=[0.0, 0.0, 0.0], size=list(size), yaw=0.0)
+        local = _sample_box_surface(box, 4000, CounterRng(3))
+        half = box.size / 2.0 * (1.0 - FACE_INSET)
+        on = np.array([local[:, axis] == side * half[axis] for axis, side in FACES])
+        assert np.all(on.sum(axis=0) == 1)
+        assert np.all(on.any(axis=1))
+        assert np.all(np.abs(local) <= half)
+        assert not np.any(local[:, 2] == -half[2])
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.tuples(*[st.floats(0.1, 20.0)] * 3),
+        center=st.tuples(*[st.floats(-30.0, 30.0)] * 3),
+        yaw=st.floats(-math.pi, math.pi),
+        n=st.integers(0, 200),
+        seed=st.integers(0, 2**32),
+    )
+    def test_face_table_equals_the_explicit_formulas(self, size, center, yaw, n, seed):
+        """The table of faces gives the bits of one formula per face."""
+        box = Box3D(center=list(center), size=list(size), yaw=yaw)
+        got = _sample_box_surface(box, n, CounterRng(seed))
+        assert got.tobytes() == explicit_box_surface(box, n, CounterRng(seed)).tobytes()
 
 
 class TestTeacherBev:
