@@ -381,12 +381,11 @@ class DistillPlan:
     gram_work: Tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     def pack(self, bev: np.ndarray) -> np.ndarray:
-        """The (C, L) live columns of a (C, H, W) map, or (B, C, L) of a
-        (B, C, H, W) stack of maps."""
+        """The (C, L) live columns of a (C, H, W) map."""
         shape = self.teacher_bev.data.shape
-        if np.ndim(bev) not in (3, 4) or np.shape(bev)[-3:] != shape:
-            raise ContractError(f"pack needs a {shape} (C, H, W) map or a stack of them, got {np.shape(bev)}")
-        return np.take(bev.reshape(bev.shape[:-2] + (-1,)), self.live, axis=-1)
+        if np.shape(bev) != shape:
+            raise ContractError(f"pack needs a {shape} (C, H, W) map, got {np.shape(bev)}")
+        return np.take(bev.reshape(shape[0], -1), self.live, axis=-1)
 
     def unpack(self, block: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
         """The (C, H, W) map holding the (C, L) ``block`` at the live

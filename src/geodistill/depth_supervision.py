@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, SkippedTargetError
 from .geometry import ForegroundDepthSet
-from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows, touch_order
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, softmax_rows
 from .numerics import _check_fields, _choice, _ranged
 
 BCE_CLAMP = 1e-7
@@ -258,7 +258,7 @@ class TargetLayout:
     ``gt[j, mask[j]]``; the (T, K) padding repeats its first row and holds
     gt 0.0.  ``fixed_refs`` holds each target's reference column under the
     two center strategies, whose scores do not depend on the prediction.
-    ``first`` and ``later`` are ``touch_order``'s for the rows."""
+    Targets that overlap share a row: it appears in each one's index."""
 
     rows: np.ndarray
     local: np.ndarray
@@ -268,8 +268,6 @@ class TargetLayout:
     counts: np.ndarray
     gt: np.ndarray
     fixed_refs: Dict[str, np.ndarray]
-    first: np.ndarray
-    later: np.ndarray
 
 
 def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet], Tuple[int, int]]]) -> TargetLayout:
@@ -294,7 +292,7 @@ def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet]
     block_rows, px, py, gt = touch
     if block_rows.min(initial=0.0) < 0:
         raise ContractError("foreground pixel outside the valid mask")
-    rows, at, first, later = touch_order(block_rows.astype(np.int64), mask)  # in (camera, target, pixel) order
+    rows, at = np.unique(block_rows[mask].astype(np.int64), return_inverse=True)  # at in (camera, target, pixel) order
     index = np.zeros(mask.shape, np.int64)
     index[mask] = at
     bounds = np.searchsorted(rows, offsets).tolist()
@@ -309,7 +307,6 @@ def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet]
         views=[(slice(*offsets[v:v + 2]), slice(*bounds[v:v + 2]), t) for v, t in enumerate(targets_of_view)],
         index=np.where(mask, index, index[:, :1]), mask=mask, counts=counts, gt=gt,
         fixed_refs=dict(zip(("all_to_certain_3d_center", "all_to_certain_2d_center"), refs)),
-        first=first, later=later,
     )
 
 
@@ -373,24 +370,23 @@ def relative_depth_rows(
     selected on the current prediction; values are summed in target
     order within a view, and the views in camera order.  With
     ``grad_rows``, the block's rows, ``scale`` times the logit gradient is
-    added into it touch by touch: first touches by one fancy add per view,
-    later ones by ``np.add.at`` in target order.  ``work`` is an optional
-    C-contiguous array of the probabilities' shape for the temporaries."""
+    added into it: each row's depth gradient is summed over the targets
+    that touch it, in target order, chained once and added by one fancy
+    add per view.  ``work`` is an optional C-contiguous array of the
+    probabilities' shape for the temporaries."""
     work = np.empty_like(probs) if work is None else work
     depths = expected_depths(probs, centers, work)
     d = depths[layout.index]
     values, grad_d = relative_residual(d, layout, select_references(layout, d, probs, sel), reduction)
     if grad_rows is not None:
-        # chain through d = sum_k p_k c_k: scale * g * p_k * (c_k - d)
-        shared, touch = layout.later
+        # chain through d = sum_k p_k c_k: every touch of a row adds
+        # g * p_k * (c_k - d), so its targets' g are summed first
+        g = np.bincount(layout.index[layout.mask], scale * grad_d[layout.mask])
         np.subtract(centers, depths[:, None], out=work)
-        later = work[shared]
-        for chain, at, p in ((work, layout.first, probs), (later, touch, probs[shared])):
-            chain *= scale * grad_d.flat[at][:, None]
-            chain *= p
+        work *= g[:, None]
+        work *= probs
         for _, entries, _ in layout.views:  # a view at a time, to keep the gathered copy small
             grad_rows[layout.rows[entries]] += work[entries]
-        np.add.at(grad_rows, layout.rows[shared], later)
     per_target = values.tolist()
     return sum((sum(per_target[targets], 0.0) for _, _, targets in layout.views), 0.0)
 

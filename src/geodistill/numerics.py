@@ -171,7 +171,7 @@ def touch_order(keys: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndar
     row-major (in target order), touch their keys: the sorted distinct
     keys, each entry's index into them, each key's first flat position,
     and the (2, S) key index and flat position of each later touch, in
-    order, which a scatter adds after assigning the first touches."""
+    order, which the BEV scatter adds after assigning the first touches."""
     positions = np.flatnonzero(mask)
     entries = keys.flat[positions]
     distinct, first = np.unique(entries, return_index=True)

@@ -965,8 +965,8 @@ class TestLiveCellPacking:
     def test_pack_rejects_a_map_of_another_shape(self):
         box = Box3D(center=[0.5, -0.3, 0.0], size=[2.0, 2.0, 1.0], yaw=0.0)
         plan = build_distill_plan(BevFeatureMap(np.zeros((3, 6, 6)), GRID6), [box], 3)
-        assert plan.pack(np.zeros((2, 3, 6, 6))).shape == (2, 3, plan.live.size)
-        for shape in ((3, 6, 5), (3, 36), (2, 6, 6), (2, 2, 6, 6), (6,)):
+        assert plan.pack(np.zeros((3, 6, 6))).shape == (3, plan.live.size)
+        for shape in ((3, 6, 5), (3, 36), (2, 6, 6), (2, 3, 6, 6), (2, 2, 6, 6), (6,)):
             with pytest.raises(ContractError, match=r"pack needs a \(3, 6, 6\) \(C, H, W\) map"):
                 plan.pack(np.zeros(shape))
 
