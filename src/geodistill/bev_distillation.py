@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 from .geometry import BevGrid, Box3D, enlarge_box_bev, rot_z, world_to_bev
-from .numerics import LossResult, as_tensor, check_finite, check_reduction, sq_sums, touch_order
+from .numerics import LossResult, as_tensor, check_finite, check_reduction, sq_sums
 from .numerics import matmul  # noqa: F401  perfbench/test_perfbench.py checks its tracer rebinds this name
 
 GRAM_NORMALIZATIONS = ("none", "count", "l2")
@@ -124,13 +124,15 @@ def _point_array(points) -> np.ndarray:
     return pts.reshape(-1, 2)
 
 
-def _interpolation(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _interpolation(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, ...]:
     """Border-clamped bilinear interpolation at (T, N, 2) points of an h x
     w grid: the (L,) sorted flat cells that some corner touches; ``win``
     (T, W), each target's window, the indices into those of its touched
-    cells in order, -1-padded to the widest; and ``mat`` (T, N, W), each
-    point's weights over its target's window, zero at the padding.  A
-    point has 4 corners, so W <= min(4N, L).  A non-finite point raises
+    cells in order, -1-padded to the widest; ``mat`` (T, N, W), each
+    point's weights over its target's window, zero at the padding; and
+    the adjoint's touch order of ``win``'s entries read row-major,
+    ``firsts`` and ``repeats`` (see ``DistillPlan``).  A point has 4
+    corners, so W <= min(4N, L).  A non-finite point raises
     ``NumericError``."""
     check_finite(pts, "sample points")
     r = np.clip(pts[..., 0], 0.0, float(h - 1))
@@ -144,19 +146,24 @@ def _interpolation(pts: np.ndarray, h: int, w: int) -> Tuple[np.ndarray, np.ndar
     # (T, 4N): the corners (r0, c0), (r0, c1), (r1, c0), (r1, c1) of every point
     cells = np.concatenate([r0 * w + c0, r0 * w + c1, r1 * w + c0, r1 * w + c1], axis=-1)
     weights = np.concatenate([(1.0 - fr) * (1.0 - fc), (1.0 - fr) * fc, fr * (1.0 - fc), fr * fc], axis=-1)
-    live, at = np.unique(cells, return_inverse=True)
+    # corners are read target by target, so ``first`` is each live cell's first touch
+    live, first, at = np.unique(cells, return_index=True, return_inverse=True)
     t, n = pts.shape[:2]
     # the distinct (target, live cell) pairs in order, and each corner's pair
     pairs, pair = np.unique(np.arange(t)[:, None] * live.size + at.reshape(cells.shape), return_inverse=True)
-    owner = pairs // live.size
+    owner, cell = np.divmod(pairs, live.size)
     slot = np.arange(pairs.size) - np.searchsorted(owner, owner)  # window column of each pair
     width = int(slot.max(initial=-1)) + 1
     win = np.full((t, width), -1)
-    win[owner, slot] = pairs - owner * live.size
+    win[owner, slot] = cell
     # coinciding corners are clamped ones, and all but one of them weigh 0
     flat = (np.arange(t)[:, None] * n + np.tile(np.arange(n), 4)) * width + slot[pair].reshape(cells.shape)
     mat = np.bincount(flat.ravel(), weights.ravel(), minlength=t * n * width).reshape(t, n, width)
-    return live, win, mat
+    entry = owner * width + slot  # the pairs are the window's entries, read row-major
+    head = pair.ravel()[first]
+    later = np.ones(pairs.size, bool)
+    later[head] = False
+    return live, win, mat, entry[head], np.array([cell[later], entry[later]])
 
 
 def _sample(block: np.ndarray, win: np.ndarray, mat: np.ndarray) -> np.ndarray:
@@ -173,7 +180,7 @@ def bilinear_sample(feat, points) -> np.ndarray:
     out-of-range points clamp to the border."""
     data = _feat_data(feat)
     c, h, w = data.shape
-    live, win, mat = _interpolation(_point_array(points)[None], h, w)
+    live, win, mat, _, _ = _interpolation(_point_array(points)[None], h, w)
     return _sample(np.take(data.reshape(c, h * w), live, axis=-1), win, mat)[0]
 
 
@@ -369,8 +376,8 @@ class DistillPlan:
     live: np.ndarray  # (L,) sorted distinct flat BEV cells that any corner touches
     win: np.ndarray  # (T, W) each target's window of ``live`` indices, see ``_interpolation``
     mat: np.ndarray  # (T, N, W) each keypoint's bilinear weights over its window, W <= min(4N, L)
-    firsts: np.ndarray  # (L,) the flat window entry of the first target touching each live cell
-    repeats: np.ndarray  # (2, S) the live cell and flat window entry of each later touch, in target order
+    firsts: np.ndarray  # (L,) the flat window entry of each live cell's first touch, in its first target
+    repeats: np.ndarray  # (2, S) the live cell and flat window entry of each later touch, row-major in ``win``
     teacher: np.ndarray  # (T, N, C) teacher keypoint features
     teacher_channel: np.ndarray  # (T, C, C) teacher channel Grams
     teacher_keypoint: np.ndarray  # (T, N, N) teacher keypoint Grams
@@ -447,9 +454,7 @@ def build_distill_plan(
     check_finite(teacher_bev.data, "teacher BEV features")
     lattices = [sample_keypoints(box, teacher_bev.grid, g, enlarge).points for box in boxes]
     pts = np.array(lattices).reshape(len(boxes), g * g, 2)
-    live, win, mat = _interpolation(pts, *teacher_bev.data.shape[1:])
-    # every live cell is touched, so its index into the distinct keys is itself
-    _, _, firsts, repeats = touch_order(win, win >= 0)
+    live, win, mat, firsts, repeats = _interpolation(pts, *teacher_bev.data.shape[1:])
     teacher = _sample(np.take(teacher_bev.data.reshape(teacher_bev.channels, -1), live, axis=-1), win, mat)
     t_eff, _ = _effective_features(teacher, normalization)
     grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}

@@ -51,6 +51,8 @@ class RigidTransform:
         self.translation = as_tensor(self.translation)
         if self.rotation.shape != (3, 3) or self.translation.shape != (3,):
             raise ContractError("rigid transform needs a 3x3 rotation and 3-vector translation")
+        if not (np.isfinite(self.rotation).all() and np.isfinite(self.translation).all()):
+            raise ContractError("rigid transform rotation and translation must be finite")
         err = np.max(np.abs(self.rotation.T @ self.rotation - np.eye(3)))
         if err > 1e-9:
             raise ContractError(f"rotation is not orthonormal (max deviation {err:.3e})")
@@ -85,10 +87,12 @@ class CameraModel:
     z_near: float = DEFAULT_Z_NEAR
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.fx, self.fy, self.cx, self.cy, self.z_near)):
+            raise ContractError("camera intrinsics and z_near must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ContractError("focal lengths must be positive")
-        if self.width < 1 or self.height < 1:
-            raise ContractError("image extents must be >= 1")
+        if not (1 <= self.width < math.inf and 1 <= self.height < math.inf):
+            raise ContractError("image extents must be finite and >= 1")
         if self.z_near <= 0:
             raise ContractError("z_near must be positive")
 

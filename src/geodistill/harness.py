@@ -930,12 +930,12 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             )
         # the full map: the starting map with its live cells trained, in place
         full = problem.plan.unpack(student, start_bev)
-        map_dist = math.sqrt(frobenius_sq_distance(full, teacher.data))
+        map_sq = frobenius_sq_distance(full, teacher.data)
         gram_distances = _gram_distance_summary(student, problem.plan, gram_sq)
 
     final = series["total"][-1]
     reduction = 1.0 - final / initial if initial else 0.0
-    teacher_norm = math.sqrt(float(sq_sums(teacher.data.reshape(1, -1))))
+    [(map_dist, map_rel)] = _distances(np.array([map_sq]), sq_sums(teacher.data.reshape(1, -1))[None])
     report = RunReport(
         kind="train-toy",
         config=config_to_dict(cfg),
@@ -950,7 +950,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             "gram_distances": gram_distances,
             "bev_feature_distance": {
                 "frobenius": map_dist,
-                "relative_to_teacher": map_dist / teacher_norm if teacher_norm else float("inf"),
+                "relative_to_teacher": map_rel,
             },
             "valid_pixels_per_view": [p.rows.size for p in problem.packed],
             "total_met_step": total_met_step,

@@ -166,21 +166,6 @@ def sq_sums(stack: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return np.matmul(flat, np.swapaxes(flat, -1, -2), out=None if out is None else out[..., None, None])[..., 0, 0]
 
 
-def touch_order(keys: np.ndarray, mask: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """How the entries of integer ``keys`` where ``mask`` holds, read
-    row-major (in target order), touch their keys: the sorted distinct
-    keys, each entry's index into them, each key's first flat position,
-    and the (2, S) key index and flat position of each later touch, in
-    order, which the BEV scatter adds after assigning the first touches."""
-    positions = np.flatnonzero(mask)
-    entries = keys.flat[positions]
-    distinct, first = np.unique(entries, return_index=True)
-    at = np.searchsorted(distinct, entries)
-    later = np.ones(positions.size, bool)
-    later[first] = False
-    return distinct, at, positions[first], np.array([at[later], positions[later]])
-
-
 def frobenius_sq_distance(a, b) -> float:
     """Sum of squared elementwise differences, reduced as ``sq_sums`` does."""
     a = as_tensor(a)

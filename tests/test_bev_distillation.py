@@ -76,7 +76,7 @@ def scatter_map(shape, points, upstream):
     transposed product of the interpolation matrix it multiplies, placed
     at the cells of that matrix's window."""
     c, h, w = shape
-    live, win, mat = _interpolation(points[None], h, w)
+    live, win, mat, _, _ = _interpolation(points[None], h, w)
     out = np.zeros((c, h * w))
     out[:, live[win[0]]] = (mat[0].T @ upstream).T
     return out.reshape(c, h, w)
@@ -843,6 +843,19 @@ class TestWeightedTerms:
                 assert stack_ic.tolist() == [ic, ic0] and stack_ik.tolist() == [ik, ik0]
 
 
+@st.composite
+def point_stacks(draw):
+    """(T, N, 2) points, T from 0, on an h x w grid down to one cell, up to
+    one cell outside it, some at integers, where clamped corners coincide."""
+    t, n, h, w = draw(st.integers(0, 4)), draw(st.integers(1, 6)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+
+    def coord(top):
+        return st.one_of(st.integers(-1, top).map(float), st.floats(-1.0, float(top)))
+
+    pts = draw(st.lists(st.tuples(coord(h), coord(w)), min_size=t * n, max_size=t * n))
+    return np.array(pts, float).reshape(t, n, 2), h, w
+
+
 class TestInterpolationMatrices:
     @settings(max_examples=100, deadline=None)
     @given(boxes=overlapping_boxes(), g=st.integers(2, 4), h=st.integers(1, 6), w=st.integers(1, 6))
@@ -880,6 +893,31 @@ class TestInterpolationMatrices:
         lhs = float(np.sum(plan.sample(block) * up))
         rhs = float(np.sum(block * plan.scatter(up)))
         assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=point_stacks())
+    @example(case=(np.zeros((2, 3, 2)), 1, 1))
+    @example(case=(np.array([[[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [2.0, 2.0]], [[0.0, 0.0], [2.0, 0.0]]]), 3, 3))
+    @example(case=(np.zeros((0, 4, 2)), 3, 3))
+    def test_firsts_and_repeats_equal_a_plain_loop(self, case):
+        """Against a loop over the window's non-padding entries in
+        row-major order: ``firsts`` is each live cell's first flat entry
+        and ``repeats`` each later touch's (live cell, flat entry) in
+        order; with integer points, a 1 x 1 grid and no targets."""
+        pts, h, w = case
+        live, win, _, firsts, repeats = _interpolation(pts, h, w)
+        first, later = {}, []
+        for pos in np.flatnonzero(win >= 0).tolist():
+            cell = int(win.flat[pos])
+            if cell in first:
+                later.append((cell, pos))
+            else:
+                first[cell] = pos
+        assert sorted(first) == list(range(live.size))
+        assert firsts.shape == (live.size,) and firsts.dtype.kind == "i"
+        assert firsts.tolist() == [first[cell] for cell in range(live.size)]
+        assert repeats.shape == (2, len(later)) and repeats.dtype.kind == "i"
+        assert [tuple(pair) for pair in repeats.T.tolist()] == later
 
     def test_zero_box_plan(self):
         """No boxes: empty matrices, an empty sample stack and zero

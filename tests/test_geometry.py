@@ -1,6 +1,7 @@
 """Rigid transforms, pinhole projection, box containment, rasterization,
 foreground extraction, and BEV grid mapping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -58,6 +59,16 @@ class TestRigidTransform:
         with pytest.raises(ContractError):
             RigidTransform(rotation=r, translation=np.zeros(3))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["rotation", "translation"])
+    def test_non_finite_motion_rejected(self, field, value):
+        """An infinite or NaN rotation or translation entry is a
+        ContractError, where a NaN would pass the orthonormality check."""
+        kw = {"rotation": np.eye(3), "translation": np.zeros(3)}
+        kw[field].flat[1] = value
+        with pytest.raises(ContractError, match="finite"):
+            RigidTransform(**kw)
+
     def test_inverse_round_trip(self):
         """apply then inverse-apply recovers points within 1e-12."""
         rng = CounterRng(21)
@@ -68,6 +79,16 @@ class TestRigidTransform:
             pts = sub.normal((12, 3), sigma=4.0)
             back = t.inverse().apply(t.apply(pts))
             assert np.allclose(back, pts, rtol=0, atol=1e-12)
+
+
+class TestCameraModel:
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["fx", "fy", "cx", "cy", "width", "height", "z_near"])
+    def test_non_finite_intrinsics_rejected(self, field, value):
+        """An infinite or NaN intrinsic, extent or z_near is a
+        ContractError, where a NaN would pass the sign checks."""
+        with pytest.raises(ContractError, match="finite"):
+            dataclasses.replace(make_camera(), **{field: value})
 
 
 class TestNormalizeYaw:

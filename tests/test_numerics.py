@@ -30,7 +30,7 @@ from geodistill import (
     softmax_rows,
     write_tsr,
 )
-from geodistill.numerics import sq_sums, touch_order
+from geodistill.numerics import sq_sums
 from geodistill.rng import CounterRng
 
 
@@ -144,43 +144,6 @@ class TestFrobenius:
             assert out[idx] == pytest.approx(np.sum(x[idx] ** 2), rel=1e-12)
         assert sq_sums(np.zeros((0, 4, 7))).shape == (0,)
         assert np.array_equal(sq_sums(np.zeros((3, 0, 7))), np.zeros(3))
-
-
-@st.composite
-def touch_cases(draw):
-    """Integer keys and a mask of one (T, K) shape."""
-    shape = (draw(st.integers(0, 6)), draw(st.integers(0, 6)))
-    keys = draw(hnp.arrays(np.int64, shape, elements=st.integers(-2, 6)))
-    return keys, draw(hnp.arrays(np.bool_, shape))
-
-
-class TestTouchOrder:
-    @settings(max_examples=300, deadline=None)
-    @given(case=touch_cases())
-    @example(case=(np.array([[3, 1, 3], [1, 4, 0], [3, 3, 3]]), np.array([[1, 1, 1], [0, 0, 0], [1, 0, 1]], bool)))
-    @example(case=(np.array([[2, 2], [2, 2]]), np.zeros((2, 2), bool)))
-    @example(case=(np.array([[5, 0], [0, 5]]), np.ones((2, 2), bool)))
-    @example(case=(np.zeros((0, 3), np.int64), np.zeros((0, 3), bool)))
-    def test_equals_a_plain_loop(self, case):
-        """Against a loop over the masked entries in row-major order: the
-        sorted distinct keys, each entry's index into them, each key's
-        first position, and each later touch's (key index, position) in
-        order; with empty rows, a fully masked input and none masked."""
-        keys, mask = case
-        firsts, laters, positions = {}, [], np.flatnonzero(mask).tolist()
-        for pos in positions:
-            key = int(keys.flat[pos])
-            if key in firsts:
-                laters.append((key, pos))
-            else:
-                firsts[key] = pos
-        distinct = sorted(firsts)
-        got_distinct, at, first, later = touch_order(keys, mask)
-        assert got_distinct.tolist() == distinct
-        assert at.tolist() == [distinct.index(int(keys.flat[pos])) for pos in positions]
-        assert first.tolist() == [firsts[key] for key in distinct]
-        assert later.shape == (2, len(laters)) and later.dtype.kind == "i"
-        assert [(distinct[i], pos) for i, pos in later.T.tolist()] == laters
 
 
 class TestSoftmaxRows:

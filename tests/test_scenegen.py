@@ -441,6 +441,19 @@ class TestScnFormat:
         with pytest.raises(ContractError, match="finite"):
             read_scene(io.StringIO(text.replace(line, " ".join(toks), 1)))
 
+    @pytest.mark.parametrize("token", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("key, position", [("camera", 2), ("rot", 0), ("t", 1)], ids=["camera", "rot", "t"])
+    def test_non_finite_camera_token_is_contract_error(self, token, key, position):
+        """A camera, rot or t line that parses but holds an infinite or NaN
+        value raises the camera's ContractError, rather than giving a
+        camera that culls every point."""
+        text = scene_string(generate_scene(small_config(num_boxes=1)))
+        line = next(row for row in text.splitlines() if row.startswith(key + " "))
+        toks = line.split()
+        toks[1 + position] = token
+        with pytest.raises(ContractError, match="finite"):
+            read_scene(io.StringIO(text.replace(line, " ".join(toks), 1)))
+
     def test_well_formed_bad_geometry_is_contract_error(self):
         """A stream that parses but describes a bad grid raises a
         ContractError that names the SCN grid line, not a config field."""
