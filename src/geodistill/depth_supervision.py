@@ -372,7 +372,7 @@ def relative_depth_rows(
     ``grad_rows``, the block's rows, ``scale`` times the logit gradient is
     added into it: each row's depth gradient is summed over the targets
     that touch it, in target order, chained once and added by one fancy
-    add per view.  ``work`` is an optional C-contiguous array of the
+    add.  ``work`` is an optional C-contiguous array of the
     probabilities' shape for the temporaries."""
     work = np.empty_like(probs) if work is None else work
     depths = expected_depths(probs, centers, work)
@@ -385,8 +385,7 @@ def relative_depth_rows(
         np.subtract(centers, depths[:, None], out=work)
         work *= g[:, None]
         work *= probs
-        for _, entries, _ in layout.views:  # a view at a time, to keep the gathered copy small
-            grad_rows[layout.rows[entries]] += work[entries]
+        grad_rows[layout.rows] += work  # the rows are distinct
     per_target = values.tolist()
     return sum((sum(per_target[targets], 0.0) for _, _, targets in layout.views), 0.0)
 

@@ -293,22 +293,16 @@ def enlarge_box_bev(box: Box3D, factor: float) -> Box3D:
 
 
 def world_to_bev(grid: BevGrid, xy) -> np.ndarray:
-    """Map world (x, y) to continuous BEV (row, col); vectorized over (P, 2)."""
+    """Map world (x, y) to continuous BEV (row, col) over the last axis."""
     pts = as_tensor(xy)
-    single = pts.ndim == 1
-    pts = pts.reshape(-1, 2)
-    col = (pts[:, 0] - grid.x_min) / (grid.x_max - grid.x_min) * grid.w_bev - 0.5
-    row = (pts[:, 1] - grid.y_min) / (grid.y_max - grid.y_min) * grid.h_bev - 0.5
-    out = np.stack([row, col], axis=1)
-    return out[0] if single else out
+    col = (pts[..., 0] - grid.x_min) / (grid.x_max - grid.x_min) * grid.w_bev - 0.5
+    row = (pts[..., 1] - grid.y_min) / (grid.y_max - grid.y_min) * grid.h_bev - 0.5
+    return np.stack([row, col], axis=-1)
 
 
 def bev_to_world(grid: BevGrid, rowcol) -> np.ndarray:
     """Inverse of world_to_bev: continuous (row, col) to world (x, y)."""
     rc = as_tensor(rowcol)
-    single = rc.ndim == 1
-    rc = rc.reshape(-1, 2)
-    x = (rc[:, 1] + 0.5) / grid.w_bev * (grid.x_max - grid.x_min) + grid.x_min
-    y = (rc[:, 0] + 0.5) / grid.h_bev * (grid.y_max - grid.y_min) + grid.y_min
-    out = np.stack([x, y], axis=1)
-    return out[0] if single else out
+    x = (rc[..., 1] + 0.5) / grid.w_bev * (grid.x_max - grid.x_min) + grid.x_min
+    y = (rc[..., 0] + 0.5) / grid.h_bev * (grid.y_max - grid.y_min) + grid.y_min
+    return np.stack([x, y], axis=-1)

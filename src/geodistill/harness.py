@@ -722,8 +722,6 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
     root = CounterRng(cfg.scene.seed)
     want = cfg.gradcheck.instances
     losses: Dict[str, Dict[str, Any]] = {}
-    all_ok = True
-    overall = 0.0
     for name, build in _GRADCHECK_FAMILIES.items():
         rels: List[float] = []
         excluded = overflow = 0
@@ -741,24 +739,21 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
                 continue
             rels.append(_rel_error(inst.analytic, numeric))
         max_rel = max(rels, default=0.0)
-        ok = bool(rels) and max_rel <= cfg.gradcheck.fail_threshold
         losses[name] = {
             "instances": len(rels),
             "excluded_tie_adjacent": excluded,
             "overflow": overflow,
             "max_rel_error": max_rel,
-            "passed": ok,
+            "passed": bool(rels) and max_rel <= cfg.gradcheck.fail_threshold,
         }
-        overall = max(overall, max_rel)
-        all_ok = all_ok and ok
     report = RunReport(
         kind="gradcheck",
         config=config_to_dict(cfg),
-        status="passed" if all_ok else "failed",
+        status="passed" if all(loss["passed"] for loss in losses.values()) else "failed",
         wall_clock_s=time.perf_counter() - t0,
         data={
             "losses": losses,
-            "max_rel_error": overall,
+            "max_rel_error": max(loss["max_rel_error"] for loss in losses.values()),
             "fail_threshold": cfg.gradcheck.fail_threshold,
         },
     )

@@ -23,7 +23,7 @@ from .depth_supervision import (
     DepthBins,
     assign_depth_bins,
 )
-from .geometry import Box3D, CameraModel, RigidTransform, points_in_box, project_points
+from .geometry import Box3D, CameraModel, RigidTransform, points_in_box, project_points, rot_z
 from .numerics import matmul
 from .rng import CounterRng
 
@@ -307,14 +307,8 @@ def run_oracle_suite(seed: int = 42) -> Tuple[Dict, bool]:
     kept_mismatch = 0
     checked = 0
     for _ in range(20):
-        angles = sub.uniform(3, 0.0, 2.0 * math.pi)
-        rz = np.array(
-            [
-                [math.cos(angles[0]), -math.sin(angles[0]), 0.0],
-                [math.sin(angles[0]), math.cos(angles[0]), 0.0],
-                [0.0, 0.0, 1.0],
-            ]
-        )
+        angles = sub.uniform(3, 0.0, 2.0 * math.pi)  # three draws keep the stream; only the first is used
+        rz = rot_z(angles[0])
         cam = CameraModel(
             fx=60.0 + 20.0 * sub.uniform(1)[0],
             fy=60.0 + 20.0 * sub.uniform(1)[0],

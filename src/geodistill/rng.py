@@ -51,11 +51,8 @@ _FNV_PRIME = 0x100000001B3
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer on a single 64-bit integer."""
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-    return z ^ (z >> 31)
+    """SplitMix64 finalizer on a single integer, taken mod 2**64."""
+    return int(_mix64_array(np.array([z & _MASK], dtype=np.uint64))[0])
 
 
 def fnv1a64(label: str) -> int:

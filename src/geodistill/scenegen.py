@@ -75,7 +75,6 @@ def _place_boxes(cfg: SceneConfig, sub: CounterRng) -> List[Box3D]:
     boxes: List[Box3D] = []
     radii: List[float] = []
     for j in range(cfg.num_boxes):
-        placed = False
         for _ in range(cfg.max_place_attempts):
             draw = sub.uniform(6)
             r = cfg.place_radius_min + draw[0] * (cfg.place_radius_max - cfg.place_radius_min)
@@ -86,21 +85,16 @@ def _place_boxes(cfg: SceneConfig, sub: CounterRng) -> List[Box3D]:
             height = cfg.height_range[0] + draw[5] * (cfg.height_range[1] - cfg.height_range[0])
             center = np.array([r * math.cos(phi), r * math.sin(phi), height / 2.0])
             circum = math.hypot(length, width) / 2.0
-            ok = True
-            for other, other_r in zip(boxes, radii):
-                dist = math.hypot(center[0] - other.center[0], center[1] - other.center[1])
-                if dist < circum + other_r + cfg.place_clearance:
-                    ok = False
-                    break
-            if ok:
+            if not any(
+                math.hypot(center[0] - other.center[0], center[1] - other.center[1])
+                < circum + other_r + cfg.place_clearance
+                for other, other_r in zip(boxes, radii)
+            ):
                 boxes.append(Box3D(center=center, size=np.array([length, width, height]), yaw=yaw))
                 radii.append(circum)
-                placed = True
                 break
-        if not placed:
-            raise GenerationError(
-                f"could not place box {j} after {cfg.max_place_attempts} attempts"
-            )
+        else:
+            raise GenerationError(f"could not place box {j} after {cfg.max_place_attempts} attempts")
     return boxes
 
 

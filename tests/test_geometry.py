@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from geodistill import (
     BevGrid,
@@ -353,6 +355,22 @@ class TestBevGridMapping:
         grid = BevGrid(-10.0, 30.0, -20.0, 4.0, 48, 96)
         pts = CounterRng(17).uniform((64, 2), -9.0, 3.0)
         back = bev_to_world(grid, world_to_bev(grid, pts))
+        assert np.allclose(back, pts, rtol=0, atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.sampled_from([(), (1,), (7,), (1, 1), (3, 4), (2, 5)]), seed=st.integers(0, 2**64 - 1))
+    def test_points_map_one_at_a_time_in_any_shape(self, shape, seed):
+        """A (2,), (P, 2) or (A, B, 2) input keeps its shape, each output
+        point equals the one-point call bit for bit, and the round trip
+        holds to 1e-12."""
+        grid = BevGrid(-10.0, 30.0, -20.0, 4.0, 48, 96)
+        pts = CounterRng(seed).uniform(shape + (2,), -25.0, 35.0)
+        rc = world_to_bev(grid, pts)
+        back = bev_to_world(grid, rc)
+        assert rc.shape == back.shape == pts.shape
+        for idx in np.ndindex(shape):
+            assert np.array_equal(rc[idx], world_to_bev(grid, pts[idx]))
+            assert np.array_equal(back[idx], bev_to_world(grid, rc[idx]))
         assert np.allclose(back, pts, rtol=0, atol=1e-12)
 
     def test_enlarge_box(self):

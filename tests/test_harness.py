@@ -922,6 +922,29 @@ class TestRunGradcheck:
             assert entry["overflow"] == 0 and entry["passed"] is False
         assert report.status == "failed"
 
+    def test_one_wrong_family_fails_itself_and_the_run(self, monkeypatch, tmp_path):
+        """A family whose analytic gradient is doubled fails on its own: the
+        other families still pass, the run fails with that family's error
+        as its overall maximum, and the ``gradcheck`` command exits 1."""
+        build = harness._GRADCHECK_FAMILIES["inter_channel"]
+
+        def doubled(cfg, sub):
+            inst = build(cfg, sub)
+            inst.analytic = 2.0 * inst.analytic
+            return inst
+
+        monkeypatch.setitem(harness._GRADCHECK_FAMILIES, "inter_channel", doubled)
+        cfg = dataclasses.replace(small_harness_config(), gradcheck=GradcheckConfig(instances=2))
+        report = run_gradcheck(cfg)
+        losses = report.data["losses"]
+        assert report.status == "failed"
+        assert [name for name, entry in losses.items() if not entry["passed"]] == ["inter_channel"]
+        worst = losses["inter_channel"]["max_rel_error"]
+        assert report.data["max_rel_error"] == worst > cfg.gradcheck.fail_threshold
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config_to_dict(cfg)))
+        assert cli.main(["gradcheck", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+
     @pytest.mark.parametrize("side", [0, 1])
     @pytest.mark.parametrize("norm, scale, tie", [
         ("l2", 0.0, True), ("l2", 5e-4, True), ("l2", 2e-3, False), ("l2", 0.02, False), ("none", 0.0, False),

@@ -22,14 +22,26 @@ def splitmix_reference(seed, k):
 
 
 class TestMix64:
-    def test_matches_reference_finalizer(self):
-        """Library mix64 equals a from-scratch big-int transcription."""
-        for z in (0, 1, 0xDEADBEEF, MASK, 1 << 63):
-            w = z & MASK
-            w = ((w ^ (w >> 30)) * 0xBF58476D1CE4E5B9) & MASK
-            w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & MASK
-            w ^= w >> 31
-            assert mix64(z) == w
+    @settings(max_examples=200, deadline=None)
+    @given(z=st.integers(0, MASK) | st.integers(-(1 << 130), 1 << 130))
+    @example(0)
+    @example(1)
+    @example(0xDEADBEEF)
+    @example(MASK)
+    @example(1 << 63)
+    @example(-1)
+    @example(-(1 << 63))
+    @example(-(1 << 64) - 3)
+    @example(1 << 64)
+    @example((0xDEADBEEF << 64) | 7)
+    def test_matches_reference_finalizer(self, z):
+        """Library mix64 equals a from-scratch big-int transcription on
+        any integer, negative or wider than 64 bits, taken mod 2**64."""
+        w = z & MASK
+        w = ((w ^ (w >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        w = ((w ^ (w >> 27)) * 0x94D049BB133111EB) & MASK
+        w ^= w >> 31
+        assert mix64(z) == w
 
     def test_fnv1a_known_vectors(self):
         """Standard FNV-1a 64-bit test vectors."""
