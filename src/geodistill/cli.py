@@ -24,13 +24,11 @@ import numpy as np
 
 from .errors import ConfigError, ContractError, FormatError, GenerationError, NumericError
 from .harness import (
-    REPORT_FORMAT_VERSION,
     RunReport,
     config_to_dict,
     load_config,
     run_gradcheck,
     run_train_toy,
-    strict_json,
     student_problem,
     write_report,
 )
@@ -134,10 +132,13 @@ def _cmd_train_toy(args, cfg) -> int:
 
 
 def _cmd_oracle(args, cfg) -> int:
+    t0 = time.perf_counter()
     fixtures, ok = run_oracle_suite(seed=cfg.scene.seed)
     path = os.path.join(args.out, "oracle_fixtures.json")
-    with open(path, "w") as fobj:
-        fobj.write(strict_json({"format_version": REPORT_FORMAT_VERSION, "passed": ok, "families": fixtures}))
+    write_report(path, RunReport(
+        kind="oracle", config=config_to_dict(cfg), status="passed" if ok else "failed",
+        wall_clock_s=time.perf_counter() - t0, data={"passed": ok, "families": fixtures},
+    ))
     for name, entry in sorted(fixtures.items()):
         detail = ", ".join(
             f"{k}={v}" for k, v in sorted(entry.items()) if not isinstance(v, (list, dict))

@@ -203,8 +203,8 @@ def pack_view(gt, valid, bins: DepthBins) -> PackedView:
     valid = np.asarray(valid, dtype=bool)
     rows = np.nonzero(valid.reshape(-1))[0]
     gt_valid = as_tensor(gt).reshape(-1)[rows]
-    if np.any(gt_valid <= 0):
-        raise ContractError("gt depth must be positive on valid pixels")
+    if not np.all(np.isfinite(gt_valid) & (gt_valid > 0)):
+        raise ContractError("gt depth must be finite and positive on valid pixels")
     return PackedView(rows=rows, gt_bins=assign_depth_bins(gt_valid, bins))
 
 
@@ -273,12 +273,15 @@ class TargetLayout:
 def target_layout(views: Sequence[Tuple[np.ndarray, Sequence[ForegroundDepthSet], Tuple[int, int]]]) -> TargetLayout:
     """The layout of the non-skipped targets of views given as (flat
     pixel index of each row, targets, (H, W)) in camera order; a target
-    pixel that is no row of its view raises."""
+    pixel outside its view's (H, W) or that is no row of its view raises."""
     offsets, pairs, targets_of_view = [0], [], []
     for rows, targets, (h, w) in views:
+        used = [fds for fds in targets if not fds.skipped]
+        xy = np.concatenate([fds.pixels for fds in used] + [np.zeros((0, 2), np.int64)])
+        if np.any((xy < 0) | (xy >= (w, h))):
+            raise ContractError(f"foreground pixel outside its {h}x{w} view")
         lookup = np.full(h * w, -1, dtype=np.int64)
         lookup[rows] = np.arange(offsets[-1], offsets[-1] + rows.size)
-        used = [fds for fds in targets if not fds.skipped]
         targets_of_view.append(slice(len(pairs), len(pairs) + len(used)))
         pairs += [(fds, lookup[pixel_rows(fds, w)]) for fds in used]
         offsets.append(offsets[-1] + rows.size)

@@ -224,8 +224,8 @@ class ForegroundDepthSet:
         if self.pixels.shape[0] != self.gt_depth.shape[0]:
             raise ContractError("pixels and gt_depth lengths disagree")
         if not self.skipped:
-            if np.any(self.gt_depth <= 0):
-                raise ContractError("foreground gt depths must be positive")
+            if not np.all(np.isfinite(self.gt_depth) & (self.gt_depth > 0)):
+                raise ContractError("foreground gt depths must be finite and positive")
             # duplicates are adjacent once sorted: the verdict of np.unique
             ordered = self.pixels[np.lexsort(self.pixels.T)]
             if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):

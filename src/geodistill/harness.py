@@ -302,6 +302,7 @@ class RunReport:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
+        """Report text: sorted keys, indented, and strict JSON."""
         payload = {
             "format_version": REPORT_FORMAT_VERSION,
             "kind": self.kind,
@@ -310,12 +311,7 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
         }
         payload.update(self.data)
-        return strict_json(payload)
-
-
-def strict_json(payload: Dict[str, Any]) -> str:
-    """Report text: sorted keys, indented, and strict JSON."""
-    return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
+        return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _finite_or_null(value):
@@ -349,7 +345,7 @@ class SceneProblem:
     logit rows in camera order, then, from ``cut`` on, the (C, L) block of
     the student BEV map's live cells (see ``DistillPlan``); a gradient has
     the same layout.  ``build`` packs the views, their ``TargetLayout`` and
-    the BEV teacher side once; only ``evaluate`` composes the objective."""
+    the BEV teacher side once; ``evaluate`` alone assembles the objective."""
 
     cfg: HarnessConfig
     scene: SyntheticScene
@@ -393,23 +389,33 @@ class SceneProblem:
         depth, bev = self.blocks(vec)
         return [depth[rows] for rows, _, _ in self.layout.views], bev
 
-    def evaluate(self, params: np.ndarray, grad: Optional[np.ndarray] = None) -> LossResult:
+    def evaluate(
+        self, params: np.ndarray, grad: Optional[np.ndarray] = None, gram_sq: Optional[np.ndarray] = None,
+        held: Optional[Tuple[float, float]] = None,
+    ) -> LossResult:
         """Total loss at ``params`` with its components (``TERMS`` and
-        "external_det", a constant without gradient): ``compose`` of the
-        depth terms and the BEV terms.
+        "external_det", a constant without gradient): the weighted sum of
+        the depth terms, the BEV terms and the external scalar.
 
         Every call evaluates every term; a weight only scales its term's
         share of the total and, with ``grad``, of the weighted gradient
         written into it.  Without ``grad`` no gradient is formed.  View
-        values are summed in camera order.  A non-finite BEV block raises
-        ``NumericError``.
+        values are summed in camera order.  ``gram_sq`` is passed on to
+        ``bev_terms``.  ``held``, the depth terms' values of a frozen depth
+        block, stands in for ``depth_terms``, which then does not run, and
+        leaves the depth block of ``grad`` as it is.  A non-finite BEV
+        block raises ``NumericError``.
 
         The first term that writes a block of ``grad`` assigns it, with
         the bits of adding into zeros, so ``grad`` may hold anything on
         entry."""
         logits, student = self.blocks(params)
         logit_grad, student_grad = self.blocks(grad) if grad is not None else (None, None)
-        return self.compose(self.depth_terms(logits, logit_grad), self.bev_terms(student, student_grad))
+        depth = self.depth_terms(logits, logit_grad) if held is None else held
+        values = depth + self.bev_terms(student, student_grad, gram_sq)
+        w, det = self.cfg.weights, float(self.cfg.external_det_loss)
+        total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
+        return LossResult(total, None, empty=self.empty, components=dict(zip(TERMS, values), external_det=det))
 
     def depth_terms(self, logits: np.ndarray, logit_grad: Optional[np.ndarray]) -> Tuple[float, float]:
         """The absolute and inner depth values of the (N, D) depth block, and
@@ -447,15 +453,6 @@ class SceneProblem:
         if grad is not None:
             student_grad[...] = grad
         return ic, ik
-
-    def compose(self, depth: Tuple[float, float], bev: Tuple[float, float]) -> LossResult:
-        """The weighted total of the depth and BEV terms' values and the
-        external scalar, with every value as a component."""
-        w = self.cfg.weights
-        det = float(self.cfg.external_det_loss)
-        values = depth + bev
-        total = det + w.w_a * values[0] + w.w_r * values[1] + w.w_ic * values[2] + w.w_ik * values[3]
-        return LossResult(total, None, empty=self.empty, components=dict(zip(TERMS, values), external_det=det))
 
 
 def student_problem(
@@ -746,7 +743,7 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
             "max_rel_error": max_rel,
             "passed": bool(rels) and max_rel <= cfg.gradcheck.fail_threshold,
         }
-    report = RunReport(
+    return RunReport(
         kind="gradcheck",
         config=config_to_dict(cfg),
         status="passed" if all(loss["passed"] for loss in losses.values()) else "failed",
@@ -757,7 +754,6 @@ def run_gradcheck(cfg: HarnessConfig) -> RunReport:
             "fail_threshold": cfg.gradcheck.fail_threshold,
         },
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -845,11 +841,12 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     an exactly zero gradient of the trained block (nothing left to
     improve), or divergence.
 
-    The depth block is frozen at the first step whose total meets the
-    first criterion (``total_met_step``): later steps evaluate and update
-    only the BEV block and hold the depth terms' values.  The depth terms
-    read only the logits and Adam is per coordinate, so the BEV block is
-    that of a run without the freeze; so are the status and the step
+    Each step is one ``SceneProblem.evaluate``.  The depth block is
+    frozen at the first step whose total meets the first criterion
+    (``total_met_step``): later steps pass the depth terms' values as
+    ``held``, so they evaluate and update only the BEV block.  The depth
+    terms read only the logits and Adam is per coordinate, so the BEV block
+    is that of a run without the freeze; so are the status and the step
     count while the total stays within the criterion's bound.  No update
     follows the last evaluation, and none touches the depth block after
     the freeze, so every figure of the report describes the same
@@ -870,16 +867,13 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # the end they raise bev-heavy's peak RSS by about 0.4 MB
     start_bev = _start_bev(cfg, scene, identity_init)
     grad = np.empty_like(params)
-    # the blocks of the parameters and the gradient, as views taken once
-    logits, student = problem.blocks(params)
-    logit_grad, student_grad = problem.blocks(grad)
     moment1 = np.zeros_like(params)
     moment2 = np.zeros_like(params)
     series: Dict[str, List[float]] = {key: [] for key in ("total",) + TERMS}
     status = "max_steps"
     initial: Optional[float] = None
     total_met_step: Optional[int] = None  # also the step that froze the depth block
-    held: Tuple[float, float] = (0.0, 0.0)  # the depth terms' values once frozen
+    held: Optional[Tuple[float, float]] = None  # the depth terms' values once frozen
     trained = slice(0, None)  # the part of the vector that Adam updates
     # each target's squared channel and keypoint Gram distances, NaN until evaluated
     gram_sq = np.full((2, len(scene.boxes)), np.nan)
@@ -888,8 +882,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     # reports it, so numpy's overflow warnings would only repeat it.
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(opt.max_steps):
-            depth = problem.depth_terms(logits, logit_grad) if total_met_step is None else held
-            res = problem.compose(depth, problem.bev_terms(student, student_grad, gram_sq))
+            res = problem.evaluate(params, grad, gram_sq, held)
             total = res.value
             series["total"].append(total)
             for key in TERMS:
@@ -924,6 +917,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
                 step, lr_at(opt, step), opt, adam_tmp,
             )
         # the full map: the starting map with its live cells trained, in place
+        _, student = problem.blocks(params)
         full = problem.plan.unpack(student, start_bev)
         map_sq = frobenius_sq_distance(full, teacher.data)
         gram_distances = _gram_distance_summary(student, problem.plan, gram_sq)
@@ -931,7 +925,7 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
     final = series["total"][-1]
     reduction = 1.0 - final / initial if initial else 0.0
     [(map_dist, map_rel)] = _distances(np.array([map_sq]), sq_sums(teacher.data.reshape(1, -1))[None])
-    report = RunReport(
+    return RunReport(
         kind="train-toy",
         config=config_to_dict(cfg),
         status=status,
@@ -952,4 +946,3 @@ def run_train_toy(cfg: HarnessConfig, identity_init: bool = False) -> RunReport:
             "depth_frozen_at": total_met_step,
         },
     )
-    return report

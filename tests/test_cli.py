@@ -21,7 +21,7 @@ from geodistill import cli
 from geodistill.cli import main
 from geodistill.depth_supervision import REFERENCE_STRATEGIES
 from geodistill.numerics import LOSS_REDUCTIONS
-from geodistill.harness import config_from_dict
+from geodistill.harness import config_from_dict, config_to_dict
 
 
 SMALL = {
@@ -497,12 +497,16 @@ class TestTrainToyCommand:
 
 class TestOracleCommand:
     def test_oracle_suite_passes(self, small_cfg, tmp_path, capsys):
+        """A passing suite reports status "passed" beside ``passed`` and
+        echoes the config that ran, the seed override included."""
         out = tmp_path / "out"
-        assert main(["oracle", "--config", small_cfg, "--out", str(out)]) == 0
+        assert main(["oracle", "--config", small_cfg, "--seed", "7", "--out", str(out)]) == 0
         text = capsys.readouterr().out
         assert "PASS" in text
         fixtures = read_json(out / "oracle_fixtures.json")
-        assert fixtures["passed"] is True
+        assert fixtures["passed"] is True and fixtures["status"] == "passed"
+        assert fixtures["kind"] == "oracle"
+        assert fixtures["config"] == config_to_dict(config_from_dict(dict(SMALL, scene=dict(SMALL["scene"], seed=7))))
         assert set(fixtures["families"]) >= {
             "matmul",
             "gram",
@@ -513,7 +517,8 @@ class TestOracleCommand:
         }
 
     def test_fixtures_are_strict_json(self, small_cfg, tmp_path, capsys, monkeypatch):
-        """A non-finite fixture value is written as null, never as NaN."""
+        """A non-finite fixture value is written as null, never as NaN;
+        a failing suite reports status "failed" beside ``passed``."""
         import geodistill.cli as cli
 
         def suite(seed):
@@ -530,6 +535,7 @@ class TestOracleCommand:
         text = (out / "oracle_fixtures.json").read_text()
         fixtures = json.loads(text, parse_constant=reject)
         assert fixtures["families"]["matmul"]["max_abs_diff"] is None
+        assert fixtures["passed"] is False and fixtures["status"] == "failed"
 
 
 @st.composite
@@ -576,8 +582,9 @@ class TestTinyConfigs:
     @given(cfg=tiny_configs())
     def test_every_command_exits_0_or_1_with_strict_reports(self, cfg):
         """In process, every command on a tiny valid config exits 0 or 1,
-        writes its report as strict JSON (always when it exits 0), prints
-        at most one line to stderr, an ``error:`` line, and warns nothing."""
+        writes its report as strict JSON (always when it exits 0) with the
+        fields every report holds, prints at most one line to stderr, an
+        ``error:`` line, and warns nothing."""
 
         def reject(token):
             raise ValueError(f"non-standard JSON constant {token}")
@@ -599,4 +606,6 @@ class TestTinyConfigs:
                 assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], command
                 if report is not None and (code == 0 or os.path.exists(os.path.join(out, report))):
                     with open(os.path.join(out, report)) as fobj:
-                        json.loads(fobj.read(), parse_constant=reject)
+                        parsed = json.loads(fobj.read(), parse_constant=reject)
+                    assert {"format_version", "kind", "status", "config", "wall_clock_s"} <= set(parsed), command
+                    assert (parsed["kind"], parsed["config"]) == (command, config_to_dict(config_from_dict(cfg)))

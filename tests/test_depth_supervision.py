@@ -423,6 +423,31 @@ class TestInnerDepthLoss:
         assert float(np.max(np.abs(res.grad - fd))) / denom <= 1e-6
 
 
+# a pixel past each edge of a 4x5 view (x = W, x = -1, y = H, y = -1) and
+# one far outside it; the flat rows of (5, 0), (-1, 1) and (1, -1) are
+# pixels of the view (the last one counted from the end)
+OUTSIDE_4X5 = [(5, 0), (-1, 1), (1, 4), (1, -1), (2, 9)]
+
+
+class TestPixelBounds:
+    @pytest.mark.parametrize("pixel", OUTSIDE_4X5)
+    def test_inner_loss_rejects_a_pixel_outside_the_map(self, pixel):
+        """A target pixel outside the (D, H, W) map raises, where its flat
+        row would read another pixel or none."""
+        bins = DepthBins(count=8, d_min=1.0, d_max=9.0)
+        dm = CategoricalDepthMap(CounterRng(71).normal((8, 4, 5)))
+        with pytest.raises(ContractError, match="outside its 4x5 view"):
+            inner_depth_loss([make_fds([[2, 2], pixel], [3.0, 4.0])], dm, bins, ReferenceSelection())
+
+    @pytest.mark.parametrize("pixel", [p for p in OUTSIDE_4X5 if min(p) < 0])
+    def test_select_reference_rejects_a_negative_pixel(self, pixel):
+        """select_reference takes (H, W) from the pixels' maxima, so only a
+        negative coordinate lies outside it."""
+        fds = make_fds([[2, 2], pixel], [3.0, 4.0])
+        with pytest.raises(ContractError, match="outside its"):
+            select_reference(fds, [3.5, 4.5], ReferenceSelection())
+
+
 def valid_mean_bce(logits, gt, valid, bins):
     """The trainer's absolute term on a (D, H, W) map with a valid pixel:
     ``bce_rows`` over the ``pack_view`` rows divided by the valid count,
@@ -485,10 +510,13 @@ class TestAbsoluteDepthLoss:
         value = bce_rows(np.empty((0, 3)), view.gt_bins, grad_rows)
         assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
-    def test_rejects_nonpositive_gt(self):
+    @pytest.mark.parametrize("gt", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rejects_gt_that_is_not_finite_and_positive(self, gt):
+        """A NaN or infinite gt depth on a valid pixel raises like a
+        non-positive one; unchecked, NaN would land in the last bin."""
         bins = DepthBins(count=3, d_min=0.5, d_max=3.5)
-        with pytest.raises(ContractError):
-            pack_view(np.array([[0.0]]), np.ones((1, 1), bool), bins)
+        with pytest.raises(ContractError, match="finite and positive"):
+            pack_view(np.array([[2.0, gt]]), np.ones((1, 2), bool), bins)
 
     def test_gradient_matches_finite_differences(self):
         """Through packing, the scaled gradient is the mean's gradient

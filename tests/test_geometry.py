@@ -304,6 +304,12 @@ class TestForegroundSets:
                 gt_depth=np.array([2.0, -3.0]),
                 skipped=False,
             )
+        # a gt depth must be finite as well as positive
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ContractError, match="finite and positive"):
+                ForegroundDepthSet(
+                    target_index=0, pixels=np.array([[1, 1], [2, 1]]), gt_depth=np.array([bad, 3.0]), skipped=False
+                )
         # duplicates that are not adjacent are still found
         with pytest.raises(ContractError):
             ForegroundDepthSet(

@@ -21,6 +21,7 @@ from geodistill import (
     CategoricalDepthMap,
     ConfigError,
     ContractError,
+    ForegroundDepthSet,
     GradcheckConfig,
     HarnessConfig,
     LossWeights,
@@ -542,22 +543,28 @@ class TestTotalLoss:
         assert len(coords) == 8 and np.all(grad[coords] != 0.0)
         np.testing.assert_allclose(grad[coords], numeric, rtol=1e-5, atol=0.0)
 
-    def test_parts_compose_to_evaluate(self):
-        """The depth part, the BEV part and compose give evaluate's total,
-        components and gradient bit for bit, with and without a gradient."""
+    def test_held_depth_values_stand_in_for_the_depth_terms(self, monkeypatch):
+        """Given the depth terms' values of a full evaluation at the same
+        parameters as ``held``, evaluate gives that evaluation's total,
+        components and BEV block of the gradient bit for bit, with and
+        without a gradient, never calls depth_terms and leaves the depth
+        block of the gradient as it held."""
         cfg = dataclasses.replace(
             small_harness_config(), weights=LossWeights(w_a=0.7, w_r=1.3, w_ic=2.1, w_ik=0.4), external_det_loss=0.5
         )
         problem, params = self.problem(cfg)
-        logits, student = problem.blocks(params)
-        for with_grad in (False, True):
-            grads = [np.empty_like(params) for _ in range(2)] if with_grad else [None, None]
-            whole = problem.evaluate(params, grads[0])
-            logit_grad, student_grad = problem.blocks(grads[1]) if with_grad else (None, None)
-            parts = problem.compose(problem.depth_terms(logits, logit_grad), problem.bev_terms(student, student_grad))
-            assert (parts.value, parts.components, parts.empty) == (whole.value, whole.components, whole.empty)
-            if with_grad:
-                assert grads[0].tobytes() == grads[1].tobytes()
+        full_grad = np.empty_like(params)
+        whole = problem.evaluate(params, full_grad)
+        held = (whole.components["absolute_depth"], whole.components["inner_depth"])
+        calls = []
+        monkeypatch.setattr(SceneProblem, "depth_terms", lambda *args: calls.append(args))
+        for grad in (None, np.full_like(params, 7.25)):
+            part = problem.evaluate(params, grad, held=held)
+            assert (part.value.hex(), part.components, part.empty) == (whole.value.hex(), whole.components, whole.empty)
+            if grad is not None:
+                assert grad[problem.cut:].tobytes() == full_grad[problem.cut:].tobytes()
+                assert np.all(grad[:problem.cut] == 7.25)
+        assert calls == []
 
     def test_unit_weights_hand_value(self):
         self.check_total(LossWeights(), 5.0)
@@ -604,6 +611,22 @@ class TestTotalLoss:
         ):
             with pytest.raises(ContractError):
                 evaluate_scene_losses(cfg, scene, views, bad_maps, bad_student)
+
+    @pytest.mark.parametrize("edge", ["x=W", "x=-1", "y=H", "y=-1", "far"])
+    def test_target_pixel_outside_its_view_rejected(self, edge):
+        """A target pixel outside its view raises, also where its flat row
+        is a valid pixel of the view: every pixel is valid here."""
+        cfg = small_harness_config()
+        scene = generate_scene(cfg.scene)
+        views = render_gt_views(scene)
+        maps, _, student = random_student_inputs(cfg, scene, views)
+        h, w = views[0].depth.shape
+        pixel = {"x=W": (w, 3), "x=-1": (-1, 3), "y=H": (3, h), "y=-1": (3, -1), "far": (w + 7, 2)}[edge]
+        fds = ForegroundDepthSet(target_index=0, pixels=[[2, 2], pixel], gt_depth=[5.0, 6.0], skipped=False)
+        depth = np.where(views[0].valid, views[0].depth, 5.0)
+        views[0] = dataclasses.replace(views[0], depth=depth, valid=np.ones_like(views[0].valid), targets=[fds])
+        with pytest.raises(ContractError, match="outside its"):
+            evaluate_scene_losses(cfg, scene, views, maps, student)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ConfigError):
@@ -1437,6 +1460,22 @@ class TestDepthFreeze:
         scene = generate_scene(cfg.scene)
         fresh, _ = student_problem(cfg, scene, render_gt_views(scene))
         assert fresh.evaluate(params).value == d["final_total"] == d["loss_series"]["total"][-1]
+
+    def test_depth_terms_run_until_the_freeze_only(self, monkeypatch):
+        """A run that freezes evaluates the depth terms on each step up to
+        and including the freezing one and on none after it."""
+        calls = []
+        depth_terms = SceneProblem.depth_terms
+
+        def counted(*args):
+            calls.append(None)
+            return depth_terms(*args)
+
+        monkeypatch.setattr(SceneProblem, "depth_terms", counted)
+        report = run_train_toy(small_harness_config(max_steps=6, target_reduction=0.05))
+        frozen = report.data["total_met_step"]
+        assert frozen is not None and frozen + 1 < report.data["steps_run"] == 6
+        assert len(calls) == frozen + 1
 
     def test_zero_bev_gradient_stops_a_frozen_run_stationary(self):
         """With zero BEV weights the BEV block's gradient is exactly zero,
