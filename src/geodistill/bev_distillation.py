@@ -360,9 +360,9 @@ class DistillPlan:
 
     The teacher map is a constant, so for fixed boxes, lattice extent
     ``g``, ``enlarge`` and normalization its keypoint features, both
-    teacher Grams and the interpolation matrices never change.  Build it
-    once with ``build_distill_plan`` and reuse it for every student of
-    the scene.
+    teacher Grams and the interpolation matrices never change; of the map
+    it keeps only the shape.  Build it once with ``build_distill_plan``
+    and reuse it for every student of the scene.
 
     Only the live cells, those some corner touches, are ever read, so
     the student side runs on a packed (C, L) block of their columns:
@@ -371,7 +371,7 @@ class DistillPlan:
     and one ``scatter`` of their weighted gradient.
     """
 
-    teacher_bev: BevFeatureMap
+    shape: Tuple[int, int, int]  # (C, H, W) of the teacher map and of every map packed or unpacked
     normalization: str
     live: np.ndarray  # (L,) sorted distinct flat BEV cells that any corner touches
     win: np.ndarray  # (T, W) each target's window of ``live`` indices, see ``_interpolation``
@@ -389,20 +389,18 @@ class DistillPlan:
 
     def pack(self, bev: np.ndarray) -> np.ndarray:
         """The (C, L) live columns of a (C, H, W) map."""
-        shape = self.teacher_bev.data.shape
-        if np.shape(bev) != shape:
-            raise ContractError(f"pack needs a {shape} (C, H, W) map, got {np.shape(bev)}")
-        return np.take(bev.reshape(shape[0], -1), self.live, axis=-1)
+        if np.shape(bev) != self.shape:
+            raise ContractError(f"pack needs a {self.shape} (C, H, W) map, got {np.shape(bev)}")
+        return np.take(bev.reshape(self.shape[0], -1), self.live, axis=-1)
 
     def unpack(self, block: np.ndarray, base: Optional[np.ndarray] = None) -> np.ndarray:
         """The (C, H, W) map holding the (C, L) ``block`` at the live
         cells and, elsewhere, zeros or the (C, H, W) map ``base``, which
         is written in place whatever its memory order."""
-        shape = self.teacher_bev.data.shape
-        if base is not None and np.shape(base) != shape:
-            raise ContractError(f"unpack base must be {shape}, got {np.shape(base)}")
-        out = np.zeros(shape) if base is None else base
-        out[:, self.live // shape[2], self.live % shape[2]] = block
+        if base is not None and np.shape(base) != self.shape:
+            raise ContractError(f"unpack base must be {self.shape}, got {np.shape(base)}")
+        out = np.zeros(self.shape) if base is None else base
+        out[:, self.live // self.shape[2], self.live % self.shape[2]] = block
         return out
 
     def sample(self, block: np.ndarray) -> np.ndarray:
@@ -459,7 +457,7 @@ def build_distill_plan(
     t_eff, _ = _effective_features(teacher, normalization)
     grams = {kind: _grams(t_eff, kind, normalization) for kind in ("channel", "keypoint")}
     return DistillPlan(
-        teacher_bev=teacher_bev,
+        shape=teacher_bev.data.shape,
         normalization=normalization,
         live=live,
         win=win,

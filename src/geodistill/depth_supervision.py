@@ -199,8 +199,10 @@ class PackedView:
 
 
 def pack_view(gt, valid, bins: DepthBins) -> PackedView:
-    """Gather plan of one camera: valid rows and their bins."""
+    """Gather plan of one camera: the valid rows of ``gt`` (``valid`` has its shape) and their bins."""
     valid = np.asarray(valid, dtype=bool)
+    if valid.shape != np.shape(gt):
+        raise ContractError(f"valid mask {valid.shape} does not match gt {np.shape(gt)}")
     rows = np.nonzero(valid.reshape(-1))[0]
     gt_valid = as_tensor(gt).reshape(-1)[rows]
     if not np.all(np.isfinite(gt_valid) & (gt_valid > 0)):

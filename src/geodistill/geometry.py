@@ -207,15 +207,14 @@ class ForegroundDepthSet:
     row-major order (y first, then x), with per-pixel min-depth dedup
     already applied.  ``center_uv`` is the sub-pixel projection of the
     box's 3D center, or None when the center does not project into the
-    image.  Sets with fewer than 2 pixels are flagged ``skipped``:
-    relative depth needs at least a reference and one other pixel.
+    image.  ``skipped`` flags exactly the sets of fewer than 2 pixels: relative
+    depth needs a reference and one more.  Its camera is its view's.
     """
 
     target_index: int
     pixels: np.ndarray
     gt_depth: np.ndarray
     skipped: bool
-    cam_index: int = 0
     center_uv: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
@@ -223,6 +222,8 @@ class ForegroundDepthSet:
         self.gt_depth = as_tensor(self.gt_depth).reshape(-1)
         if self.pixels.shape[0] != self.gt_depth.shape[0]:
             raise ContractError("pixels and gt_depth lengths disagree")
+        if self.skipped != (len(self.pixels) < 2):
+            raise ContractError(f"skipped={self.skipped} contradicts a set of {len(self.pixels)} pixels")
         if not self.skipped:
             if not np.all(np.isfinite(self.gt_depth) & (self.gt_depth > 0)):
                 raise ContractError("foreground gt depths must be finite and positive")
@@ -249,14 +250,13 @@ def render_view(
     boxes: List[Box3D],
     points,
     inside: Optional[List[np.ndarray]] = None,
-    cam_index: int = 0,
 ) -> Tuple[np.ndarray, np.ndarray, List[ForegroundDepthSet]]:
     """``build_gt_depth_map`` of one camera and its per-box foreground
     sets, in box order, from one projection of the points and the box
     centers.  Membership is evaluated per box independently, so a point
     inside two overlapping boxes contributes to both sets.  ``inside[j]``
     is ``points_in_box(boxes[j], points)``; pass it to share it between
-    cameras."""
+    cameras.  The sets carry no camera: the caller's view does."""
     pts = as_tensor(points).reshape(-1, 3)
     if inside is None:
         inside = [points_in_box(box, pts) for box in boxes]
@@ -277,7 +277,7 @@ def render_view(
         c, r, d = _dedup_min_depth(cols[sel], rows[sel], z[sel])
         sets.append(ForegroundDepthSet(
             target_index=j, pixels=np.stack([c, r], axis=1), gt_depth=d,
-            skipped=len(c) < 2, cam_index=cam_index, center_uv=center_uv.get(j),
+            skipped=len(c) < 2, center_uv=center_uv.get(j),
         ))
     return depth, valid, sets
 

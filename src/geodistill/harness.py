@@ -251,12 +251,21 @@ def _from_json(cls, d, where: str):
 
 
 def _to_json(value):
-    """The JSON form of a config value, which ``_from_json`` reads back."""
+    """Strict JSON form of a report or config value (``_from_json`` reads a config back): a non-finite
+    float (a diverged loss, a distance relative to a zero norm) becomes None, a tuple a list, the grid
+    its six-entry list and a config section its init fields; a report's commonest kinds come first."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, (list, tuple)):
+        return [_to_json(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _to_json(v) for k, v in value.items()}
     if isinstance(value, BevGrid):
         return list(dataclasses.astuple(value))
-    if dataclasses.is_dataclass(value):
-        return {f.name: _to_json(getattr(value, f.name)) for f in dataclasses.fields(value) if f.init}
-    return list(value) if isinstance(value, tuple) else value
+    if dataclasses.is_dataclass(value):  # no comprehension reads value, or each call would make it a cell
+        names = [f.name for f in dataclasses.fields(value) if f.init]
+        return dict(zip(names, map(_to_json, map(functools.partial(getattr, value), names))))
+    return value
 
 
 def config_from_dict(d: Dict) -> HarnessConfig:
@@ -311,19 +320,7 @@ class RunReport:
             "wall_clock_s": self.wall_clock_s,
         }
         payload.update(self.data)
-        return json.dumps(_finite_or_null(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _finite_or_null(value):
-    """Copy of a report value with every non-finite float (a diverged
-    loss, a distance relative to a zero norm) replaced by None."""
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {k: _finite_or_null(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_finite_or_null(v) for v in value]
-    return value
+        return json.dumps(_to_json(payload), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def write_report(path: str, report: RunReport) -> None:
@@ -343,12 +340,11 @@ class SceneProblem:
     """The weighted objective of one scene over a flat parameter vector
     of ``size`` entries: the (N, D) depth block of each view's valid-pixel
     logit rows in camera order, then, from ``cut`` on, the (C, L) block of
-    the student BEV map's live cells (see ``DistillPlan``); a gradient has
+    the student BEV map's live cells, C from ``plan.shape``; a gradient has
     the same layout.  ``build`` packs the views, their ``TargetLayout`` and
     the BEV teacher side once; ``evaluate`` alone assembles the objective."""
 
     cfg: HarnessConfig
-    scene: SyntheticScene
     views: List[ViewGroundTruth]
     packed: List[PackedView]
     plan: DistillPlan
@@ -373,7 +369,7 @@ class SceneProblem:
         cut = sum(p.rows.size for p in packed) * d
         n_max = max([p.rows.size for p in packed] + [(layout.rows.size + 1) // 2])
         return cls(
-            cfg, scene, views, packed, plan, layout, cut, cut + scene.teacher_bev.channels * plan.live.size,
+            cfg, views, packed, plan, layout, cut, cut + plan.shape[0] * plan.live.size,
             rows_buffers=np.empty((2, n_max, d)),
             target_rows=np.empty((layout.rows.size, d)),
             empty=not scene.boxes and not any(p.rows.size for p in packed),
@@ -382,7 +378,7 @@ class SceneProblem:
     def blocks(self, vec: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """The (N, D) depth block and the (C, L) BEV block, as views into a parameter or gradient vector."""
         depth, bev = vec[:self.cut], vec[self.cut:]
-        return depth.reshape(-1, self.cfg.bins.count), bev.reshape(self.scene.teacher_bev.channels, -1)
+        return depth.reshape(-1, self.cfg.bins.count), bev.reshape(self.plan.shape[0], -1)
 
     def split(self, vec: np.ndarray) -> Tuple[List[np.ndarray], np.ndarray]:
         """Each view's (N, D) rows of the depth block, and the BEV block."""

@@ -230,6 +230,11 @@ def open_text(target, mode: str = "r") -> Iterator[TextIO]:
         yield target
 
 
+def _fmt(*values) -> str:
+    """Numbers as TSR and SCN files write them: an integer as is, else its float's shortest repr."""
+    return " ".join(str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in values)
+
+
 def write_tsr(dest, arr) -> None:
     """Write a tensor in TSR v1 format to a path or text file object."""
     arr = as_tensor(arr)
@@ -240,9 +245,9 @@ def write_tsr(dest, arr) -> None:
     rows = arr.reshape(-1, arr.shape[-1]) if arr.ndim > 1 else arr.reshape(1, -1)
     with open_text(dest, "w") as fobj:
         fobj.write("TSR 1\n")
-        fobj.write(" ".join(str(e) for e in arr.shape) + "\n")
+        fobj.write(_fmt(*arr.shape) + "\n")
         for row in rows:
-            fobj.write(" ".join(repr(float(v)) for v in row) + "\n")
+            fobj.write(_fmt(*row) + "\n")
 
 
 def read_tsr(src) -> np.ndarray:

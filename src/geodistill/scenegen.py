@@ -29,7 +29,7 @@ from .geometry import (
     render_view,
     rot_z,
 )
-from .numerics import as_tensor, open_text, read_tsr, write_tsr
+from .numerics import _fmt, as_tensor, open_text, read_tsr, write_tsr
 from .rng import CounterRng
 
 if TYPE_CHECKING:
@@ -245,7 +245,7 @@ def render_gt_views(scene: SyntheticScene) -> List[ViewGroundTruth]:
     inside = [points_in_box(box, scene.points) for box in scene.boxes]
     views = []
     for i, cam in enumerate(scene.cameras):
-        depth, valid, targets = render_view(cam, scene.boxes, scene.points, inside, i)
+        depth, valid, targets = render_view(cam, scene.boxes, scene.points, inside)
         views.append(ViewGroundTruth(cam_index=i, depth=depth, valid=valid, targets=targets))
     return views
 
@@ -267,15 +267,9 @@ def render_gt_views(scene: SyntheticScene) -> List[ViewGroundTruth]:
 #     <P integers, whitespace-separated>
 #   end
 #
-# Floats use shortest round-trip formatting; the file is bit-identical
+# Numbers are written by ``numerics._fmt``, as in TSR; the file is bit-identical
 # for identical scenes.  The teacher map travels as a sidecar TSR file.
 # ---------------------------------------------------------------------------
-
-
-def _fmt(*values) -> str:
-    return " ".join(
-        str(v) if isinstance(v, (int, np.integer)) else repr(float(v)) for v in values
-    )
 
 
 def write_scene(dest, scene: SyntheticScene) -> None:

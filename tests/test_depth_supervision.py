@@ -518,6 +518,16 @@ class TestAbsoluteDepthLoss:
         with pytest.raises(ContractError, match="finite and positive"):
             pack_view(np.array([[2.0, gt]]), np.ones((1, 2), bool), bins)
 
+    @pytest.mark.parametrize("shape, pixel", [((2, 3), (1, 2)), ((5, 5), (4, 4))])
+    def test_rejects_a_mask_of_another_shape(self, shape, pixel):
+        """The mask must have gt's shape.  Unchecked, a (2, 3) mask whose
+        valid pixel is (x, y) = (2, 1) selected flat row 5 of a (4, 5) gt,
+        its pixel (0, 1), and a (5, 5) mask raised a bare IndexError."""
+        valid = np.zeros(shape, bool)
+        valid[pixel] = True
+        with pytest.raises(ContractError, match="does not match"):
+            pack_view(np.arange(1.0, 21.0).reshape(4, 5), valid, DepthBins(count=3, d_min=0.5, d_max=3.5))
+
     def test_gradient_matches_finite_differences(self):
         """Through packing, the scaled gradient is the mean's gradient
         with respect to the whole (D, H, W) map."""

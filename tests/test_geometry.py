@@ -327,6 +327,22 @@ class TestForegroundSets:
         )
         assert len(fds) == 4
 
+    @pytest.mark.parametrize(
+        "pixels, skipped",
+        [([[1, 1]], False), ([], False), ([[1, 1], [2, 1]], True)],
+        ids=["one-pixel-not-skipped", "empty-not-skipped", "two-pixels-skipped"],
+    )
+    def test_skipped_flag_must_match_the_pixel_count(self, pixels, skipped):
+        """``skipped`` is True exactly for fewer than 2 pixels.  Unchecked,
+        a 1-pixel set not skipped gave a NaN inner-depth loss under
+        one_to_one, an empty one a bare IndexError under every strategy,
+        and a skipped 2-pixel set was dropped from the loss unseen."""
+        with pytest.raises(ContractError, match="contradicts"):
+            ForegroundDepthSet(
+                target_index=0, pixels=np.reshape(pixels, (-1, 2)), gt_depth=np.full(len(pixels), 2.0),
+                skipped=skipped,
+            )
+
 
 class TestBox3D:
     @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])

@@ -285,6 +285,59 @@ class TestConfigDicts:
         echo = config_to_dict(config_from_dict(config_to_dict(cfg)))
         assert echo == config_to_dict(cfg)
 
+    def test_echo_text_is_unchanged(self):
+        """The default config, and one built in code with every section
+        set, echo exactly these texts: tuples and the grid as lists, each
+        number as the kind it was given, and no non-init field."""
+        default_text = (
+            '{"scene": {"seed": 42, "num_boxes": 4, "num_cameras": 6, "points_per_box": 300, '
+            '"ground_points": 2048, "channels": 16, "grid": [-24.0, 24.0, -24.0, 24.0, 64, 64], '
+            '"length_range": [3.8, 5.5], "width_range": [1.6, 2.2], "height_range": [1.4, 1.9], '
+            '"place_radius_min": 8.0, "place_radius_max": 18.0, "place_clearance": 0.5, '
+            '"max_place_attempts": 1000, "ground_radius": 22.0, "image_width": 96, "image_height": 64, '
+            '"focal": 70.0, "cam_height": 1.6, "cam_ring_radius": 0.5, "z_near": 0.1, '
+            '"teacher_amplitude": 1.0, "teacher_noise": 0.05, "enlarge": 1.25}, "bins": {"count": 112, '
+            '"mode": "uniform", "d_min": 1.0, "d_max": 60.0}, '
+            '"reference_strategy": "all_to_adaptive_smallest_error", "signed_reference_error": false, '
+            '"loss_reduction": "mean", "keypoint_g": 6, "enlarge": 1.25, "gram_normalization": "none", '
+            '"weights": {"w_a": 1.0, "w_r": 1.0, "w_ic": 1.0, "w_ik": 1.0}, "external_det_loss": 0.0, '
+            '"optimizer": {"step_size": 0.1, "beta1": 0.9, "beta2": 0.999, "eps": 1e-08, "max_steps": 2000, '
+            '"target_reduction": 0.99, "ik_rel_target": 0.01, "final_lr_fraction": 0.05, '
+            '"init_logit_scale": 0.01, "init_bev_scale": 0.1, "divergence_factor": 1000000.0}, '
+            '"gradcheck": {"instances": 100, "h": 1e-06, "fail_threshold": 0.0001}}'
+        )
+
+        set_text = (
+            '{"scene": {"seed": 7, "num_boxes": 2, "num_cameras": 6, "points_per_box": 300, '
+            '"ground_points": 2048, "channels": 4, "grid": [-8.0, 8.0, -6.0, 6.0, 16, 12], '
+            '"length_range": [4.0, 5.0], "width_range": [1.6, 2.2], "height_range": [1.4, 1.9], '
+            '"place_radius_min": 8.0, "place_radius_max": 18.0, "place_clearance": 0.5, '
+            '"max_place_attempts": 1000, "ground_radius": 22.0, "image_width": 32, "image_height": 24, '
+            '"focal": 70.0, "cam_height": 1.6, "cam_ring_radius": 0.5, "z_near": 0.1, '
+            '"teacher_amplitude": 1.0, "teacher_noise": 0.05, "enlarge": 1.25}, "bins": {"count": 8, '
+            '"mode": "spacing_increasing", "d_min": 2.0, "d_max": 40.0}, "reference_strategy": "one_to_one", '
+            '"signed_reference_error": true, "loss_reduction": "sum", "keypoint_g": 3, "enlarge": 1.5, '
+            '"gram_normalization": "l2", "weights": {"w_a": 0.5, "w_r": 2.0, "w_ic": 0.25, "w_ik": 4.0}, '
+            '"external_det_loss": 1.5, "optimizer": {"step_size": 0.05, "beta1": 0.9, "beta2": 0.999, '
+            '"eps": 1e-06, "max_steps": 10, "target_reduction": 0.99, "ik_rel_target": 0.01, '
+            '"final_lr_fraction": 0.05, "init_logit_scale": 0.01, "init_bev_scale": 0.1, '
+            '"divergence_factor": 1000000.0}, "gradcheck": {"instances": 3, "h": 1e-05, '
+            '"fail_threshold": 0.001}}'
+        )
+        cfg = HarnessConfig(
+            scene=SceneConfig(
+                seed=7, num_boxes=2, channels=4, grid=BevGrid(-8.0, 8.0, -6.0, 6.0, 16, 12),
+                length_range=(4.0, 5.0), image_width=32, image_height=24,
+            ),
+            bins=DepthBins(8, "spacing_increasing", 2.0, 40.0), reference_strategy="one_to_one",
+            signed_reference_error=True, loss_reduction="sum", keypoint_g=3, enlarge=1.5,
+            gram_normalization="l2", weights=LossWeights(0.5, 2.0, 0.25, 4.0), external_det_loss=1.5,
+            optimizer=OptimizerConfig(step_size=0.05, max_steps=10, eps=1e-6),
+            gradcheck=GradcheckConfig(instances=3, h=1e-5, fail_threshold=1e-3),
+        )
+        assert json.dumps(config_to_dict(default_config())) == default_text
+        assert json.dumps(config_to_dict(cfg)) == set_text
+
     def test_every_field_loads_and_echoes(self):
         """Every field of every section, set to a valid non-default value,
         is loaded and echoed back, and each section echoes exactly the
@@ -731,6 +784,47 @@ class TestRunReport:
         path = tmp_path / "r.json"
         write_report(str(path), report)
         assert path.read_text() == text
+
+    def test_non_finite_floats_nested_anywhere_are_null(self):
+        """Each NaN or infinity, at the top, in the config or inside dicts,
+        lists and tuples at any depth, is written as null, and each tuple
+        as an array."""
+        report = RunReport(
+            kind="demo", config={"grid": (1.0, math.inf)}, wall_clock_s=math.nan,
+            data={"a": {"b": [np.float64(-math.inf), (1.5, (math.nan, 2))]}, "c": (math.inf, "x", None, True)},
+        )
+        assert report.to_json() == (
+            '{\n'
+            '  "a": {\n'
+            '    "b": [\n'
+            '      null,\n'
+            '      [\n'
+            '        1.5,\n'
+            '        [\n'
+            '          null,\n'
+            '          2\n'
+            '        ]\n'
+            '      ]\n'
+            '    ]\n'
+            '  },\n'
+            '  "c": [\n'
+            '    null,\n'
+            '    "x",\n'
+            '    null,\n'
+            '    true\n'
+            '  ],\n'
+            '  "config": {\n'
+            '    "grid": [\n'
+            '      1.0,\n'
+            '      null\n'
+            '    ]\n'
+            '  },\n'
+            '  "format_version": 1,\n'
+            '  "kind": "demo",\n'
+            '  "status": "ok",\n'
+            '  "wall_clock_s": null\n'
+            '}\n'
+        )
 
 
 class TestIdentityStudent:

@@ -30,7 +30,7 @@ from geodistill import (
     softmax_rows,
     write_tsr,
 )
-from geodistill.numerics import sq_sums
+from geodistill.numerics import _fmt, sq_sums
 from geodistill.rng import CounterRng
 
 
@@ -247,6 +247,15 @@ class TestTsrFormat:
         write_tsr(buf, vals)
         buf.seek(0)
         assert np.array_equal(read_tsr(buf), vals)
+
+    def test_text_of_numbers(self):
+        """TSR and SCN files write numbers through one formatter: an
+        integer, numpy's too, as is, any other number as the shortest repr
+        of its float; a TSR file's extents and rows are that text."""
+        assert _fmt(3, np.int64(4), 0.1, np.float64(1e-300), np.float32(0.5), -0.0) == "3 4 0.1 1e-300 0.5 -0.0"
+        buf = io.StringIO()
+        write_tsr(buf, np.array([[1.0, 0.1], [2.5, -0.0]]))
+        assert buf.getvalue() == "TSR 1\n2 2\n1.0 0.1\n2.5 -0.0\n"
 
     def test_scalar_and_1d(self):
         buf = io.StringIO()
